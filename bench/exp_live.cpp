@@ -21,6 +21,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/argparse.h"
@@ -55,27 +56,13 @@ struct LiveResult {
   double detection_p99_s{0};
   double detection_max_s{0};
   std::size_t false_suspicions{0};
-  std::uint64_t rounds{0};
-  std::uint64_t full_queries{0};
-  std::uint64_t delta_queries{0};
-  std::uint64_t need_full_sent{0};
-  std::uint64_t need_full_received{0};
-  double bytes_per_query{0};
-  std::uint64_t datagrams_received{0};
-  std::uint64_t truncated{0};
-  std::uint64_t recv_errors{0};
-  std::uint64_t malformed{0};
   std::size_t unexpected_exits{0};
   std::size_t missing_reports{0};
-  // Ground-truth wire cost: bytes handed to sendto(), reliability framing,
-  // retransmits and ACKs included (v2 reports close the old gap where
-  // bytes_per_query counted only codec payloads).
-  std::uint64_t datagrams_sent{0};
-  std::uint64_t wire_bytes_sent{0};
-  double wire_bytes_per_query{0};
-  // Round RTT percentiles from the cluster-merged rt.round_rtt_ns histogram.
-  double round_rtt_p50_ms{0};
-  double round_rtt_p99_ms{0};
+  // The cluster-merged registry: every counter and round-RTT column is read
+  // from it by instrument name. Wire cost is ground truth (udp.bytes_sent:
+  // framing, retransmits and ACKs included); bytes_per_query counts codec
+  // payloads (rt.query_bytes_sent).
+  obs::RegistrySnapshot metrics;
   // Detection-latency attribution from the assembled cross-node trace: each
   // observer's latency split into round-pacing, resend-wait and wire time
   // (the three sum to the latency exactly). Per crash below; the flat means
@@ -95,6 +82,25 @@ struct LiveResult {
   double wire_mean_ms{0};
   std::size_t trace_causal_violations{0};
 };
+
+std::uint64_t count(const LiveResult& r, std::string_view name) {
+  return r.metrics.counter_value(name);
+}
+
+/// A byte counter per query sent (full + delta encodings).
+double per_query(const LiveResult& r, std::string_view bytes) {
+  const std::uint64_t queries =
+      count(r, "rt.full_queries_sent") + count(r, "rt.delta_queries_sent");
+  return queries > 0 ? static_cast<double>(count(r, bytes)) /
+                           static_cast<double>(queries)
+                     : 0.0;
+}
+
+/// Cluster-wide round RTT percentile (q in [0, 1]) in ms.
+double round_rtt_ms(const LiveResult& r, double q) {
+  const obs::HistogramSnapshot* h = r.metrics.find_histogram("rt.round_rtt_ns");
+  return h != nullptr ? h->percentile(q) / 1e6 : 0.0;
+}
 
 [[nodiscard]] bool write_json(const std::vector<LiveResult>& results,
                               const std::string& path) {
@@ -120,22 +126,22 @@ struct LiveResult {
        << ", \"detection_p50_s\": " << r.detection_p50_s
        << ", \"detection_p99_s\": " << r.detection_p99_s
        << ", \"detection_max_s\": " << r.detection_max_s
-       << ", \"round_rtt_p50_ms\": " << r.round_rtt_p50_ms
-       << ", \"round_rtt_p99_ms\": " << r.round_rtt_p99_ms
+       << ", \"round_rtt_p50_ms\": " << round_rtt_ms(r, 0.50)
+       << ", \"round_rtt_p99_ms\": " << round_rtt_ms(r, 0.99)
        << ", \"false_suspicions\": " << r.false_suspicions
-       << ", \"rounds\": " << r.rounds
-       << ", \"full_queries\": " << r.full_queries
-       << ", \"delta_queries\": " << r.delta_queries
-       << ", \"need_full_sent\": " << r.need_full_sent
-       << ", \"need_full_received\": " << r.need_full_received
-       << ", \"bytes_per_query\": " << r.bytes_per_query
-       << ", \"datagrams_sent\": " << r.datagrams_sent
-       << ", \"wire_bytes_sent\": " << r.wire_bytes_sent
-       << ", \"wire_bytes_per_query\": " << r.wire_bytes_per_query
-       << ", \"datagrams_received\": " << r.datagrams_received
-       << ", \"truncated\": " << r.truncated
-       << ", \"recv_errors\": " << r.recv_errors
-       << ", \"malformed\": " << r.malformed
+       << ", \"rounds\": " << count(r, "rt.rounds")
+       << ", \"full_queries\": " << count(r, "rt.full_queries_sent")
+       << ", \"delta_queries\": " << count(r, "rt.delta_queries_sent")
+       << ", \"need_full_sent\": " << count(r, "rt.need_full_sent")
+       << ", \"need_full_received\": " << count(r, "rt.need_full_received")
+       << ", \"bytes_per_query\": " << per_query(r, "rt.query_bytes_sent")
+       << ", \"datagrams_sent\": " << count(r, "udp.datagrams_sent")
+       << ", \"wire_bytes_sent\": " << count(r, "udp.bytes_sent")
+       << ", \"wire_bytes_per_query\": " << per_query(r, "udp.bytes_sent")
+       << ", \"datagrams_received\": " << count(r, "udp.datagrams_received")
+       << ", \"truncated\": " << count(r, "udp.truncated")
+       << ", \"recv_errors\": " << count(r, "udp.recv_errors")
+       << ", \"malformed\": " << count(r, "codec.malformed")
        << ", \"unexpected_exits\": " << r.unexpected_exits
        << ", \"missing_reports\": " << r.missing_reports
        << ", \"pacing_mean_ms\": " << r.pacing_mean_ms
@@ -341,25 +347,8 @@ int main(int argc, char** argv) {
       r.detection_p99_s = run.detection_latencies.percentile(99.0);
       r.detection_max_s = run.detection_latencies.max();
     }
-    if (const obs::HistogramSnapshot* h =
-            run.metrics.find_histogram("rt.round_rtt_ns")) {
-      r.round_rtt_p50_ms = h->percentile(0.50) / 1e6;
-      r.round_rtt_p99_ms = h->percentile(0.99) / 1e6;
-    }
-    r.datagrams_sent = run.datagrams_sent;
-    r.wire_bytes_sent = run.wire_bytes_sent;
-    r.wire_bytes_per_query = run.wire_bytes_per_query();
+    r.metrics = run.metrics;
     r.false_suspicions = run.false_suspicions;
-    r.rounds = run.rounds;
-    r.full_queries = run.full_queries_sent;
-    r.delta_queries = run.delta_queries_sent;
-    r.need_full_sent = run.need_full_sent;
-    r.need_full_received = run.need_full_received;
-    r.bytes_per_query = run.bytes_per_query();
-    r.datagrams_received = run.datagrams_received;
-    r.truncated = run.truncated;
-    r.recv_errors = run.recv_errors;
-    r.malformed = run.malformed;
     r.unexpected_exits = run.unexpected_exits;
     r.missing_reports = run.missing_reports;
     if (run.trace) {
@@ -419,15 +408,17 @@ int main(int argc, char** argv) {
                    Table::num(r.pacing_mean_ms),
                    Table::num(r.resend_wait_mean_ms),
                    Table::num(r.wire_mean_ms),
-                   Table::num(r.round_rtt_p50_ms),
+                   Table::num(round_rtt_ms(r, 0.50)),
                    r.strong_completeness ? "yes" : "no",
                    Table::num(std::uint64_t{r.false_suspicions}),
-                   Table::num(r.bytes_per_query),
-                   Table::num(r.wire_bytes_per_query),
-                   Table::num(r.delta_queries),
-                   Table::num(r.full_queries),
-                   Table::num(r.need_full_sent + r.need_full_received),
-                   Table::num(r.truncated), Table::num(r.recv_errors)});
+                   Table::num(per_query(r, "rt.query_bytes_sent")),
+                   Table::num(per_query(r, "udp.bytes_sent")),
+                   Table::num(count(r, "rt.delta_queries_sent")),
+                   Table::num(count(r, "rt.full_queries_sent")),
+                   Table::num(count(r, "rt.need_full_sent") +
+                              count(r, "rt.need_full_received")),
+                   Table::num(count(r, "udp.truncated")),
+                   Table::num(count(r, "udp.recv_errors"))});
   }
   if (args.get_bool("csv")) {
     table.print_csv(std::cout);

@@ -207,7 +207,7 @@ int node_main(int argc, const char* const* argv) {
     reliable_layer.emplace(*datagrams, rel_cfg);
     datagrams = &*reliable_layer;
   }
-  transport::TypedTransport typed(*datagrams);
+  transport::TypedTransport typed(*datagrams, &registry);
 
   transport::RealTimeConfig rcfg;
   rcfg.detector.self = ProcessId{self};
@@ -246,35 +246,6 @@ int node_main(int argc, const char* const* argv) {
     const std::uint64_t now = wall_clock_ns();
     r.snapshot_ns = now > origin_ns ? now - origin_ns : 0;
     r.rounds = detector.rounds_completed();
-    const transport::RealTimeStats ds = detector.stats();
-    r.full_queries_sent = ds.full_queries_sent;
-    r.delta_queries_sent = ds.delta_queries_sent;
-    r.queries_received = ds.queries_received;
-    r.responses_received = ds.responses_received;
-    r.responses_sent = ds.responses_sent;
-    r.need_full_sent = ds.need_full_sent;
-    r.need_full_received = ds.need_full_received;
-    r.query_bytes_sent = ds.query_bytes_sent;
-    r.response_bytes_sent = ds.response_bytes_sent;
-    const transport::UdpStats us = udp.stats();
-    r.datagrams_received = us.datagrams_received;
-    r.bytes_received = us.bytes_received;
-    r.truncated = us.truncated;
-    r.recv_errors = us.recv_errors;
-    r.rcvbuf_bytes = us.rcvbuf_bytes;
-    r.datagrams_sent = us.datagrams_sent;
-    r.bytes_sent = us.bytes_sent;
-    r.malformed = typed.malformed_count();
-    if (reliable_layer) {
-      const transport::ReliableStats rs = reliable_layer->stats();
-      r.retransmissions = rs.retransmissions;
-      r.gave_up = rs.gave_up;
-      r.duplicates = rs.duplicates;
-      r.acks_sent = rs.acks_sent;
-      r.data_bytes_sent = rs.data_bytes_sent;
-      r.retransmit_bytes_sent = rs.retransmit_bytes_sent;
-      r.ack_bytes_sent = rs.ack_bytes_sent;
-    }
     r.metrics = registry.snapshot();
     for (const ProcessId id : detector.suspected()) {
       r.suspected.push_back(id.value);

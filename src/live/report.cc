@@ -12,10 +12,12 @@ namespace mmrfd::live {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'M', 'M', 'R', 'L'};
-// v2: ground-truth egress counters + embedded obs::RegistrySnapshot. Node
-// and supervisor always ship together, so v1 files (stale runs) are simply
+// v3 layout: magic, u32 version, u32 self/n/f, u8 delta/reliable, u64
+// pacing_ns/origin_ns/snapshot_ns/rounds, the obs::RegistrySnapshot (the
+// report's only counters), the suspected set, then the events. Node and
+// supervisor always ship together, so older files (stale runs) are simply
 // rejected rather than upgraded.
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 // Decode-side allocation caps. A report is trusted input in the happy path
 // (we wrote it), but a SIGKILL can leave stale files from older runs and the
@@ -142,30 +144,6 @@ std::vector<std::uint8_t> encode_report(const NodeReport& r) {
   e.u64(r.origin_ns);
   e.u64(r.snapshot_ns);
   e.u64(r.rounds);
-  e.u64(r.full_queries_sent);
-  e.u64(r.delta_queries_sent);
-  e.u64(r.queries_received);
-  e.u64(r.responses_received);
-  e.u64(r.responses_sent);
-  e.u64(r.need_full_sent);
-  e.u64(r.need_full_received);
-  e.u64(r.query_bytes_sent);
-  e.u64(r.response_bytes_sent);
-  e.u64(r.datagrams_received);
-  e.u64(r.bytes_received);
-  e.u64(r.truncated);
-  e.u64(r.recv_errors);
-  e.u64(r.rcvbuf_bytes);
-  e.u64(r.malformed);
-  e.u64(r.retransmissions);
-  e.u64(r.gave_up);
-  e.u64(r.duplicates);
-  e.u64(r.datagrams_sent);
-  e.u64(r.bytes_sent);
-  e.u64(r.acks_sent);
-  e.u64(r.data_bytes_sent);
-  e.u64(r.retransmit_bytes_sent);
-  e.u64(r.ack_bytes_sent);
   encode_metrics(e, r.metrics);
   e.u32(static_cast<std::uint32_t>(r.suspected.size()));
   for (const std::uint32_t id : r.suspected) e.u32(id);
@@ -208,15 +186,7 @@ std::optional<NodeReport> decode_report(std::span<const std::uint8_t> data) {
   r.delta = *delta != 0;
   r.reliable = *reliable != 0;
   for (std::uint64_t* field :
-       {&r.pacing_ns, &r.origin_ns, &r.snapshot_ns, &r.rounds,
-        &r.full_queries_sent, &r.delta_queries_sent, &r.queries_received,
-        &r.responses_received, &r.responses_sent, &r.need_full_sent,
-        &r.need_full_received, &r.query_bytes_sent, &r.response_bytes_sent,
-        &r.datagrams_received, &r.bytes_received, &r.truncated,
-        &r.recv_errors, &r.rcvbuf_bytes, &r.malformed, &r.retransmissions,
-        &r.gave_up, &r.duplicates, &r.datagrams_sent, &r.bytes_sent,
-        &r.acks_sent, &r.data_bytes_sent, &r.retransmit_bytes_sent,
-        &r.ack_bytes_sent}) {
+       {&r.pacing_ns, &r.origin_ns, &r.snapshot_ns, &r.rounds}) {
     if (!u64_into(*field)) return std::nullopt;
   }
   if (!decode_metrics(d, data.size(), r.metrics)) return std::nullopt;

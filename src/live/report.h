@@ -1,8 +1,9 @@
 // Binary per-node run reports — the observability half of the live-cluster
 // subsystem.
 //
-// Each mmrfd-node process periodically snapshots its counters and suspicion
-// history to one file; the supervisor aggregates the files after the run.
+// Each mmrfd-node process periodically snapshots its metrics registry and
+// suspicion history to one file; the supervisor aggregates the files after
+// the run. Counters travel only inside the embedded registry snapshot.
 // The format is write-once binary (transport::Encoder primitives) because a
 // node can die by SIGKILL at any instant: writes go to a temp file renamed
 // into place, so a reader sees either the previous complete snapshot or the
@@ -45,43 +46,12 @@ struct NodeReport {
   std::uint64_t origin_ns{0};    ///< UNIX ns all timestamps are relative to
   std::uint64_t snapshot_ns{0};  ///< write instant, ns since origin
 
-  // --- protocol counters (transport::RealTimeStats) ------------------------
-  std::uint64_t rounds{0};
-  std::uint64_t full_queries_sent{0};
-  std::uint64_t delta_queries_sent{0};
-  std::uint64_t queries_received{0};
-  std::uint64_t responses_received{0};
-  std::uint64_t responses_sent{0};
-  std::uint64_t need_full_sent{0};
-  std::uint64_t need_full_received{0};
-  std::uint64_t query_bytes_sent{0};
-  std::uint64_t response_bytes_sent{0};
+  std::uint64_t rounds{0};  ///< rounds completed (the core's own count)
 
-  // --- wire counters (UdpStats + codec + reliability layer) ----------------
-  std::uint64_t datagrams_received{0};
-  std::uint64_t bytes_received{0};
-  std::uint64_t truncated{0};
-  std::uint64_t recv_errors{0};
-  std::uint64_t rcvbuf_bytes{0};
-  std::uint64_t malformed{0};
-  std::uint64_t retransmissions{0};
-  std::uint64_t gave_up{0};
-  std::uint64_t duplicates{0};
-
-  // --- ground-truth egress (v2) --------------------------------------------
-  // What actually left the socket: every datagram counts, including the
-  // 13-byte reliability framing, retransmit copies and ACKs that the
-  // protocol-level query/response byte counters never see.
-  std::uint64_t datagrams_sent{0};
-  std::uint64_t bytes_sent{0};  ///< UDP payload bytes handed to sendto()
-  std::uint64_t acks_sent{0};
-  std::uint64_t data_bytes_sent{0};        ///< framed DATA, first send
-  std::uint64_t retransmit_bytes_sent{0};  ///< framed DATA, resends
-  std::uint64_t ack_bytes_sent{0};
-
-  // --- metrics registry snapshot (v2) --------------------------------------
-  // The node's full obs::MetricsRegistry at snapshot time. The supervisor
-  // merges these into the cluster-wide rollup and telemetry.jsonl series.
+  // --- metrics registry snapshot -------------------------------------------
+  // The node's full obs::MetricsRegistry at snapshot time, and the report's
+  // only counters (rt.*, codec.*, rel.*, fault.*, udp.*). The supervisor
+  // merges these into the rollup and telemetry.jsonl series.
   obs::RegistrySnapshot metrics;
 
   // --- state ---------------------------------------------------------------

@@ -463,26 +463,14 @@ void Supervisor::aggregate(std::vector<Proc>& procs, Duration horizon,
   std::size_t harvested = 0;
   for (const LiveNodeOutcome& node : result.nodes) {
     for (const NodeReport& r : node.reports) {
-      result.rounds += r.rounds;
-      result.full_queries_sent += r.full_queries_sent;
-      result.delta_queries_sent += r.delta_queries_sent;
-      result.need_full_sent += r.need_full_sent;
-      result.need_full_received += r.need_full_received;
-      result.query_bytes_sent += r.query_bytes_sent;
-      result.response_bytes_sent += r.response_bytes_sent;
-      result.datagrams_received += r.datagrams_received;
-      result.truncated += r.truncated;
-      result.recv_errors += r.recv_errors;
-      result.malformed += r.malformed;
-      result.retransmissions += r.retransmissions;
-      result.gave_up += r.gave_up;
-      result.datagrams_sent += r.datagrams_sent;
-      result.wire_bytes_sent += r.bytes_sent;
-      result.acks_sent += r.acks_sent;
       result.metrics.merge(r.metrics);
       ++harvested;
     }
   }
+  result.rounds = result.metrics.counter_value("rt.rounds");
+  result.malformed = result.metrics.counter_value("codec.malformed");
+  result.datagrams_sent = result.metrics.counter_value("udp.datagrams_sent");
+  result.wire_bytes_sent = result.metrics.counter_value("udp.bytes_sent");
 
   // Close the telemetry series: one "final" line per harvested report, then
   // a rollup line. The rollup's counters are result.metrics — the merge of

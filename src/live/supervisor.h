@@ -103,53 +103,23 @@ struct LiveRunResult {
   bool strong_completeness{false};
   std::size_t false_suspicions{0};
 
-  // Counter totals across every report (all incarnations).
-  std::uint64_t rounds{0};
-  std::uint64_t full_queries_sent{0};
-  std::uint64_t delta_queries_sent{0};
-  std::uint64_t need_full_sent{0};
-  std::uint64_t need_full_received{0};
-  std::uint64_t query_bytes_sent{0};
-  std::uint64_t response_bytes_sent{0};
-  std::uint64_t datagrams_received{0};
-  std::uint64_t truncated{0};
-  std::uint64_t recv_errors{0};
-  std::uint64_t malformed{0};
-  std::uint64_t retransmissions{0};
-  std::uint64_t gave_up{0};
-
-  // Ground-truth egress totals (v2 reports): every datagram that left a
-  // node's socket, reliability framing and retransmit copies included.
-  std::uint64_t datagrams_sent{0};
-  std::uint64_t wire_bytes_sent{0};
-  std::uint64_t acks_sent{0};
-
   /// Cluster-wide obs registry: every harvested report's snapshot merged
   /// (counters summed, histogram buckets summed — percentiles over the
-  /// union of all nodes' samples).
+  /// union of all nodes' samples). Read every other counter by name here.
   obs::RegistrySnapshot metrics;
+
+  // Headline totals from `metrics`: rt.rounds, codec.malformed and the
+  // ground-truth egress udp.datagrams_sent / udp.bytes_sent.
+  std::uint64_t rounds{0};
+  std::uint64_t malformed{0};
+  std::uint64_t datagrams_sent{0};
+  std::uint64_t wire_bytes_sent{0};
 
   /// Assembled cross-node causal timeline (SupervisorConfig::trace only):
   /// per-crash detection latencies attributed to round-pacing, resend-wait
   /// and wire time, with per-node clock-skew estimates. Also written to
   /// <report_dir>/trace_assembled.json.
   std::optional<obs::AssembledTrace> trace;
-
-  [[nodiscard]] std::uint64_t queries_sent() const {
-    return full_queries_sent + delta_queries_sent;
-  }
-  [[nodiscard]] double bytes_per_query() const {
-    return queries_sent() > 0 ? static_cast<double>(query_bytes_sent) /
-                                    static_cast<double>(queries_sent())
-                              : 0.0;
-  }
-  /// True wire cost per query — numerator is bytes handed to sendto(), not
-  /// the codec's protocol-payload accounting.
-  [[nodiscard]] double wire_bytes_per_query() const {
-    return queries_sent() > 0 ? static_cast<double>(wire_bytes_sent) /
-                                    static_cast<double>(queries_sent())
-                              : 0.0;
-  }
 };
 
 /// Resolves the mmrfd-node binary: $MMRFD_NODE_BIN if set, else candidates

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
@@ -41,6 +42,16 @@ const RoleSample* once(const RoleMap& map, std::uint64_t key) {
   const auto it = map.find(key);
   if (it == map.end() || it->second.count != 1) return nullptr;
   return &it->second;
+}
+
+// a + b, or nullopt where int64 would overflow: stamps come from dump
+// files, and a corrupt one can hold any value.
+std::optional<std::int64_t> checked_add(std::int64_t a, std::int64_t b) {
+  using Limits = std::numeric_limits<std::int64_t>;
+  if (b > 0 ? a > Limits::max() - b : a < Limits::min() - b) {
+    return std::nullopt;
+  }
+  return a + b;
 }
 
 struct PairEstimate {
@@ -193,14 +204,80 @@ AssembledTrace TraceAssembler::assemble() const {
       }
     }
   }
+  // --- matched tx -> rx pairs: the causal order alignment must keep --------
+  struct Link {
+    std::uint32_t from{0};
+    std::uint32_t to{0};
+    std::uint64_t tx{0};
+    std::uint64_t rx{0};
+  };
+  std::vector<Link> links;
+  const auto link = [&](const std::map<std::uint32_t, RoleMap>& txs,
+                        const std::map<std::uint32_t, RoleMap>& rxs) {
+    for (const auto& [a, a_tx] : txs) {
+      for (const auto& [key, tx] : a_tx) {
+        if (tx.count != 1) continue;
+        const auto b = static_cast<std::uint32_t>(key >> 32);
+        const auto seq = static_cast<std::uint32_t>(key);
+        if (const auto it = rxs.find(b); it != rxs.end()) {
+          if (const RoleSample* rx = once(it->second, role_key(a, seq))) {
+            links.push_back({a, b, tx.t, rx->t});
+          }
+        }
+      }
+    }
+  };
+  link(qt, qr);  // queries
+  link(rt, rr);  // responses
+
+  for (const auto& [node, stream] : streams) {
+    offset.try_emplace(node, 0);  // unreachable: best effort, own clock
+  }
+  if (options_.estimate_skew && !streams.empty()) {
+    // Midpoint errors add up along the spanning tree, and a few µs of path
+    // error can exceed a fast exchange's one-way delay and invert it. Each
+    // matched pair bounds offset(rx) - offset(tx) <= t_rx - t_tx; relax the
+    // estimate into those difference constraints (Bellman-Ford seeded with
+    // the estimate, so a consistent estimate is left untouched). Stamps
+    // from consistent clocks always satisfy them, so this settles within
+    // n passes; constraints that keep relaxing (inconsistent clocks) leave
+    // the plain estimate in place.
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::int64_t> bound;
+    for (const Link& l : links) {
+      const auto gap = static_cast<std::int64_t>(l.rx - l.tx);  // wraps
+      const auto [it, fresh] = bound.try_emplace({l.from, l.to}, gap);
+      if (!fresh) it->second = std::min(it->second, gap);
+    }
+    std::map<std::uint32_t, std::int64_t> relaxed;  // nodes with a bound
+    for (const auto& [edge, gap] : bound) {
+      relaxed.emplace(edge.first, offset.at(edge.first));
+      relaxed.emplace(edge.second, offset.at(edge.second));
+    }
+    bool changed = true;
+    for (std::size_t pass = 0; changed && pass <= relaxed.size(); ++pass) {
+      changed = false;
+      for (const auto& [edge, gap] : bound) {
+        const auto limit = checked_add(relaxed.at(edge.first), gap);
+        if (limit && *limit < relaxed.at(edge.second)) {
+          relaxed[edge.second] = *limit;
+          changed = true;
+        }
+      }
+    }
+    if (!changed) {
+      // Offsets are relative to the reference node: keep it at 0.
+      const auto ref = relaxed.find(streams.begin()->first);
+      const std::int64_t anchor = ref != relaxed.end() ? ref->second : 0;
+      for (const auto& [node, value] : relaxed) offset[node] = value - anchor;
+    }
+  }
   for (const auto& [node, stream] : streams) {
     SkewEstimate s;
     s.node = node;
-    if (const auto it = offset.find(node); it != offset.end()) {
-      s.offset_ns = it->second;
-      s.min_rtt_ns = tree_rtt.at(node);
+    s.offset_ns = offset.at(node);
+    if (const auto it = tree_rtt.find(node); it != tree_rtt.end()) {
+      s.min_rtt_ns = it->second;
     } else {
-      offset[node] = 0;  // unreachable: best effort, keep own clock
       s.reachable = false;
     }
     if (const auto it = node_samples.find(node); it != node_samples.end()) {
@@ -215,29 +292,8 @@ AssembledTrace TraceAssembler::assemble() const {
   };
 
   // --- causal sanity: alignment must never invert a matched tx -> rx pair ---
-  for (const auto& [a, a_qt] : qt) {
-    for (const auto& [key, tx] : a_qt) {
-      if (tx.count != 1) continue;
-      const auto b = static_cast<std::uint32_t>(key >> 32);
-      const std::uint64_t seq = key & 0xffffffffu;
-      if (const auto it = qr.find(b); it != qr.end()) {
-        if (const RoleSample* rx = once(it->second, role_key(a, seq))) {
-          if (align(b, rx->t) < align(a, tx.t)) ++out.causal_violations;
-        }
-      }
-    }
-  }
-  for (const auto& [b, b_rt] : rt) {
-    for (const auto& [key, tx] : b_rt) {
-      if (tx.count != 1) continue;
-      const auto a = static_cast<std::uint32_t>(key >> 32);
-      const std::uint64_t seq = key & 0xffffffffu;
-      if (const auto it = rr.find(a); it != rr.end()) {
-        if (const RoleSample* rx = once(it->second, role_key(b, seq))) {
-          if (align(a, rx->t) < align(b, tx.t)) ++out.causal_violations;
-        }
-      }
-    }
+  for (const Link& l : links) {
+    if (align(l.to, l.rx) < align(l.from, l.tx)) ++out.causal_violations;
   }
 
   // --- per-crash critical paths ---------------------------------------------

@@ -22,6 +22,10 @@
 // records give (t1, t2, t3, t4) quadruples; the minimum-RTT sample per
 // directed pair yields the midpoint offset estimate, and a min-RTT
 // spanning tree (Prim) anchors every node to the lowest-id reference.
+// Midpoint errors add up along the tree, so the estimate is then relaxed
+// into the difference constraints every matched tx -> rx pair imposes
+// (offset(rx) - offset(tx) <= t_rx - t_tx): on consistent clocks no
+// aligned rx precedes its tx.
 // With estimate_skew off (the simulator, where all rings share sim time)
 // alignment is the identity and assembled latencies reproduce
 // metrics::Analysis exactly — the differential test that certifies the

@@ -1,14 +1,17 @@
 // Byte-level transport abstraction.
 //
-// The transport stack is layered like a production system's:
+// The transport stack is layered like a production system's; each layer
+// counts into the node's one obs::MetricsRegistry under its own prefix:
 //
-//   RealTimeDetector                (protocol driver)
+//   RealTimeDetector            protocol driver                      rt.*
 //        │ WireMessage (typed)
-//   TypedTransport                  (codec: envelope encode/decode)
+//   TypedTransport              codec: envelope encode/decode        codec.*
 //        │ datagrams (bytes)
-//   [ReliableDatagram]              (optional: seq/ack/retransmit/dedup)
+//   [ReliableDatagram]          optional: seq/ack/retransmit/dedup   rel.*
 //        │ datagrams (bytes)
-//   UdpDatagram / InMemoryHub       (sockets / threads)
+//   [FaultyTransport]           optional: injected channel faults    fault.*
+//        │ datagrams (bytes)
+//   UdpTransport / InMemoryHub  sockets / threads                    udp.*
 //
 // The paper's model assumes reliable channels; on loopback UDP that is
 // effectively true, but any lossy deployment inserts ReliableDatagram

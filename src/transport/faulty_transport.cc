@@ -102,15 +102,4 @@ void FaultyTransport::emit(ProcessId to, std::vector<std::uint8_t> datagram) {
   inner_.send(to, datagram);
 }
 
-FaultStats FaultyTransport::stats() const {
-  FaultStats s;
-  s.sent = sent_->value();
-  s.dropped = dropped_->value();
-  s.duplicated = duplicated_->value();
-  s.reordered = reordered_->value();
-  s.corrupted = corrupted_->value();
-  s.truncated = truncated_->value();
-  return s;
-}
-
 }  // namespace mmrfd::transport

@@ -18,6 +18,10 @@
 // a reproducible fault schedule for a fixed send sequence. Receive is
 // passed through untouched — in a two-sided deployment each side's sender
 // perturbs its own output, which is where real networks damage datagrams.
+//
+// Counters (FaultConfig::registry): fault.sent counts send() calls;
+// fault.dropped / fault.duplicated / fault.reordered / fault.corrupted /
+// fault.truncated count the perturbations applied to them.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +49,6 @@ struct FaultConfig {
   obs::MetricsRegistry* registry{nullptr};
 };
 
-struct FaultStats {
-  std::uint64_t sent{0};  ///< send() calls observed
-  std::uint64_t dropped{0};
-  std::uint64_t duplicated{0};
-  std::uint64_t reordered{0};
-  std::uint64_t corrupted{0};
-  std::uint64_t truncated{0};
-};
-
 class FaultyTransport final : public DatagramTransport {
  public:
   FaultyTransport(DatagramTransport& inner, const FaultConfig& config);
@@ -69,8 +64,6 @@ class FaultyTransport final : public DatagramTransport {
   [[nodiscard]] std::uint32_t cluster_size() const override {
     return inner_.cluster_size();
   }
-
-  [[nodiscard]] FaultStats stats() const;
 
  private:
   /// Applies corruption/truncation to a private copy and emits it.

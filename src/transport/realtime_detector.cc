@@ -117,34 +117,39 @@ void RealTimeDetector::driver_loop() {
       return static_cast<std::uint64_t>(
           wire_size(std::get<core::QueryMessage>(m)));
     };
+    // Every tx stamp is recorded just BEFORE its send: a peer on the same
+    // clock may stamp its rx before send() even returns, and a stamp taken
+    // after the fan-out would put the rx ahead of its own cause.
+    const auto stamp_tx = [&](ProcessId to, std::uint64_t bytes) {
+      trace(obs::TraceKind::kQueryTx, to.value,
+            static_cast<std::uint32_t>(bytes));
+      trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
+    };
     // Peer order (full peers, then delta peers) is irrelevant here: real
     // transports have no seeded schedule to preserve. When EVERY peer gets
     // the full encoding (reference mode, first round, mass resync) and
     // nobody is skipped, broadcast() it — the transport serializes a
     // broadcast once, while per-peer send() re-encodes per call.
-    if (deltas.empty() && skipped == 0 && !full_peers.empty()) {
-      transport_.broadcast(full);
-    } else {
-      for (const ProcessId to : full_peers) transport_.send(to, full);
-      for (auto& [to, msg] : deltas) transport_.send(to, msg);
-    }
     if (!full_peers.empty()) {
       const std::uint64_t full_bytes = query_size(full);
       full_queries_sent_->add(full_peers.size());
       query_bytes_sent_->add(full_bytes * full_peers.size());
-      for (const ProcessId to : full_peers) {
-        trace(obs::TraceKind::kQueryTx, to.value,
-              static_cast<std::uint32_t>(full_bytes));
-        trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
+      if (deltas.empty() && skipped == 0) {
+        for (const ProcessId to : full_peers) stamp_tx(to, full_bytes);
+        transport_.broadcast(full);
+      } else {
+        for (const ProcessId to : full_peers) {
+          stamp_tx(to, full_bytes);
+          transport_.send(to, full);
+        }
       }
     }
     delta_queries_sent_->add(deltas.size());
     for (const auto& [to, msg] : deltas) {
       const std::uint64_t bytes = query_size(msg);
       query_bytes_sent_->add(bytes);
-      trace(obs::TraceKind::kQueryTx, to.value,
-            static_cast<std::uint32_t>(bytes));
-      trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
+      stamp_tx(to, bytes);
+      transport_.send(to, msg);
     }
     lock.lock();
     // Wait for the quorum-th response (self counts already); re-checked on
@@ -186,15 +191,15 @@ void RealTimeDetector::driver_loop() {
       if (silent.empty()) continue;  // termination raced the timeout
       const WireMessage refresh{core_.full_query()};
       lock.unlock();
-      for (const ProcessId to : silent) transport_.send(to, refresh);
       resend_waves_->add(1);
+      full_queries_sent_->add(silent.size());
+      query_bytes_sent_->add(query_size(refresh) * silent.size());
       trace(obs::TraceKind::kResendWave, resend_waves,
             static_cast<std::uint32_t>(silent.size()));
       for (const ProcessId to : silent) {
         trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
+        transport_.send(to, refresh);
       }
-      full_queries_sent_->add(silent.size());
-      query_bytes_sent_->add(query_size(refresh) * silent.size());
       lock.lock();
     }
     if (stopping_) return;
@@ -261,20 +266,6 @@ void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
 void RealTimeDetector::set_observer(core::SuspicionObserver* observer) {
   std::lock_guard lock(mutex_);
   core_.set_observer(observer);
-}
-
-RealTimeStats RealTimeDetector::stats() const {
-  RealTimeStats s;
-  s.full_queries_sent = full_queries_sent_->value();
-  s.delta_queries_sent = delta_queries_sent_->value();
-  s.queries_received = queries_received_->value();
-  s.responses_received = responses_received_->value();
-  s.responses_sent = responses_sent_->value();
-  s.need_full_sent = need_full_sent_->value();
-  s.need_full_received = need_full_received_->value();
-  s.query_bytes_sent = query_bytes_sent_->value();
-  s.response_bytes_sent = response_bytes_sent_->value();
-  return s;
 }
 
 std::vector<ProcessId> RealTimeDetector::suspected() const {

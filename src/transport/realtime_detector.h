@@ -8,6 +8,13 @@
 // receive thread funnels into on_datagram(). A single mutex guards the core
 // — its per-event work is microseconds (see bench/micro_core), far below
 // any contention concern at protocol rates.
+//
+// Counters live only in the obs registry (RealTimeConfig::registry), as
+// rt.*: per-peer full/delta query encodings sent, queries/responses
+// received, responses sent, need_full resync requests sent (a delta named a
+// base we never acknowledged) and received, codec bytes handed to the
+// transport (framing and retransmits below count as rel.*/udp.*), rounds,
+// resend waves, and the rt.round_rtt_ns histogram.
 #pragma once
 
 #include <condition_variable>
@@ -46,30 +53,6 @@ struct RealTimeConfig {
   obs::FlightRecorder* recorder{nullptr};
 };
 
-/// Protocol/wire counters of one live detector, all monotone since start().
-/// The live-cluster node reports are built from these — they are the per-
-/// process ground truth the supervisor aggregates (bytes/query, delta-vs-
-/// full sends, need_full resyncs).
-struct RealTimeStats {
-  std::uint64_t full_queries_sent{0};   ///< per-peer full encodings sent
-  std::uint64_t delta_queries_sent{0};  ///< per-peer delta encodings sent
-  std::uint64_t queries_received{0};
-  std::uint64_t responses_received{0};
-  std::uint64_t responses_sent{0};
-  /// Responses we sent with need_full set: we received a delta whose base we
-  /// never acknowledged (state loss/restart) and asked the peer to resync us.
-  std::uint64_t need_full_sent{0};
-  /// Responses we received with need_full set: a peer asked us for a full
-  /// resync, and we dropped its watermark.
-  std::uint64_t need_full_received{0};
-  /// Codec-level bytes (envelope included) of the messages handed to the
-  /// transport. A ReliableDatagram underneath adds its own 13-byte framing
-  /// and re-sends whole datagrams on loss — that extra traffic is accounted
-  /// in ReliableStats, not here.
-  std::uint64_t query_bytes_sent{0};
-  std::uint64_t response_bytes_sent{0};
-};
-
 class RealTimeDetector final : public core::FailureDetector {
  public:
   RealTimeDetector(Transport& transport, const RealTimeConfig& config);
@@ -93,9 +76,6 @@ class RealTimeDetector final : public core::FailureDetector {
 
   /// Rounds completed so far (monotone; for liveness checks in tests).
   [[nodiscard]] std::uint64_t rounds_completed() const;
-
-  /// Snapshot of the wire/protocol counters. Thread-safe, lock-free.
-  [[nodiscard]] RealTimeStats stats() const;
 
   /// The registry backing the rt.* instruments (config.registry or the
   /// private fallback).
@@ -122,8 +102,8 @@ class RealTimeDetector final : public core::FailureDetector {
 
   // Instruments are registry-backed relaxed atomics, not mutex-guarded
   // state: the driver thread bumps the tx side outside the core lock (sends
-  // happen unlocked) and stats() must stay callable from report-flush
-  // threads without contending. References are resolved once in the
+  // happen unlocked) and report-flush threads snapshot the registry without
+  // contending on the core lock. References are resolved once in the
   // constructor and stay valid for the registry's lifetime.
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   obs::MetricsRegistry* registry_{nullptr};

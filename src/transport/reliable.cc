@@ -206,20 +206,6 @@ void ReliableDatagram::retransmit_loop() {
   }
 }
 
-ReliableStats ReliableDatagram::stats() const {
-  ReliableStats s;
-  s.data_sent = data_sent_->value();
-  s.retransmissions = retransmissions_->value();
-  s.gave_up = gave_up_->value();
-  s.duplicates = duplicates_->value();
-  s.acks_sent = acks_sent_->value();
-  s.malformed = malformed_->value();
-  s.data_bytes_sent = data_bytes_sent_->value();
-  s.retransmit_bytes_sent = retransmit_bytes_sent_->value();
-  s.ack_bytes_sent = ack_bytes_sent_->value();
-  return s;
-}
-
 std::size_t ReliableDatagram::unacked() const {
   std::lock_guard lock(mutex_);
   return pending_.size();

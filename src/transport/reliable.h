@@ -16,6 +16,19 @@
 // been lost) and deduplicate by (sender, seq) before delivery, so the layer
 // provides exactly-once delivery to the upper layer for every message it
 // does deliver, and at-least-once transmission effort.
+//
+// Counters (ReliableConfig::registry): rel.data_sent, rel.retransmissions,
+// rel.gave_up, rel.duplicates (DATA suppressed by dedup), rel.acks_sent,
+// rel.malformed, and the framed wire bytes the rt.* byte counters never see:
+// rel.data_bytes_sent, rel.retransmit_bytes_sent, rel.ack_bytes_sent.
+//
+// Why this layer stays beside the detector's resend waves: those fire only
+// while a round is short of quorum, so a datagram lost to one live peer in
+// a round that still reaches quorum is never re-sent and that peer is
+// falsely suspected for a round. This layer re-sends within 20 ms, inside
+// the pacing window. At n=16 with 1% drop it took false suspicions per 8 s
+// run from 2,293-2,493 to 0 for ~2.8x the datagrams (README, fault
+// injection); resend waves alone still kept strong completeness.
 #pragma once
 
 #include <chrono>
@@ -76,26 +89,6 @@ struct ReliableConfig {
   obs::FlightRecorder* recorder{nullptr};
 };
 
-struct ReliableStats {
-  std::uint64_t data_sent{0};
-  std::uint64_t retransmissions{0};
-  std::uint64_t gave_up{0};       ///< frames dropped after max_retries
-  std::uint64_t duplicates{0};    ///< received DATA suppressed by dedup
-  std::uint64_t acks_sent{0};
-  std::uint64_t malformed{0};
-  /// True wire-byte accounting (closes the "bytes/query understates the
-  /// wire" gap): every byte this layer hands the inner transport, framing
-  /// header included, split by cause. The upper layer's query/response
-  /// byte counters see none of this overhead.
-  std::uint64_t data_bytes_sent{0};        ///< first transmissions
-  std::uint64_t retransmit_bytes_sent{0};  ///< re-sent frames
-  std::uint64_t ack_bytes_sent{0};         ///< 13-byte ACK frames
-
-  [[nodiscard]] std::uint64_t wire_bytes_sent() const {
-    return data_bytes_sent + retransmit_bytes_sent + ack_bytes_sent;
-  }
-};
-
 class ReliableDatagram final : public DatagramTransport {
  public:
   ReliableDatagram(DatagramTransport& inner, const ReliableConfig& config);
@@ -114,7 +107,6 @@ class ReliableDatagram final : public DatagramTransport {
     return inner_.cluster_size();
   }
 
-  [[nodiscard]] ReliableStats stats() const;
   /// Frames currently awaiting an ack.
   [[nodiscard]] std::size_t unacked() const;
 

@@ -1,12 +1,14 @@
 // TypedTransport — the codec layer: adapts any DatagramTransport (bytes) to
 // the typed Transport interface (WireMessage) the protocol drivers consume.
-// Malformed datagrams are counted and dropped, never surfaced.
+// Malformed datagrams are dropped, never surfaced, and counted in the
+// codec.malformed registry counter.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 
+#include "obs/metrics_registry.h"
 #include "transport/datagram.h"
 #include "transport/transport.h"
 
@@ -14,8 +16,21 @@ namespace mmrfd::transport {
 
 class TypedTransport final : public Transport {
  public:
-  explicit TypedTransport(DatagramTransport& datagrams)
-      : datagrams_(datagrams) {}
+  /// `registry` receives the codec.* counters; the layer owns a private one
+  /// when null.
+  explicit TypedTransport(DatagramTransport& datagrams,
+                          obs::MetricsRegistry* registry = nullptr)
+      : datagrams_(datagrams) {
+    if (registry == nullptr) {
+      own_registry_ = std::make_unique<obs::MetricsRegistry>();
+      registry = own_registry_.get();
+    }
+    malformed_ = &registry->counter("codec.malformed");
+  }
+
+  // The datagram handler captures `this`.
+  TypedTransport(const TypedTransport&) = delete;
+  TypedTransport& operator=(const TypedTransport&) = delete;
 
   void set_handler(Handler handler) override {
     handler_ = std::move(handler);
@@ -44,16 +59,11 @@ class TypedTransport final : public Transport {
     return datagrams_.cluster_size();
   }
 
-  /// Datagrams rejected by the codec since start.
-  [[nodiscard]] std::uint64_t malformed_count() const {
-    return malformed_.load();
-  }
-
  private:
   void on_datagram(std::span<const std::uint8_t> datagram) {
     auto decoded = decode_envelope(datagram);
     if (!decoded || decoded->sender.value >= cluster_size()) {
-      malformed_.fetch_add(1);
+      malformed_->add(1);
       return;
     }
     handler_(decoded->sender, decoded->message);
@@ -61,7 +71,8 @@ class TypedTransport final : public Transport {
 
   DatagramTransport& datagrams_;
   Handler handler_;
-  std::atomic<std::uint64_t> malformed_{0};
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;
+  obs::Counter* malformed_{nullptr};
 };
 
 }  // namespace mmrfd::transport

@@ -71,8 +71,8 @@ void UdpTransport::start() {
   // a whole cluster's fan-in landing while the receiver thread is
   // descheduled: n peers can each have a full query plus a response in
   // flight to us within one pacing period, with slack for retransmissions.
-  // The kernel clamps to net.core.{r,w}mem_max silently; stats() reports
-  // what was actually granted.
+  // The kernel clamps to net.core.{r,w}mem_max silently; the rcvbuf gauge
+  // records what was actually granted.
   const std::size_t slot = slot_size(config_.n);
   const std::size_t auto_bytes = std::clamp<std::size_t>(
       4 * static_cast<std::size_t>(config_.n) * slot, std::size_t{256 * 1024},
@@ -84,7 +84,6 @@ void UdpTransport::start() {
   int granted = 0;
   socklen_t granted_len = sizeof granted;
   if (::getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &granted, &granted_len) == 0) {
-    rcvbuf_bytes_ = static_cast<std::uint64_t>(granted);
     rcvbuf_gauge_->set(granted);
   }
   const sockaddr_in addr = peer_address(config_.base_port, config_.self);
@@ -189,18 +188,6 @@ void UdpTransport::receive_loop() {
     while (drain_ready() == kRecvBatch && !stopping_.load()) {
     }
   }
-}
-
-UdpStats UdpTransport::stats() const {
-  UdpStats s;
-  s.datagrams_received = datagrams_received_->value();
-  s.bytes_received = bytes_received_->value();
-  s.truncated = truncated_->value();
-  s.recv_errors = recv_errors_->value();
-  s.rcvbuf_bytes = rcvbuf_bytes_;
-  s.datagrams_sent = datagrams_sent_->value();
-  s.bytes_sent = bytes_sent_->value();
-  return s;
 }
 
 }  // namespace mmrfd::transport

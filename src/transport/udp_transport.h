@@ -12,8 +12,15 @@
 // Scale hardening (the live-cluster subsystem runs 128+ of these per
 // machine): the receive loop drains in batches via recvmmsg where available,
 // SO_RCVBUF/SO_SNDBUF are sized to survive an n-process query fan-in landing
-// within one pacing period, and nothing is dropped silently — truncated
-// datagrams and receive errors are counted in UdpStats.
+// within one pacing period, and nothing is dropped silently.
+//
+// Wire-level accounting, in the obs registry (UdpConfig::registry): every
+// datagram the kernel hands us counts once in udp.datagrams_received /
+// udp.bytes_received, and those larger than the receive slot (MSG_TRUNC,
+// dropped) also in udp.truncated; udp.recv_errors counts receive failures.
+// udp.datagrams_sent / udp.bytes_sent are what sendto() accepted — the
+// ground-truth wire bytes, all framing included. Gauge udp.rcvbuf_bytes is
+// the SO_RCVBUF the kernel actually granted (doubled on Linux).
 #pragma once
 
 #include <atomic>
@@ -34,29 +41,11 @@ struct UdpConfig {
   std::uint16_t base_port{39000};
   /// Requested socket buffer size; 0 = auto (scales with n, so a whole
   /// round's fan-in of full queries fits while the receiver thread is
-  /// descheduled). The kernel may clamp; UdpStats reports the granted size.
+  /// descheduled). The kernel may clamp; udp.rcvbuf_bytes holds the grant.
   std::uint32_t socket_buffer_bytes{0};
   /// Shared metrics registry for the udp.* instruments; the transport owns
   /// a private one when null.
   obs::MetricsRegistry* registry{nullptr};
-};
-
-/// Wire-level accounting. Every datagram the kernel hands us is counted
-/// exactly once: delivered, truncated, or errored; every datagram we hand
-/// the kernel is counted on the send side — the ground-truth wire bytes
-/// this process emitted, all framing included.
-struct UdpStats {
-  std::uint64_t datagrams_received{0};
-  std::uint64_t bytes_received{0};
-  /// Datagrams larger than the receive slot (MSG_TRUNC): dropped, counted.
-  std::uint64_t truncated{0};
-  /// recvfrom/recvmmsg failures other than EINTR/EAGAIN.
-  std::uint64_t recv_errors{0};
-  /// SO_RCVBUF actually granted by the kernel (doubled on Linux).
-  std::uint64_t rcvbuf_bytes{0};
-  /// Datagrams/bytes accepted by sendto() (failed sends are not counted).
-  std::uint64_t datagrams_sent{0};
-  std::uint64_t bytes_sent{0};
 };
 
 class UdpTransport final : public DatagramTransport {
@@ -80,8 +69,6 @@ class UdpTransport final : public DatagramTransport {
   [[nodiscard]] std::uint32_t cluster_size() const override {
     return config_.n;
   }
-
-  [[nodiscard]] UdpStats stats() const;
 
  private:
   void receive_loop();
@@ -108,7 +95,6 @@ class UdpTransport final : public DatagramTransport {
   obs::Counter* datagrams_sent_{nullptr};
   obs::Counter* bytes_sent_{nullptr};
   obs::Gauge* rcvbuf_gauge_{nullptr};
-  std::uint64_t rcvbuf_bytes_{0};
 };
 
 }  // namespace mmrfd::transport

@@ -23,6 +23,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "live/supervisor.h"
@@ -115,11 +116,11 @@ TEST(LiveCluster, KillOneNodeAllSurvivorsConverge) {
               r->suspected.end())
         << "survivor " << i << " does not suspect the victim";
     EXPECT_GT(r->rounds, 0u);
-    EXPECT_EQ(r->truncated, 0u);
-    EXPECT_EQ(r->malformed, 0u);
+    EXPECT_EQ(r->metrics.counter_value("udp.truncated"), 0u);
+    EXPECT_EQ(r->metrics.counter_value("codec.malformed"), 0u);
   }
-  EXPECT_GT(result.delta_queries_sent, 0u);
-  EXPECT_GT(result.bytes_per_query(), 0.0);
+  EXPECT_GT(result.metrics.counter_value("rt.delta_queries_sent"), 0u);
+  EXPECT_GT(result.metrics.counter_value("rt.query_bytes_sent"), 0u);
   EXPECT_GT(result.rounds, 0u);
 
   std::filesystem::remove_all(cfg.report_dir);
@@ -160,8 +161,8 @@ TEST(LiveCluster, RestartedNodeResyncsViaNeedFull) {
 
   // The resync actually happened: some survivor received a need_full ack
   // (and the restarted incarnation sent one).
-  EXPECT_GT(result.need_full_received, 0u);
-  EXPECT_GT(result.need_full_sent, 0u);
+  EXPECT_GT(result.metrics.counter_value("rt.need_full_received"), 0u);
+  EXPECT_GT(result.metrics.counter_value("rt.need_full_sent"), 0u);
 
   // After the resync the cluster re-converges: every survivor's final
   // suspected set contains the dead victim but NOT the restarted one, and
@@ -299,11 +300,13 @@ TEST(LiveCluster, GiveupPolicyCutsFullQueriesAtScale) {
   // loose — the true ratio is closer to 1/4 (7/8 of dead-peer queries
   // skipped plus all their resends) — so CI jitter in round counts cannot
   // flake it.
-  EXPECT_GT(without_policy.full_queries_sent, 0u);
-  EXPECT_LT(with_policy.full_queries_sent,
-            without_policy.full_queries_sent * 2 / 3)
-      << "give-up on: " << with_policy.full_queries_sent
-      << " give-up off: " << without_policy.full_queries_sent;
+  const std::uint64_t full_on =
+      with_policy.metrics.counter_value("rt.full_queries_sent");
+  const std::uint64_t full_off =
+      without_policy.metrics.counter_value("rt.full_queries_sent");
+  EXPECT_GT(full_off, 0u);
+  EXPECT_LT(full_on, full_off * 2 / 3)
+      << "give-up on: " << full_on << " give-up off: " << full_off;
 }
 
 TEST(LiveCluster, TelemetrySeriesSumsToRollup) {
@@ -342,12 +345,15 @@ TEST(LiveCluster, TelemetrySeriesSumsToRollup) {
   ASSERT_NE(result.metrics.find_histogram("rt.round_rtt_ns"), nullptr);
   EXPECT_GT(result.metrics.find_histogram("rt.round_rtt_ns")->count, 0u);
 
-  // Wire accounting: socket-level egress strictly exceeds the codec's
-  // protocol-payload byte count (13-byte reliability headers + acks).
-  EXPECT_GT(result.datagrams_sent, 0u);
-  EXPECT_GT(result.wire_bytes_sent,
-            result.query_bytes_sent + result.response_bytes_sent);
-  EXPECT_GT(result.wire_bytes_per_query(), result.bytes_per_query());
+  // Wire accounting, by instrument name: socket-level egress strictly
+  // exceeds the codec's protocol-payload byte count (13-byte reliability
+  // headers + acks).
+  const obs::RegistrySnapshot& m = result.metrics;
+  EXPECT_GT(m.counter_value("udp.datagrams_sent"), 0u);
+  EXPECT_GT(m.counter_value("rel.ack_bytes_sent"), 0u);
+  EXPECT_GT(m.counter_value("udp.bytes_sent"),
+            m.counter_value("rt.query_bytes_sent") +
+                m.counter_value("rt.response_bytes_sent"));
 
   // File-side consistency: sum the final lines, compare to the rollup.
   std::ifstream is(cfg.report_dir + "/telemetry.jsonl");
@@ -375,7 +381,16 @@ TEST(LiveCluster, TelemetrySeriesSumsToRollup) {
   EXPECT_EQ(final_lines, kN);  // no crashes: one final line per node
   EXPECT_GT(series_lines, 0u);  // periodic sampling actually ran
   EXPECT_EQ(final_sum, rollup);
-  EXPECT_EQ(rollup["rt.rounds"], result.rounds);
+  // The four totals LiveRunResult keeps are the rollup's instruments.
+  const std::pair<const char*, std::uint64_t> kept[] = {
+      {"rt.rounds", result.rounds},
+      {"codec.malformed", result.malformed},
+      {"udp.datagrams_sent", result.datagrams_sent},
+      {"udp.bytes_sent", result.wire_bytes_sent}};
+  for (const auto& [name, total] : kept) {
+    ASSERT_TRUE(rollup.contains(name)) << name;
+    EXPECT_EQ(rollup[name], total) << name;
+  }
 
   std::filesystem::remove_all(cfg.report_dir);
 }

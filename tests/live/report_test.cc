@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <string>
 
+#include "transport/codec.h"
+
 namespace mmrfd::live {
 namespace {
 
@@ -23,31 +25,10 @@ NodeReport sample_report() {
   r.origin_ns = 1'234'567'890'000ull;
   r.snapshot_ns = 9'876'543'210ull;
   r.rounds = 431;
-  r.full_queries_sent = 112;
-  r.delta_queries_sent = 2961;
-  r.queries_received = 3001;
-  r.responses_received = 2999;
-  r.responses_sent = 3001;
-  r.need_full_sent = 2;
-  r.need_full_received = 1;
-  r.query_bytes_sent = 77'000;
-  r.response_bytes_sent = 42'000;
-  r.datagrams_received = 6000;
-  r.bytes_received = 150'000;
-  r.truncated = 1;
-  r.recv_errors = 0;
-  r.rcvbuf_bytes = 425'984;
-  r.malformed = 4;
-  r.retransmissions = 17;
-  r.gave_up = 1;
-  r.duplicates = 5;
-  r.datagrams_sent = 6100;
-  r.bytes_sent = 160'000;
-  r.acks_sent = 2900;
-  r.data_bytes_sent = 120'000;
-  r.retransmit_bytes_sent = 2'500;
-  r.ack_bytes_sent = 37'700;
-  r.metrics.counters = {{"rel.data_sent", 3073}, {"rt.rounds", 431}};
+  r.metrics.counters = {{"codec.malformed", 4},
+                        {"rel.data_sent", 3073},
+                        {"rt.rounds", 431},
+                        {"udp.bytes_sent", 160'000}};
   r.metrics.gauges = {{"udp.rcvbuf_bytes", 425'984}};
   {
     obs::HistogramSnapshot h;
@@ -66,6 +47,10 @@ NodeReport sample_report() {
   };
   return r;
 }
+
+// v3 fixed header: 4 magic + 4 version + 3 u32 ids + 2 bool bytes + 4 u64s
+// (pacing, origin, snapshot, rounds); the registry snapshot follows.
+constexpr std::size_t kV3HeaderBytes = 4 + 4 + 3 * 4 + 2 + 4 * 8;
 
 TEST(NodeReportCodec, RoundTripsEveryField) {
   const NodeReport r = sample_report();
@@ -112,11 +97,49 @@ TEST(NodeReportCodec, GarbageLengthFieldRejectedWithoutAllocating) {
 TEST(NodeReportCodec, GarbageMetricCountsRejected) {
   // The embedded registry snapshot's counts are sanity-checked against the
   // buffer size too: flood the counter-count field (the first u32 after the
-  // fixed header of 4 magic + 4 version + 12 ids + 2 bools + 28 u64s).
+  // fixed v3 header).
   auto bytes = encode_report(sample_report());
-  const std::size_t counter_count_at = 4 + 4 + 12 + 2 + 28 * 8;
+  const std::size_t counter_count_at = kV3HeaderBytes;
   for (std::size_t i = 0; i < 4; ++i) bytes[counter_count_at + i] = 0xFF;
   EXPECT_FALSE(decode_report(bytes).has_value());
+}
+
+TEST(NodeReportCodec, V3LayoutHasNoCounterFieldsBesideTheSnapshot) {
+  // The fixed header ends at `rounds`; the very next bytes are the registry
+  // snapshot's counter count and first counter name. No hand-typed counter
+  // copies sit between them.
+  const NodeReport r = sample_report();
+  const auto bytes = encode_report(r);
+  transport::Decoder d(bytes);
+  for (std::size_t i = 0; i < 4; ++i) ASSERT_TRUE(d.u8());  // magic
+  EXPECT_EQ(d.u32().value_or(0), 3u);
+  for (std::size_t i = 8; i < kV3HeaderBytes - 8; ++i) ASSERT_TRUE(d.u8());
+  EXPECT_EQ(d.u64().value_or(0), r.rounds);
+  EXPECT_EQ(d.u32().value_or(0), r.metrics.counters.size());
+  EXPECT_EQ(d.u32().value_or(0), r.metrics.counters.front().name.size());
+}
+
+TEST(NodeReportCodec, RejectsVersion2File) {
+  // A v2 file from a stale run: same magic, version 2 and its 24 extra
+  // counter fields. The decoder must refuse it rather than misread the
+  // counters as the registry snapshot.
+  transport::Encoder e;
+  for (const char c : {'M', 'M', 'R', 'L'}) e.u8(static_cast<std::uint8_t>(c));
+  e.u32(2);
+  for (int i = 0; i < 3; ++i) e.u32(1);
+  e.u8(1);
+  e.u8(0);
+  for (int i = 0; i < 4 + 24; ++i) e.u64(0);
+  for (int i = 0; i < 3; ++i) e.u32(0);  // empty registry snapshot
+  e.u32(0);                              // suspected
+  e.u32(0);                              // events
+  const auto v2 = e.take();
+  EXPECT_FALSE(decode_report(v2).has_value());
+  // The same bytes relabelled v3 do not parse either: the counter block is
+  // not a registry snapshot.
+  auto relabelled = v2;
+  relabelled[4] = 3;
+  EXPECT_FALSE(decode_report(relabelled).has_value());
 }
 
 TEST(NodeReportCodec, RejectsBadMagicVersionAndTrailingGarbage) {

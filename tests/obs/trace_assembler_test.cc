@@ -132,6 +132,28 @@ TEST(TraceAssembler, RecoversOffsetsWithinJitterUnderAsymmetricDelays) {
   }
 }
 
+TEST(TraceAssembler, SkewEstimateNeverInvertsAFastExchange) {
+  // One clock, asymmetric delays: 0->1 and 1->2 queries take 10 us and
+  // their responses 2 us, so each midpoint reads +4 us, and the min-RTT
+  // tree 0-1-2 puts node 2 at +8 us. The slower 0<->2 exchange (25 us RTT,
+  // off the tree) delivers its query in 5 us, so the plain tree estimate
+  // would align that rx 3 us before its tx. Alignment must pull node 2
+  // back inside the pair's bound and leave the consistent nodes alone.
+  SyntheticCluster cluster({0, 0, 0});
+  for (std::uint32_t s = 1; s <= 4; ++s) {
+    const std::uint64_t t = kBase + s * 10'000'000ull;
+    cluster.exchange(0, 1, s, t, 10'000, 1'000, 2'000);
+    cluster.exchange(1, 2, s, t + 100'000, 10'000, 1'000, 2'000);
+    cluster.exchange(0, 2, s, t + 200'000, 5'000, 1'000, 20'000);
+  }
+  const AssembledTrace trace = cluster.assembler().assemble();
+  ASSERT_EQ(trace.skew.size(), 3u);
+  EXPECT_EQ(trace.causal_violations, 0u);
+  EXPECT_EQ(trace.skew[0].offset_ns, 0);
+  EXPECT_EQ(trace.skew[1].offset_ns, 4'000);
+  EXPECT_EQ(trace.skew[2].offset_ns, 5'000);
+}
+
 TEST(TraceAssembler, SlowDriftStaysWithinToleranceAndCausallyOrdered) {
   // A 50 ppm relative drift over a 2 s window moves the true offset by
   // 100 us end to end; the single recovered offset must land inside the

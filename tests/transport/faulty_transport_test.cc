@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics_registry.h"
 #include "transport/inmemory_transport.h"
 
 namespace mmrfd::transport {
@@ -71,7 +72,10 @@ std::vector<std::uint8_t> payload(std::uint32_t i) {
 
 TEST(FaultyTransport, AllKnobsOffIsByteExactPassthrough) {
   InMemoryHub hub(2);
-  FaultyTransport faulty(hub.endpoint(ProcessId{0}), FaultConfig{});
+  obs::MetricsRegistry metrics;
+  FaultConfig cfg;
+  cfg.registry = &metrics;
+  FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
   Sink sink;
   sink.attach(hub.endpoint(ProcessId{1}));
   start_send_only(faulty);
@@ -84,10 +88,13 @@ TEST(FaultyTransport, AllKnobsOffIsByteExactPassthrough) {
   for (std::uint32_t i = 0; i < 50; ++i) {
     EXPECT_EQ(got[i], payload(i)) << i;
   }
-  const auto s = faulty.stats();
-  EXPECT_EQ(s.sent, 50u);
-  EXPECT_EQ(s.dropped + s.duplicated + s.reordered + s.corrupted + s.truncated,
-            0u);
+  const obs::RegistrySnapshot s = metrics.snapshot();
+  EXPECT_EQ(s.counter_value("fault.sent"), 50u);
+  for (const char* fault : {"fault.dropped", "fault.duplicated",
+                            "fault.reordered", "fault.corrupted",
+                            "fault.truncated"}) {
+    EXPECT_EQ(s.counter_value(fault), 0u) << fault;
+  }
   faulty.stop();
 }
 
@@ -101,28 +108,26 @@ TEST(FaultyTransport, FaultScheduleIsDeterministicPerSeed) {
     cfg.corrupt_rate = 0.2;
     cfg.truncate_rate = 0.2;
     cfg.seed = seed;
+    obs::MetricsRegistry metrics;
+    cfg.registry = &metrics;
     FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
     start_send_only(faulty);
     for (std::uint32_t i = 0; i < 500; ++i) {
       faulty.send(ProcessId{1}, payload(i));
     }
-    const auto s = faulty.stats();
+    const obs::RegistrySnapshot s = metrics.snapshot();
     faulty.stop();
     return s;
   };
   const auto a = run(99);
   const auto b = run(99);
   const auto c = run(100);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.duplicated, b.duplicated);
-  EXPECT_EQ(a.reordered, b.reordered);
-  EXPECT_EQ(a.corrupted, b.corrupted);
-  EXPECT_EQ(a.truncated, b.truncated);
-  // Different seed, different schedule (all five counters agreeing across
-  // seeds on 500 draws would mean the seed is ignored).
-  EXPECT_TRUE(a.dropped != c.dropped || a.duplicated != c.duplicated ||
-              a.reordered != c.reordered || a.corrupted != c.corrupted ||
-              a.truncated != c.truncated);
+  // Every fault.* counter agrees for one seed...
+  EXPECT_EQ(a, b);
+  // ...and a different seed gives a different schedule (all five fault
+  // counters agreeing across seeds on 500 draws would mean the seed is
+  // ignored).
+  EXPECT_NE(a, c);
 }
 
 TEST(FaultyTransport, ReorderIsLosslessAndActuallyReorders) {
@@ -130,6 +135,8 @@ TEST(FaultyTransport, ReorderIsLosslessAndActuallyReorders) {
   FaultConfig cfg;
   cfg.reorder_rate = 0.5;
   cfg.seed = 7;
+  obs::MetricsRegistry metrics;
+  cfg.registry = &metrics;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
   Sink sink;
   sink.attach(hub.endpoint(ProcessId{1}));
@@ -141,7 +148,7 @@ TEST(FaultyTransport, ReorderIsLosslessAndActuallyReorders) {
   }
   faulty.stop();  // flushes the holdback slot — nothing may be lost
   ASSERT_TRUE(eventually([&] { return sink.count() == kSends; }));
-  EXPECT_GT(faulty.stats().reordered, 50u);
+  EXPECT_GT(metrics.counter("fault.reordered").value(), 50u);
 
   std::vector<std::uint32_t> order;
   for (const auto& d : sink.snapshot()) {
@@ -173,6 +180,8 @@ TEST(FaultyTransport, DuplicatesAreDeliveredTwice) {
   InMemoryHub hub(2);
   FaultConfig cfg;
   cfg.duplicate_rate = 1.0;
+  obs::MetricsRegistry metrics;
+  cfg.registry = &metrics;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
   Sink sink;
   sink.attach(hub.endpoint(ProcessId{1}));
@@ -182,7 +191,7 @@ TEST(FaultyTransport, DuplicatesAreDeliveredTwice) {
     faulty.send(ProcessId{1}, payload(i));
   }
   ASSERT_TRUE(eventually([&] { return sink.count() == 40; }));
-  EXPECT_EQ(faulty.stats().duplicated, 20u);
+  EXPECT_EQ(metrics.counter("fault.duplicated").value(), 20u);
   faulty.stop();
 }
 
@@ -191,6 +200,8 @@ TEST(FaultyTransport, TruncationEmitsStrictPrefixes) {
   FaultConfig cfg;
   cfg.truncate_rate = 1.0;
   cfg.seed = 3;
+  obs::MetricsRegistry metrics;
+  cfg.registry = &metrics;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
   Sink sink;
   sink.attach(hub.endpoint(ProcessId{1}));
@@ -200,7 +211,7 @@ TEST(FaultyTransport, TruncationEmitsStrictPrefixes) {
   for (std::uint32_t i = 0; i < kSends; ++i) {
     faulty.send(ProcessId{1}, payload(i));
   }
-  EXPECT_EQ(faulty.stats().truncated, kSends);
+  EXPECT_EQ(metrics.counter("fault.truncated").value(), kSends);
   // Every delivery is a strict prefix of the 6-byte payload; empty results
   // are swallowed, so fewer than kSends may arrive. Give the queues a beat
   // to drain before snapshotting.
@@ -217,6 +228,8 @@ TEST(FaultyTransport, CorruptionChangesBytesButNeverLength) {
   FaultConfig cfg;
   cfg.corrupt_rate = 1.0;
   cfg.seed = 5;
+  obs::MetricsRegistry metrics;
+  cfg.registry = &metrics;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), cfg);
   Sink sink;
   sink.attach(hub.endpoint(ProcessId{1}));
@@ -227,7 +240,7 @@ TEST(FaultyTransport, CorruptionChangesBytesButNeverLength) {
     faulty.send(ProcessId{1}, payload(i));
   }
   ASSERT_TRUE(eventually([&] { return sink.count() == kSends; }));
-  EXPECT_EQ(faulty.stats().corrupted, kSends);
+  EXPECT_EQ(metrics.counter("fault.corrupted").value(), kSends);
   std::size_t changed = 0;
   const auto got = sink.snapshot();
   for (std::uint32_t i = 0; i < kSends; ++i) {

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "core/detector_core.h"
+#include "obs/metrics_registry.h"
 #include "transport/inmemory_transport.h"
 #include "transport/reliable.h"
 #include "transport/typed_transport.h"
@@ -40,9 +41,13 @@ TEST(ReliableLoss, NeedFullResyncAfterPeerRestartUnderLoss) {
   constexpr ProcessId kB{1};
   InMemoryHub hub(2);
   hub.set_loss_every(3);
+  obs::MetricsRegistry metrics_a;
+  obs::MetricsRegistry metrics_b;
   ReliableConfig rcfg;
   rcfg.retransmit_interval = from_millis(5);
+  rcfg.registry = &metrics_a;
   ReliableDatagram ra(hub.endpoint(kA), rcfg);
+  rcfg.registry = &metrics_b;
   ReliableDatagram rb(hub.endpoint(kB), rcfg);
   TypedTransport ta(ra);
   TypedTransport tb(rb);
@@ -145,8 +150,10 @@ TEST(ReliableLoss, NeedFullResyncAfterPeerRestartUnderLoss) {
 
   // The loss injection was real and the reliability layer worked for it.
   EXPECT_GT(hub.dropped(), 0u);
-  EXPECT_GT(ra.stats().retransmissions + rb.stats().retransmissions, 0u);
-  EXPECT_EQ(ra.stats().gave_up, 0u);
+  EXPECT_GT(metrics_a.counter("rel.retransmissions").value() +
+                metrics_b.counter("rel.retransmissions").value(),
+            0u);
+  EXPECT_EQ(metrics_a.counter("rel.gave_up").value(), 0u);
 
   ta.stop();
   tb.stop();

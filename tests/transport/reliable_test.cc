@@ -9,6 +9,7 @@
 #include <chrono>
 #include <thread>
 
+#include "obs/metrics_registry.h"
 #include "transport/faulty_transport.h"
 #include "transport/inmemory_transport.h"
 #include "transport/realtime_detector.h"
@@ -57,13 +58,17 @@ TEST(SeqTracker, DuplicatesBelowFloorRejected) {
 
 struct ReliablePair {
   InMemoryHub hub{2};
-  ReliableConfig cfg;
+  obs::MetricsRegistry metrics_a;  // rel.* counters of each endpoint
+  obs::MetricsRegistry metrics_b;
   std::unique_ptr<ReliableDatagram> a;
   std::unique_ptr<ReliableDatagram> b;
 
   explicit ReliablePair(Duration retry = from_millis(10)) {
+    ReliableConfig cfg;
     cfg.retransmit_interval = retry;
+    cfg.registry = &metrics_a;
     a = std::make_unique<ReliableDatagram>(hub.endpoint(ProcessId{0}), cfg);
+    cfg.registry = &metrics_b;
     b = std::make_unique<ReliableDatagram>(hub.endpoint(ProcessId{1}), cfg);
   }
 };
@@ -109,23 +114,26 @@ TEST(ReliableDatagram, RecoversFromHeavyLossExactlyOnce) {
   }
   EXPECT_TRUE(eventually([&] { return got.load() == 100; }));
   EXPECT_GT(p.hub.dropped(), 0u);
-  EXPECT_GT(p.a->stats().retransmissions, 0u);
-  EXPECT_EQ(p.a->stats().gave_up, 0u);
+  EXPECT_GT(p.metrics_a.counter("rel.retransmissions").value(), 0u);
+  EXPECT_EQ(p.metrics_a.counter("rel.gave_up").value(), 0u);
   p.a->stop();
   p.b->stop();
 }
 
 TEST(ReliableDatagram, GivesUpOnDeadPeer) {
+  obs::MetricsRegistry metrics;
   ReliableConfig cfg;
   cfg.retransmit_interval = from_millis(5);
   cfg.max_retries = 5;
+  cfg.registry = &metrics;
   InMemoryHub hub(2);
   ReliableDatagram a(hub.endpoint(ProcessId{0}), cfg);
   a.set_handler([](std::span<const std::uint8_t>) {});
   a.start();
   // Peer 1 never starts: no acks ever come back.
   a.send(ProcessId{1}, std::vector<std::uint8_t>{42});
-  EXPECT_TRUE(eventually([&] { return a.stats().gave_up == 1; }));
+  EXPECT_TRUE(eventually(
+      [&] { return metrics.counter("rel.gave_up").value() == 1; }));
   EXPECT_EQ(a.unacked(), 0u);
   a.stop();
 }
@@ -145,7 +153,7 @@ TEST(ReliableDatagram, DuplicateDataReAcked) {
   }
   EXPECT_TRUE(eventually([&] { return got.load() == 30; }));
   EXPECT_TRUE(eventually([&] { return p.a->unacked() == 0; }));
-  EXPECT_GT(p.b->stats().duplicates, 0u);
+  EXPECT_GT(p.metrics_b.counter("rel.duplicates").value(), 0u);
   EXPECT_EQ(got.load(), 30);
   p.a->stop();
   p.b->stop();
@@ -249,11 +257,11 @@ TEST(ReliableDatagram, NoPrematureRetransmission) {
   // Well before the frame is interval-old nothing may have been resent —
   // the old code fired at its next wakeup (~150 ms after the send).
   std::this_thread::sleep_for(250ms);
-  EXPECT_EQ(p.a->stats().retransmissions, 0u);
+  EXPECT_EQ(p.metrics_a.counter("rel.retransmissions").value(), 0u);
   EXPECT_EQ(got.load(), 0);
   // Once the frame ages past the interval the resend happens and delivers.
   EXPECT_TRUE(eventually([&] { return got.load() == 1; }));
-  EXPECT_GE(p.a->stats().retransmissions, 1u);
+  EXPECT_GE(p.metrics_a.counter("rel.retransmissions").value(), 1u);
   p.a->stop();
   p.b->stop();
 }
@@ -266,9 +274,11 @@ TEST(ReliableDatagram, DupStormDeliversExactlyOnce) {
   FaultConfig fcfg;
   fcfg.duplicate_rate = 1.0;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), fcfg);
+  obs::MetricsRegistry metrics_b;
   ReliableConfig cfg;
   cfg.retransmit_interval = from_millis(20);
   ReliableDatagram a(faulty, cfg);
+  cfg.registry = &metrics_b;
   ReliableDatagram b(hub.endpoint(ProcessId{1}), cfg);
   std::atomic<int> got{0};
   std::vector<bool> seen(100, false);
@@ -288,7 +298,7 @@ TEST(ReliableDatagram, DupStormDeliversExactlyOnce) {
   }
   EXPECT_TRUE(eventually([&] { return got.load() == 100; }));
   EXPECT_TRUE(eventually([&] { return a.unacked() == 0; }));
-  EXPECT_GE(b.stats().duplicates, 90u);
+  EXPECT_GE(metrics_b.counter("rel.duplicates").value(), 90u);
   EXPECT_EQ(got.load(), 100);
   a.stop();
   b.stop();
@@ -303,9 +313,11 @@ TEST(ReliableDatagram, ReorderStormDeliversExactlyOnce) {
   fcfg.reorder_rate = 0.5;
   fcfg.seed = 17;
   FaultyTransport faulty(hub.endpoint(ProcessId{0}), fcfg);
+  obs::MetricsRegistry metrics_b;
   ReliableConfig cfg;
   cfg.retransmit_interval = from_millis(20);
   ReliableDatagram a(faulty, cfg);
+  cfg.registry = &metrics_b;
   ReliableDatagram b(hub.endpoint(ProcessId{1}), cfg);
   std::atomic<int> got{0};
   std::vector<int> deliveries(200, 0);

@@ -4,10 +4,16 @@
 // loaded CI machines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
 
+#include "obs/flight_recorder.h"
+#include "obs/metrics_registry.h"
+#include "obs/trace_assembler.h"
 #include "transport/inmemory_transport.h"
 #include "transport/realtime_detector.h"
 #include "transport/typed_transport.h"
@@ -81,7 +87,8 @@ TEST(InMemoryTransport, BroadcastReachesAllOthers) {
 
 TEST(TypedTransport, MalformedDatagramsCountedAndDropped) {
   InMemoryHub hub(2);
-  TypedTransport typed(hub.endpoint(ProcessId{1}));
+  obs::MetricsRegistry metrics;
+  TypedTransport typed(hub.endpoint(ProcessId{1}), &metrics);
   std::atomic<int> got{0};
   typed.set_handler([&](ProcessId, const WireMessage&) { ++got; });
   typed.start();
@@ -90,7 +97,8 @@ TEST(TypedTransport, MalformedDatagramsCountedAndDropped) {
       .set_handler([](std::span<const std::uint8_t>) {});
   hub.endpoint(ProcessId{0}).start();
   hub.endpoint(ProcessId{0}).send(ProcessId{1}, junk);
-  EXPECT_TRUE(eventually([&] { return typed.malformed_count() == 1; }));
+  const obs::Counter& malformed = metrics.counter("codec.malformed");
+  EXPECT_TRUE(eventually([&] { return malformed.value() == 1; }));
   EXPECT_EQ(got.load(), 0);
   typed.stop();
 }
@@ -151,6 +159,44 @@ TEST(RealTimeDetector, InMemoryClusterDetectsStoppedNode) {
     return true;
   }));
   for (std::uint32_t i = 0; i < 3; ++i) nodes[i]->stop();
+}
+
+TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
+  // Every node stamps its flight ring from the one host clock, so the true
+  // skew is zero: assembled without skew estimation, a matched rx stamped
+  // before its tx can only mean a tx stamp taken after its send(). Eight
+  // nodes give every query fan-out seven sends for a fast receiver thread
+  // to overtake.
+  constexpr std::uint32_t kN = 8;
+  TypedHub h(kN);
+  std::vector<std::unique_ptr<obs::FlightRecorder>> rings;
+  std::vector<std::unique_ptr<RealTimeDetector>> nodes;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    rings.push_back(std::make_unique<obs::FlightRecorder>(
+        std::size_t{1} << 16, obs::wall_trace_clock()));
+    RealTimeConfig c = rt_config(i, kN, 2);
+    c.recorder = rings.back().get();
+    nodes.push_back(std::make_unique<RealTimeDetector>(h.at(i), c));
+  }
+  for (auto& n : nodes) n->start();
+  EXPECT_TRUE(eventually([&] {
+    return std::all_of(nodes.begin(), nodes.end(), [](const auto& n) {
+      return n->rounds_completed() >= 50;
+    });
+  }));
+  for (auto& n : nodes) n->stop();
+
+  obs::AssemblerOptions options;
+  options.n = kN;
+  options.estimate_skew = false;
+  obs::TraceAssembler assembler(options);
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    assembler.add_node({i, 0, rings[i]->snapshot()});
+  }
+  const obs::AssembledTrace trace = assembler.assemble();
+  EXPECT_GT(trace.matched_pairs, 0u);
+  EXPECT_EQ(trace.causal_violations, 0u)
+      << "of " << trace.matched_pairs << " matched exchanges";
 }
 
 TEST(UdpTransport, LoopbackRoundTrip) {
