@@ -21,10 +21,16 @@ configuration key and flags metric movements outside a tolerance band:
 The key includes the engine/shards columns exp_scale emits, so a serial and
 a sharded run of the same (n, f, seed) never get compared to each other.
 
-Warn-only by default (always exits 0): bench hardware — CI runners above
+Timing bands are warn-only by default: bench hardware — CI runners above
 all — is far too noisy to gate merges on, so the output is a trend signal
 for humans. Pass --strict to exit 1 on any regression once a quieter rig
 exists.
+
+Correctness columns are not timings and always gate, --strict or not:
+exit 1 when any fresh row has a nonzero
+
+  * trace_causal_violations — matched tx -> rx pairs the assembled trace
+                              puts in the wrong order
 
 Usage:
   scripts/check_bench.py BENCH_scale.json fresh.json [--tolerance 0.5]
@@ -49,6 +55,8 @@ METRICS = {
     "wire_mean_ms": "down",
 }
 KEY_FIELDS = ("n", "f", "seed", "delta", "reliable", "engine", "shards")
+# Columns that must read 0 in every fresh row.
+MUST_BE_ZERO = ("trace_causal_violations",)
 
 
 def load_rows(path):
@@ -95,8 +103,14 @@ def main():
     regressions = 0
     compared = 0
     unmatched = 0
+    violations = 0
     for row in fresh_rows:
         key = row_key(row)
+        for column in MUST_BE_ZERO:
+            if float(row.get(column, 0)) != 0:
+                violations += 1
+                print(f"[VIOLATION] {fmt_key(key)} {column}: {row[column]} "
+                      "(must be 0)")
         base = baseline.get(key)
         if base is None:
             unmatched += 1
@@ -129,8 +143,10 @@ def main():
         f"baseline (tolerance {args.tolerance:.0%})"
     )
     if regressions and not args.strict:
-        print("check_bench: warn-only mode — not failing the build")
-    return 1 if (regressions and args.strict) else 0
+        print("check_bench: warn-only mode — not failing on timing bands")
+    if violations:
+        print(f"check_bench: {violations} correctness violation(s)")
+    return 1 if violations or (regressions and args.strict) else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 // DetectorCore — the DSN'03 asynchronous failure-detector protocol as a
 // sans-I/O state machine.
 //
-// The core knows nothing about clocks, sockets or the simulator. A host
-// drives it:
+// The core knows nothing about clocks, sockets or the simulator.
+// core::RoundDriver (round_driver.h) runs its rounds for every host; one
+// round by hand:
 //
 //   QueryMessage q = core.start_query();          // T1 line: broadcast QUERY
 //   ... deliver q to all peers; for each peer query received:
@@ -117,6 +118,7 @@ struct DetectorConfig {
 
 class DetectorCore final : public FailureDetector {
  public:
+  using Config = DetectorConfig;
   /// Throws std::invalid_argument unless n >= 1, f < n and self < n — a
   /// misconfigured detector (e.g. f >= n, which would underflow quorum())
   /// must fail loudly in every build type, not just under NDEBUG-off.
@@ -197,6 +199,10 @@ class DetectorCore final : public FailureDetector {
   /// arrival order.
   [[nodiscard]] std::span<const ProcessId> rec_from() const {
     return rec_from_;
+  }
+  /// True iff `id` is in rec_from().
+  [[nodiscard]] bool responded(ProcessId id) const {
+    return id.value < responded_.size() && responded_[id.value];
   }
   /// The first quorum() responders (self included) — the *winning* set used
   /// by the MP property machinery.

@@ -16,6 +16,7 @@
 // of the paper's central design choice; experiment E9 measures it.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -45,6 +46,7 @@ struct SimpleDetectorConfig {
 
 class SimpleDetectorCore final : public FailureDetector {
  public:
+  using Config = SimpleDetectorConfig;
   /// Throws std::invalid_argument unless n >= 1, f < n and self < n (the
   /// same loud rejection of misconfiguration as DetectorCore).
   explicit SimpleDetectorCore(const SimpleDetectorConfig& config);
@@ -78,6 +80,13 @@ class SimpleDetectorCore final : public FailureDetector {
   [[nodiscard]] std::vector<ProcessId> suspected() const override;
   [[nodiscard]] bool is_suspected(ProcessId id) const override;
   [[nodiscard]] bool query_terminated() const { return terminated_; }
+  /// This round's responders (self included), in arrival order.
+  [[nodiscard]] std::span<const ProcessId> rec_from() const {
+    return rec_from_;
+  }
+  [[nodiscard]] bool responded(ProcessId id) const {
+    return id.value < responded_.size() && responded_[id.value];
+  }
   [[nodiscard]] QuerySeq query_seq() const { return seq_; }
   [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_; }
   [[nodiscard]] const SimpleDetectorConfig& config() const { return config_; }

@@ -134,9 +134,13 @@ int node_main(int argc, const char* const* argv) {
   const auto n = static_cast<std::uint32_t>(args.get_int("n"));
   const auto self = static_cast<std::uint32_t>(args.get_int("self"));
   const auto f = static_cast<std::uint32_t>(args.get_int("f"));
-  if (n < 2 || self >= n || f >= n) {
-    std::cerr << "mmrfd-node: need n >= 2, self < n, f < n (got n=" << n
-              << " self=" << self << " f=" << f << ")\n";
+  // No resend waves would let one lost datagram wedge a round; a zero
+  // interval would fire them back to back.
+  const auto resend_ms = args.get_int("resend-ms");
+  if (n < 2 || self >= n || f >= n || resend_ms <= 0) {
+    std::cerr << "mmrfd-node: need n >= 2, self < n, f < n, resend-ms > 0 "
+              << "(got n=" << n << " self=" << self << " f=" << f
+              << " resend-ms=" << resend_ms << ")\n";
     return 2;
   }
   const std::string report_path = args.get("report");
@@ -219,7 +223,7 @@ int node_main(int argc, const char* const* argv) {
   rcfg.detector.resync_interval =
       static_cast<std::uint32_t>(args.get_int("resync"));
   rcfg.pacing = from_millis(static_cast<double>(args.get_int("pacing-ms")));
-  rcfg.resend = from_millis(static_cast<double>(args.get_int("resend-ms")));
+  rcfg.resend = from_millis(static_cast<double>(resend_ms));
   rcfg.registry = &registry;
   rcfg.recorder = &recorder;
   transport::RealTimeDetector detector(typed, rcfg);

@@ -48,6 +48,26 @@ void apply_fault_knobs(MmrNetwork& net, const MmrClusterConfig& config) {
   }
 }
 
+MmrHostConfig mmr_host_config(const MmrClusterConfig& config, ProcessId self,
+                              Xoshiro256& stagger) {
+  MmrHostConfig hc;
+  hc.detector.self = self;
+  hc.detector.n = config.n;
+  hc.detector.f = config.f;
+  hc.detector.accept_late_responses = config.accept_late_responses;
+  hc.detector.extra_quorum = config.extra_quorum;
+  hc.detector.delta_queries = config.delta_queries;
+  hc.detector.giveup_rounds = config.giveup_rounds;
+  hc.detector.resync_interval = config.resync_interval;
+  hc.pacing = config.pacing;
+  hc.pacing_jitter = config.pacing_jitter;
+  hc.jitter_seed = config.seed;
+  // Desynchronize the first queries across [0, pacing).
+  hc.initial_delay = Duration(static_cast<Duration::rep>(
+      stagger.next_double() * static_cast<double>(config.pacing.count())));
+  return hc;
+}
+
 MmrCluster::MmrCluster(const MmrClusterConfig& config)
     : config_(config),
       net_(std::make_unique<MmrNetwork>(sim_, net::Topology::full(config.n),
@@ -59,22 +79,7 @@ MmrCluster::MmrCluster(const MmrClusterConfig& config)
   Xoshiro256 stagger_rng(derive_seed(config_.seed, "cluster.stagger"));
   hosts_.reserve(config_.n);
   for (std::uint32_t i = 0; i < config_.n; ++i) {
-    MmrHostConfig hc;
-    hc.detector.self = ProcessId{i};
-    hc.detector.n = config_.n;
-    hc.detector.f = config_.f;
-    hc.detector.accept_late_responses = config_.accept_late_responses;
-    hc.detector.extra_quorum = config_.extra_quorum;
-    hc.detector.delta_queries = config_.delta_queries;
-    hc.detector.giveup_rounds = config_.giveup_rounds;
-    hc.detector.resync_interval = config_.resync_interval;
-    hc.pacing = config_.pacing;
-    hc.pacing_jitter = config_.pacing_jitter;
-    hc.jitter_seed = config_.seed;
-    // Desynchronize the first queries across [0, pacing).
-    hc.initial_delay = Duration(static_cast<Duration::rep>(
-        stagger_rng.next_double() *
-        static_cast<double>(config_.pacing.count())));
+    MmrHostConfig hc = mmr_host_config(config_, ProcessId{i}, stagger_rng);
     hc.registry = config_.registry;
     if (config_.trace_capacity > 0) {
       traces_.push_back(std::make_unique<obs::FlightRecorder>(

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/types.h"
 #include "core/properties.h"
 #include "metrics/event_log.h"
@@ -117,6 +118,12 @@ std::unique_ptr<net::DelayModel> build_mmr_delays(
 /// Applies config.faults to one network instance. Shared by the serial and
 /// sharded clusters (the sharded one calls it once per shard network).
 void apply_fault_knobs(MmrNetwork& net, const MmrClusterConfig& config);
+
+/// Process `self`'s host config (registry and recorder unset). Both
+/// clusters call it in id order with one `stagger` stream, so the serial
+/// and sharded deployments start identical hosts.
+MmrHostConfig mmr_host_config(const MmrClusterConfig& config, ProcessId self,
+                              Xoshiro256& stagger);
 
 class MmrCluster {
  public:

@@ -1,117 +1,32 @@
 #include "runtime/mmr_host.h"
 
-#include <cassert>
-
 namespace mmrfd::runtime {
+
+namespace {
+
+core::RoundDriverConfig driver_config(const MmrHostConfig& config,
+                                      core::PropertyRecorder* recorder) {
+  core::RoundDriverConfig d;
+  d.pacing = config.pacing;
+  d.pacing_jitter = config.pacing_jitter;
+  d.jitter_seed = config.jitter_seed;
+  d.recorder = config.recorder;
+  d.properties = recorder;
+  if (config.registry != nullptr) {
+    d.round_rtt_ns = &config.registry->histogram("sim.round_rtt_ns");
+    d.quorums = &config.registry->counter("sim.rounds");
+  }
+  return d;
+}
+
+}  // namespace
 
 MmrHost::MmrHost(sim::Simulation& simulation, MmrNetwork& network,
                  const MmrHostConfig& config,
                  core::PropertyRecorder* recorder,
                  core::SuspicionObserver* observer)
-    : sim_(simulation),
-      net_(network),
-      config_(config),
-      core_(config.detector),
-      recorder_(recorder),
-      jitter_rng_(derive_seed(config.jitter_seed, "host.jitter",
-                              config.detector.self.value)) {
-  assert(config_.pacing_jitter >= 0.0 && config_.pacing_jitter < 1.0);
-  if (config_.registry != nullptr) {
-    rounds_counter_ = &config_.registry->counter("sim.rounds");
-    round_rtt_ns_ = &config_.registry->histogram("sim.round_rtt_ns");
-  }
-  core_.set_recorder(config_.recorder);
-  core_.set_observer(observer);
-  net_.set_handler(id(), [this](ProcessId from, const MmrMessage& msg) {
-    handle(from, msg);
-  });
-}
-
-void MmrHost::start() {
-  assert(!started_);
-  started_ = true;
-  sim_.schedule(config_.initial_delay, [this] { begin_round(); });
-}
-
-void MmrHost::crash() {
-  crashed_ = true;
-  net_.crash(id());
-}
-
-void MmrHost::begin_round() {
-  if (crashed_) return;
-  round_start_ = sim_.now();
-  if (core_.config().delta_queries) {
-    delta_fan_out(net_, core_, id(), config_.recorder);
-  } else {
-    core_.begin_query();
-    // One payload shared by every delivery event (broadcast()'s allocation
-    // profile), but fanned out as a per-peer loop so the give-up policy can
-    // skip long-suspected peers. With no skips the per-recipient rng draws
-    // are identical to broadcast().
-    const auto round_seq = static_cast<std::uint32_t>(core_.query_seq());
-    auto full = std::make_shared<const MmrMessage>(core_.full_query());
-    for (ProcessId to : net_.topology().neighbors(id())) {
-      if (!core_.should_query(to)) continue;
-      net_.send_shared(id(), to, full);
-      trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
-    }
-  }
-  // With f = n - 1 the quorum is the self-response alone and the query
-  // terminates instantly.
-  if (core_.query_terminated()) on_terminated();
-}
-
-void MmrHost::on_terminated() {
-  if (recorder_ != nullptr) {
-    recorder_->record(id(), core_.query_seq(), sim_.now(), core_.winning());
-  }
-  // Quorum instant under sim time — the assembler's wire/pacing pivot,
-  // mirroring the live RealTimeDetector's kQuorum record.
-  trace(obs::TraceKind::kQuorum, static_cast<std::uint32_t>(core_.query_seq()),
-        static_cast<std::uint32_t>(core_.rec_from().size()));
-  // Sim-time round RTT (query start -> quorum): pure observation of now(),
-  // no scheduling, so the seeded event order is untouched.
-  if (round_rtt_ns_ != nullptr) {
-    round_rtt_ns_->observe(
-        static_cast<std::uint64_t>((sim_.now() - round_start_).count()));
-    rounds_counter_->add(1);
-  }
-  // Pacing window: late responses arriving before the next query still flow
-  // into rec_from via on_response (accept_late_responses).
-  sim_.schedule(next_pacing(), [this] {
-    if (crashed_) return;
-    core_.finish_round();
-    begin_round();
-  });
-}
-
-Duration MmrHost::next_pacing() {
-  if (config_.pacing_jitter == 0.0) return config_.pacing;
-  const double factor = jitter_rng_.uniform(1.0 - config_.pacing_jitter,
-                                            1.0 + config_.pacing_jitter);
-  return Duration(static_cast<Duration::rep>(
-      static_cast<double>(config_.pacing.count()) * factor));
-}
-
-void MmrHost::handle(ProcessId from, const MmrMessage& msg) {
-  if (crashed_) return;
-  if (const auto* q = std::get_if<core::QueryMessage>(&msg)) {
-    trace(obs::TraceKind::kQueryRx, from.value,
-          static_cast<std::uint32_t>(q->seq));
-    const core::ResponseMessage r = core_.on_query(from, *q);
-    trace(obs::TraceKind::kResponseTxSeq, from.value,
-          static_cast<std::uint32_t>(r.seq));
-    net_.send(id(), from, MmrMessage{r});
-  } else if (const auto* r = std::get_if<core::ResponseMessage>(&msg)) {
-    trace(obs::TraceKind::kResponseRxSeq, from.value,
-          static_cast<std::uint32_t>(r->seq));
-    if (r->origin_seq != 0) {
-      trace(obs::TraceKind::kPeerRound, from.value,
-            static_cast<std::uint32_t>(r->origin_seq));
-    }
-    if (core_.on_response(from, *r)) on_terminated();
-  }
-}
+    : SimHost(simulation, network, config.detector,
+              driver_config(config, recorder), config.initial_delay,
+              observer) {}
 
 }  // namespace mmrfd::runtime

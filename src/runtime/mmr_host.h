@@ -1,23 +1,21 @@
-// MmrHost — binds a DetectorCore to the simulated network and drives its
-// query rounds.
-//
-// Responsibilities (everything the sans-I/O core must not know about):
-//   * broadcasting QUERYs and RESPONSEs over net::Network;
-//   * the inter-query pacing delay Delta — the paper requires only that the
-//     time between consecutive queries is "finite but arbitrary"; the
-//     evaluation inserts a fixed Delta so the network is not flooded, and
-//     responses arriving during that window still count into rec_from;
-//   * reporting terminated rounds to the PropertyRecorder (for MP checking);
-//   * crash-stop: a crashed host stops all activity instantly.
+// Simulated hosts: SimHost binds a core's RoundDriver to the simulated
+// network and clock. It turns the driver's deadline into a sim.schedule
+// event and its transmissions into net.send/send_shared, and adds
+// crash-stop (a crashed host stops all activity instantly). Simulated
+// channels are reliable, so hosts run without resend waves: the only timer
+// is one pacing event per round, scheduled at the quorum, and the golden
+// digests pin that event schedule per seed. MmrHost runs the paper's
+// DetectorCore; SimpleHost (simple_host.h) the tag-free ablation.
 #pragma once
 
-#include <memory>
+#include <cassert>
+#include <utility>
 #include <variant>
 
 #include "common/types.h"
 #include "core/detector_core.h"
-#include "core/messages.h"
 #include "core/properties.h"
+#include "core/round_driver.h"
 #include "net/network.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
@@ -25,47 +23,8 @@
 
 namespace mmrfd::runtime {
 
-using MmrMessage = std::variant<core::QueryMessage, core::ResponseMessage>;
+using MmrMessage = core::Message;
 using MmrNetwork = net::Network<MmrMessage>;
-
-/// Per-peer delta-query fan-out shared by the simulated hosts (MmrHost,
-/// SimpleHost): starts the core's round, then sends each neighbor its
-/// (usually tiny) delta, with every peer needing the full fallback —
-/// nothing acked yet, or its ack fell out of the journal window (e.g. it
-/// crashed) — sharing ONE full payload, so the fallback costs one O(f)
-/// construction per round, not one per peer. Iterating neighbors in
-/// topology order keeps the per-recipient rng draws identical to
-/// broadcast(), so fixed-seed schedules match the full-encoding path bit
-/// for bit — the invariant the golden digests pin. `Core` needs
-/// begin_query / full_query_needed / full_query / query_for / query_seq;
-/// cores that also expose should_query (the crashed-peer give-up policy)
-/// get long-suspected peers skipped entirely. An optional FlightRecorder
-/// gets one kQueryTxSeq causal record per peer actually queried —
-/// recording draws no randomness and schedules nothing, so fixed-seed
-/// schedules are untouched.
-template <typename Core>
-void delta_fan_out(MmrNetwork& net, Core& core, ProcessId self,
-                   obs::FlightRecorder* rec = nullptr) {
-  core.begin_query();
-  const auto round_seq = static_cast<std::uint32_t>(core.query_seq());
-  std::shared_ptr<const MmrMessage> full;
-  for (ProcessId to : net.topology().neighbors(self)) {
-    if constexpr (requires { core.should_query(to); }) {
-      if (!core.should_query(to)) continue;
-    }
-    if (core.full_query_needed(to)) {
-      if (!full) {
-        full = std::make_shared<const MmrMessage>(core.full_query());
-      }
-      net.send_shared(self, to, full);
-    } else {
-      net.send(self, to, MmrMessage{core.query_for(to)});
-    }
-    if (rec != nullptr) {
-      rec->record(obs::TraceKind::kQueryTxSeq, to.value, round_seq);
-    }
-  }
-}
 
 struct MmrHostConfig {
   core::DetectorConfig detector;
@@ -85,56 +44,97 @@ struct MmrHostConfig {
   /// Collection is pure observation — now() reads, no RNG draws, no event
   /// scheduling — so fixed-seed schedules are untouched. Null = off.
   obs::MetricsRegistry* registry{nullptr};
-  /// Optional flight recorder forwarded to the core (round/suspicion/
-  /// resync traces under sim time). Null = off.
+  /// Optional flight recorder for the driver's and the core's trace
+  /// records under sim time. Null = off.
   obs::FlightRecorder* recorder{nullptr};
 };
 
-class MmrHost {
+template <typename Core>
+class SimHost {
  public:
+  SimHost(sim::Simulation& simulation, MmrNetwork& network,
+          const typename Core::Config& detector,
+          const core::RoundDriverConfig& driver, Duration initial_delay,
+          core::SuspicionObserver* observer)
+      : sim_(simulation),
+        net_(network),
+        driver_(detector, driver),
+        initial_delay_(initial_delay) {
+    driver_.core().set_observer(observer);
+    net_.set_handler(id(), [this](ProcessId from, const MmrMessage& msg) {
+      handle(from, msg);
+    });
+  }
+
+  SimHost(const SimHost&) = delete;
+  SimHost& operator=(const SimHost&) = delete;
+
+  /// Schedules the first query; must be called once before the run.
+  void start() {
+    assert(!started_);
+    started_ = true;
+    sim_.schedule(initial_delay_, [this] { advance(); });
+  }
+
+  /// Crash-stop: silences this host and tells the network to drop deliveries.
+  void crash() {
+    crashed_ = true;
+    net_.crash(id());
+  }
+
+  [[nodiscard]] bool crashed() const { return crashed_; }
+  [[nodiscard]] ProcessId id() const { return detector().config().self; }
+  [[nodiscard]] const Core& detector() const { return driver_.core(); }
+  [[nodiscard]] Core& detector() { return driver_.core(); }
+
+ private:
+  /// Fires the driver's deadline: the first round, or the end of pacing.
+  void advance() {
+    if (crashed_) return;
+    // Both paths draw the same per-recipient randomness, so a fixed-seed
+    // schedule does not depend on which encoding a peer gets.
+    const auto send = [this](core::Outgoing&& q) {
+      if (q.full) {
+        net_.send_shared(id(), q.to, std::move(q.full));
+      } else {
+        net_.send(id(), q.to, std::move(q.delta));
+      }
+    };
+    driver_.on_deadline(sim_.now(), net_.topology().neighbors(id()), send);
+    // f = n - 1: the issuer's own response is the whole quorum.
+    if (detector().query_terminated()) pace();
+  }
+
+  /// Schedules advance() at the end of the pacing pause.
+  void pace() {
+    sim_.schedule_at(*driver_.deadline(), [this] { advance(); });
+  }
+
+  void handle(ProcessId from, const MmrMessage& msg) {
+    if (crashed_) return;
+    if (const auto* q = std::get_if<core::QueryMessage>(&msg)) {
+      net_.send(id(), from, MmrMessage{driver_.handle_query(from, *q)});
+    } else if (driver_.handle_response(sim_.now(), from,
+                                       std::get<core::ResponseMessage>(msg))) {
+      pace();
+    }
+  }
+
+  sim::Simulation& sim_;
+  MmrNetwork& net_;
+  core::RoundDriver<Core> driver_;
+  Duration initial_delay_;
+  bool crashed_{false};
+  bool started_{false};
+};
+
+class MmrHost : public SimHost<core::DetectorCore> {
+ public:
+  /// `recorder` receives every round's winning set (MP checking).
   MmrHost(sim::Simulation& simulation, MmrNetwork& network,
           const MmrHostConfig& config,
           core::PropertyRecorder* recorder = nullptr,
           core::SuspicionObserver* observer = nullptr);
-
-  MmrHost(const MmrHost&) = delete;
-  MmrHost& operator=(const MmrHost&) = delete;
-
-  /// Schedules the first query; must be called once before the run.
-  void start();
-
-  /// Crash-stop: silences this host and tells the network to drop deliveries.
-  void crash();
-
-  [[nodiscard]] bool crashed() const { return crashed_; }
-  [[nodiscard]] ProcessId id() const { return config_.detector.self; }
-  [[nodiscard]] const core::DetectorCore& detector() const { return core_; }
-  [[nodiscard]] core::DetectorCore& detector() { return core_; }
-
- private:
-  void begin_round();
-  void on_terminated();
-  void handle(ProcessId from, const MmrMessage& msg);
-
-  void trace(obs::TraceKind kind, std::uint32_t a = 0, std::uint32_t b = 0) {
-    if (config_.recorder != nullptr) config_.recorder->record(kind, a, b);
-  }
-
-  [[nodiscard]] Duration next_pacing();
-
-  sim::Simulation& sim_;
-  MmrNetwork& net_;
-  MmrHostConfig config_;
-  core::DetectorCore core_;
-  core::PropertyRecorder* recorder_;
-  Xoshiro256 jitter_rng_;
-  bool crashed_{false};
-  bool started_{false};
-
-  // Optional registry instruments (null when config.registry is null).
-  obs::Counter* rounds_counter_{nullptr};
-  obs::Histogram* round_rtt_ns_{nullptr};
-  TimePoint round_start_{};
 };
 
 }  // namespace mmrfd::runtime

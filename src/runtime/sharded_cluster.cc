@@ -61,27 +61,10 @@ ShardedMmrCluster::ShardedMmrCluster(const MmrClusterConfig& config,
     registries_.push_back(std::make_unique<obs::MetricsRegistry>());
   }
 
-  // Host construction mirrors MmrCluster exactly — one sequential stagger
-  // stream drawn in id order, per-host jitter derived from the cluster seed
-  // — so the two deployments start from identical host configurations.
   Xoshiro256 stagger_rng(derive_seed(config_.seed, "cluster.stagger"));
   hosts_.reserve(config_.n);
   for (std::uint32_t i = 0; i < config_.n; ++i) {
-    MmrHostConfig hc;
-    hc.detector.self = ProcessId{i};
-    hc.detector.n = config_.n;
-    hc.detector.f = config_.f;
-    hc.detector.accept_late_responses = config_.accept_late_responses;
-    hc.detector.extra_quorum = config_.extra_quorum;
-    hc.detector.delta_queries = config_.delta_queries;
-    hc.detector.giveup_rounds = config_.giveup_rounds;
-    hc.detector.resync_interval = config_.resync_interval;
-    hc.pacing = config_.pacing;
-    hc.pacing_jitter = config_.pacing_jitter;
-    hc.jitter_seed = config_.seed;
-    hc.initial_delay = Duration(static_cast<Duration::rep>(
-        stagger_rng.next_double() *
-        static_cast<double>(config_.pacing.count())));
+    MmrHostConfig hc = mmr_host_config(config_, ProcessId{i}, stagger_rng);
     const std::uint32_t s = (*shard_of_)[i];
     hc.registry = registries_[s].get();
     hosts_.push_back(std::make_unique<MmrHost>(

@@ -1,60 +1,21 @@
 #include "runtime/simple_host.h"
 
-#include <cassert>
-#include <memory>
-
 namespace mmrfd::runtime {
+
+namespace {
+
+core::RoundDriverConfig driver_config(const SimpleHostConfig& config) {
+  core::RoundDriverConfig d;
+  d.pacing = config.pacing;
+  return d;
+}
+
+}  // namespace
 
 SimpleHost::SimpleHost(sim::Simulation& simulation, MmrNetwork& network,
                        const SimpleHostConfig& config,
                        core::SuspicionObserver* observer)
-    : sim_(simulation),
-      net_(network),
-      config_(config),
-      core_(config.detector) {
-  core_.set_observer(observer);
-  net_.set_handler(id(), [this](ProcessId from, const MmrMessage& msg) {
-    handle(from, msg);
-  });
-}
-
-void SimpleHost::start() {
-  assert(!started_);
-  started_ = true;
-  sim_.schedule(config_.initial_delay, [this] { begin_round(); });
-}
-
-void SimpleHost::crash() {
-  crashed_ = true;
-  net_.crash(id());
-}
-
-void SimpleHost::begin_round() {
-  if (crashed_) return;
-  if (core_.config().delta_queries) {
-    delta_fan_out(net_, core_, id());
-  } else {
-    net_.broadcast(id(), MmrMessage{core_.start_query()});
-  }
-  if (core_.query_terminated()) on_terminated();
-}
-
-void SimpleHost::on_terminated() {
-  sim_.schedule(config_.pacing, [this] {
-    if (crashed_) return;
-    core_.finish_round();
-    begin_round();
-  });
-}
-
-void SimpleHost::handle(ProcessId from, const MmrMessage& msg) {
-  if (crashed_) return;
-  if (const auto* q = std::get_if<core::QueryMessage>(&msg)) {
-    const core::ResponseMessage r = core_.on_query(from, *q);
-    net_.send(id(), from, MmrMessage{r});
-  } else if (const auto* r = std::get_if<core::ResponseMessage>(&msg)) {
-    if (core_.on_response(from, *r)) on_terminated();
-  }
-}
+    : SimHost(simulation, network, config.detector, driver_config(config),
+              config.initial_delay, observer) {}
 
 }  // namespace mmrfd::runtime

@@ -1,13 +1,12 @@
-// SimpleHost — drives the tag-free SimpleDetectorCore (the perpetual-
-// assumption / class-S variant) over the simulated network. Constructor
-// signature matches BaselineCluster's expectations, so
+// SimpleHost — the simulated host of the tag-free SimpleDetectorCore (the
+// perpetual-assumption / class-S variant): the same SimHost adapter as
+// MmrHost, over the ablation core. Constructor signature matches
+// BaselineCluster's expectations, so
 //
 //   runtime::BaselineCluster<SimpleHost, SimpleHostConfig, MmrMessage>
 //
 // gives a full cluster of them (see runtime::SimpleCluster alias).
 #pragma once
-
-#include <vector>
 
 #include "core/simple_detector.h"
 #include "runtime/baseline_cluster.h"
@@ -21,42 +20,11 @@ struct SimpleHostConfig {
   Duration initial_delay{Duration::zero()};
 };
 
-class SimpleHost {
+class SimpleHost : public SimHost<core::SimpleDetectorCore> {
  public:
   SimpleHost(sim::Simulation& simulation, MmrNetwork& network,
              const SimpleHostConfig& config,
              core::SuspicionObserver* observer = nullptr);
-
-  SimpleHost(const SimpleHost&) = delete;
-  SimpleHost& operator=(const SimpleHost&) = delete;
-
-  void start();
-  void crash();
-  [[nodiscard]] bool crashed() const { return crashed_; }
-  [[nodiscard]] ProcessId id() const { return config_.detector.self; }
-  [[nodiscard]] const core::SimpleDetectorCore& detector() const {
-    return core_;
-  }
-
-  // FailureDetector-style helpers so harnesses can treat hosts uniformly.
-  [[nodiscard]] std::vector<ProcessId> suspected() const {
-    return core_.suspected();
-  }
-  [[nodiscard]] bool is_suspected(ProcessId pid) const {
-    return core_.is_suspected(pid);
-  }
-
- private:
-  void begin_round();
-  void on_terminated();
-  void handle(ProcessId from, const MmrMessage& msg);
-
-  sim::Simulation& sim_;
-  MmrNetwork& net_;
-  SimpleHostConfig config_;
-  core::SimpleDetectorCore core_;
-  bool crashed_{false};
-  bool started_{false};
 };
 
 /// A cluster of tag-free detectors (ablation harness for experiment E9).

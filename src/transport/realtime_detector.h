@@ -1,20 +1,19 @@
-// RealTimeDetector — the DetectorCore driven by wall-clock pacing over a
-// real Transport (UDP or in-memory threads). The production-facing face of
-// the library: the exact state machine verified under simulation, bound to
-// sockets and threads.
+// RealTimeDetector — the thread adapter that binds a DetectorCore's
+// RoundDriver to a real Transport (UDP or in-memory threads): the exact
+// state machine verified under simulation, bound to sockets and threads.
 //
-// Threading model: one driver thread runs the query loop (broadcast, wait
-// for quorum on a condition variable, pace, finish round); the transport's
-// receive thread funnels into on_datagram(). A single mutex guards the core
-// — its per-event work is microseconds (see bench/micro_core), far below
-// any contention concern at protocol rates.
-//
-// Counters live only in the obs registry (RealTimeConfig::registry), as
-// rt.*: per-peer full/delta query encodings sent, queries/responses
-// received, responses sent, need_full resync requests sent (a delta named a
-// base we never acknowledged) and received, codec bytes handed to the
-// transport (framing and retransmits below count as rel.*/udp.*), rounds,
-// resend waves, and the rt.round_rtt_ns histogram.
+// One driver thread sleeps on a condition variable until the driver's
+// deadline, fires it under the mutex and sends what the driver planned
+// outside it; the transport's receive thread feeds on_datagram() and wakes
+// the driver thread when a quorum moves the deadline. Only what needs the
+// transport layer stays here: the byte-sized kQueryTx/kResponseTx/
+// kResponseRx stamps, the origin_seq piggyback, and the rt.* registry
+// instruments: full/delta query encodings and codec bytes sent (framing and
+// retransmits below count as rel.*/udp.*), queries and responses received
+// and sent, need_full resync requests sent (a delta named a base we never
+// acknowledged) and received, finished rounds, resend waves, and the
+// rt.round_rtt_ns histogram (issue to the quorum-completing response,
+// sampled on the receive thread).
 #pragma once
 
 #include <condition_variable>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "core/detector_core.h"
+#include "core/round_driver.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "transport/transport.h"
@@ -42,7 +42,8 @@ struct RealTimeConfig {
   /// fan-in) would otherwise wedge the round FOREVER, because the time-free
   /// protocol never re-sends on its own. Re-issuing is idempotent (same
   /// seq; responders are deduplicated) and carries no failure judgement —
-  /// this is retransmission, not a timeout.
+  /// this is retransmission, not a timeout. Must be positive: zero would
+  /// fire the waves back to back.
   Duration resend{from_millis(500)};
   /// Shared metrics registry for the rt.* instruments; the detector owns a
   /// private one when null. Sharing one registry across the node's whole
@@ -55,6 +56,8 @@ struct RealTimeConfig {
 
 class RealTimeDetector final : public core::FailureDetector {
  public:
+  /// Throws std::invalid_argument unless config.resend is positive (the
+  /// round driver's check), and for whatever DetectorCore rejects.
   RealTimeDetector(Transport& transport, const RealTimeConfig& config);
   ~RealTimeDetector() override;
 
@@ -85,41 +88,47 @@ class RealTimeDetector final : public core::FailureDetector {
 
  private:
   void driver_loop();
+  /// Sends the transmissions the driver planned, with `lock` released.
+  void transmit(std::unique_lock<std::mutex>& lock);
   void on_datagram(ProcessId from, const WireMessage& msg);
   void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const {
-    if (recorder_ != nullptr) recorder_->record(kind, a, b);
+    if (config_.recorder != nullptr) config_.recorder->record(kind, a, b);
   }
 
   Transport& transport_;
   RealTimeConfig config_;
+  std::vector<ProcessId> peers_;  // every id but self: the fan-out order
+
+  // Instruments are registry-backed relaxed atomics, not mutex-guarded
+  // state: the driver thread bumps the tx side outside the lock (sends
+  // happen unlocked) and report-flush threads snapshot the registry without
+  // contending on the lock. Resolved once, valid for the registry's life.
+  std::unique_ptr<obs::MetricsRegistry> own_registry_{
+      config_.registry == nullptr ? std::make_unique<obs::MetricsRegistry>()
+                                  : nullptr};
+  obs::MetricsRegistry* registry_{
+      config_.registry != nullptr ? config_.registry : own_registry_.get()};
+  obs::Counter* full_queries_sent_{&registry_->counter("rt.full_queries_sent")};
+  obs::Counter* delta_queries_sent_{
+      &registry_->counter("rt.delta_queries_sent")};
+  obs::Counter* queries_received_{&registry_->counter("rt.queries_received")};
+  obs::Counter* responses_received_{
+      &registry_->counter("rt.responses_received")};
+  obs::Counter* responses_sent_{&registry_->counter("rt.responses_sent")};
+  obs::Counter* need_full_sent_{&registry_->counter("rt.need_full_sent")};
+  obs::Counter* need_full_received_{
+      &registry_->counter("rt.need_full_received")};
+  obs::Counter* query_bytes_sent_{&registry_->counter("rt.query_bytes_sent")};
+  obs::Counter* response_bytes_sent_{
+      &registry_->counter("rt.response_bytes_sent")};
 
   mutable std::mutex mutex_;
   std::condition_variable quorum_cv_;
-  core::DetectorCore core_;
+  core::RoundDriver<core::DetectorCore> driver_;
   bool running_{false};
   bool stopping_{false};
-  std::thread driver_;
-
-  // Instruments are registry-backed relaxed atomics, not mutex-guarded
-  // state: the driver thread bumps the tx side outside the core lock (sends
-  // happen unlocked) and report-flush threads snapshot the registry without
-  // contending on the core lock. References are resolved once in the
-  // constructor and stay valid for the registry's lifetime.
-  std::unique_ptr<obs::MetricsRegistry> own_registry_;
-  obs::MetricsRegistry* registry_{nullptr};
-  obs::FlightRecorder* recorder_{nullptr};
-  obs::Counter* full_queries_sent_{nullptr};
-  obs::Counter* delta_queries_sent_{nullptr};
-  obs::Counter* queries_received_{nullptr};
-  obs::Counter* responses_received_{nullptr};
-  obs::Counter* responses_sent_{nullptr};
-  obs::Counter* need_full_sent_{nullptr};
-  obs::Counter* need_full_received_{nullptr};
-  obs::Counter* query_bytes_sent_{nullptr};
-  obs::Counter* response_bytes_sent_{nullptr};
-  obs::Counter* rounds_counter_{nullptr};
-  obs::Counter* resend_waves_{nullptr};
-  obs::Histogram* round_rtt_ns_{nullptr};
+  std::vector<core::Outgoing> outgoing_;  // driver thread only
+  std::thread driver_thread_;
 };
 
 }  // namespace mmrfd::transport

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -262,6 +263,18 @@ TEST(UdpTransport, FullDetectorClusterOverSockets) {
       15000ms));
   nodes[0]->stop();
   nodes[1]->stop();
+}
+
+TEST(RealTimeDetector, RejectsNonPositiveResend) {
+  // A zero interval would fire full-encoding resend waves back to back
+  // whenever a round is short of quorum; there is no "off" either, since
+  // without waves one lost datagram wedges a live round.
+  TypedHub h(2);
+  for (const Duration resend : {Duration::zero(), from_millis(-1)}) {
+    RealTimeConfig c = rt_config(0, 2, 1);
+    c.resend = resend;
+    EXPECT_THROW(RealTimeDetector(h.at(0), c), std::invalid_argument);
+  }
 }
 
 TEST(RealTimeDetector, StopIsIdempotentAndRestartable) {
