@@ -46,7 +46,6 @@ struct LiveResult {
   std::uint32_t f{0};
   std::uint64_t seed{0};
   bool delta{true};
-  bool reliable{false};
   double run_s{0};
   std::size_t crashes{0};
   std::size_t restarts{0};
@@ -118,7 +117,6 @@ double round_rtt_ms(const LiveResult& r, double q) {
     os << "    {\"n\": " << r.n << ", \"f\": " << r.f
        << ", \"seed\": " << r.seed
        << ", \"delta\": " << (r.delta ? "true" : "false")
-       << ", \"reliable\": " << (r.reliable ? "true" : "false")
        << ", \"run_s\": " << r.run_s << ", \"crashes\": " << r.crashes
        << ", \"restarts\": " << r.restarts << ", \"strong_completeness\": "
        << (r.strong_completeness ? "true" : "false")
@@ -184,7 +182,6 @@ int main(int argc, char** argv) {
       .flag("crashes", "0", "SIGKILLs per run (0 = f/2, at least 1)")
       .flag("restart", "false", "restart each victim ~2s after its kill")
       .flag("mode", "both", "query encoding: delta, full, or both")
-      .flag("reliable", "false", "stack ReliableDatagram under the codec")
       .flag("base-port", "41000", "first UDP port (configs stride upward)")
       .flag("node-bin", "", "mmrfd-node path (empty = auto-discover)")
       .flag("report-dir", "", "node report directory (empty = <out>.reports)")
@@ -242,7 +239,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool restart = args.get_bool("restart");
-  const bool reliable = args.get_bool("reliable");
   const std::string report_root = args.get("report-dir").empty()
                                       ? args.get("out") + ".reports"
                                       : args.get("report-dir");
@@ -303,7 +299,6 @@ int main(int argc, char** argv) {
     scfg.base_port = c.base_port;
     scfg.pacing = from_millis(static_cast<double>(args.get_int("period")));
     scfg.delta = c.delta;
-    scfg.reliable = reliable;
     scfg.flush = from_millis(static_cast<double>(args.get_int("flush-ms")));
     scfg.trace = args.get_bool("trace");
     // The causal kinds cost O(n) records per round, so a fixed-size ring
@@ -336,7 +331,6 @@ int main(int argc, char** argv) {
     r.f = f;
     r.seed = c.seed;
     r.delta = c.delta;
-    r.reliable = reliable;
     r.run_s = run_s;
     r.crashes = crashes;
     r.restarts = restarts;

@@ -54,7 +54,7 @@ METRICS = {
     "resend_wait_mean_ms": "down",
     "wire_mean_ms": "down",
 }
-KEY_FIELDS = ("n", "f", "seed", "delta", "reliable", "engine", "shards")
+KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards")
 # Columns that must read 0 in every fresh row.
 MUST_BE_ZERO = ("trace_causal_violations",)
 

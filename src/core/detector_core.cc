@@ -74,21 +74,21 @@ void DetectorCore::begin_query() {
   responded_[config_.self.value] = true;
   winning_.push_back(config_.self);
   terminated_ = rec_from_.size() >= config_.quorum();
-  // Give-up skip set: peers suspected for >= K consecutive rounds are
-  // queried only on their 1/K probe rounds. At most n - quorum() peers may
-  // be skipped simultaneously (lowest ids first, deterministically) so a
-  // round can still terminate even if every skip decision is wrong.
+  // Give-up skip set: peers suspected and silent for >= K consecutive
+  // rounds are queried only on their 1/K probe rounds. At most n - quorum()
+  // peers may be skipped simultaneously so a round can still terminate
+  // even if every skip decision is wrong.
   if (config_.giveup_rounds > 0) {
     std::fill(skip_.begin(), skip_.end(), false);
     const std::uint32_t k = config_.giveup_rounds;
     const std::size_t budget = config_.n - config_.quorum();
-    // Budget goes to the LONGEST streaks first (ties to the lowest id, for
-    // determinism). A genuinely crashed peer accumulates an unbounded
-    // streak, while a falsely suspected live peer's streak restarts on
-    // every repair — under churn an id-ordered scan hands the whole budget
-    // to falsely suspected low-id live peers and keeps querying the
-    // actually-dead ones, which both wastes the policy and (worse) starves
-    // the round of responders it needs for quorum.
+    // A streak grows only while its peer is silent, and a finished round
+    // leaves at most n - quorum() peers silent, so only a corrupted streak
+    // table (inject_transient_corruption) offers more candidates than the
+    // budget. The budget then goes to the LONGEST streaks first (ties to
+    // the lowest id, for determinism): a crashed peer's streak is
+    // unbounded, and a round must not be starved of the live responders it
+    // needs for quorum.
     std::vector<ProcessId> cand;
     for (ProcessId pj : known_) {
       if (pj.value >= streak_.size()) continue;
@@ -217,11 +217,13 @@ void DetectorCore::finish_round() {
   ++counter_;  // T1 line 16
   ++rounds_;
   in_progress_ = false;
-  // Give-up bookkeeping: extend or reset each peer's consecutive-suspected
-  // streak against the post-suspicion-step state.
+  // Give-up bookkeeping: a peer's streak grows while it stays suspected and
+  // silent. Any response resets it, even when the peer's defence reaches
+  // us only after this step, so a skipped live peer leaves the skip set at
+  // its first probe response whatever the timing.
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     if (i == config_.self.value) continue;
-    streak_[i] = dense_kind_[i] == 1 ? streak_[i] + 1 : 0;
+    streak_[i] = dense_kind_[i] == 1 && !responded_[i] ? streak_[i] + 1 : 0;
   }
   // Self-stabilization guard: periodically discard the per-sender seen
   // watermarks (see DetectorConfig::resync_interval). The next delta query
@@ -354,6 +356,19 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
     if (rng.bernoulli(0.5)) {
       delta_.corrupt_seen(ProcessId{i},
                           rng.next_below(true_epoch + 1000000));
+    }
+  }
+
+  // Give-up streaks: arbitrary counts on both sides of the skip threshold,
+  // so the next skip set can name live peers and more candidates than
+  // begin_query()'s budget admits — the state its cap and longest-first
+  // order exist for. An honest round resets each entry at the peer's next
+  // response or unsuspected round.
+  const std::uint64_t streak_span =
+      4 * std::max<std::uint64_t>(config_.giveup_rounds, 1);
+  for (std::uint32_t i = 0; i < config_.n; ++i) {
+    if (i != config_.self.value && rng.bernoulli(0.5)) {
+      streak_[i] = static_cast<std::uint32_t>(rng.next_below(streak_span));
     }
   }
 

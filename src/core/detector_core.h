@@ -81,8 +81,8 @@ struct DetectorConfig {
   /// (the epoch-miss fallback). 0 = auto (max(1024, 4 * n)).
   std::uint32_t delta_journal_capacity{0};
 
-  /// Crashed-peer give-up policy: once a peer has been suspected for
-  /// giveup_rounds consecutive completed rounds, query it only every
+  /// Crashed-peer give-up policy: once a peer has been suspected and silent
+  /// for giveup_rounds consecutive completed rounds, query it only every
   /// giveup_rounds-th round (a 1/K probe rate) instead of every round.
   /// Crashed peers never ack, so every query to them degrades to the
   /// full-encoding fallback forever — at live n=64 dead peers dominate
@@ -160,7 +160,7 @@ class DetectorCore final : public FailureDetector {
   [[nodiscard]] QueryMessage query_for(ProcessId peer);
 
   /// Give-up policy decision for the current round: false when `peer` has
-  /// been suspected for >= giveup_rounds consecutive rounds and this round
+  /// been suspected and silent for >= giveup_rounds rounds and this round
   /// is not its 1/K probe (see DetectorConfig::giveup_rounds). Hosts skip
   /// the send entirely. Valid after begin_query()/start_query().
   [[nodiscard]] bool should_query(ProcessId peer) const {
@@ -217,9 +217,9 @@ class DetectorCore final : public FailureDetector {
   /// Rounds completed (finish_round() calls).
   [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_; }
 
-  /// Consecutive completed rounds `peer` has spent in the suspected set
-  /// (give-up policy input; resets to 0 the moment the peer stops being
-  /// suspected).
+  /// Consecutive completed rounds `peer` has spent suspected and silent
+  /// (give-up policy input; resets to 0 at a round the peer responded to
+  /// or ended unsuspected).
   [[nodiscard]] std::uint32_t suspect_streak(ProcessId peer) const {
     return peer.value < streak_.size() ? streak_[peer.value] : 0;
   }
@@ -236,7 +236,8 @@ class DetectorCore final : public FailureDetector {
   /// way a transient memory fault would — suspected/mistake sets replaced
   /// with arbitrary entries (possibly a self-suspicion no correct execution
   /// produces), the round counter shifted, the change journal reset to an
-  /// arbitrary epoch and the per-peer ack/seen watermarks overwritten.
+  /// arbitrary epoch, the per-peer ack/seen watermarks overwritten and the
+  /// give-up streaks rewritten.
   /// Observer transitions are fired for the set diff so event logs track
   /// what the node now (wrongly) believes. Deterministic per seed.
   /// The sweeps assert the cluster re-converges afterwards.

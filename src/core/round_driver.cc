@@ -27,6 +27,10 @@ void RoundDriver<Core>::on_quorum(TimePoint now) {
                             1.0 + config_.pacing_jitter)));
   }
   deadline_ = now + pause;
+  if (config_.resend) {
+    round_end_ = deadline_;
+    deadline_ = now + pause / 2;
+  }
 }
 
 // Every member compiles against both cores here, once.

@@ -14,8 +14,13 @@
 // round and issuing the next. A wave re-sends the query, full encoding, to
 // the silent peers; only the first wave leaves out the give-up policy's
 // skips, since a round still short of quorum suggests they were wrong.
-// Re-sending is idempotent and judges nothing, so the detector stays
-// time-free. Every causal trace record is taken here, before its send.
+// With waves on, one late wave halfway through the pause re-sends to the
+// peers still silent and not suspected, the ones finish_round would newly
+// suspect: a datagram lost in a round that reached its quorum anyway is
+// re-sent before it costs a false suspicion. Re-sending is idempotent and
+// judges nothing, so the detector stays time-free, and the retransmission
+// that loss needs lives here alone. Every causal trace record is taken
+// here, before its send.
 #pragma once
 
 #include <algorithm>
@@ -56,7 +61,8 @@ struct RoundDriverConfig {
   double pacing_jitter{0.0};
   std::uint64_t jitter_seed{0};  ///< mixed with the core's own id
   /// Resend-wave interval while a round is short of quorum; must be
-  /// positive. Unset: no waves (the simulator's reliable channels).
+  /// positive. Also turns on the late wave at half the pause. Unset: no
+  /// waves (the simulator's reliable channels).
   std::optional<Duration> resend;
   obs::FlightRecorder* recorder{nullptr};  ///< the core traces here too
   PropertyRecorder* properties{nullptr};   ///< winning set at each quorum
@@ -93,34 +99,28 @@ class RoundDriver {
   [[nodiscard]] std::optional<TimePoint> deadline() const { return deadline_; }
 
   /// Does nothing before the deadline. Then: issues the first round, or
-  /// fires a resend wave while the round is short of quorum, or finishes
-  /// the round and issues the next.
+  /// fires a resend wave while the round is short of quorum, or the late
+  /// wave during the pause, or finishes the round and issues the next.
   template <typename Send>
   void on_deadline(TimePoint now, std::span<const ProcessId> peers,
                    Send&& send) {
     if (!deadline_ || now < *deadline_) return;
     if (core_.query_seq() == 0) return issue(now, peers, send);
     if (core_.query_terminated()) {
+      if (round_end_) {
+        deadline_ = std::exchange(round_end_, std::nullopt);
+        return wave(peers, send, [&](ProcessId p) {
+          return !core_.responded(p) && !core_.is_suspected(p);
+        });
+      }
       core_.finish_round();
       add(config_.rounds);
       return issue(now, peers, send);
     }
     deadline_ = now + *config_.resend;  // no deadline here without one
-    ++waves_;
-    const auto silent = [&](ProcessId p) {
+    wave(peers, send, [&](ProcessId p) {
       return !core_.responded(p) && !(waves_ == 1 && skipped(p));
-    };
-    const auto targets = std::count_if(peers.begin(), peers.end(), silent);
-    if (targets == 0) return;
-    add(config_.resend_waves);
-    trace(obs::TraceKind::kResendWave, waves_,
-          static_cast<std::uint32_t>(targets));
-    const auto full = std::make_shared<const Message>(core_.full_query());
-    for (const ProcessId to : peers) {
-      if (!silent(to)) continue;
-      trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq());
-      send(Outgoing{to, full, {}});
-    }
+    });
   }
 
   /// Merges a QUERY; returns the RESPONSE to send back.
@@ -133,7 +133,7 @@ class RoundDriver {
   }
 
   /// Feeds a RESPONSE. True exactly at the round's quorum, which moves the
-  /// deadline to the end of the pacing pause.
+  /// deadline to the late wave, or without waves to the end of the pause.
   bool handle_response(TimePoint now, ProcessId from,
                        const ResponseMessage& response) {
     trace(obs::TraceKind::kResponseRxSeq, from.value, low32(response.seq));
@@ -171,7 +171,26 @@ class RoundDriver {
     if (core_.query_terminated()) on_quorum(now);
   }
 
-  /// The quorum instant: winning set, kQuorum, round RTT, pacing draw.
+  /// Counts a wave and re-sends the round's full encoding, in `peers`
+  /// order, to every peer `target` picks; with none it sends nothing.
+  template <typename Send, typename Target>
+  void wave(std::span<const ProcessId> peers, Send& send, Target target) {
+    ++waves_;
+    const auto targets = std::count_if(peers.begin(), peers.end(), target);
+    if (targets == 0) return;
+    add(config_.resend_waves);
+    trace(obs::TraceKind::kResendWave, waves_,
+          static_cast<std::uint32_t>(targets));
+    const auto full = std::make_shared<const Message>(core_.full_query());
+    for (const ProcessId to : peers) {
+      if (!target(to)) continue;
+      trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq());
+      send(Outgoing{to, full, {}});
+    }
+  }
+
+  /// The quorum instant: winning set, kQuorum, round RTT, pacing draw, and
+  /// with waves on the late wave's deadline.
   void on_quorum(TimePoint now);
 
   [[nodiscard]] bool skipped(ProcessId peer) const {
@@ -199,6 +218,8 @@ class RoundDriver {
   Xoshiro256 jitter_rng_;
   TimePoint round_start_{kTimeZero};
   std::optional<TimePoint> deadline_{kTimeZero};  ///< first round: at once
+  std::optional<TimePoint> round_end_;  ///< the pause's end, while the late
+                                        ///< wave is still due
   std::uint32_t waves_{0};  ///< resend waves fired this round
 };
 

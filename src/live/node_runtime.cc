@@ -22,7 +22,6 @@
 #include "obs/metrics_registry.h"
 #include "transport/faulty_transport.h"
 #include "transport/realtime_detector.h"
-#include "transport/reliable.h"
 #include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
@@ -108,7 +107,6 @@ int node_main(int argc, const char* const* argv) {
       .flag("resend-ms", "500",
             "re-issue a quorum-short query to silent peers at this interval")
       .flag("delta", "true", "delta-encode queries")
-      .flag("reliable", "false", "stack ReliableDatagram under the codec")
       .flag("rcvbuf", "0", "socket buffer bytes (0 = auto-scale with n)")
       .flag("report", "", "binary NodeReport path (empty = no reports)")
       .flag("flush-ms", "200", "report snapshot interval (ms)")
@@ -181,8 +179,8 @@ int node_main(int argc, const char* const* argv) {
   transport::UdpTransport udp(ucfg);
 
   // Adversarial channel: inserted at the very bottom of the stack, so that
-  // corrupted/truncated datagrams traverse everything a real damaged packet
-  // would — ReliableDatagram's frame parser (when stacked) and the codec.
+  // corrupted/truncated datagrams reach the codec like a real damaged
+  // packet would.
   transport::FaultConfig fault_cfg;
   fault_cfg.drop_rate = args.get_double("fault-drop");
   fault_cfg.duplicate_rate = args.get_double("fault-dup");
@@ -200,16 +198,6 @@ int node_main(int argc, const char* const* argv) {
   if (faulty) {
     faulty_layer.emplace(udp, fault_cfg);
     datagrams = &*faulty_layer;
-  }
-
-  const bool reliable = args.get_bool("reliable");
-  std::optional<transport::ReliableDatagram> reliable_layer;
-  if (reliable) {
-    transport::ReliableConfig rel_cfg;
-    rel_cfg.registry = &registry;
-    rel_cfg.recorder = &recorder;
-    reliable_layer.emplace(*datagrams, rel_cfg);
-    datagrams = &*reliable_layer;
   }
   transport::TypedTransport typed(*datagrams, &registry);
 
@@ -244,7 +232,6 @@ int node_main(int argc, const char* const* argv) {
     r.n = n;
     r.f = f;
     r.delta = rcfg.detector.delta_queries;
-    r.reliable = reliable;
     r.pacing_ns = static_cast<std::uint64_t>(rcfg.pacing.count());
     r.origin_ns = origin_ns;
     const std::uint64_t now = wall_clock_ns();

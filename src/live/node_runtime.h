@@ -1,5 +1,5 @@
 // The per-process detector daemon behind the mmrfd-node binary: one
-// DetectorCore over UdpTransport (optionally through ReliableDatagram),
+// DetectorCore over UdpTransport (optionally through FaultyTransport),
 // paced by wall clock, periodically snapshotting a live::NodeReport and
 // flushing a final one on SIGTERM/SIGINT or when --run-s elapses.
 //

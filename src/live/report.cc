@@ -12,12 +12,12 @@ namespace mmrfd::live {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'M', 'M', 'R', 'L'};
-// v3 layout: magic, u32 version, u32 self/n/f, u8 delta/reliable, u64
+// v4 layout: magic, u32 version, u32 self/n/f, u8 delta, u64
 // pacing_ns/origin_ns/snapshot_ns/rounds, the obs::RegistrySnapshot (the
 // report's only counters), the suspected set, then the events. Node and
 // supervisor always ship together, so older files (stale runs) are simply
 // rejected rather than upgraded.
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 
 // Decode-side allocation caps. A report is trusted input in the happy path
 // (we wrote it), but a SIGKILL can leave stale files from older runs and the
@@ -139,7 +139,6 @@ std::vector<std::uint8_t> encode_report(const NodeReport& r) {
   e.u32(r.n);
   e.u32(r.f);
   e.u8(r.delta ? 1 : 0);
-  e.u8(r.reliable ? 1 : 0);
   e.u64(r.pacing_ns);
   e.u64(r.origin_ns);
   e.u64(r.snapshot_ns);
@@ -181,10 +180,8 @@ std::optional<NodeReport> decode_report(std::span<const std::uint8_t> data) {
     return std::nullopt;
   }
   const auto delta = d.u8();
-  const auto reliable = d.u8();
-  if (!delta || !reliable) return std::nullopt;
+  if (!delta) return std::nullopt;
   r.delta = *delta != 0;
-  r.reliable = *reliable != 0;
   for (std::uint64_t* field :
        {&r.pacing_ns, &r.origin_ns, &r.snapshot_ns, &r.rounds}) {
     if (!u64_into(*field)) return std::nullopt;

@@ -41,7 +41,6 @@ struct NodeReport {
   std::uint32_t n{0};
   std::uint32_t f{0};
   bool delta{true};
-  bool reliable{false};
   std::uint64_t pacing_ns{0};
   std::uint64_t origin_ns{0};    ///< UNIX ns all timestamps are relative to
   std::uint64_t snapshot_ns{0};  ///< write instant, ns since origin
@@ -50,7 +49,7 @@ struct NodeReport {
 
   // --- metrics registry snapshot -------------------------------------------
   // The node's full obs::MetricsRegistry at snapshot time, and the report's
-  // only counters (rt.*, codec.*, rel.*, fault.*, udp.*). The supervisor
+  // only counters (rt.*, codec.*, fault.*, udp.*). The supervisor
   // merges these into the rollup and telemetry.jsonl series.
   obs::RegistrySnapshot metrics;
 

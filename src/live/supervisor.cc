@@ -99,7 +99,6 @@ void Supervisor::spawn(Proc& p) {
       "--pacing-ms=" +
           std::to_string(config_.pacing.count() / 1'000'000),
       "--delta=" + std::string(config_.delta ? "true" : "false"),
-      "--reliable=" + std::string(config_.reliable ? "true" : "false"),
       "--rcvbuf=" + std::to_string(config_.rcvbuf),
       "--report=" + report,
       "--flush-ms=" + std::to_string(config_.flush.count() / 1'000'000),

@@ -42,7 +42,6 @@ struct SupervisorConfig {
   Duration pacing{from_millis(100)};
   Duration resend{from_millis(500)};  ///< quorum-short query re-issue interval
   bool delta{true};
-  bool reliable{false};
   std::uint32_t rcvbuf{0};          ///< per-node socket buffer (0 = auto)
   Duration flush{from_millis(200)}; ///< node report snapshot interval
   /// Cluster time-series sampling interval: every `telemetry`, the current

@@ -60,10 +60,6 @@ std::string_view trace_kind_name(TraceKind kind) {
       return "response_rx_seq";
     case TraceKind::kPeerRound:
       return "peer_round";
-    case TraceKind::kRelRetransmit:
-      return "rel_retransmit";
-    case TraceKind::kRelDuplicate:
-      return "rel_duplicate";
   }
   return "unknown";
 }

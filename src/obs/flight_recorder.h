@@ -54,13 +54,11 @@ enum class TraceKind : std::uint8_t {
   kResponseTxSeq = 16,  // a = peer, b = echoed query seq (low 32)
   kResponseRxSeq = 17,  // a = peer, b = echoed query seq (low 32)
   kPeerRound = 18,      // a = peer, b = peer's own round seq off the wire
-  kRelRetransmit = 19,  // a = peer, b = frame seq (low 32)
-  kRelDuplicate = 20,   // a = peer, b = frame seq (low 32)
 };
 
 // Largest valid TraceKind value; anything outside [1, kMaxTraceKind] in a
 // loaded dump is a torn or corrupt record and gets dropped.
-inline constexpr std::uint8_t kMaxTraceKind = 20;
+inline constexpr std::uint8_t kMaxTraceKind = 18;
 
 std::string_view trace_kind_name(TraceKind kind);
 

@@ -366,13 +366,15 @@ AssembledTrace TraceAssembler::assemble() const {
       const std::int64_t t_open = align(node, stream[open_idx].record.t_ns);
       std::optional<std::int64_t> t_quorum;
       std::optional<std::int64_t> t_last_wave;
-      for (std::ptrdiff_t i = open_idx + 1; i < suspect_idx; ++i) {
+      // Only the waves before the quorum held the round open; the late wave
+      // during the pause is pacing time.
+      for (std::ptrdiff_t i = open_idx + 1; i < suspect_idx && !t_quorum;
+           ++i) {
         const TraceRecord& r = stream[i].record;
         if (r.kind == TraceKind::kResendWave) {
           ++ob.resend_waves;
           t_last_wave = align(node, r.t_ns);
-        } else if (r.kind == TraceKind::kQuorum && r.a == ob.round_seq &&
-                   !t_quorum) {
+        } else if (r.kind == TraceKind::kQuorum && r.a == ob.round_seq) {
           t_quorum = align(node, r.t_ns);
         }
       }

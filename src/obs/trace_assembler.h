@@ -10,9 +10,10 @@
 //
 //   round-pacing — time the detecting round had not yet opened (the crash
 //                  fell inside the previous round / pacing window) plus
-//                  the post-quorum pacing wait before finish_round;
-//   resend-wait  — round open until the last resend wave the round needed
-//                  (0 when the first transmission reached quorum);
+//                  the post-quorum pacing wait before finish_round (the
+//                  late wave inside that pause included);
+//   resend-wait  — round open until the last resend wave before the
+//                  quorum (0 when the first transmission reached quorum);
 //   wire         — last (re)transmission until the quorum instant: actual
 //                  message propagation and response assembly.
 //
@@ -87,7 +88,7 @@ struct ObserverBreakdown {
   std::int64_t resend_wait_ns{0};
   std::int64_t wire_ns{0};
   std::uint32_t round_seq{0};     ///< the detecting round at this observer
-  std::uint32_t resend_waves{0};  ///< waves the detecting round needed
+  std::uint32_t resend_waves{0};  ///< waves before the round's quorum
 };
 
 /// Critical path of one crash across the whole cluster.

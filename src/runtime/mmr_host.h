@@ -2,10 +2,11 @@
 // network and clock. It turns the driver's deadline into a sim.schedule
 // event and its transmissions into net.send/send_shared, and adds
 // crash-stop (a crashed host stops all activity instantly). Simulated
-// channels are reliable, so hosts run without resend waves: the only timer
-// is one pacing event per round, scheduled at the quorum, and the golden
-// digests pin that event schedule per seed. MmrHost runs the paper's
-// DetectorCore; SimpleHost (simple_host.h) the tag-free ablation.
+// channels are reliable, so hosts run without resend waves or the late
+// wave: the only timer is one pacing event per round, scheduled at the
+// quorum, and the golden digests pin that event schedule per seed. MmrHost
+// runs the paper's DetectorCore; SimpleHost (simple_host.h) the tag-free
+// ablation.
 #pragma once
 
 #include <cassert>

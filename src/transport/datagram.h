@@ -7,15 +7,15 @@
 //        │ WireMessage (typed)
 //   TypedTransport              codec: envelope encode/decode        codec.*
 //        │ datagrams (bytes)
-//   [ReliableDatagram]          optional: seq/ack/retransmit/dedup   rel.*
-//        │ datagrams (bytes)
 //   [FaultyTransport]           optional: injected channel faults    fault.*
 //        │ datagrams (bytes)
 //   UdpTransport / InMemoryHub  sockets / threads                    udp.*
 //
 // The paper's model assumes reliable channels; on loopback UDP that is
-// effectively true, but any lossy deployment inserts ReliableDatagram
-// without touching protocol code.
+// effectively true. No layer here retransmits: the detector's merges are
+// idempotent and tag-monotone, so eventual re-delivery is all it needs, and
+// the round driver's resend waves and late wave (core/round_driver.h)
+// re-send whatever a lossy network drops.
 #pragma once
 
 #include <cstdint>

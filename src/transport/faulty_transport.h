@@ -1,9 +1,9 @@
 // FaultyTransport — an adversarial-channel decorator for any
 // DatagramTransport: the live-path sibling of net::Network's fault knobs.
 //
-// Inserted anywhere in the byte-level stack (below ReliableDatagram to
-// attack its seq/ack machinery, below TypedTransport to feed the codec
-// malformed bytes), it perturbs outgoing datagrams:
+// Inserted anywhere in the byte-level stack (below TypedTransport to feed
+// the codec malformed bytes, or to drop what the round driver's waves must
+// re-send), it perturbs outgoing datagrams:
 //
 //   * drop        — the datagram never hits the wire;
 //   * duplicate   — sent twice back-to-back;

@@ -98,11 +98,6 @@ DatagramTransport& InMemoryHub::endpoint(ProcessId id) {
 }
 
 void InMemoryHub::enqueue(ProcessId to, std::vector<std::uint8_t> datagram) {
-  const auto k = loss_every_.load();
-  if (k != 0 && send_counter_.fetch_add(1) % k == k - 1) {
-    dropped_.fetch_add(1);
-    return;  // deterministic drop
-  }
   auto& node = *nodes_.at(to.value);
   {
     std::lock_guard lock(node.mutex);

@@ -1,11 +1,10 @@
 // In-memory threaded transport: n endpoints exchanging raw datagrams through
 // per-receiver queues, each drained by a dedicated dispatch thread. The
 // multi-threaded analogue of net::Network — real concurrency, loopback
-// latency — used by the transport integration tests and the reliability
-// layer's lossy-link tests (see set_loss_every).
+// latency, no loss — used by the transport integration tests; wrap an
+// endpoint in a FaultyTransport for lossy links.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,12 +32,6 @@ class InMemoryHub {
     return static_cast<std::uint32_t>(nodes_.size());
   }
 
-  /// Deterministic loss injection: every k-th datagram enqueued hub-wide is
-  /// dropped (0 = no loss). For the reliability-layer tests.
-  void set_loss_every(std::uint64_t k) { loss_every_.store(k); }
-
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_.load(); }
-
  private:
   struct Node;
   class Endpoint;
@@ -47,9 +40,6 @@ class InMemoryHub {
 
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::atomic<std::uint64_t> send_counter_{0};
-  std::atomic<std::uint64_t> loss_every_{0};
-  std::atomic<std::uint64_t> dropped_{0};
 };
 
 }  // namespace mmrfd::transport

@@ -8,12 +8,12 @@
 // the driver thread when a quorum moves the deadline. Only what needs the
 // transport layer stays here: the byte-sized kQueryTx/kResponseTx/
 // kResponseRx stamps, the origin_seq piggyback, and the rt.* registry
-// instruments: full/delta query encodings and codec bytes sent (framing and
-// retransmits below count as rel.*/udp.*), queries and responses received
-// and sent, need_full resync requests sent (a delta named a base we never
-// acknowledged) and received, finished rounds, resend waves, and the
-// rt.round_rtt_ns histogram (issue to the quorum-completing response,
-// sampled on the receive thread).
+// instruments: full/delta query encodings and codec bytes sent (socket-level
+// egress counts as udp.*), queries and responses received and sent,
+// need_full resync requests sent (a delta named a base we never
+// acknowledged) and received, finished rounds, resend waves (the late wave
+// in the pause included), and the rt.round_rtt_ns histogram (issue to the
+// quorum-completing response, sampled on the receive thread).
 #pragma once
 
 #include <condition_variable>
@@ -42,8 +42,10 @@ struct RealTimeConfig {
   /// fan-in) would otherwise wedge the round FOREVER, because the time-free
   /// protocol never re-sends on its own. Re-issuing is idempotent (same
   /// seq; responders are deduplicated) and carries no failure judgement —
-  /// this is retransmission, not a timeout. Must be positive: zero would
-  /// fire the waves back to back.
+  /// this is retransmission, not a timeout. Setting it also turns on the
+  /// late wave halfway through each pause, which re-sends the query to the
+  /// silent peers not yet suspected. Must be positive: zero would fire the
+  /// waves back to back.
   Duration resend{from_millis(500)};
   /// Shared metrics registry for the rt.* instruments; the detector owns a
   /// private one when null. Sharing one registry across the node's whole

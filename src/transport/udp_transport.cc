@@ -34,7 +34,7 @@ constexpr std::size_t kRecvBatch = 1;
 
 /// One receive slot must hold the largest protocol datagram: a full query
 /// carries at most 2n tagged entries (12 bytes each) plus envelope/epoch
-/// headers, and the reliability layer's framing adds 13 bytes on top.
+/// headers.
 std::size_t slot_size(std::uint32_t n) {
   return std::clamp<std::size_t>(96 + 24 * static_cast<std::size_t>(n),
                                  std::size_t{2048}, std::size_t{64 * 1024});

@@ -6,8 +6,9 @@
 // Deliberate UDP fit: the protocol tolerates loss of RESPONSEs (a query
 // simply waits for other responders) and QUERYs are re-issued every round,
 // so datagram semantics cost only detection sharpness, never safety. (The
-// formal model assumes reliable channels; on loopback UDP loss is nil. A
-// lossy-WAN deployment stacks ReliableDatagram on top — see reliable.h.)
+// formal model assumes reliable channels; on loopback UDP loss is nil. On a
+// lossy network the round driver's waves re-send what is lost — see
+// core/round_driver.h.)
 //
 // Scale hardening (the live-cluster subsystem runs 128+ of these per
 // machine): the receive loop drains in batches via recvmmsg where available,

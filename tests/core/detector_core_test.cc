@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -720,60 +721,113 @@ TEST(DetectorCore, GiveupStreakResetsOnRepair) {
   EXPECT_TRUE(d.should_query(ProcessId{3}));
 }
 
+// The first core, over inject_transient_corruption seeds, whose streak
+// table `shape` accepts after `setup` and the fault. Honest rounds leave at
+// most n - quorum peers silent, so only a corrupted table qualifies more
+// peers for the give-up skip than its budget admits.
+template <typename Setup, typename Shape>
+std::unique_ptr<DetectorCore> with_corrupted_streaks(const DetectorConfig& c,
+                                                     Setup setup,
+                                                     Shape shape) {
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    auto d = std::make_unique<DetectorCore>(c);
+    setup(*d);
+    d->inject_transient_corruption(seed);
+    if (shape(*d)) return d;
+  }
+  return nullptr;
+}
+
 TEST(DetectorCore, GiveupCapNeverBlocksQuorum) {
   // n=5, f=1: quorum 4, so at most n - quorum = 1 peer may be skipped at
   // once even when two peers have qualifying streaks (equal streaks here,
-  // so the tie goes to the lowest id, deterministically).
+  // so the tie goes to the lowest id, deterministically). A transient
+  // fault that rewrites the streak table is what qualifies both.
   auto c = cfg(0, 5, 1);
   c.giveup_rounds = 2;
-  DetectorCore d(c);
-  // Suspect 3 and 4 via gossip so their streaks grow while 1..3 keep the
-  // rounds terminating (a responder's existing suspicion entry persists).
-  QueryMessage gossip;
-  gossip.seq = 1;
-  gossip.push_suspected({ProcessId{3}, 50});
-  gossip.push_suspected({ProcessId{4}, 50});
-  (void)d.on_query(ProcessId{1}, gossip);
-  for (int round = 0; round < 5; ++round) run_round(d, {1, 2, 3});
-  EXPECT_GE(d.suspect_streak(ProcessId{3}), 3u);
-  EXPECT_GE(d.suspect_streak(ProcessId{4}), 3u);
-  d.begin_query();
-  const int skipped = (d.should_query(ProcessId{3}) ? 0 : 1) +
-                      (d.should_query(ProcessId{4}) ? 0 : 1);
+  const auto d = with_corrupted_streaks(
+      c, [](DetectorCore&) {},
+      [](const DetectorCore& d) {
+        const std::uint32_t s = d.suspect_streak(ProcessId{3});
+        return s >= 3 && s % 2 != 0 && d.suspect_streak(ProcessId{4}) == s;
+      });
+  ASSERT_NE(d, nullptr);
+  EXPECT_GE(d->suspect_streak(ProcessId{3}), 3u);
+  EXPECT_GE(d->suspect_streak(ProcessId{4}), 3u);
+  d->begin_query();
+  const int skipped = (d->should_query(ProcessId{3}) ? 0 : 1) +
+                      (d->should_query(ProcessId{4}) ? 0 : 1);
   EXPECT_LE(skipped, 1);
   // The cap picks the lowest id: 3 skipped, 4 still queried.
-  EXPECT_FALSE(d.should_query(ProcessId{3}));
-  EXPECT_TRUE(d.should_query(ProcessId{4}));
+  EXPECT_FALSE(d->should_query(ProcessId{3}));
+  EXPECT_TRUE(d->should_query(ProcessId{4}));
 }
 
 TEST(DetectorCore, GiveupBudgetPrefersLongestStreaks) {
   // Regression: when more peers qualify than the cap allows, the budget
   // must go to the LONGEST streaks, not the lowest ids. A genuinely
-  // crashed peer accumulates an unbounded streak while a falsely suspected
-  // live peer's streak restarts on every repair; the old id-ordered scan
+  // crashed peer accumulates an unbounded streak; the old id-ordered scan
   // let falsely suspected low-id live peers eat the whole budget — every
   // query still went to the dead peer (wasting the policy), and on the
   // live path skipping a responsive peer the round needed for quorum froze
   // the round permanently (observed at n=64 under 5% loss).
   auto c = cfg(0, 5, 1);
   c.giveup_rounds = 2;
+  // Peer 4 is dead from the start (streak 9); the fault leaves that streak
+  // alone and gives live peer 3 a shorter qualifying one.
+  const auto d = with_corrupted_streaks(
+      c,
+      [](DetectorCore& d) {
+        for (int round = 0; round < 9; ++round) run_round(d, {1, 2, 3});
+      },
+      [](const DetectorCore& d) {
+        const std::uint32_t s = d.suspect_streak(ProcessId{3});
+        return d.suspect_streak(ProcessId{4}) == 9 && s >= 2 && s % 2 != 0;
+      });
+  ASSERT_NE(d, nullptr);
+  ASSERT_GT(d->suspect_streak(ProcessId{4}), d->suspect_streak(ProcessId{3}));
+  ASSERT_GE(d->suspect_streak(ProcessId{3}), 2u);
+  d->begin_query();
+  EXPECT_FALSE(d->should_query(ProcessId{4}));  // longest streak wins budget
+  EXPECT_TRUE(d->should_query(ProcessId{3}));
+}
+
+TEST(DetectorCore, GiveupProbeResponseEndsTheSkipEvenIfTheDefenceIsLate) {
+  // n=4, f=1, K=2. Peer 3 is silent for three rounds: suspected, streak 3,
+  // skipped. Then it is alive again, but its defence (the mistake it makes
+  // on seeing its suspicion in our query) reaches us only after the
+  // round's finish_round, every time. It must still leave the skip set at
+  // its first probe response. Counting streaks by suspicion alone kept it
+  // there: a skipped peer is silent and re-suspected every round, so its
+  // streak never reset.
+  auto c = cfg(0, 4, 1);
+  c.giveup_rounds = 2;
   DetectorCore d(c);
-  // Peer 4 suspected early (long streak), peer 3 only later (short one).
-  QueryMessage gossip;
-  gossip.seq = 1;
-  gossip.push_suspected({ProcessId{4}, 50});
-  (void)d.on_query(ProcessId{1}, gossip);
-  for (int round = 0; round < 6; ++round) run_round(d, {1, 2, 3});
-  QueryMessage late;
-  late.seq = 2;
-  late.push_suspected({ProcessId{3}, 60});
-  (void)d.on_query(ProcessId{1}, late);
-  for (int round = 0; round < 3; ++round) run_round(d, {1, 2, 3});
-  ASSERT_GT(d.suspect_streak(ProcessId{4}), d.suspect_streak(ProcessId{3}));
-  ASSERT_GE(d.suspect_streak(ProcessId{3}), 2u);
-  d.begin_query();
-  EXPECT_FALSE(d.should_query(ProcessId{4}));  // longest streak wins budget
-  EXPECT_TRUE(d.should_query(ProcessId{3}));
+  for (int round = 0; round < 3; ++round) run_round(d, {1, 2});
+  int probe_round = -1;
+  for (int round = 0; round < 12; ++round) {
+    d.begin_query();
+    const bool queried = d.should_query(ProcessId{3});
+    if (probe_round >= 0) {
+      EXPECT_TRUE(queried) << "round " << round << ", probe at "
+                           << probe_round;
+    }
+    for (const std::uint32_t r : {1u, 2u, 3u}) {
+      if (r == 3 && !queried) continue;  // a skipped peer hears nothing
+      (void)d.on_response(ProcessId{r}, ResponseMessage{d.query_seq()});
+    }
+    ASSERT_TRUE(d.query_terminated());
+    d.finish_round();
+    const auto suspicion = d.suspected_set().tag_of(ProcessId{3});
+    if (!queried || !suspicion) continue;
+    if (probe_round < 0) probe_round = round;
+    QueryMessage defence;  // peer 3's next query, after our finish_round
+    defence.seq = 100 + static_cast<QuerySeq>(round);
+    defence.push_mistake({ProcessId{3}, *suspicion + 1});
+    (void)d.on_query(ProcessId{3}, defence);
+    EXPECT_FALSE(d.is_suspected(ProcessId{3}));
+  }
+  EXPECT_GE(probe_round, 0);
 }
 
 TEST(DetectorCore, GiveupZeroDisablesThePolicy) {

@@ -1,6 +1,6 @@
 // RoundDriver without threads or sockets: a fake clock and a recording send
-// callback drive one process's rounds through the fan-out, resend, give-up
-// and pacing rules the simulated and live adapters share.
+// callback drive one process's rounds through the fan-out, resend, late
+// wave, give-up and pacing rules the simulated and live adapters share.
 #include "core/round_driver.h"
 
 #include <gtest/gtest.h>
@@ -61,6 +61,15 @@ struct Harness {
   /// Moves the clock to the driver's deadline and fires it.
   void fire() { fire_at(*driver.deadline()); }
 
+  /// Fires deadlines until the next round is issued (through the late wave,
+  /// when waves are on); `sent` then holds the new round's fan-out.
+  void next_round() {
+    const QuerySeq seq = driver.core().query_seq();
+    do {
+      fire();
+    } while (driver.core().query_seq() == seq);
+  }
+
   /// `from` answers its latest query; `ack` acknowledges its epoch, which
   /// lets later rounds send it deltas. True at the quorum.
   bool answer(std::uint32_t from, bool ack = true) {
@@ -71,7 +80,7 @@ struct Harness {
 
   /// One whole round: issue (finishing the previous one), then answers.
   void round(std::initializer_list<std::uint32_t> responders) {
-    fire();
+    next_round();
     for (const std::uint32_t p : responders) answer(p);
     ASSERT_TRUE(driver.core().query_terminated());
   }
@@ -96,7 +105,8 @@ TEST(RoundDriver, FirstWaveHonoursGiveUpSkipsLaterWavesDoNot) {
   // 4 a skip round rather than a probe.
   Harness h(4, 1, timing(from_millis(500)));
   for (int r = 0; r < 3; ++r) h.round({1, 2});
-  h.fire();  // round 4
+  const std::uint64_t late_waves = h.count("resend_waves");  // round 1's
+  h.next_round();  // round 4
   ASSERT_FALSE(h.driver.core().should_query(ProcessId{3}));
   EXPECT_EQ(h.targets(), (std::vector<std::uint32_t>{1, 2}));
   h.answer(1);  // short of quorum: self + p1
@@ -105,14 +115,15 @@ TEST(RoundDriver, FirstWaveHonoursGiveUpSkipsLaterWavesDoNot) {
   EXPECT_EQ(h.targets(), (std::vector<std::uint32_t>{2}));
   h.fire();  // second wave: every silent peer, the skipped one included
   EXPECT_EQ(h.targets(), (std::vector<std::uint32_t>{2, 3}));
-  EXPECT_EQ(h.count("resend_waves"), 2u);
+  EXPECT_EQ(h.count("resend_waves") - late_waves, 2u);
 }
 
 TEST(RoundDriver, ResendsCarryTheFullEncodingAndStopAtQuorum) {
   Harness h(4, 1, timing(from_millis(500)));
   h.round({1, 2});  // p3 silent: suspected, the state epoch moves
   h.round({1, 2});  // p1 and p2 acknowledge that epoch
-  h.fire();         // round 3: p1 and p2 get deltas
+  const std::uint64_t late_waves = h.count("resend_waves");  // round 1's
+  h.next_round();   // round 3: p1 and p2 get deltas
   for (const Outgoing& q : h.sent) {
     if (q.to.value != 3) {
       EXPECT_EQ(q.full, nullptr);
@@ -129,10 +140,10 @@ TEST(RoundDriver, ResendsCarryTheFullEncodingAndStopAtQuorum) {
 
   EXPECT_TRUE(h.answer(2));  // quorum
   const QuerySeq seq = h.driver.core().query_seq();
-  h.fire();  // the pacing deadline: no wave, the next round
+  h.next_round();  // the pacing deadline: no wave, the next round
   EXPECT_EQ(h.driver.core().query_seq(), seq + 1);
   EXPECT_EQ(h.driver.core().rounds_completed(), 3u);
-  EXPECT_EQ(h.count("resend_waves"), 1u);
+  EXPECT_EQ(h.count("resend_waves") - late_waves, 1u);
   EXPECT_EQ(h.count("quorums"), 3u);
   EXPECT_EQ(h.count("rounds"), 3u);
 }
@@ -166,6 +177,7 @@ TEST(RoundDriver, QuorumOfOneTerminatesAtIssue) {
   h.fire_at(from_millis(7));
   EXPECT_TRUE(h.driver.core().query_terminated());
   EXPECT_EQ(h.sent.size(), 2u);
+  h.fire();  // the late wave, halfway through the pause
   EXPECT_EQ(*h.driver.deadline(), from_millis(107));  // pacing, no resend
   EXPECT_EQ(h.count("quorums"), 1u);
 }
@@ -186,7 +198,9 @@ TEST(RoundDriver, DeadlineIsResendUntilQuorumThenJitteredPacing) {
     h.fire_at(issued + from_millis(499));  // not due: nothing happens
     EXPECT_TRUE(h.sent.empty());
     h.answer(2);
-    const Duration pause = *h.driver.deadline() - h.now;
+    const TimePoint quorum = h.now;
+    h.fire();  // the late wave
+    const Duration pause = *h.driver.deadline() - quorum;
     EXPECT_GE(pause, from_millis(80));
     EXPECT_LE(pause, from_millis(120));
     pauses.push_back(pause);
@@ -203,10 +217,51 @@ TEST(RoundDriver, WithoutResendNoResendDeadline) {
   EXPECT_EQ(h.count("resend_waves"), 0u);
   h.answer(1);
   EXPECT_FALSE(h.driver.deadline().has_value());
-  h.answer(2);
+  h.answer(2);  // p3 silent and unsuspected: still no late wave
   EXPECT_EQ(*h.driver.deadline(), from_seconds(3600) + from_millis(100));
   h.fire();
   EXPECT_FALSE(h.driver.deadline().has_value());
+  EXPECT_EQ(h.driver.core().query_seq(), 2u);
+  EXPECT_EQ(h.count("resend_waves"), 0u);
+}
+
+TEST(RoundDriver, LateWaveReachesSilentUnsuspectedPeersHalfwayThroughPause) {
+  // n = 7, f = 3: quorum 4 (self + 3), at most three skips. Setup rounds
+  // leave p6 given up (skipped) and p5 suspected but still queried. In the
+  // test round p1..p3 answer; p4..p6 stay silent.
+  Harness h(7, 3, timing(from_millis(500)));
+  for (int r = 0; r < 4; ++r) h.round({1, 2, 3, 4, 5});  // p6 silent
+  h.round({1, 2, 3, 4});                                 // p5 silent too
+  h.next_round();  // through round 5's late wave to p5
+  const std::uint64_t waves = h.count("resend_waves");
+  ASSERT_FALSE(h.driver.core().should_query(ProcessId{6}));
+  ASSERT_TRUE(h.driver.core().should_query(ProcessId{5}));
+  ASSERT_TRUE(h.driver.core().is_suspected(ProcessId{5}));
+  h.now += from_millis(4);
+  for (const std::uint32_t p : {1u, 2u}) EXPECT_FALSE(h.answer(p));
+  EXPECT_TRUE(h.answer(3));
+  const TimePoint quorum = h.now;
+  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(50));
+
+  h.fire_at(quorum + from_millis(49));  // not due: nothing happens
+  EXPECT_TRUE(h.sent.empty());
+  h.fire();  // the late wave: p4 only, never the suspected p5 or p6
+  EXPECT_EQ(h.now, quorum + from_millis(50));
+  ASSERT_EQ(h.targets(), (std::vector<std::uint32_t>{4}));
+  ASSERT_NE(h.sent[0].full, nullptr);
+  EXPECT_FALSE(std::get<QueryMessage>(*h.sent[0].full).is_delta());
+  EXPECT_EQ(h.count("resend_waves"), waves + 1);
+  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(100));
+
+  EXPECT_FALSE(h.answer(4));  // late, but before the round ends
+  const QuerySeq seq = h.driver.core().query_seq();
+  h.fire();  // the end of the pause: finish, then the next round
+  EXPECT_EQ(h.now, quorum + from_millis(100));
+  EXPECT_EQ(h.driver.core().query_seq(), seq + 1);
+  EXPECT_FALSE(h.driver.core().is_suspected(ProcessId{4}));
+  EXPECT_TRUE(h.driver.core().is_suspected(ProcessId{5}));
+  EXPECT_TRUE(h.driver.core().is_suspected(ProcessId{6}));
+  EXPECT_EQ(h.count("resend_waves"), waves + 1);
 }
 
 TEST(RoundDriver, RejectsNonPositiveResend) {

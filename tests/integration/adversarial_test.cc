@@ -155,9 +155,10 @@ TEST(Adversarial, TransientCorruptionReconverges) {
   // The self-stabilization core: two nodes have their entire protocol state
   // scrambled mid-run — suspicion/mistake sets replaced with garbage
   // (including self-suspicions), round counters shifted, the change journal
-  // rebased arbitrarily and the delta watermarks overwritten. The cluster
-  // must re-converge to exactly the crashed set within a bounded window, in
-  // both encodings, for every corruption seed.
+  // rebased arbitrarily, the delta watermarks overwritten and the give-up
+  // streaks rewritten. The cluster must re-converge to exactly the crashed
+  // set within a bounded window, in both encodings, for every corruption
+  // seed.
   for (const bool delta : {false, true}) {
     for (const std::uint64_t corruption_seed : {11ull, 12ull, 13ull}) {
       auto cfg = base(8, 2, 35 + corruption_seed, delta);

@@ -240,6 +240,39 @@ TEST(LiveCluster, CorruptedDatagramsAreRejectedNotFatal) {
   std::filesystem::remove_all(cfg.report_dir);
 }
 
+TEST(LiveCluster, LossyLinksWithoutCrashesStayAccurate) {
+  // Loss without crashes: every node drops 2% of its outgoing datagrams
+  // and nobody dies, so every suspicion is false. A datagram lost in a
+  // round that still reaches its quorum is re-sent by the late wave in the
+  // pause before it costs a suspicion. Without that wave this cluster
+  // logged ~1.4 false suspicions per round (gossip spreads each one to the
+  // other observers); with it only a doubly lost exchange still costs one,
+  // ~0.05-0.1 per round.
+  constexpr std::uint32_t kN = 8;
+  SupervisorConfig cfg;
+  cfg.n = kN;
+  cfg.f = 2;
+  cfg.base_port = 47500;
+  cfg.pacing = from_millis(50);
+  cfg.flush = from_millis(100);
+  cfg.delta = true;
+  cfg.fault_drop = 0.02;
+  cfg.fault_seed = 77;
+  cfg.report_dir = fresh_report_dir("lossy");
+
+  Supervisor supervisor(cfg);
+  const LiveRunResult result = supervisor.run({}, from_seconds(6));
+  EXPECT_EQ(result.unexpected_exits, 0u);
+  EXPECT_EQ(result.missing_reports, 0u);
+  EXPECT_GT(result.metrics.counter_value("fault.dropped"), 0u);
+  EXPECT_GT(result.rounds, kN * 40u);
+  EXPECT_LE(result.false_suspicions * 4, result.rounds)
+      << result.false_suspicions << " false suspicions over "
+      << result.rounds << " rounds";
+
+  std::filesystem::remove_all(cfg.report_dir);
+}
+
 TEST(LiveCluster, GiveupPolicyCutsFullQueriesAtScale) {
   // The give-up policy's reason to exist: at n=64 with several dead peers,
   // every query to a dead peer degrades to the full-encoding fallback —
@@ -249,10 +282,12 @@ TEST(LiveCluster, GiveupPolicyCutsFullQueriesAtScale) {
   // drop rate below supplies that churn (a perfectly quiet cluster freezes
   // its journal after the kill and keeps covering the victims' last ack,
   // which no real deployment does). Two identical runs — give-up on vs
-  // off — must show a large drop in full_queries_sent, with strong
-  // completeness intact on the policy run (the 1/K probe keeps eventual
-  // accuracy, the cap keeps quorum reachable).
+  // off — must show a large drop in the full queries the survivors send
+  // after the kills, with strong completeness intact on the policy run
+  // (the 1/K probe keeps eventual accuracy, the cap keeps quorum
+  // reachable).
   constexpr std::uint32_t kN = 64;
+  constexpr std::uint32_t kSurvivors = 58;
   const std::vector<CrashEvent> schedule = {
       {ProcessId{58}, from_seconds(2.0), std::nullopt},
       {ProcessId{59}, from_seconds(2.0), std::nullopt},
@@ -260,6 +295,13 @@ TEST(LiveCluster, GiveupPolicyCutsFullQueriesAtScale) {
       {ProcessId{61}, from_seconds(2.2), std::nullopt},
       {ProcessId{62}, from_seconds(2.2), std::nullopt},
       {ProcessId{63}, from_seconds(2.2), std::nullopt},
+  };
+  // The last kill plus one report flush: every report a telemetry sample
+  // reads from here on was written after every kill.
+  constexpr std::uint64_t kAfterKillsMs = 2200 + 250;
+  struct Run {
+    LiveRunResult result;
+    std::uint64_t full_after_kills{0};
   };
   const auto run_once = [&](std::uint32_t giveup, std::uint16_t base_port,
                             const std::string& tag) {
@@ -280,30 +322,53 @@ TEST(LiveCluster, GiveupPolicyCutsFullQueriesAtScale) {
     cfg.fault_seed = 404;
     cfg.report_dir = fresh_report_dir(tag);
     Supervisor supervisor(cfg);
-    const LiveRunResult result = supervisor.run(schedule, from_seconds(9));
+    Run run{supervisor.run(schedule, from_seconds(9))};
+    // Each survivor's final count minus its count in the first telemetry
+    // sample past kAfterKillsMs. The costs both runs share stay out: until
+    // the first kill the cluster's state sits at epoch 0, so every query is
+    // full, and the periodic resync and the late wave go to live peers.
+    std::map<std::uint32_t, std::uint64_t> at_kills;
+    std::ifstream is(cfg.report_dir + "/telemetry.jsonl");
+    std::string line;
+    while (std::getline(is, line)) {
+      if (line.find("\"final\":false") == std::string::npos) continue;
+      const auto t_ms = std::stoull(line.substr(line.find("\"t_ms\":") + 7));
+      const auto node = static_cast<std::uint32_t>(
+          std::stoul(line.substr(line.find("\"node\":") + 7)));
+      if (t_ms < kAfterKillsMs || node >= kSurvivors) continue;
+      at_kills.try_emplace(node,
+                           parse_counters(line)["rt.full_queries_sent"]);
+    }
+    for (std::uint32_t id = 0; id < kSurvivors; ++id) {
+      const NodeReport* r = final_report(run.result, id);
+      if (r == nullptr || !at_kills.contains(id)) {
+        ADD_FAILURE() << tag << ": no telemetry for node " << id;
+        continue;
+      }
+      run.full_after_kills +=
+          r->metrics.counter_value("rt.full_queries_sent") - at_kills[id];
+    }
     std::filesystem::remove_all(cfg.report_dir);
-    return result;
+    return run;
   };
 
-  const LiveRunResult with_policy = run_once(8, 48000, "giveup_on");
-  const LiveRunResult without_policy = run_once(0, 48100, "giveup_off");
+  const Run with_policy = run_once(8, 48000, "giveup_on");
+  const Run without_policy = run_once(0, 48100, "giveup_off");
 
-  ASSERT_EQ(with_policy.crashes.size(), 6u);
-  EXPECT_EQ(with_policy.unexpected_exits, 0u);
-  EXPECT_TRUE(with_policy.strong_completeness);
+  ASSERT_EQ(with_policy.result.crashes.size(), 6u);
+  EXPECT_EQ(with_policy.result.unexpected_exits, 0u);
+  EXPECT_TRUE(with_policy.result.strong_completeness);
 
-  ASSERT_EQ(without_policy.crashes.size(), 6u);
-  EXPECT_EQ(without_policy.unexpected_exits, 0u);
+  ASSERT_EQ(without_policy.result.crashes.size(), 6u);
+  EXPECT_EQ(without_policy.result.unexpected_exits, 0u);
 
   // The headline: skipping settled-dead peers (and not resending to them)
   // must cut the full-query volume hard. The 2/3 bound is deliberately
-  // loose — the true ratio is closer to 1/4 (7/8 of dead-peer queries
-  // skipped plus all their resends) — so CI jitter in round counts cannot
-  // flake it.
-  const std::uint64_t full_on =
-      with_policy.metrics.counter_value("rt.full_queries_sent");
-  const std::uint64_t full_off =
-      without_policy.metrics.counter_value("rt.full_queries_sent");
+  // loose — six runs read 0.39-0.44: 7/8 of dead-peer queries skipped plus
+  // all their resends, while the resyncs and late waves to live peers stay
+  // — so CI jitter in round counts cannot flake it.
+  const std::uint64_t full_on = with_policy.full_after_kills;
+  const std::uint64_t full_off = without_policy.full_after_kills;
   EXPECT_GT(full_off, 0u);
   EXPECT_LT(full_on, full_off * 2 / 3)
       << "give-up on: " << full_on << " give-up off: " << full_off;
@@ -314,8 +379,7 @@ TEST(LiveCluster, TelemetrySeriesSumsToRollup) {
   // time series must be internally consistent — the end-of-run rollup line
   // is EXACTLY the per-counter sum of the per-node final lines, and the
   // in-memory LiveRunResult.metrics is the same merge of the harvested
-  // report snapshots. Reliable framing is on so the wire-byte counters
-  // exercise the 13-byte-header + ack accounting path too.
+  // report snapshots.
   constexpr std::uint32_t kN = 5;
   SupervisorConfig cfg;
   cfg.n = kN;
@@ -325,7 +389,6 @@ TEST(LiveCluster, TelemetrySeriesSumsToRollup) {
   cfg.flush = from_millis(100);
   cfg.telemetry = from_millis(250);
   cfg.delta = true;
-  cfg.reliable = true;
   cfg.report_dir = fresh_report_dir("telemetry");
 
   Supervisor supervisor(cfg);
@@ -345,13 +408,18 @@ TEST(LiveCluster, TelemetrySeriesSumsToRollup) {
   ASSERT_NE(result.metrics.find_histogram("rt.round_rtt_ns"), nullptr);
   EXPECT_GT(result.metrics.find_histogram("rt.round_rtt_ns")->count, 0u);
 
-  // Wire accounting, by instrument name: socket-level egress strictly
-  // exceeds the codec's protocol-payload byte count (13-byte reliability
-  // headers + acks).
+  // Wire accounting, by instrument name: every datagram on the socket is
+  // one encoded protocol message, byte for byte. No layer adds framing or
+  // acks; a send the kernel refused counts at the codec but not at the
+  // socket.
   const obs::RegistrySnapshot& m = result.metrics;
   EXPECT_GT(m.counter_value("udp.datagrams_sent"), 0u);
-  EXPECT_GT(m.counter_value("rel.ack_bytes_sent"), 0u);
-  EXPECT_GT(m.counter_value("udp.bytes_sent"),
+  EXPECT_LE(m.counter_value("udp.datagrams_sent"),
+            m.counter_value("rt.full_queries_sent") +
+                m.counter_value("rt.delta_queries_sent") +
+                m.counter_value("rt.responses_sent"));
+  EXPECT_GT(m.counter_value("udp.bytes_sent"), 0u);
+  EXPECT_LE(m.counter_value("udp.bytes_sent"),
             m.counter_value("rt.query_bytes_sent") +
                 m.counter_value("rt.response_bytes_sent"));
 

@@ -20,13 +20,12 @@ NodeReport sample_report() {
   r.n = 8;
   r.f = 2;
   r.delta = true;
-  r.reliable = true;
   r.pacing_ns = 50'000'000;
   r.origin_ns = 1'234'567'890'000ull;
   r.snapshot_ns = 9'876'543'210ull;
   r.rounds = 431;
   r.metrics.counters = {{"codec.malformed", 4},
-                        {"rel.data_sent", 3073},
+                        {"fault.dropped", 31},
                         {"rt.rounds", 431},
                         {"udp.bytes_sent", 160'000}};
   r.metrics.gauges = {{"udp.rcvbuf_bytes", 425'984}};
@@ -48,9 +47,9 @@ NodeReport sample_report() {
   return r;
 }
 
-// v3 fixed header: 4 magic + 4 version + 3 u32 ids + 2 bool bytes + 4 u64s
+// v4 fixed header: 4 magic + 4 version + 3 u32 ids + 1 bool byte + 4 u64s
 // (pacing, origin, snapshot, rounds); the registry snapshot follows.
-constexpr std::size_t kV3HeaderBytes = 4 + 4 + 3 * 4 + 2 + 4 * 8;
+constexpr std::size_t kV4HeaderBytes = 4 + 4 + 3 * 4 + 1 + 4 * 8;
 
 TEST(NodeReportCodec, RoundTripsEveryField) {
   const NodeReport r = sample_report();
@@ -97,14 +96,14 @@ TEST(NodeReportCodec, GarbageLengthFieldRejectedWithoutAllocating) {
 TEST(NodeReportCodec, GarbageMetricCountsRejected) {
   // The embedded registry snapshot's counts are sanity-checked against the
   // buffer size too: flood the counter-count field (the first u32 after the
-  // fixed v3 header).
+  // fixed v4 header).
   auto bytes = encode_report(sample_report());
-  const std::size_t counter_count_at = kV3HeaderBytes;
+  const std::size_t counter_count_at = kV4HeaderBytes;
   for (std::size_t i = 0; i < 4; ++i) bytes[counter_count_at + i] = 0xFF;
   EXPECT_FALSE(decode_report(bytes).has_value());
 }
 
-TEST(NodeReportCodec, V3LayoutHasNoCounterFieldsBesideTheSnapshot) {
+TEST(NodeReportCodec, V4LayoutHasNoCounterFieldsBesideTheSnapshot) {
   // The fixed header ends at `rounds`; the very next bytes are the registry
   // snapshot's counter count and first counter name. No hand-typed counter
   // copies sit between them.
@@ -112,8 +111,8 @@ TEST(NodeReportCodec, V3LayoutHasNoCounterFieldsBesideTheSnapshot) {
   const auto bytes = encode_report(r);
   transport::Decoder d(bytes);
   for (std::size_t i = 0; i < 4; ++i) ASSERT_TRUE(d.u8());  // magic
-  EXPECT_EQ(d.u32().value_or(0), 3u);
-  for (std::size_t i = 8; i < kV3HeaderBytes - 8; ++i) ASSERT_TRUE(d.u8());
+  EXPECT_EQ(d.u32().value_or(0), 4u);
+  for (std::size_t i = 8; i < kV4HeaderBytes - 8; ++i) ASSERT_TRUE(d.u8());
   EXPECT_EQ(d.u64().value_or(0), r.rounds);
   EXPECT_EQ(d.u32().value_or(0), r.metrics.counters.size());
   EXPECT_EQ(d.u32().value_or(0), r.metrics.counters.front().name.size());
@@ -135,10 +134,31 @@ TEST(NodeReportCodec, RejectsVersion2File) {
   e.u32(0);                              // events
   const auto v2 = e.take();
   EXPECT_FALSE(decode_report(v2).has_value());
-  // The same bytes relabelled v3 do not parse either: the counter block is
+  // The same bytes relabelled v4 do not parse either: the counter block is
   // not a registry snapshot.
   auto relabelled = v2;
-  relabelled[4] = 3;
+  relabelled[4] = 4;
+  EXPECT_FALSE(decode_report(relabelled).has_value());
+}
+
+TEST(NodeReportCodec, RejectsVersion3File) {
+  // A v3 file from a stale run still carries the `reliable` byte after
+  // `delta`. The decoder must refuse it, and relabelled v4 the extra byte
+  // shifts every later field, which must not parse either.
+  transport::Encoder e;
+  for (const char c : {'M', 'M', 'R', 'L'}) e.u8(static_cast<std::uint8_t>(c));
+  e.u32(3);
+  for (int i = 0; i < 3; ++i) e.u32(1);
+  e.u8(1);  // delta
+  e.u8(1);  // reliable
+  for (int i = 0; i < 4; ++i) e.u64(0);
+  for (int i = 0; i < 3; ++i) e.u32(0);  // empty registry snapshot
+  e.u32(0);                              // suspected
+  e.u32(0);                              // events
+  const auto v3 = e.take();
+  EXPECT_FALSE(decode_report(v3).has_value());
+  auto relabelled = v3;
+  relabelled[4] = 4;
   EXPECT_FALSE(decode_report(relabelled).has_value());
 }
 

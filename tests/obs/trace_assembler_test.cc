@@ -245,6 +245,31 @@ TEST(TraceAssembler, BreakdownComponentsSumToLatencyExactly) {
   EXPECT_EQ(ob.resend_waves, 1u);
 }
 
+TEST(TraceAssembler, LateWaveAfterTheQuorumIsPacingNotResendWait) {
+  // The detecting round reaches its quorum on the first transmission; the
+  // late wave the driver fires halfway through the pause re-sends to the
+  // victim. That wave did not hold the round open, so resend_wait stays 0
+  // and wire still runs from the round's open to its quorum.
+  SyntheticCluster cluster({0, 0});
+  const std::int64_t crash = static_cast<std::int64_t>(kBase);
+  cluster.add(0, TraceKind::kRoundOpen, 7, 0, kBase + 40'000'000);
+  cluster.add(0, TraceKind::kQuorum, 7, 3, kBase + 41'000'000);
+  cluster.add(0, TraceKind::kResendWave, 1, 1, kBase + 91'000'000);
+  cluster.add(0, TraceKind::kSuspectAdd, 1, 0, kBase + 141'000'000);
+  TraceAssembler assembler = cluster.assembler(false);
+  assembler.add_crash(1, crash);
+  const AssembledTrace trace = assembler.assemble();
+  ASSERT_EQ(trace.crashes.size(), 1u);
+  ASSERT_EQ(trace.crashes[0].observers.size(), 1u);
+  const ObserverBreakdown& ob = trace.crashes[0].observers[0];
+  EXPECT_EQ(ob.latency_ns, 141'000'000);
+  EXPECT_EQ(ob.resend_wait_ns, 0);
+  EXPECT_EQ(ob.resend_waves, 0u);
+  EXPECT_EQ(ob.wire_ns, 1'000'000);
+  EXPECT_EQ(ob.pacing_ns, 40'000'000 + 100'000'000);  // pre-open + pause
+  EXPECT_EQ(ob.pacing_ns + ob.resend_wait_ns + ob.wire_ns, ob.latency_ns);
+}
+
 // --- dump loaders ------------------------------------------------------------
 
 class TempDir {
