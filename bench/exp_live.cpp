@@ -64,19 +64,22 @@ struct LiveResult {
   obs::RegistrySnapshot metrics;
   // Detection-latency attribution from the assembled cross-node trace: each
   // observer's latency split into round-pacing, resend-wait and wire time
-  // (the three sum to the latency exactly). Per crash below; the flat means
-  // average over every (crash, observer) pair.
+  // (the three sum to the latency exactly), plus the grace: the pacing's
+  // share after the detecting round's quorum. Per crash below; the flat
+  // means average over every (crash, observer) pair.
   struct CrashBreakdown {
     std::uint32_t victim{0};
     std::size_t observers{0};
     std::uint32_t undetected{0};
     double latency_mean_ms{0};
     double pacing_mean_ms{0};
+    double grace_mean_ms{0};
     double resend_wait_mean_ms{0};
     double wire_mean_ms{0};
   };
   std::vector<CrashBreakdown> breakdowns;
   double pacing_mean_ms{0};
+  double grace_mean_ms{0};
   double resend_wait_mean_ms{0};
   double wire_mean_ms{0};
   std::size_t trace_causal_violations{0};
@@ -143,6 +146,7 @@ double round_rtt_ms(const LiveResult& r, double q) {
        << ", \"unexpected_exits\": " << r.unexpected_exits
        << ", \"missing_reports\": " << r.missing_reports
        << ", \"pacing_mean_ms\": " << r.pacing_mean_ms
+       << ", \"grace_mean_ms\": " << r.grace_mean_ms
        << ", \"resend_wait_mean_ms\": " << r.resend_wait_mean_ms
        << ", \"wire_mean_ms\": " << r.wire_mean_ms
        << ", \"trace_causal_violations\": " << r.trace_causal_violations
@@ -154,6 +158,7 @@ double round_rtt_ms(const LiveResult& r, double q) {
          << ", \"undetected\": " << b.undetected
          << ", \"latency_mean_ms\": " << b.latency_mean_ms
          << ", \"pacing_mean_ms\": " << b.pacing_mean_ms
+         << ", \"grace_mean_ms\": " << b.grace_mean_ms
          << ", \"resend_wait_mean_ms\": " << b.resend_wait_mean_ms
          << ", \"wire_mean_ms\": " << b.wire_mean_ms << "}";
       first_crash = false;
@@ -347,17 +352,18 @@ int main(int argc, char** argv) {
     r.missing_reports = run.missing_reports;
     if (run.trace) {
       r.trace_causal_violations = run.trace->causal_violations;
-      double pacing_sum = 0, resend_sum = 0, wire_sum = 0;
+      double pacing_sum = 0, grace_sum = 0, resend_sum = 0, wire_sum = 0;
       std::size_t observers_total = 0;
       for (const obs::CrashTimeline& ct : run.trace->crashes) {
         LiveResult::CrashBreakdown b;
         b.victim = ct.victim;
         b.observers = ct.observers.size();
         b.undetected = ct.undetected;
-        double lat = 0, pace = 0, resend = 0, wire = 0;
+        double lat = 0, pace = 0, grace = 0, resend = 0, wire = 0;
         for (const obs::ObserverBreakdown& ob : ct.observers) {
           lat += static_cast<double>(ob.latency_ns);
           pace += static_cast<double>(ob.pacing_ns);
+          grace += static_cast<double>(ob.grace_ns);
           resend += static_cast<double>(ob.resend_wait_ns);
           wire += static_cast<double>(ob.wire_ns);
         }
@@ -365,10 +371,12 @@ int main(int argc, char** argv) {
           const auto k = static_cast<double>(ct.observers.size());
           b.latency_mean_ms = lat / k / 1e6;
           b.pacing_mean_ms = pace / k / 1e6;
+          b.grace_mean_ms = grace / k / 1e6;
           b.resend_wait_mean_ms = resend / k / 1e6;
           b.wire_mean_ms = wire / k / 1e6;
         }
         pacing_sum += pace;
+        grace_sum += grace;
         resend_sum += resend;
         wire_sum += wire;
         observers_total += ct.observers.size();
@@ -377,6 +385,7 @@ int main(int argc, char** argv) {
       if (observers_total > 0) {
         const auto k = static_cast<double>(observers_total);
         r.pacing_mean_ms = pacing_sum / k / 1e6;
+        r.grace_mean_ms = grace_sum / k / 1e6;
         r.resend_wait_mean_ms = resend_sum / k / 1e6;
         r.wire_mean_ms = wire_sum / k / 1e6;
       }
@@ -389,9 +398,9 @@ int main(int argc, char** argv) {
   }
 
   Table table({"n", "f", "seed", "delta", "kills", "det_mean_s", "det_p99_s",
-               "pace_ms", "resend_ms", "wire_ms", "rtt_p50_ms", "complete",
-               "false_susp", "B_per_query", "wire_B_per_q", "delta_q",
-               "full_q", "need_full", "trunc", "errs"});
+               "pace_ms", "grace_ms", "resend_ms", "wire_ms", "rtt_p50_ms",
+               "complete", "false_susp", "B_per_query", "wire_B_per_q",
+               "delta_q", "full_q", "need_full", "trunc", "errs"});
   for (const auto& r : results) {
     table.add_row({Table::num(std::uint64_t{r.n}),
                    Table::num(std::uint64_t{r.f}), Table::num(r.seed),
@@ -400,6 +409,7 @@ int main(int argc, char** argv) {
                    Table::num(r.detection_mean_s),
                    Table::num(r.detection_p99_s),
                    Table::num(r.pacing_mean_ms),
+                   Table::num(r.grace_mean_ms),
                    Table::num(r.resend_wait_mean_ms),
                    Table::num(r.wire_mean_ms),
                    Table::num(round_rtt_ms(r, 0.50)),

@@ -17,9 +17,12 @@ configuration key and flags metric movements outside a tolerance band:
   * resend_wait_mean_ms   spent waiting for the round to open, on resend
   * wire_mean_ms          waves, and on the wire — from the assembled
                           cross-node trace; the three sum to the latency)
+  * grace_mean_ms       — higher is a regression (the share of
+                          pacing_mean_ms after the detecting round's quorum)
 
-The key includes the engine/shards columns exp_scale emits, so a serial and
-a sharded run of the same (n, f, seed) never get compared to each other.
+The key includes the engine/shards columns exp_scale emits and the
+simulated horizon, so a serial and a sharded run of the same (n, f, seed),
+or a 15 s and a 20 s run, never get compared to each other.
 
 Timing bands are warn-only by default: bench hardware — CI runners above
 all — is far too noisy to gate merges on, so the output is a trend signal
@@ -31,6 +34,11 @@ exit 1 when any fresh row has a nonzero
 
   * trace_causal_violations — matched tx -> rx pairs the assembled trace
                               puts in the wrong order
+
+and, in exp_scale artifacts, when a matched row differs at all in one of
+the fixed-seed columns (EXACT below). A simulated run is a pure function of
+its configuration, so any difference there is a behaviour change: commit
+the regenerated artifact with the change that causes it.
 
 Usage:
   scripts/check_bench.py BENCH_scale.json fresh.json [--tolerance 0.5]
@@ -53,13 +61,26 @@ METRICS = {
     "pacing_mean_ms": "down",
     "resend_wait_mean_ms": "down",
     "wire_mean_ms": "down",
+    "grace_mean_ms": "down",
 }
-KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards")
+KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards", "horizon_s")
+# exp_scale columns that a fixed seed determines: they must match exactly.
+EXACT = (
+    "events_fired",
+    "messages_sent",
+    "bytes_sent",
+    "bytes_per_query",
+    "false_suspicions",
+    "detection_mean_s",
+    "detection_p99_s",
+    "detection_max_s",
+)
 # Columns that must read 0 in every fresh row.
 MUST_BE_ZERO = ("trace_causal_violations",)
 
 
-def load_rows(path):
+def load(path):
+    """Returns (experiment name, result rows)."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -68,7 +89,7 @@ def load_rows(path):
     rows = doc.get("results", [])
     if not isinstance(rows, list):
         sys.exit(f"check_bench: {path}: 'results' is not a list")
-    return rows
+    return doc.get("experiment"), rows
 
 
 def row_key(row):
@@ -97,8 +118,10 @@ def main():
     )
     args = parser.parse_args()
 
-    baseline = {row_key(r): r for r in load_rows(args.baseline)}
-    fresh_rows = load_rows(args.fresh)
+    _, baseline_rows = load(args.baseline)
+    baseline = {row_key(r): r for r in baseline_rows}
+    experiment, fresh_rows = load(args.fresh)
+    exact = EXACT if experiment == "exp_scale" else ()
 
     regressions = 0
     compared = 0
@@ -116,8 +139,16 @@ def main():
             unmatched += 1
             print(f"[skip] {fmt_key(key)}: no baseline row")
             continue
+        for column in exact:
+            if column not in row or column not in base:
+                continue
+            if float(row[column]) != float(base[column]):
+                violations += 1
+                print(f"[VIOLATION] {fmt_key(key)} {column}: "
+                      f"{base[column]} -> {row[column]} (fixed seed: must "
+                      "match exactly)")
         for metric, direction in METRICS.items():
-            if metric not in row or metric not in base:
+            if metric in exact or metric not in row or metric not in base:
                 continue
             old, new = float(base[metric]), float(row[metric])
             if old <= 0:
@@ -145,7 +176,8 @@ def main():
     if regressions and not args.strict:
         print("check_bench: warn-only mode — not failing on timing bands")
     if violations:
-        print(f"check_bench: {violations} correctness violation(s)")
+        print(f"check_bench: {violations} violation(s) of a must-be-zero or "
+              "fixed-seed column")
     return 1 if violations or (regressions and args.strict) else 0
 
 

@@ -197,10 +197,11 @@ bool DetectorCore::on_response(ProcessId from, const ResponseMessage& response) 
   return false;
 }
 
-void DetectorCore::finish_round() {
+bool DetectorCore::finish_round() {
   assert(terminated_);
   // T1 lines 9-15: suspect every known process that did not respond and is
   // not already suspected.
+  bool fresh = false;
   for (ProcessId pj : known_) {
     // Ids >= n (bogus live-path senders remembered in known_) can never
     // have responded — on_response rejects them.
@@ -213,6 +214,7 @@ void DetectorCore::finish_round() {
       mistake_.erase(pj);
     }
     add_suspicion(pj, counter_);
+    fresh = true;
   }
   ++counter_;  // T1 line 16
   ++rounds_;
@@ -238,6 +240,7 @@ void DetectorCore::finish_round() {
   trace(obs::TraceKind::kRoundClose,
         static_cast<std::uint32_t>(seq_),
         static_cast<std::uint32_t>(suspected_.size()));
+  return fresh;
 }
 
 ResponseMessage DetectorCore::on_query(ProcessId from,

@@ -11,8 +11,8 @@
 //   ... for each response received:
 //   core.on_response(from, r');                   // returns true on the
 //                                                 // (n - f)th response
-//   ... once terminated (plus any pacing delay during which late responses
-//       may still be fed in):
+//   ... once terminated (plus a grace during which late responses may
+//       still be fed in):
 //   core.finish_round();                          // T1 lines 8-16
 //
 // Protocol recap (Mostefaoui–Mourgaya–Raynal, generalized presentation):
@@ -58,9 +58,10 @@ struct DetectorConfig {
   std::uint32_t n{0};  ///< |Pi| — known system cardinality
   std::uint32_t f{0};  ///< max number of crashes tolerated, f < n
 
-  /// Count responses that arrive after query termination (e.g. during the
-  /// inter-query pacing delay) as responders of the round. Reduces false
-  /// suspicions; does not affect correctness (Section 6 of the lineage).
+  /// Count responses that arrive after query termination (with
+  /// core::RoundDriver: until the round's grace ends and finish_round runs)
+  /// as responders of the round. Reduces false suspicions; does not affect
+  /// correctness (Section 6 of the lineage).
   bool accept_late_responses{true};
 
   /// Extra winning slack: wait for (n - f + extra_quorum) responses instead
@@ -173,8 +174,9 @@ class DetectorCore final : public FailureDetector {
   bool on_response(ProcessId from, const ResponseMessage& response);
 
   /// Runs the suspicion-generation step over known \ rec_from and advances
-  /// the round counter (T1 lines 9-16). Requires query_terminated().
-  void finish_round();
+  /// the round counter (T1 lines 9-16). Requires query_terminated(). True
+  /// when it suspected a peer that was not suspected before.
+  bool finish_round();
 
   // --- T2: query serving ---------------------------------------------------
 

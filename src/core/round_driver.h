@@ -10,17 +10,22 @@
 //
 // The first deadline issues the first round. While a round is short of
 // quorum the deadline is its next resend wave (if a resend interval is
-// set); after the quorum it ends the jittered pacing pause, finishing the
-// round and issuing the next. A wave re-sends the query, full encoding, to
-// the silent peers; only the first wave leaves out the give-up policy's
-// skips, since a round still short of quorum suggests they were wrong.
-// With waves on, one late wave halfway through the pause re-sends to the
-// peers still silent and not suspected, the ones finish_round would newly
-// suspect: a datagram lost in a round that reached its quorum anyway is
-// re-sent before it costs a false suspicion. Re-sending is idempotent and
-// judges nothing, so the detector stays time-free, and the retransmission
-// that loss needs lives here alone. Every causal trace record is taken
-// here, before its send.
+// set). At the quorum the driver draws the round's jittered pause P and
+// splits it at a grace g = min(P, max(P/2, R)), R being the round's own
+// issue-to-quorum span: late responses count until quorum + g, when
+// finish_round suspects the silent peers, and the next round issues at
+// quorum + P. When finish_round has just suspected a new peer the next
+// round issues at once instead, so the fresh suspicion reaches every peer
+// without waiting out the pause. Consecutive issues stay at least R + P/2
+// apart. A wave re-sends the query, full encoding, to the silent peers;
+// only the first wave leaves out the give-up policy's skips, since a round
+// still short of quorum suggests they were wrong. With waves on, one late
+// wave halfway through the grace re-sends to the peers still silent and
+// not suspected, the ones finish_round would newly suspect: a datagram lost
+// in a round that reached its quorum anyway is re-sent before it costs a
+// false suspicion. Re-sending is idempotent and judges nothing, so the
+// detector stays time-free, and the retransmission that loss needs lives
+// here alone. Every causal trace record is taken here, before its send.
 #pragma once
 
 #include <algorithm>
@@ -55,13 +60,13 @@ struct Outgoing {
 };
 
 struct RoundDriverConfig {
-  Duration pacing{from_millis(1000)};  ///< pause after a round's quorum
+  Duration pacing{from_millis(1000)};  ///< quorum-to-next-issue pause
   /// Each pause is drawn from pacing * [1 - jitter, 1 + jitter], one draw
   /// per round; 0 draws nothing.
   double pacing_jitter{0.0};
   std::uint64_t jitter_seed{0};  ///< mixed with the core's own id
   /// Resend-wave interval while a round is short of quorum; must be
-  /// positive. Also turns on the late wave at half the pause. Unset: no
+  /// positive. Also turns on the late wave at half the grace. Unset: no
   /// waves (the simulator's reliable channels).
   std::optional<Duration> resend;
   obs::FlightRecorder* recorder{nullptr};  ///< the core traces here too
@@ -100,27 +105,36 @@ class RoundDriver {
 
   /// Does nothing before the deadline. Then: issues the first round, or
   /// fires a resend wave while the round is short of quorum, or the late
-  /// wave during the pause, or finishes the round and issues the next.
+  /// wave, or at the grace's end finishes the round (and issues the next
+  /// one at once if it suspected a new peer), or at the pause's end issues
+  /// the next round.
   template <typename Send>
   void on_deadline(TimePoint now, std::span<const ProcessId> peers,
                    Send&& send) {
     if (!deadline_ || now < *deadline_) return;
-    if (core_.query_seq() == 0) return issue(now, peers, send);
-    if (core_.query_terminated()) {
-      if (round_end_) {
-        deadline_ = std::exchange(round_end_, std::nullopt);
+    switch (step_) {
+      case Step::kIssue:
+        return issue(now, peers, send);
+      case Step::kResend:
+        deadline_ = now + *config_.resend;  // no deadline here without one
+        return wave(peers, send, [&](ProcessId p) {
+          return !core_.responded(p) && !(waves_ == 1 && skipped(p));
+        });
+      case Step::kLateWave:
+        step_ = Step::kFinish;
+        deadline_ = grace_end_;
         return wave(peers, send, [&](ProcessId p) {
           return !core_.responded(p) && !core_.is_suspected(p);
         });
-      }
-      core_.finish_round();
-      add(config_.rounds);
-      return issue(now, peers, send);
+      case Step::kFinish:
+        add(config_.rounds);
+        if (core_.finish_round() || now >= pause_end_) {
+          return issue(now, peers, send);
+        }
+        step_ = Step::kIssue;
+        deadline_ = pause_end_;
+        return;
     }
-    deadline_ = now + *config_.resend;  // no deadline here without one
-    wave(peers, send, [&](ProcessId p) {
-      return !core_.responded(p) && !(waves_ == 1 && skipped(p));
-    });
   }
 
   /// Merges a QUERY; returns the RESPONSE to send back.
@@ -133,7 +147,7 @@ class RoundDriver {
   }
 
   /// Feeds a RESPONSE. True exactly at the round's quorum, which moves the
-  /// deadline to the late wave, or without waves to the end of the pause.
+  /// deadline to the late wave, or without waves to the end of the grace.
   bool handle_response(TimePoint now, ProcessId from,
                        const ResponseMessage& response) {
     trace(obs::TraceKind::kResponseRxSeq, from.value, low32(response.seq));
@@ -152,6 +166,7 @@ class RoundDriver {
     core_.begin_query();
     round_start_ = now;
     waves_ = 0;
+    step_ = Step::kResend;
     deadline_.reset();
     if (config_.resend) deadline_ = now + *config_.resend;
     std::shared_ptr<const Message> full;
@@ -190,7 +205,8 @@ class RoundDriver {
   }
 
   /// The quorum instant: winning set, kQuorum, round RTT, pacing draw, and
-  /// with waves on the late wave's deadline.
+  /// the grace split: the late wave's deadline with waves on, or else the
+  /// grace's end.
   void on_quorum(TimePoint now);
 
   [[nodiscard]] bool skipped(ProcessId peer) const {
@@ -213,13 +229,17 @@ class RoundDriver {
     if (config_.recorder != nullptr) config_.recorder->record(kind, a, b);
   }
 
+  /// What the deadline does next.
+  enum class Step : std::uint8_t { kIssue, kResend, kLateWave, kFinish };
+
   Core core_;
   RoundDriverConfig config_;
   Xoshiro256 jitter_rng_;
   TimePoint round_start_{kTimeZero};
   std::optional<TimePoint> deadline_{kTimeZero};  ///< first round: at once
-  std::optional<TimePoint> round_end_;  ///< the pause's end, while the late
-                                        ///< wave is still due
+  Step step_{Step::kIssue};
+  TimePoint grace_end_{kTimeZero};  ///< quorum + g: finish_round
+  TimePoint pause_end_{kTimeZero};  ///< quorum + P: the next issue
   std::uint32_t waves_{0};  ///< resend waves fired this round
 };
 

@@ -94,15 +94,17 @@ bool SimpleDetectorCore::on_response(ProcessId from,
   return false;
 }
 
-void SimpleDetectorCore::finish_round() {
+bool SimpleDetectorCore::finish_round() {
   assert(terminated_);
+  bool fresh = false;
   for (std::uint32_t i = 0; i < config_.n; ++i) {
-    const ProcessId pj{i};
-    if (pj == config_.self) continue;
-    if (!responded_[i]) set_suspected(pj, true);
+    if (i == config_.self.value || responded_[i] || suspected_[i]) continue;
+    set_suspected(ProcessId{i}, true);
+    fresh = true;
   }
   ++rounds_;
   in_progress_ = false;
+  return fresh;
 }
 
 ResponseMessage SimpleDetectorCore::on_query(ProcessId from,

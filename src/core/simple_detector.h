@@ -70,8 +70,9 @@ class SimpleDetectorCore final : public FailureDetector {
   /// Returns true when the quorum-th distinct response arrives.
   bool on_response(ProcessId from, const ResponseMessage& response);
 
-  /// Suspects known \ rec_from; unsuspects every responder.
-  void finish_round();
+  /// Suspects known \ rec_from (responders were unsuspected on arrival).
+  /// True when it suspected a peer that was not suspected before.
+  bool finish_round();
 
   /// Any direct message from a live process clears its suspicion.
   [[nodiscard]] ResponseMessage on_query(ProcessId from,

@@ -367,7 +367,7 @@ AssembledTrace TraceAssembler::assemble() const {
       std::optional<std::int64_t> t_quorum;
       std::optional<std::int64_t> t_last_wave;
       // Only the waves before the quorum held the round open; the late wave
-      // during the pause is pacing time.
+      // during the grace is pacing time.
       for (std::ptrdiff_t i = open_idx + 1; i < suspect_idx && !t_quorum;
            ++i) {
         const TraceRecord& r = stream[i].record;
@@ -388,8 +388,9 @@ AssembledTrace TraceAssembler::assemble() const {
           t_last_wave ? std::clamp(*t_last_wave, base, tq) : base;
       ob.resend_wait_ns = wave - base;
       ob.wire_ns = tq - wave;
-      ob.pacing_ns = std::max<std::int64_t>(0, t_open - crash_ns) +
-                     (ob.detect_ns - tq);
+      ob.grace_ns = ob.detect_ns - tq;
+      ob.pacing_ns =
+          std::max<std::int64_t>(0, t_open - crash_ns) + ob.grace_ns;
       timeline.observers.push_back(ob);
     }
     if (timeline.undetected == 0 && !timeline.observers.empty()) {
@@ -692,6 +693,7 @@ std::string to_json(const AssembledTrace& trace) {
           << ", \"pacing_ns\": " << ob.pacing_ns
           << ", \"resend_wait_ns\": " << ob.resend_wait_ns
           << ", \"wire_ns\": " << ob.wire_ns
+          << ", \"grace_ns\": " << ob.grace_ns
           << ", \"round_seq\": " << ob.round_seq
           << ", \"resend_waves\": " << ob.resend_waves << "}"
           << (j + 1 < c.observers.size() ? "," : "") << '\n';
@@ -747,14 +749,15 @@ void write_text(std::ostream& out, const AssembledTrace& trace) {
           << " ms\n";
     }
     out << "  observer   detect_ms   latency_ms    pacing_ms  "
-           "resend_wait_ms      wire_ms  round  waves\n";
+           "resend_wait_ms      wire_ms     grace_ms  round  waves\n";
     for (const ObserverBreakdown& ob : c.observers) {
       char line[160];
       std::snprintf(line, sizeof(line),
-                    "  %-8u %11.3f %12.3f %12.3f %15.3f %12.3f %6u %6u\n",
+                    "  %-8u %11.3f %12.3f %12.3f %15.3f %12.3f %12.3f %6u "
+                    "%6u\n",
                     ob.observer, ms(ob.detect_ns), ms(ob.latency_ns),
                     ms(ob.pacing_ns), ms(ob.resend_wait_ns), ms(ob.wire_ns),
-                    ob.round_seq, ob.resend_waves);
+                    ms(ob.grace_ns), ob.round_seq, ob.resend_waves);
       out << line;
     }
     if (c.stable_ns) {

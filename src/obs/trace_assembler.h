@@ -10,8 +10,9 @@
 //
 //   round-pacing — time the detecting round had not yet opened (the crash
 //                  fell inside the previous round / pacing window) plus
-//                  the post-quorum pacing wait before finish_round (the
-//                  late wave inside that pause included);
+//                  the grace: the post-quorum wait before finish_round
+//                  (the late wave inside it included), reported on its
+//                  own as grace_ns;
 //   resend-wait  — round open until the last resend wave before the
 //                  quorum (0 when the first transmission reached quorum);
 //   wire         — last (re)transmission until the quorum instant: actual
@@ -87,6 +88,9 @@ struct ObserverBreakdown {
   std::int64_t pacing_ns{0};
   std::int64_t resend_wait_ns{0};
   std::int64_t wire_ns{0};
+  /// The post-quorum share of pacing_ns: detect minus the detecting
+  /// round's quorum (0 without a split, 0 <= grace <= pacing otherwise).
+  std::int64_t grace_ns{0};
   std::uint32_t round_seq{0};     ///< the detecting round at this observer
   std::uint32_t resend_waves{0};  ///< waves before the round's quorum
 };

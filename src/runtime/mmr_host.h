@@ -3,8 +3,11 @@
 // event and its transmissions into net.send/send_shared, and adds
 // crash-stop (a crashed host stops all activity instantly). Simulated
 // channels are reliable, so hosts run without resend waves or the late
-// wave: the only timer is one pacing event per round, scheduled at the
-// quorum, and the golden digests pin that event schedule per seed. MmrHost
+// wave: the only timers are a round's pacing events, scheduled from its
+// quorum on: the grace's end, which finishes the round, and the pause's
+// end, which issues the next (one event does both when the finish
+// suspects a new peer, or the grace fills the pause). The golden digests
+// pin that event schedule per seed. MmrHost
 // runs the paper's DetectorCore; SimpleHost (simple_host.h) the tag-free
 // ablation.
 #pragma once
@@ -89,7 +92,8 @@ class SimHost {
   [[nodiscard]] Core& detector() { return driver_.core(); }
 
  private:
-  /// Fires the driver's deadline: the first round, or the end of pacing.
+  /// Fires the driver's deadline: the first round, the grace's end or the
+  /// pause's end.
   void advance() {
     if (crashed_) return;
     // Both paths draw the same per-recipient randomness, so a fixed-seed
@@ -102,11 +106,12 @@ class SimHost {
       }
     };
     driver_.on_deadline(sim_.now(), net_.topology().neighbors(id()), send);
-    // f = n - 1: the issuer's own response is the whole quorum.
+    // A finished round waits out its pause; with f = n - 1 the issuer's
+    // own response is the whole quorum.
     if (detector().query_terminated()) pace();
   }
 
-  /// Schedules advance() at the end of the pacing pause.
+  /// Schedules advance() at the driver's next pacing deadline.
   void pace() {
     sim_.schedule_at(*driver_.deadline(), [this] { advance(); });
   }

@@ -84,8 +84,9 @@ void RealTimeDetector::driver_loop() {
   while (!stopping_) {
     driver_.on_deadline(steady_now(), peers_, plan);
     transmit(lock);
-    // The protocol stays time-free: a deadline only ever re-sends or ends
-    // the pacing pause. A quorum moves it, and on_datagram wakes us then.
+    // The protocol stays time-free: a deadline only ever re-sends, ends the
+    // grace or ends the pause. A quorum moves it, and on_datagram wakes us
+    // then.
     const TimePoint due = *driver_.deadline();
     quorum_cv_.wait_until(
         lock,

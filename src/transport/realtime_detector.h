@@ -12,7 +12,7 @@
 // egress counts as udp.*), queries and responses received and sent,
 // need_full resync requests sent (a delta named a base we never
 // acknowledged) and received, finished rounds, resend waves (the late wave
-// in the pause included), and the rt.round_rtt_ns histogram (issue to the
+// in the grace included), and the rt.round_rtt_ns histogram (issue to the
 // quorum-completing response, sampled on the receive thread).
 #pragma once
 
@@ -43,9 +43,10 @@ struct RealTimeConfig {
   /// protocol never re-sends on its own. Re-issuing is idempotent (same
   /// seq; responders are deduplicated) and carries no failure judgement —
   /// this is retransmission, not a timeout. Setting it also turns on the
-  /// late wave halfway through each pause, which re-sends the query to the
-  /// silent peers not yet suspected. Must be positive: zero would fire the
-  /// waves back to back.
+  /// late wave halfway through each round's grace (the post-quorum share
+  /// of the pause in which late responses still count), which re-sends the
+  /// query to the silent peers not yet suspected. Must be positive: zero
+  /// would fire the waves back to back.
   Duration resend{from_millis(500)};
   /// Shared metrics registry for the rt.* instruments; the detector owns a
   /// private one when null. Sharing one registry across the node's whole

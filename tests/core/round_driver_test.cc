@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/metrics_registry.h"
 
 namespace mmrfd::core {
@@ -140,7 +143,7 @@ TEST(RoundDriver, ResendsCarryTheFullEncodingAndStopAtQuorum) {
 
   EXPECT_TRUE(h.answer(2));  // quorum
   const QuerySeq seq = h.driver.core().query_seq();
-  h.next_round();  // the pacing deadline: no wave, the next round
+  h.next_round();  // the pacing deadlines: no wave, the next round
   EXPECT_EQ(h.driver.core().query_seq(), seq + 1);
   EXPECT_EQ(h.driver.core().rounds_completed(), 3u);
   EXPECT_EQ(h.count("resend_waves") - late_waves, 1u);
@@ -161,7 +164,7 @@ TEST(RoundDriver, FanOutSharesOneFullPayloadInAdapterOrder) {
     for (const std::uint32_t p : {1u, 2u}) h.answer(p);
     for (const std::uint32_t p : {3u, 4u}) h.answer(p, /*ack=*/false);
     ASSERT_TRUE(h.driver.core().query_terminated());
-    h.fire();
+    h.next_round();
   }
   // Round 4: p5 skipped, the rest in the adapter's order.
   ASSERT_FALSE(h.driver.core().should_query(ProcessId{5}));
@@ -177,8 +180,8 @@ TEST(RoundDriver, QuorumOfOneTerminatesAtIssue) {
   h.fire_at(from_millis(7));
   EXPECT_TRUE(h.driver.core().query_terminated());
   EXPECT_EQ(h.sent.size(), 2u);
-  h.fire();  // the late wave, halfway through the pause
-  EXPECT_EQ(*h.driver.deadline(), from_millis(107));  // pacing, no resend
+  h.fire();  // the late wave, halfway through the grace
+  EXPECT_EQ(*h.driver.deadline(), from_millis(57));  // the grace, no resend
   EXPECT_EQ(h.count("quorums"), 1u);
 }
 
@@ -225,7 +228,7 @@ TEST(RoundDriver, WithoutResendNoResendDeadline) {
   EXPECT_EQ(h.count("resend_waves"), 0u);
 }
 
-TEST(RoundDriver, LateWaveReachesSilentUnsuspectedPeersHalfwayThroughPause) {
+TEST(RoundDriver, LateWaveReachesSilentUnsuspectedPeersHalfwayThroughGrace) {
   // n = 7, f = 3: quorum 4 (self + 3), at most three skips. Setup rounds
   // leave p6 given up (skipped) and p5 suspected but still queried. In the
   // test round p1..p3 answer; p4..p6 stay silent.
@@ -241,27 +244,187 @@ TEST(RoundDriver, LateWaveReachesSilentUnsuspectedPeersHalfwayThroughPause) {
   for (const std::uint32_t p : {1u, 2u}) EXPECT_FALSE(h.answer(p));
   EXPECT_TRUE(h.answer(3));
   const TimePoint quorum = h.now;
-  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(50));
+  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(25));
 
-  h.fire_at(quorum + from_millis(49));  // not due: nothing happens
+  h.fire_at(quorum + from_millis(24));  // not due: nothing happens
   EXPECT_TRUE(h.sent.empty());
   h.fire();  // the late wave: p4 only, never the suspected p5 or p6
-  EXPECT_EQ(h.now, quorum + from_millis(50));
+  EXPECT_EQ(h.now, quorum + from_millis(25));
   ASSERT_EQ(h.targets(), (std::vector<std::uint32_t>{4}));
   ASSERT_NE(h.sent[0].full, nullptr);
   EXPECT_FALSE(std::get<QueryMessage>(*h.sent[0].full).is_delta());
   EXPECT_EQ(h.count("resend_waves"), waves + 1);
-  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(100));
+  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(50));
 
   EXPECT_FALSE(h.answer(4));  // late, but before the round ends
   const QuerySeq seq = h.driver.core().query_seq();
-  h.fire();  // the end of the pause: finish, then the next round
+  h.fire();  // the end of the grace: finish, nobody new to suspect
+  EXPECT_EQ(h.now, quorum + from_millis(50));
+  EXPECT_EQ(h.driver.core().query_seq(), seq);
+  h.fire();  // the end of the pause: the next round
   EXPECT_EQ(h.now, quorum + from_millis(100));
   EXPECT_EQ(h.driver.core().query_seq(), seq + 1);
   EXPECT_FALSE(h.driver.core().is_suspected(ProcessId{4}));
   EXPECT_TRUE(h.driver.core().is_suspected(ProcessId{5}));
   EXPECT_TRUE(h.driver.core().is_suspected(ProcessId{6}));
   EXPECT_EQ(h.count("resend_waves"), waves + 1);
+}
+
+/// Round 1 of an n = 4, f = 1 cluster without waves (pause 100 ms): issued
+/// at 0, p1 and p2 answer at `rtt`, which is the quorum; p3 stays silent.
+void quorum_after(Harness& h, Duration rtt) {
+  h.fire_at(kTimeZero);
+  h.now = rtt;
+  EXPECT_FALSE(h.answer(1));
+  EXPECT_TRUE(h.answer(2));
+}
+
+TEST(RoundDriver, ResponseJustBeforeTheGraceEndsCounts) {
+  Harness h(4, 1, timing(std::nullopt));
+  quorum_after(h, from_millis(2));
+  const TimePoint quorum = h.now;
+  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(50));
+  h.now = quorum + from_millis(49);
+  EXPECT_FALSE(h.answer(3));  // after the quorum, inside the grace
+  h.fire();                   // the grace's end: finish_round
+  EXPECT_EQ(h.now, quorum + from_millis(50));
+  EXPECT_EQ(h.driver.core().rounds_completed(), 1u);
+  EXPECT_FALSE(h.driver.core().is_suspected(ProcessId{3}));
+  EXPECT_TRUE(h.sent.empty());  // nobody new suspected: no issue yet
+  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(100));
+}
+
+TEST(RoundDriver, ResponseJustAfterTheGraceIsDroppedAndItsPeerSuspected) {
+  Harness h(4, 1, timing(std::nullopt));
+  quorum_after(h, from_millis(2));
+  const TimePoint quorum = h.now;
+  const QueryMessage round1 = h.last_query.at(3);
+  h.fire();  // the grace's end: p3 suspected
+  EXPECT_EQ(h.now, quorum + from_millis(50));
+  ASSERT_TRUE(h.driver.core().is_suspected(ProcessId{3}));
+  h.now = quorum + from_millis(51);
+  EXPECT_FALSE(h.driver.handle_response(
+      h.now, ProcessId{3}, ResponseMessage{round1.seq, round1.epoch}));
+  EXPECT_TRUE(h.driver.core().is_suspected(ProcessId{3}));
+  EXPECT_FALSE(h.driver.core().responded(ProcessId{3}));  // not in round 2
+}
+
+TEST(RoundDriver, NewSuspicionIssuesAtOnceOtherwiseThePauseRunsOut) {
+  Harness h(4, 1, timing(std::nullopt));
+  quorum_after(h, from_millis(2));
+  TimePoint quorum = h.now;
+  h.fire();  // the grace's end: p3 newly suspected, round 2 in this call
+  EXPECT_EQ(h.now, quorum + from_millis(50));
+  EXPECT_TRUE(h.driver.core().is_suspected(ProcessId{3}));
+  EXPECT_EQ(h.driver.core().query_seq(), 2u);
+  EXPECT_EQ(h.targets(), (std::vector<std::uint32_t>{1, 2, 3}));
+
+  h.now += from_millis(2);
+  h.answer(1);
+  ASSERT_TRUE(h.answer(2));  // p3 silent again, but already suspected
+  quorum = h.now;
+  h.fire();  // the grace's end: nothing new, so nothing sent
+  EXPECT_EQ(h.now, quorum + from_millis(50));
+  EXPECT_EQ(h.driver.core().rounds_completed(), 2u);
+  EXPECT_TRUE(h.sent.empty());
+  EXPECT_EQ(h.driver.core().query_seq(), 2u);
+  h.fire();  // the pause's end: round 3
+  EXPECT_EQ(h.now, quorum + from_millis(100));
+  EXPECT_EQ(h.driver.core().query_seq(), 3u);
+  EXPECT_EQ(h.targets(), (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
+TEST(RoundDriver, SlowQuorumStretchesTheGraceToItsOwnSpan) {
+  // R = 70 ms lies between P/2 and P: stragglers get as long as the
+  // winners took.
+  Harness h(4, 1, timing(std::nullopt));
+  quorum_after(h, from_millis(70));
+  const TimePoint quorum = h.now;
+  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(70));
+  h.now = quorum + from_millis(60);
+  EXPECT_FALSE(h.answer(3));  // past P/2, inside R
+  h.fire();
+  EXPECT_EQ(h.now, quorum + from_millis(70));
+  EXPECT_EQ(h.driver.core().rounds_completed(), 1u);
+  EXPECT_FALSE(h.driver.core().is_suspected(ProcessId{3}));
+  EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(100));
+
+  // R = 150 ms exceeds P: the grace is the whole pause, and the finish and
+  // the next issue share one deadline.
+  h.fire();
+  const TimePoint issued = h.now;
+  h.now = issued + from_millis(150);
+  h.answer(1);
+  ASSERT_TRUE(h.answer(2));
+  EXPECT_EQ(*h.driver.deadline(), h.now + from_millis(100));
+  h.fire();
+  EXPECT_EQ(h.driver.core().rounds_completed(), 2u);
+  EXPECT_EQ(h.driver.core().query_seq(), 3u);
+}
+
+TEST(RoundDriver, IssuesStayAtLeastTheQuorumSpanPlusHalfAPauseApart) {
+  // The tag-free core clears a suspicion at the peer's next response, so
+  // peers that fall silent now and then keep raising fresh suspicions and
+  // with them same-call issues. Random response delays (some past the
+  // pause), a quarter of the peers silent per round until a resend wave,
+  // and jittered pauses.
+  SimpleDetectorConfig detector;
+  detector.self = ProcessId{0};
+  detector.n = 6;
+  detector.f = 2;
+  RoundDriverConfig config = timing(from_millis(500));
+  config.pacing_jitter = 0.2;
+  config.jitter_seed = 3;
+  RoundDriver<SimpleDetectorCore> driver(detector, config);
+  const std::vector<ProcessId> peers{ProcessId{1}, ProcessId{2}, ProcessId{3},
+                                     ProcessId{4}, ProcessId{5}};
+  Xoshiro256 rng(11);
+  // This round's responses not yet delivered: (arrival, peer, seq).
+  std::vector<std::tuple<TimePoint, std::uint32_t, QuerySeq>> pending;
+  TimePoint issued = kTimeZero;
+  Duration rtt{0};
+  int same_call_issues = 0;
+  for (int step = 0; step < 20000 && driver.core().query_seq() < 300;
+       ++step) {
+    std::sort(pending.begin(), pending.end());
+    const TimePoint due = *driver.deadline();
+    if (!pending.empty() && std::get<0>(pending.front()) < due) {
+      const auto [at, from, seq] = pending.front();
+      pending.erase(pending.begin());
+      if (driver.handle_response(at, ProcessId{from},
+                                 ResponseMessage{seq, 0})) {
+        rtt = at - issued;
+      }
+      continue;
+    }
+    const QuerySeq before = driver.core().query_seq();
+    driver.on_deadline(due, peers, [](Outgoing&&) {});
+    if (driver.core().query_seq() == before) {
+      if (!driver.core().query_terminated()) {  // a resend wave: all answer
+        for (const ProcessId p : peers) {
+          pending.emplace_back(due + from_millis(rng.uniform(0.1, 150.0)),
+                               p.value, before);
+        }
+      }
+      continue;
+    }
+    if (before > 0) {
+      // The pause is at least 80 ms: the issue comes no sooner than
+      // R + 40 ms, and before R + 80 ms only when it came with a finish.
+      const Duration gap = due - issued;
+      EXPECT_GE(gap, rtt + from_millis(40)) << "round " << before;
+      if (gap < rtt + from_millis(80)) ++same_call_issues;
+    }
+    issued = due;
+    pending.clear();
+    for (const ProcessId p : peers) {
+      if (rng.next_below(4) == 0) continue;  // silent this round
+      pending.emplace_back(issued + from_millis(rng.uniform(0.1, 150.0)),
+                           p.value, driver.core().query_seq());
+    }
+  }
+  EXPECT_EQ(driver.core().query_seq(), 300u);
+  EXPECT_GT(same_call_issues, 0);
 }
 
 TEST(RoundDriver, RejectsNonPositiveResend) {

@@ -238,6 +238,7 @@ TEST(TraceAssembler, BreakdownComponentsSumToLatencyExactly) {
   const ObserverBreakdown& ob = trace.crashes[0].observers[0];
   EXPECT_EQ(ob.latency_ns, 96'000'000);
   EXPECT_EQ(ob.pacing_ns, 40'000'000 + 1'000'000);  // pre-open + post-quorum
+  EXPECT_EQ(ob.grace_ns, 1'000'000);
   EXPECT_EQ(ob.resend_wait_ns, 50'000'000);
   EXPECT_EQ(ob.wire_ns, 5'000'000);
   EXPECT_EQ(ob.pacing_ns + ob.resend_wait_ns + ob.wire_ns, ob.latency_ns);
@@ -247,7 +248,7 @@ TEST(TraceAssembler, BreakdownComponentsSumToLatencyExactly) {
 
 TEST(TraceAssembler, LateWaveAfterTheQuorumIsPacingNotResendWait) {
   // The detecting round reaches its quorum on the first transmission; the
-  // late wave the driver fires halfway through the pause re-sends to the
+  // late wave the driver fires halfway through the grace re-sends to the
   // victim. That wave did not hold the round open, so resend_wait stays 0
   // and wire still runs from the round's open to its quorum.
   SyntheticCluster cluster({0, 0});
@@ -266,7 +267,8 @@ TEST(TraceAssembler, LateWaveAfterTheQuorumIsPacingNotResendWait) {
   EXPECT_EQ(ob.resend_wait_ns, 0);
   EXPECT_EQ(ob.resend_waves, 0u);
   EXPECT_EQ(ob.wire_ns, 1'000'000);
-  EXPECT_EQ(ob.pacing_ns, 40'000'000 + 100'000'000);  // pre-open + pause
+  EXPECT_EQ(ob.pacing_ns, 40'000'000 + 100'000'000);  // pre-open + grace
+  EXPECT_EQ(ob.grace_ns, 100'000'000);
   EXPECT_EQ(ob.pacing_ns + ob.resend_wait_ns + ob.wire_ns, ob.latency_ns);
 }
 

@@ -91,6 +91,11 @@ void run_differential(const Scenario& sc) {
       // And the attribution is a true decomposition, not an approximation.
       EXPECT_EQ(ob.pacing_ns + ob.resend_wait_ns + ob.wire_ns, ob.latency_ns)
           << "observer " << ob.observer << " victim " << ct.victim;
+      // The grace is the post-quorum share of the pacing.
+      EXPECT_GE(ob.grace_ns, 0)
+          << "observer " << ob.observer << " victim " << ct.victim;
+      EXPECT_LE(ob.grace_ns, ob.pacing_ns)
+          << "observer " << ob.observer << " victim " << ct.victim;
       ++compared;
     }
     const auto und = expected_undetected.find(ct.victim);

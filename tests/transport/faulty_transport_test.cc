@@ -262,7 +262,7 @@ TEST(FaultyTransport, FullDetectorStackOverLossyLinks) {
   // detector -> typed codec -> 25% drop on every node's egress -> in-memory
   // links. The round driver's waves are the only retransmission: resend
   // waves while a round is short of quorum keep the rounds turning, the
-  // late wave in the pause saves most silent live peers from suspicion,
+  // late wave in the grace saves most silent live peers from suspicion,
   // self-defence repairs the rest, and a stopped node is detected.
   constexpr std::uint32_t kN = 3;
   InMemoryHub hub(kN);

@@ -9,7 +9,8 @@
 //                     assembled document, same shape the supervisor writes
 //                     to trace_assembled.json)
 //   breakdown <dir>   per-crash detection tables: every observer's latency
-//                     split into round-pacing / resend-wait / wire
+//                     split into round-pacing / resend-wait / wire, with
+//                     the pacing's post-quorum grace on its own
 //   timeline  <dir>   the merged, skew-aligned, chronological event stream
 //
 // --no-skew skips clock-skew estimation (all rings assumed to share one
