@@ -37,6 +37,7 @@
 #include <stdexcept>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -51,12 +52,12 @@ namespace mmrfd::core {
 /// A protocol message on any wire, simulated or real.
 using Message = std::variant<QueryMessage, ResponseMessage>;
 
-/// One query transmission: the round's shared full encoding, or else the
-/// peer's own delta (which the adapter may move from).
+/// One query transmission. A round builds each distinct encoding once: the
+/// full one, and one delta per acknowledged base epoch. Every peer that
+/// gets it shares that immutable payload.
 struct Outgoing {
   ProcessId to;
-  std::shared_ptr<const Message> full;
-  Message delta;
+  std::shared_ptr<const Message> query;
 };
 
 struct RoundDriverConfig {
@@ -169,19 +170,13 @@ class RoundDriver {
     step_ = Step::kResend;
     deadline_.reset();
     if (config_.resend) deadline_ = now + *config_.resend;
-    std::shared_ptr<const Message> full;
     for (const ProcessId to : peers) {
       if (skipped(to)) continue;
-      Outgoing out{to, nullptr, {}};
-      if (core_.full_query_needed(to)) {
-        if (!full) full = std::make_shared<const Message>(core_.full_query());
-        out.full = full;
-      } else {
-        out.delta = core_.query_for(to);
-      }
+      auto query = payload_for(to);
       trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq());
-      send(std::move(out));
+      send(Outgoing{to, std::move(query)});
     }
+    payloads_.clear();
     // f = n - 1: the issuer's own response is the whole quorum.
     if (core_.query_terminated()) on_quorum(now);
   }
@@ -200,8 +195,22 @@ class RoundDriver {
     for (const ProcessId to : peers) {
       if (!target(to)) continue;
       trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq());
-      send(Outgoing{to, full, {}});
+      send(Outgoing{to, full});
     }
+  }
+
+  /// This round's payload for `to`, keyed by the epoch it builds on: 0 for
+  /// the full encoding, else the epoch `to` acknowledged (a delta).
+  std::shared_ptr<const Message> payload_for(ProcessId to) {
+    const Epoch base = core_.full_query_needed(to) ? 0 : core_.acked_epoch(to);
+    for (const auto& [b, payload] : payloads_) {
+      if (b == base) return payload;
+    }
+    return payloads_
+        .emplace_back(base, std::make_shared<const Message>(
+                                base == 0 ? core_.full_query()
+                                          : core_.query_for(to)))
+        .second;
   }
 
   /// The quorum instant: winning set, kQuorum, round RTT, pacing draw, and
@@ -241,6 +250,8 @@ class RoundDriver {
   TimePoint grace_end_{kTimeZero};  ///< quorum + g: finish_round
   TimePoint pause_end_{kTimeZero};  ///< quorum + P: the next issue
   std::uint32_t waves_{0};  ///< resend waves fired this round
+  /// The issuing round's payloads by base epoch; empty between issues.
+  std::vector<std::pair<Epoch, std::shared_ptr<const Message>>> payloads_;
 };
 
 extern template class RoundDriver<DetectorCore>;

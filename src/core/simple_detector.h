@@ -90,6 +90,10 @@ class SimpleDetectorCore final : public FailureDetector {
   }
   [[nodiscard]] QuerySeq query_seq() const { return seq_; }
   [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_; }
+  /// Highest of our epochs `peer` has acknowledged (0 = none).
+  [[nodiscard]] Epoch acked_epoch(ProcessId peer) const {
+    return delta_.acked(peer);
+  }
   [[nodiscard]] const SimpleDetectorConfig& config() const { return config_; }
 
  private:

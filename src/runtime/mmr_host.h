@@ -1,15 +1,15 @@
 // Simulated hosts: SimHost binds a core's RoundDriver to the simulated
 // network and clock. It turns the driver's deadline into a sim.schedule
-// event and its transmissions into net.send/send_shared, and adds
+// event, its queries into net.send_shared (each delivery event references
+// the round's shared payload) and its responses into net.send, and adds
 // crash-stop (a crashed host stops all activity instantly). Simulated
 // channels are reliable, so hosts run without resend waves or the late
 // wave: the only timers are a round's pacing events, scheduled from its
 // quorum on: the grace's end, which finishes the round, and the pause's
 // end, which issues the next (one event does both when the finish
 // suspects a new peer, or the grace fills the pause). The golden digests
-// pin that event schedule per seed. MmrHost
-// runs the paper's DetectorCore; SimpleHost (simple_host.h) the tag-free
-// ablation.
+// pin that event schedule per seed. MmrHost runs the paper's DetectorCore;
+// SimpleHost (simple_host.h) the tag-free ablation.
 #pragma once
 
 #include <cassert>
@@ -96,14 +96,10 @@ class SimHost {
   /// pause's end.
   void advance() {
     if (crashed_) return;
-    // Both paths draw the same per-recipient randomness, so a fixed-seed
-    // schedule does not depend on which encoding a peer gets.
+    // send_shared draws the same per-recipient randomness as send, so a
+    // fixed-seed schedule does not depend on which payload a peer shares.
     const auto send = [this](core::Outgoing&& q) {
-      if (q.full) {
-        net_.send_shared(id(), q.to, std::move(q.full));
-      } else {
-        net_.send(id(), q.to, std::move(q.delta));
-      }
+      net_.send_shared(id(), q.to, std::move(q.query));
     };
     driver_.on_deadline(sim_.now(), net_.topology().neighbors(id()), send);
     // A finished round waits out its pause; with f = n - 1 the issuer's

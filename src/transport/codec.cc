@@ -1,5 +1,8 @@
 #include "transport/codec.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace mmrfd::transport {
 
 namespace {
@@ -14,6 +17,28 @@ constexpr std::uint8_t kQueryHasEpoch = 2;  // epoch field present (nonzero)
 constexpr std::uint8_t kRespNeedFull = 1;
 constexpr std::uint8_t kRespHasAck = 2;    // ack_epoch field present (nonzero)
 constexpr std::uint8_t kRespHasOrigin = 4;  // origin_seq field present (nonzero)
+
+constexpr std::size_t kEnvelopeHeader = 4 + 1;  // sender + type
+constexpr std::size_t kMaxVarint = uvarint_size(~std::uint64_t{0});
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+/// Calls fn(id_gap, tag) for every entry of `m` in order: each id's gap
+/// from the previous id of its section, the first of each coded against 0.
+template <typename Fn>
+void for_each_gap(const core::QueryMessage& m, Fn&& fn) {
+  const auto section = [&fn](const TaggedEntry* e, const TaggedEntry* end) {
+    std::uint32_t prev = 0;
+    for (; e != end; ++e) {
+      fn(e->id.value - prev, e->tag);  // unsigned: wraps mod 2^32
+      prev = e->id.value;
+    }
+  };
+  const TaggedEntry* begin = m.entries.data();
+  const TaggedEntry* split =
+      begin + std::min<std::size_t>(m.suspected_count, m.entries.size());
+  section(begin, split);
+  section(split, begin + m.entries.size());
+}
 }  // namespace
 
 void Encoder::u32(std::uint32_t v) {
@@ -34,14 +59,6 @@ void Encoder::uvarint(std::uint64_t v) {
     v >>= 7;
   }
   buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Encoder::entries(std::span<const TaggedEntry> es) {
-  u32(static_cast<std::uint32_t>(es.size()));
-  for (const auto& e : es) {
-    u32(e.id.value);
-    u64(e.tag);
-  }
 }
 
 std::optional<std::uint8_t> Decoder::u8() {
@@ -80,41 +97,24 @@ std::optional<std::uint64_t> Decoder::uvarint() {
   return std::nullopt;  // unreachable: shift 63 always returns
 }
 
-std::optional<std::vector<TaggedEntry>> Decoder::entries() {
-  const auto count = u32();
-  if (!count) return std::nullopt;
-  // Sanity bound: each entry takes 12 bytes of the *remaining* buffer, not
-  // the whole datagram — a count that only fits if the already-consumed
-  // header were re-counted is a lying prefix, and the reserve() below must
-  // never be driven past what the buffer can actually hold.
-  if (static_cast<std::size_t>(*count) * 12 > data_.size() - pos_) {
-    return std::nullopt;
-  }
-  std::vector<TaggedEntry> out;
-  out.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto id = u32();
-    const auto tag = u64();
-    if (!id || !tag) return std::nullopt;
-    out.push_back(TaggedEntry{ProcessId{*id}, *tag});
-  }
-  return out;
-}
-
 void encode(Encoder& e, const core::QueryMessage& m) {
-  e.u64(m.seq);
+  e.uvarint(m.seq);
   std::uint8_t flags = 0;
   if (m.is_delta()) flags |= kQueryDelta;
   if (m.epoch != 0) flags |= kQueryHasEpoch;
   e.u8(flags);
   if (m.epoch != 0) e.uvarint(m.epoch);
   if (m.is_delta()) e.uvarint(m.base_epoch);
-  e.u32(m.suspected_count);
-  e.entries(m.entries);
+  e.uvarint(m.suspected_count);
+  e.uvarint(m.entries.size());
+  for_each_gap(m, [&e](std::uint32_t gap, Tag tag) {
+    e.uvarint(gap);
+    e.uvarint(tag);
+  });
 }
 
 void encode(Encoder& e, const core::ResponseMessage& m) {
-  e.u64(m.seq);
+  e.uvarint(m.seq);
   std::uint8_t flags = 0;
   if (m.need_full) flags |= kRespNeedFull;
   if (m.ack_epoch != 0) flags |= kRespHasAck;
@@ -126,7 +126,7 @@ void encode(Encoder& e, const core::ResponseMessage& m) {
 
 std::optional<core::QueryMessage> decode_query(Decoder& d) {
   core::QueryMessage m;
-  const auto seq = d.u64();
+  const auto seq = d.uvarint();
   const auto flags = d.u8();
   if (!seq || !flags) return std::nullopt;
   if ((*flags & ~(kQueryDelta | kQueryHasEpoch)) != 0) return std::nullopt;
@@ -149,18 +149,29 @@ std::optional<core::QueryMessage> decode_query(Decoder& d) {
     if (!base) return std::nullopt;
     m.base_epoch = *base;
   }
-  const auto split = d.u32();
-  if (!split) return std::nullopt;
-  auto entries = d.entries();
-  if (!entries) return std::nullopt;
-  if (*split > entries->size()) return std::nullopt;  // lying split
-  m.suspected_count = *split;
-  m.entries = std::move(*entries);
+  const auto split = d.uvarint();
+  const auto total = d.uvarint();
+  if (!split || !total) return std::nullopt;
+  if (*split > *total || *split > kMaxU32) return std::nullopt;  // lying split
+  // Every entry takes at least 2 bytes: a count the rest of the datagram
+  // cannot hold is a lying prefix, rejected before it can drive reserve().
+  if (*total > d.remaining() / 2) return std::nullopt;
+  m.suspected_count = static_cast<std::uint32_t>(*split);
+  m.entries.reserve(*total);
+  std::uint32_t prev = 0;
+  for (std::uint64_t i = 0; i < *total; ++i) {
+    if (i == *split) prev = 0;
+    const auto gap = d.uvarint();
+    const auto tag = d.uvarint();
+    if (!gap || !tag || *gap > kMaxU32) return std::nullopt;
+    prev += static_cast<std::uint32_t>(*gap);  // wraps mod 2^32
+    m.entries.push_back(TaggedEntry{ProcessId{prev}, *tag});
+  }
   return m;
 }
 
 std::optional<core::ResponseMessage> decode_response(Decoder& d) {
-  const auto seq = d.u64();
+  const auto seq = d.uvarint();
   const auto flags = d.u8();
   if (!seq || !flags) return std::nullopt;
   if ((*flags & ~(kRespNeedFull | kRespHasAck | kRespHasOrigin)) != 0) {
@@ -182,35 +193,34 @@ std::optional<core::ResponseMessage> decode_response(Decoder& d) {
   return m;
 }
 
-namespace {
-constexpr std::size_t kEnvelopeHeader = 4 + 1;  // sender + type
-}
-
-std::size_t uvarint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    ++n;
-    v >>= 7;
-  }
-  return n;
-}
-
 std::size_t wire_size(const core::QueryMessage& m) {
-  std::size_t size = kEnvelopeHeader + 8 + 1;  // seq + flags
+  std::size_t size = kEnvelopeHeader + uvarint_size(m.seq) + 1;  // + flags
   if (m.epoch != 0) size += uvarint_size(m.epoch);
   if (m.is_delta()) size += uvarint_size(m.base_epoch);
-  return size + 4 + 4 + 12 * m.entries.size();
+  size += uvarint_size(m.suspected_count) + uvarint_size(m.entries.size());
+  for_each_gap(m, [&size](std::uint32_t gap, Tag tag) {
+    size += uvarint_size(gap) + uvarint_size(tag);
+  });
+  return size;
 }
 
 std::size_t wire_size(const core::ResponseMessage& m) {
-  return kEnvelopeHeader + 8 + 1 +
+  return kEnvelopeHeader + uvarint_size(m.seq) + 1 +
          (m.ack_epoch != 0 ? uvarint_size(m.ack_epoch) : 0) +
          (m.origin_seq != 0 ? uvarint_size(m.origin_seq) : 0);
+}
+
+std::size_t max_query_wire_size(std::uint32_t n) {
+  const std::uint64_t entries = 2 * std::uint64_t{n};
+  return kEnvelopeHeader + 3 * kMaxVarint + 1 +  // seq, epochs, flags
+         2 * uvarint_size(entries) +             // suspected_count, total
+         entries * (uvarint_size(kMaxU32) + kMaxVarint);
 }
 
 std::vector<std::uint8_t> encode_envelope(ProcessId sender,
                                           const WireMessage& m) {
   Encoder e;
+  e.reserve(std::visit([](const auto& msg) { return wire_size(msg); }, m));
   e.u32(sender.value);
   if (const auto* q = std::get_if<core::QueryMessage>(&m)) {
     e.u8(kTypeQuery);

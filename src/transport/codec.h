@@ -1,26 +1,31 @@
 // Compact binary wire codec.
 //
 // Used by the real transports (UDP / in-memory threaded) and by the
-// message-cost experiment (E4) to account bytes-on-the-wire for every
-// protocol message. Format: little-endian fixed-width integers, length-
-// prefixed sequences; every datagram is an envelope
+// simulator's size hook to account bytes on the wire for every protocol
+// message. Every datagram is an envelope
 //   [u32 sender][u8 type][payload...]
-// Query payload:
-//   [u64 seq][u8 flags][uvarint epoch if flags&kHasEpoch]
-//   [uvarint base_epoch if flags&kDelta][u32 suspected_count][u32 total]
-//   [total x (u32 id, u64 tag)]
+// (u32 little-endian). Every payload integer is a LEB128 varint: 7 value
+// bits per byte, the high bit marking continuation. Query payload:
+//   [uvarint seq][u8 flags][uvarint epoch if flags&kHasEpoch]
+//   [uvarint base_epoch if flags&kDelta][uvarint suspected_count]
+//   [uvarint total][total x (uvarint id_gap, uvarint tag)]
+// Entries [0, suspected_count) are suspicions, the rest mistakes. Each id
+// travels as its gap from the previous id of its section, mod 2^32; the
+// first suspicion and the first mistake are coded against 0. Ids come from
+// the membership {0, ..., n-1} and the cores send sorted sets, so a gap
+// takes 1-2 bytes, and so does a tag (a round counter) for most of a run;
+// any entry order still round-trips exactly.
 // A delta query (flags & kDelta) lists only entries changed since
 // base_epoch; the stable remainder of the sets travels as that one interned
 // integer. Response payload:
-//   [u64 seq][u8 flags][uvarint ack_epoch if flags&kHasAck]
+//   [uvarint seq][u8 flags][uvarint ack_epoch if flags&kHasAck]
 //   [uvarint origin_seq if flags&kHasOrigin]
 // origin_seq is the causal-tracing context (the responder's own round
 // sequence); only the live path sets it, so simulator bytes are unchanged.
-// Epoch fields are LEB128 varints (epochs count state changes — small for
-// most of a run, so the delta header costs single-digit bytes). Decoding is
-// total: malformed input yields nullopt, never UB.
+// Decoding is total: malformed input yields nullopt, never UB.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -40,7 +45,7 @@ class Encoder {
   void u64(std::uint64_t v);
   /// LEB128: 7 value bits per byte, high bit = continuation (1-10 bytes).
   void uvarint(std::uint64_t v);
-  void entries(std::span<const TaggedEntry> es);
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -57,8 +62,8 @@ class Decoder {
   [[nodiscard]] std::optional<std::uint32_t> u32();
   [[nodiscard]] std::optional<std::uint64_t> u64();
   [[nodiscard]] std::optional<std::uint64_t> uvarint();
-  [[nodiscard]] std::optional<std::vector<TaggedEntry>> entries();
 
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
 
  private:
@@ -73,12 +78,22 @@ void encode(Encoder& e, const core::ResponseMessage& m);
 [[nodiscard]] std::optional<core::QueryMessage> decode_query(Decoder& d);
 [[nodiscard]] std::optional<core::ResponseMessage> decode_response(Decoder& d);
 
-/// Exact wire size (envelope included) — the size_fn used by experiment E4.
+/// Exact wire size (envelope included), the simulator's size_fn: one
+/// allocation-free pass over the entries.
 [[nodiscard]] std::size_t wire_size(const core::QueryMessage& m);
 [[nodiscard]] std::size_t wire_size(const core::ResponseMessage& m);
 
-/// Encoded length of a LEB128 varint.
-[[nodiscard]] std::size_t uvarint_size(std::uint64_t v);
+/// Encoded length of a LEB128 varint: 7 of its significant bits per byte.
+/// (9b + 64) / 64 equals ceil(b / 7) for every b in [1, 64].
+[[nodiscard]] constexpr std::size_t uvarint_size(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) * 9 + 64) / 64;
+}
+
+/// The largest query datagram a cluster of n processes can produce: 2n
+/// entries at the worst case of 15 bytes each (a 5-byte id gap and a
+/// 10-byte tag) under a header of maximal varints. Receivers size their
+/// datagram buffers from it.
+[[nodiscard]] std::size_t max_query_wire_size(std::uint32_t n);
 
 // --- envelopes ---------------------------------------------------------------
 

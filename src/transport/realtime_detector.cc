@@ -100,16 +100,20 @@ void RealTimeDetector::driver_loop() {
 void RealTimeDetector::transmit(std::unique_lock<std::mutex>& lock) {
   if (outgoing_.empty()) return;
   lock.unlock();
-  // Every peer on the full encoding (reference mode, first round, mass
-  // resync): broadcast() serializes it once, per-peer send() per call.
+  // Every peer shares one payload (reference mode, first round, mass
+  // resync, or one delta base for all): broadcast() serializes it once,
+  // per-peer send() per call. Peers on different bases never share one.
   const bool broadcast =
       outgoing_.size() == peers_.size() &&
       std::all_of(outgoing_.begin(), outgoing_.end(),
-                  [](const core::Outgoing& q) { return q.full != nullptr; });
+                  [&](const core::Outgoing& q) {
+                    return q.query == outgoing_.front().query;
+                  });
   for (const core::Outgoing& q : outgoing_) {
-    const WireMessage& msg = q.full ? *q.full : q.delta;
-    const auto bytes = wire_size(std::get<core::QueryMessage>(msg));
-    (q.full ? full_queries_sent_ : delta_queries_sent_)->add(1);
+    const WireMessage& msg = *q.query;
+    const auto& query = std::get<core::QueryMessage>(msg);
+    const auto bytes = wire_size(query);
+    (query.is_delta() ? delta_queries_sent_ : full_queries_sent_)->add(1);
     query_bytes_sent_->add(bytes);
     // Stamped before the send: a peer on the same clock may stamp its rx
     // before send() even returns.
@@ -117,7 +121,7 @@ void RealTimeDetector::transmit(std::unique_lock<std::mutex>& lock) {
           static_cast<std::uint32_t>(bytes));
     if (!broadcast) transport_.send(q.to, msg);
   }
-  if (broadcast) transport_.broadcast(*outgoing_.front().full);
+  if (broadcast) transport_.broadcast(*outgoing_.front().query);
   outgoing_.clear();
   lock.lock();
 }

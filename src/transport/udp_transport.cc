@@ -13,6 +13,7 @@
 #include <system_error>
 
 #include "common/log.h"
+#include "transport/codec.h"
 
 namespace mmrfd::transport {
 
@@ -32,12 +33,11 @@ constexpr std::size_t kRecvBatch = 16;
 constexpr std::size_t kRecvBatch = 1;
 #endif
 
-/// One receive slot must hold the largest protocol datagram: a full query
-/// carries at most 2n tagged entries (12 bytes each) plus envelope/epoch
-/// headers.
+/// One receive slot must hold the largest protocol datagram, which the
+/// codec bounds.
 std::size_t slot_size(std::uint32_t n) {
-  return std::clamp<std::size_t>(96 + 24 * static_cast<std::size_t>(n),
-                                 std::size_t{2048}, std::size_t{64 * 1024});
+  return std::clamp<std::size_t>(max_query_wire_size(n), std::size_t{2048},
+                                 std::size_t{64 * 1024});
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -55,8 +56,7 @@ struct Harness {
     now = at;
     sent.clear();
     driver.on_deadline(now, peers, [this](Outgoing&& q) {
-      last_query[q.to.value] = std::get<QueryMessage>(q.full ? *q.full
-                                                             : q.delta);
+      last_query[q.to.value] = std::get<QueryMessage>(*q.query);
       sent.push_back(std::move(q));
     });
   }
@@ -93,7 +93,21 @@ struct Harness {
     for (const Outgoing& q : sent) out.push_back(q.to.value);
     return out;
   }
+
+  /// The payload the last fire() sent to `peer` (null: none).
+  [[nodiscard]] std::shared_ptr<const Message> payload(
+      std::uint32_t peer) const {
+    for (const Outgoing& q : sent) {
+      if (q.to.value == peer) return q.query;
+    }
+    ADD_FAILURE() << "nothing sent to p" << peer;
+    return nullptr;
+  }
 };
+
+const QueryMessage& query_of(const Outgoing& q) {
+  return std::get<QueryMessage>(*q.query);
+}
 
 RoundDriverConfig timing(std::optional<Duration> resend) {
   RoundDriverConfig c;
@@ -129,17 +143,15 @@ TEST(RoundDriver, ResendsCarryTheFullEncodingAndStopAtQuorum) {
   h.next_round();   // round 3: p1 and p2 get deltas
   for (const Outgoing& q : h.sent) {
     if (q.to.value != 3) {
-      EXPECT_EQ(q.full, nullptr);
-      EXPECT_TRUE(std::get<QueryMessage>(q.delta).is_delta());
+      EXPECT_TRUE(query_of(q).is_delta());
     }
   }
   h.answer(1);
 
   h.fire();  // a wave to p2 and p3: one shared full payload
   ASSERT_EQ(h.targets(), (std::vector<std::uint32_t>{2, 3}));
-  ASSERT_NE(h.sent[0].full, nullptr);
-  EXPECT_EQ(h.sent[0].full, h.sent[1].full);
-  EXPECT_FALSE(std::get<QueryMessage>(*h.sent[0].full).is_delta());
+  EXPECT_EQ(h.sent[0].query, h.sent[1].query);
+  EXPECT_FALSE(query_of(h.sent[0]).is_delta());
 
   EXPECT_TRUE(h.answer(2));  // quorum
   const QuerySeq seq = h.driver.core().query_seq();
@@ -159,7 +171,8 @@ TEST(RoundDriver, FanOutSharesOneFullPayloadInAdapterOrder) {
              ProcessId{3}};
   h.fire();  // round 1: nothing acknowledged, everyone shares one payload
   EXPECT_EQ(h.targets(), (std::vector<std::uint32_t>{4, 2, 5, 1, 3}));
-  for (const Outgoing& q : h.sent) EXPECT_EQ(q.full, h.sent[0].full);
+  EXPECT_FALSE(query_of(h.sent[0]).is_delta());
+  for (const Outgoing& q : h.sent) EXPECT_EQ(q.query, h.sent[0].query);
   for (int r = 0; r < 3; ++r) {
     for (const std::uint32_t p : {1u, 2u}) h.answer(p);
     for (const std::uint32_t p : {3u, 4u}) h.answer(p, /*ack=*/false);
@@ -169,10 +182,46 @@ TEST(RoundDriver, FanOutSharesOneFullPayloadInAdapterOrder) {
   // Round 4: p5 skipped, the rest in the adapter's order.
   ASSERT_FALSE(h.driver.core().should_query(ProcessId{5}));
   ASSERT_EQ(h.targets(), (std::vector<std::uint32_t>{4, 2, 1, 3}));
-  ASSERT_NE(h.sent[0].full, nullptr);
-  EXPECT_EQ(h.sent[0].full, h.sent[3].full);  // p4 and p3
-  EXPECT_EQ(h.sent[1].full, nullptr);         // p2: delta
-  EXPECT_EQ(h.sent[2].full, nullptr);         // p1: delta
+  EXPECT_FALSE(query_of(h.sent[0]).is_delta());
+  EXPECT_EQ(h.sent[0].query, h.sent[3].query);  // p4 and p3
+  EXPECT_TRUE(query_of(h.sent[1]).is_delta());  // p2: delta
+  EXPECT_TRUE(query_of(h.sent[2]).is_delta());  // p1: delta
+}
+
+TEST(RoundDriver, PeersOnOneAckedEpochShareOneDeltaOthersGetTheirOwnBase) {
+  // n = 6, f = 2: quorum 4. Round 1 is all full; p5's silence raises the
+  // state epoch. In round 2 p1..p3 acknowledge it and p4 falls silent,
+  // raising the epoch again. In round 3 p3 answers without acknowledging,
+  // so round 4 has two delta bases: p3's, and that of p1, p2 and p4.
+  Harness h(6, 2, timing(std::nullopt));
+  h.fire();
+  for (const std::uint32_t p : {1u, 2u, 3u, 4u}) h.answer(p);
+  h.next_round();  // round 2, at once: p5 newly suspected
+  for (const std::uint32_t p : {1u, 2u, 3u}) h.answer(p);
+  h.next_round();  // round 3, at once: p4 newly suspected
+  const Epoch round2 = h.driver.core().acked_epoch(ProcessId{1});
+  ASSERT_NE(round2, 0u);
+  ASSERT_EQ(h.driver.core().acked_epoch(ProcessId{3}), round2);
+  // Three peers on one base share one delta; p4 gets the full encoding.
+  EXPECT_EQ(h.payload(1), h.payload(2));
+  EXPECT_EQ(h.payload(1), h.payload(3));
+  EXPECT_TRUE(h.last_query.at(1).is_delta());
+  EXPECT_EQ(h.last_query.at(1).base_epoch, round2);
+  EXPECT_FALSE(h.last_query.at(4).is_delta());
+  for (const std::uint32_t p : {1u, 2u}) h.answer(p);
+  h.answer(3, /*ack=*/false);
+  h.answer(4);
+
+  h.next_round();  // round 4
+  const Epoch round3 = h.driver.core().acked_epoch(ProcessId{1});
+  ASSERT_GT(round3, round2);
+  ASSERT_EQ(h.driver.core().acked_epoch(ProcessId{3}), round2);
+  EXPECT_EQ(h.payload(1), h.payload(2));
+  EXPECT_EQ(h.payload(1), h.payload(4));
+  EXPECT_EQ(h.last_query.at(1).base_epoch, round3);
+  EXPECT_NE(h.payload(3), h.payload(1));
+  EXPECT_TRUE(h.last_query.at(3).is_delta());
+  EXPECT_EQ(h.last_query.at(3).base_epoch, round2);
 }
 
 TEST(RoundDriver, QuorumOfOneTerminatesAtIssue) {
@@ -251,8 +300,7 @@ TEST(RoundDriver, LateWaveReachesSilentUnsuspectedPeersHalfwayThroughGrace) {
   h.fire();  // the late wave: p4 only, never the suspected p5 or p6
   EXPECT_EQ(h.now, quorum + from_millis(25));
   ASSERT_EQ(h.targets(), (std::vector<std::uint32_t>{4}));
-  ASSERT_NE(h.sent[0].full, nullptr);
-  EXPECT_FALSE(std::get<QueryMessage>(*h.sent[0].full).is_delta());
+  EXPECT_FALSE(query_of(h.sent[0]).is_delta());
   EXPECT_EQ(h.count("resend_waves"), waves + 1);
   EXPECT_EQ(*h.driver.deadline(), quorum + from_millis(50));
 

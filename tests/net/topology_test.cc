@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace mmrfd::net {
 namespace {
 
@@ -14,6 +18,29 @@ TEST(Topology, FullMeshDegrees) {
     EXPECT_FALSE(t.are_neighbors(ProcessId{i}, ProcessId{i}));
   }
   EXPECT_TRUE(t.are_neighbors(ProcessId{0}, ProcessId{5}));
+}
+
+TEST(Topology, FullMatchesTheEdgeListOfAllPairs) {
+  for (const std::uint32_t n : {1u, 2u, 5u, 64u}) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (std::uint32_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
+    }
+    const auto full = Topology::full(n);
+    const auto reference = Topology::from_edges(n, pairs);
+    EXPECT_EQ(full.min_degree(), reference.min_degree()) << "n=" << n;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto got = full.neighbors(ProcessId{i});
+      const auto want = reference.neighbors(ProcessId{i});
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "n=" << n << " id=" << i;
+      for (std::uint32_t j = 0; j < n; ++j) {
+        EXPECT_EQ(full.are_neighbors(ProcessId{i}, ProcessId{j}),
+                  reference.are_neighbors(ProcessId{i}, ProcessId{j}))
+            << "n=" << n << " " << i << "-" << j;
+      }
+    }
+  }
 }
 
 TEST(Topology, RingDegreesAndAdjacency) {

@@ -214,37 +214,65 @@ TEST(MmrCluster, GoldenDigestPinnedAcrossRefactors) {
   }
 }
 
+/// The first golden scenario (n = 8, f = 2, seed 77, two crashes, 15 s)
+/// in one encoding, every send measured by `size`.
+net::NetworkStats golden_wire_run(bool delta, MmrNetwork::SizeFn size) {
+  auto cfg = base_config(8, 2, 77);
+  cfg.delay_preset = net::DelayPreset::kExponential;
+  cfg.delta_queries = delta;
+  MmrCluster cluster(cfg);
+  cluster.network().set_size_fn(std::move(size));
+  const auto plan =
+      CrashPlan::uniform(2, 8, from_seconds(1), from_seconds(5), cfg.seed);
+  cluster.start(plan);
+  cluster.run_for(from_seconds(15));
+  return cluster.network().stats();
+}
+
+std::size_t message_wire_size(const MmrMessage& m) {
+  return std::visit([](const auto& msg) { return transport::wire_size(msg); },
+                    m);
+}
+
 TEST(MmrCluster, GoldenDeltaWireBytesPinned) {
   // Pins the delta schedule's *wire cost* alongside the state digest: a
   // future PR that silently grows the delta encoding (or breaks watermark
   // advancement, degrading every query to the full fallback) moves these
   // numbers even though the state digest stays put. Bytes are exact for a
   // fixed seed — wire_size is a pure function of the messages sent.
-  auto run_bytes = [](bool delta) {
-    auto cfg = base_config(8, 2, 77);
-    cfg.delay_preset = net::DelayPreset::kExponential;
-    cfg.delta_queries = delta;
-    MmrCluster cluster(cfg);
-    cluster.network().set_size_fn([](const MmrMessage& m) {
-      return std::visit(
-          [](const auto& msg) { return transport::wire_size(msg); }, m);
-    });
-    const auto plan =
-        CrashPlan::uniform(2, 8, from_seconds(1), from_seconds(5), cfg.seed);
-    cluster.start(plan);
-    cluster.run_for(from_seconds(15));
-    return cluster.network().stats().bytes_sent;
-  };
-  const auto full_bytes = run_bytes(false);
-  const auto delta_bytes = run_bytes(true);
+  const auto full_bytes = golden_wire_run(false, message_wire_size).bytes_sent;
+  const auto delta_bytes = golden_wire_run(true, message_wire_size).bytes_sent;
   // Recapture both constants together if the wire format changes on purpose.
   // Recaptured with the give-up-policy schedule change (fewer queries to
   // settled-suspected peers after the crash window — see the golden-digest
-  // comments above), and again with the grace split; the wire format
-  // itself is unchanged.
-  EXPECT_EQ(full_bytes, 283514u);
-  EXPECT_EQ(delta_bytes, 212009u);
+  // comments above), again with the grace split, and with the LEB128
+  // format (varint headers and entries, id gaps), which took them from
+  // 283,514 and 212,009 bytes.
+  EXPECT_EQ(full_bytes, 101833u);
+  EXPECT_EQ(delta_bytes, 100448u);
   EXPECT_LT(delta_bytes, full_bytes);
+}
+
+TEST(MmrCluster, SizeHookCountsTheEncodedBytesOfEverySend) {
+  // Every wire-byte figure (the golden above, BENCH_scale rows, the
+  // benchmark) is wire_size at the size hook, never an encoder's output:
+  // it is only as honest as this equality, checked on every message of
+  // the golden run in both encodings.
+  for (const bool delta : {false, true}) {
+    std::uint64_t checked = 0;
+    std::uint64_t mismatches = 0;
+    const auto stats = golden_wire_run(delta, [&](const MmrMessage& m) {
+      const std::size_t size = message_wire_size(m);
+      // The envelope's sender is fixed-width: any id gives the same size.
+      if (transport::encode_envelope(ProcessId{0}, m).size() != size) {
+        ++mismatches;
+      }
+      ++checked;
+      return size;
+    });
+    EXPECT_EQ(checked, stats.messages_sent) << "delta=" << delta;
+    EXPECT_EQ(mismatches, 0u) << "delta=" << delta;
+  }
 }
 
 TEST(MmrCluster, EveryObserverDetectsWithinEightTenthsOfAPause) {

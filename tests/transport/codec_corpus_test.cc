@@ -20,8 +20,9 @@ namespace mmrfd::transport {
 namespace {
 
 /// A small corpus of well-formed envelopes covering every encoder branch:
-/// full and delta queries, empty and populated entry lists, responses with
-/// and without acks, need_full set and clear.
+/// full and delta queries, empty and populated entry lists, single- and
+/// multi-byte varints, responses with and without acks, need_full set and
+/// clear.
 std::vector<std::vector<std::uint8_t>> corpus() {
   std::vector<std::vector<std::uint8_t>> out;
 
@@ -43,6 +44,21 @@ std::vector<std::vector<std::uint8_t>> corpus() {
   core::QueryMessage empty;
   empty.seq = 1;
   out.push_back(encode_envelope(ProcessId{5}, WireMessage{empty}));
+
+  // Multi-byte varints in every field: 2-10 byte seq, epochs and tags, and
+  // id gaps of 2-5 bytes, including one that wraps mod 2^32.
+  core::QueryMessage wide;
+  wide.seq = (std::uint64_t{1} << 40) + 3;
+  wide.epoch = 300;
+  wide.base_epoch = 200;
+  wide.set_delta(true);
+  wide.entries = {{ProcessId{129}, 1u << 14},
+                  {ProcessId{70000}, ~std::uint64_t{0}},
+                  {ProcessId{0xFFFFFFFFu}, 128},
+                  {ProcessId{40000}, std::uint64_t{1} << 35},
+                  {ProcessId{5}, 0}};
+  wide.suspected_count = 3;
+  out.push_back(encode_envelope(ProcessId{999}, WireMessage{wide}));
 
   core::ResponseMessage ack;
   ack.seq = 7;
@@ -126,27 +142,33 @@ TEST(CodecCorpus, RandomGarbageNeverTripsTheDecoder) {
 }
 
 TEST(CodecCorpus, LyingEntryCountIsRejectedWithoutAllocating) {
-  // Regression for the entries() bound: a count field claiming more entries
-  // than the *remaining* bytes can hold must be rejected before reserve()
-  // is driven by it. (The old bound compared against the whole datagram,
-  // so a count that re-counted the already-consumed header slipped past.)
-  Encoder e;
-  e.u32(0xFFFFFFFFu);  // count
-  const auto buf = e.take();
-  Decoder d(buf);
-  EXPECT_FALSE(d.entries().has_value());
+  // Regression for decode_query's entry-count bound: a total claiming more
+  // entries than the *remaining* bytes can hold (each takes at least 2)
+  // must be rejected before reserve() is driven by it. Unbounded, these
+  // totals would ask for 64 GiB and more than max_size().
+  const auto query = [](std::uint64_t total, std::size_t entry_bytes) {
+    Encoder e;
+    e.uvarint(1);  // seq
+    e.u8(0);       // flags
+    e.uvarint(0);  // suspected_count
+    e.uvarint(total);
+    for (std::size_t i = 0; i < entry_bytes; ++i) e.u8(1);
+    return e.take();
+  };
+  for (const std::uint64_t total : {std::uint64_t{0xFFFFFFFFu},
+                                    ~std::uint64_t{0}}) {
+    const auto buf = query(total, 64);
+    Decoder d(buf);
+    EXPECT_FALSE(decode_query(d).has_value()) << total;
+  }
 
-  // Borderline case: count consistent with buffer-minus-header but not with
-  // the remaining bytes after the cursor.
-  Encoder e2;
-  e2.u64(0);  // 8 bytes of "header" the cursor has already consumed
-  e2.u32(1);  // one entry claimed ...
-  e2.u32(7);  // ... but only 8 bytes follow, not 12
-  e2.u32(7);
-  const auto buf2 = e2.take();
-  Decoder d2(buf2);
-  ASSERT_TRUE(d2.u64().has_value());
-  EXPECT_FALSE(d2.entries().has_value());
+  // Borderline: a total consistent with the whole buffer, header included,
+  // but not with the bytes after the cursor (4 header bytes + 7 entry
+  // bytes would hold 5 entries; the 7 alone hold 3).
+  const auto buf = query(5, 7);
+  ASSERT_EQ(buf.size() / 2, 5u);
+  Decoder d(buf);
+  EXPECT_FALSE(decode_query(d).has_value());
 }
 
 TEST(CodecCorpus, OversizedVarintIsRejected) {

@@ -74,6 +74,130 @@ TEST(Codec, WireSizeMatchesEncodedSize) {
   EXPECT_EQ(encode_envelope(ProcessId{0}, r).size(), wire_size(r));
 }
 
+TEST(Codec, QueryLayoutIsPinned) {
+  // [u32 sender][u8 type][uvarint seq][u8 flags][uvarint suspected_count]
+  // [uvarint total] then (id gap, tag) pairs; the mistakes section's ids
+  // restart from 0.
+  const std::vector<std::uint8_t> expected = {
+      0x09, 0x00, 0x00, 0x00, 0x01,                    // sender 9, query
+      0x88, 0xef, 0x99, 0xab, 0xc5, 0xe8, 0x8c, 0x91,  // seq 0x1122...88
+      0x11,                                            //   (9 bytes)
+      0x00,                                            // flags: full
+      0x02, 0x03,                                      // 2 suspected of 3
+      0x01, 0x07,                                      // p1, tag 7
+      0x02, 0x63,                                      // p3 (1 + 2), tag 99
+      0x02, 0x32};                                     // mistake p2, tag 50
+  EXPECT_EQ(encode_envelope(ProcessId{9}, sample_query()), expected);
+  EXPECT_EQ(wire_size(sample_query()), expected.size());
+}
+
+TEST(Codec, ExtremeValuesRoundTripAtTheirWireSize) {
+  constexpr std::uint32_t kMaxId = 0xFFFFFFFFu;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  core::QueryMessage q;
+  q.seq = kMax;
+  q.epoch = kMax;
+  q.base_epoch = kMax;
+  q.set_delta(true);
+  q.push_suspected({ProcessId{0}, kMax});
+  q.push_suspected({ProcessId{kMaxId}, 0});
+  q.push_mistake({ProcessId{kMaxId}, kMax});
+  q.push_mistake({ProcessId{0}, 0});  // a gap that wraps mod 2^32
+  const auto datagram = encode_envelope(ProcessId{kMaxId}, q);
+  EXPECT_EQ(datagram.size(), wire_size(q));
+  const auto out = decode_envelope(datagram);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->sender, ProcessId{kMaxId});
+  EXPECT_EQ(std::get<core::QueryMessage>(out->message), q);
+
+  core::ResponseMessage r;
+  r.seq = kMax;
+  r.ack_epoch = kMax;
+  r.origin_seq = kMax;
+  r.need_full = true;
+  const auto response = encode_envelope(ProcessId{0}, r);
+  EXPECT_EQ(response.size(), wire_size(r));
+  const auto back = decode_envelope(response);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(std::get<core::ResponseMessage>(back->message), r);
+}
+
+TEST(Codec, UnsortedIdsRoundTripExactly) {
+  // The cores send sorted sets, but the gap coding must not rely on it:
+  // descending ids, repeats, and a mistakes section whose first id lies
+  // below the last suspected id all come back in their order.
+  core::QueryMessage q;
+  q.seq = 3;
+  q.push_suspected({ProcessId{900}, 4});
+  q.push_suspected({ProcessId{17}, 5});
+  q.push_suspected({ProcessId{17}, 6});
+  q.push_suspected({ProcessId{999}, 7});
+  q.push_mistake({ProcessId{2}, 8});
+  q.push_mistake({ProcessId{1}, 9});
+  const auto datagram = encode_envelope(ProcessId{1}, q);
+  EXPECT_EQ(datagram.size(), wire_size(q));
+  const auto out = decode_envelope(datagram);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(std::get<core::QueryMessage>(out->message), q);
+}
+
+TEST(Codec, GapAboveTheIdRangeRejected) {
+  const auto datagram = [](std::uint64_t gap) {
+    Encoder e;
+    e.u32(0);  // sender
+    e.u8(1);   // query
+    e.uvarint(1);  // seq
+    e.u8(0);       // flags
+    e.uvarint(1);  // one suspected
+    e.uvarint(1);  // of one entry
+    e.uvarint(gap);
+    e.uvarint(1);  // tag
+    return e.take();
+  };
+  EXPECT_TRUE(decode_envelope(datagram(0xFFFFFFFFu)).has_value());
+  EXPECT_FALSE(decode_envelope(datagram(0x100000000u)).has_value());
+  EXPECT_FALSE(decode_envelope(datagram(~std::uint64_t{0})).has_value());
+}
+
+TEST(Codec, EntryCountAboveHalfTheRemainingBytesRejected) {
+  // Every entry takes at least 2 bytes: total = 3 needs 6 of them.
+  const auto datagram = [](std::size_t entry_bytes) {
+    Encoder e;
+    e.u32(0);      // sender
+    e.u8(1);       // query
+    e.uvarint(1);  // seq
+    e.u8(0);       // flags
+    e.uvarint(0);  // no suspicions
+    e.uvarint(3);  // three mistakes
+    for (std::size_t i = 0; i < entry_bytes; ++i) e.u8(1);
+    return e.take();
+  };
+  EXPECT_FALSE(decode_envelope(datagram(5)).has_value());
+  const auto out = decode_envelope(datagram(6));
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(std::get<core::QueryMessage>(out->message).mistakes().size(), 3u);
+}
+
+TEST(Codec, LargestQueryFitsTheDatagramBound) {
+  // 2n entries at their worst case: 5-byte gaps (each id 0x90000000 past
+  // the last, mod 2^32) and 10-byte tags, under maximal seq and epochs.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint32_t n : {1u, 16u, 1000u}) {
+    core::QueryMessage q;
+    q.seq = kMax;
+    q.epoch = kMax;
+    q.base_epoch = kMax;
+    q.set_delta(true);
+    for (std::uint32_t i = 1; i <= 2 * n; ++i) {
+      q.push_suspected({ProcessId{i * 0x90000000u}, kMax});
+    }
+    EXPECT_EQ(encode_envelope(ProcessId{0}, q).size(), wire_size(q));
+    EXPECT_LE(wire_size(q), max_query_wire_size(n)) << "n=" << n;
+    // Every entry and header field is at its maximum: the bound is tight.
+    EXPECT_EQ(wire_size(q), max_query_wire_size(n)) << "n=" << n;
+  }
+}
+
 TEST(Codec, TruncatedInputRejected) {
   const auto datagram = encode_envelope(ProcessId{0}, sample_query());
   for (std::size_t cut = 0; cut < datagram.size(); ++cut) {
@@ -95,10 +219,12 @@ TEST(Codec, UnknownTypeRejected) {
 
 TEST(Codec, LyingLengthPrefixRejected) {
   Encoder e;
-  e.u32(0);           // sender
-  e.u8(1);            // query
-  e.u64(1);           // seq
-  e.u32(0xFFFFFFFF);  // claims 4 billion suspected entries
+  e.u32(0);               // sender
+  e.u8(1);                // query
+  e.uvarint(1);           // seq
+  e.u8(0);                // flags
+  e.uvarint(0);           // suspected_count
+  e.uvarint(0xFFFFFFFF);  // total: claims 4 billion entries
   const auto bytes = e.take();
   EXPECT_FALSE(decode_envelope(bytes).has_value());
 }
@@ -150,9 +276,10 @@ TEST(Codec, EmptyDeltaRoundTrip) {
   EXPECT_TRUE(back.is_delta());
   EXPECT_TRUE(back.suspected().empty());
   EXPECT_TRUE(back.mistakes().empty());
-  // Compactness: envelope 5 + seq 8 + flags 1 + two 1-byte varints + two
-  // u32 counts = 24 bytes, independent of how large the interned set is.
-  EXPECT_EQ(datagram.size(), 24u);
+  // Compactness: envelope 5 + flags 1 + five 1-byte varints (seq, epoch,
+  // base, both counts) = 11 bytes, independent of how large the interned
+  // set is.
+  EXPECT_EQ(datagram.size(), 11u);
 }
 
 TEST(Codec, ResponseAckRoundTrip) {
@@ -178,10 +305,12 @@ TEST(Codec, WireSizeMatchesEncodedSizeForDeltaForms) {
 }
 
 TEST(Codec, UvarintEdgeValues) {
-  for (const std::uint64_t v :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{127},
-        std::uint64_t{128}, std::uint64_t{16383}, std::uint64_t{16384},
-        std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+  std::vector<std::uint64_t> values = {0, 127, 128, 16383, 16384};
+  for (int bits = 0; bits < 64; ++bits) {  // every encoded length's edges
+    const std::uint64_t top = std::uint64_t{1} << bits;
+    values.insert(values.end(), {top, top - 1, top | (top - 1)});
+  }
+  for (const std::uint64_t v : values) {
     Encoder e;
     e.uvarint(v);
     const auto bytes = e.take();
@@ -223,12 +352,20 @@ TEST(Codec, LyingSuspectedSplitRejected) {
   Encoder e;
   e.u32(0);  // sender
   e.u8(1);   // query
-  e.u64(q.seq);
-  e.u8(0);   // flags
-  e.u32(5);  // claims 5 suspected...
-  e.entries(q.entries);  // ...but carries 1 entry
+  e.uvarint(q.seq);
+  e.u8(0);       // flags
+  e.uvarint(5);  // claims 5 suspected...
+  e.uvarint(1);  // ...but carries 1 entry
+  e.uvarint(q.entries[0].id.value);
+  e.uvarint(q.entries[0].tag);
   const auto bytes = e.take();
   EXPECT_FALSE(decode_envelope(bytes).has_value());
+  // The same datagram with an honest split decodes to q.
+  auto honest = bytes;
+  honest[7] = 1;
+  const auto out = decode_envelope(honest);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(std::get<core::QueryMessage>(out->message), q);
 }
 
 TEST(Codec, FuzzRoundTripRandomDeltas) {
