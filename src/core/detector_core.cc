@@ -375,19 +375,21 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
     }
   }
 
-  // Observer transitions for the set diff: event logs must track what the
-  // node now (wrongly) believes — the stabilization checker feeds off them.
-  if (observer_ != nullptr) {
-    for (std::uint32_t i = 0; i < config_.n; ++i) {
-      const ProcessId id{i};
-      if (old_kind[i] == 1 && dense_kind_[i] != 1) {
-        observer_->on_cleared(id, dense_tag_[i]);
-      } else if (old_kind[i] != 1 && dense_kind_[i] == 1) {
-        observer_->on_suspected(id, dense_tag_[i]);
-      }
-      if (old_kind[i] != 2 && dense_kind_[i] == 2) {
-        observer_->on_mistake(id, dense_tag_[i]);
-      }
+  // Transitions for the set diff, traced and observed in one order: event
+  // logs and the recorder's suspicion history must track what the node now
+  // (wrongly) believes — the stabilization checker feeds off them.
+  for (std::uint32_t i = 0; i < config_.n; ++i) {
+    const ProcessId id{i};
+    const Tag tag = dense_tag_[i];
+    if (old_kind[i] == 1 && dense_kind_[i] != 1) {
+      trace(obs::TraceKind::kSuspectDrop, i, static_cast<std::uint32_t>(tag));
+      if (observer_ != nullptr) observer_->on_cleared(id, tag);
+    } else if (old_kind[i] != 1 && dense_kind_[i] == 1) {
+      trace(obs::TraceKind::kSuspectAdd, i, static_cast<std::uint32_t>(tag));
+      if (observer_ != nullptr) observer_->on_suspected(id, tag);
+    }
+    if (observer_ != nullptr && old_kind[i] != 2 && dense_kind_[i] == 2) {
+      observer_->on_mistake(id, tag);
     }
   }
 }

@@ -240,8 +240,10 @@ class DetectorCore final : public FailureDetector {
   /// produces), the round counter shifted, the change journal reset to an
   /// arbitrary epoch, the per-peer ack/seen watermarks overwritten and the
   /// give-up streaks rewritten.
-  /// Observer transitions are fired for the set diff so event logs track
-  /// what the node now (wrongly) believes. Deterministic per seed.
+  /// The set diff is traced (kSuspectAdd/kSuspectDrop) and fired at the
+  /// observer in one order, so event logs and the recorder's suspicion
+  /// history track what the node now (wrongly) believes. Deterministic per
+  /// seed.
   /// The sweeps assert the cluster re-converges afterwards.
   void inject_transient_corruption(std::uint64_t seed);
 

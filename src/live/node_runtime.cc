@@ -8,16 +8,13 @@
 #include <cstring>
 #include <cstdint>
 #include <iostream>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/argparse.h"
-#include "core/failure_detector.h"
 #include "live/report.h"
-#include "metrics/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "transport/faulty_transport.h"
@@ -56,42 +53,6 @@ void on_fatal_signal(int sig) {
   std::signal(sig, SIG_DFL);
   ::raise(sig);
 }
-
-/// Collects suspicion transitions stamped with wall-clock ns since the run
-/// origin. Callbacks arrive with the detector mutex held; this observer
-/// only touches its own lock and never calls back into the detector.
-class RecordingObserver final : public core::SuspicionObserver {
- public:
-  explicit RecordingObserver(std::uint64_t origin_ns) : origin_ns_(origin_ns) {}
-
-  void on_suspected(ProcessId subject, Tag tag) override {
-    add(subject, metrics::SuspicionEventKind::kSuspected, tag);
-  }
-  void on_cleared(ProcessId subject, Tag tag) override {
-    add(subject, metrics::SuspicionEventKind::kCleared, tag);
-  }
-  void on_mistake(ProcessId subject, Tag tag) override {
-    add(subject, metrics::SuspicionEventKind::kMistake, tag);
-  }
-
-  [[nodiscard]] std::vector<ReportEvent> snapshot() const {
-    std::lock_guard lock(mutex_);
-    return events_;
-  }
-
- private:
-  void add(ProcessId subject, metrics::SuspicionEventKind kind, Tag tag) {
-    const std::uint64_t now = wall_clock_ns();
-    std::lock_guard lock(mutex_);
-    events_.push_back(ReportEvent{now > origin_ns_ ? now - origin_ns_ : 0,
-                                  subject.value,
-                                  static_cast<std::uint8_t>(kind), tag});
-  }
-
-  std::uint64_t origin_ns_;
-  mutable std::mutex mutex_;
-  std::vector<ReportEvent> events_;
-};
 
 }  // namespace
 
@@ -141,6 +102,19 @@ int node_main(int argc, const char* const* argv) {
               << " resend-ms=" << resend_ms << ")\n";
     return 2;
   }
+  // Node i binds base-port + i, so the whole range must be a valid port
+  // range; a crash dump of a ring above kMaxCapacity would not load.
+  const auto base_port = args.get_int("base-port");
+  const auto trace_cap = args.get_int("trace-cap");
+  if (base_port < 1 || base_port + n - 1 > 65535 || trace_cap < 0 ||
+      static_cast<std::uint64_t>(trace_cap) >
+          obs::FlightRecorder::kMaxCapacity) {
+    std::cerr << "mmrfd-node: need 1 <= base-port, base-port + n - 1 <= "
+              << "65535, 0 <= trace-cap <= "
+              << obs::FlightRecorder::kMaxCapacity << " (got base-port="
+              << base_port << " trace-cap=" << trace_cap << ")\n";
+    return 2;
+  }
   const std::string report_path = args.get("report");
   const std::uint64_t origin_ns =
       args.get_int("origin-ns") > 0
@@ -158,8 +132,7 @@ int node_main(int argc, const char* const* argv) {
   // flight recorder the detector layers trace into. Both are dumped on
   // demand (SIGUSR1) and embedded in every NodeReport snapshot.
   obs::MetricsRegistry registry;
-  obs::FlightRecorder recorder(
-      static_cast<std::size_t>(args.get_int("trace-cap")));
+  obs::FlightRecorder recorder(static_cast<std::size_t>(trace_cap));
   if (!report_path.empty()) {
     const std::string crash_trace = report_path + ".crash.trace";
     if (crash_trace.size() < sizeof(g_crash_trace_path)) {
@@ -172,7 +145,7 @@ int node_main(int argc, const char* const* argv) {
   transport::UdpConfig ucfg;
   ucfg.self = ProcessId{self};
   ucfg.n = n;
-  ucfg.base_port = static_cast<std::uint16_t>(args.get_int("base-port"));
+  ucfg.base_port = static_cast<std::uint16_t>(base_port);
   ucfg.socket_buffer_bytes =
       static_cast<std::uint32_t>(args.get_int("rcvbuf"));
   ucfg.registry = &registry;
@@ -215,8 +188,6 @@ int node_main(int argc, const char* const* argv) {
   rcfg.registry = &registry;
   rcfg.recorder = &recorder;
   transport::RealTimeDetector detector(typed, rcfg);
-  RecordingObserver observer(origin_ns);
-  detector.set_observer(&observer);
 
   try {
     detector.start();
@@ -241,7 +212,13 @@ int node_main(int argc, const char* const* argv) {
     for (const ProcessId id : detector.suspected()) {
       r.suspected.push_back(id.value);
     }
-    r.events = observer.snapshot();
+    // The suspicion history is the recorder's never-wrapping section,
+    // stamped on the same system clock as origin_ns.
+    for (const obs::TraceRecord& t : recorder.suspicions()) {
+      const std::uint8_t kind = t.kind == obs::TraceKind::kSuspectAdd ? 0 : 1;
+      r.events.push_back(ReportEvent{
+          t.t_ns > origin_ns ? t.t_ns - origin_ns : 0, t.a, kind, t.b});
+    }
     if (!write_report_file(r, report_path)) {
       std::cerr << "mmrfd-node " << self << ": cannot write report "
                 << report_path << "\n";

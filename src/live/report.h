@@ -23,12 +23,14 @@
 namespace mmrfd::live {
 
 /// One suspicion transition observed by a node. `kind` mirrors
-/// metrics::SuspicionEventKind (0 suspected, 1 cleared, 2 mistake).
+/// metrics::SuspicionEventKind (0 suspected, 1 cleared, 2 mistake); on the
+/// live path mmrfd-node copies them from its flight recorder's
+/// suspicion section, so they carry kinds 0/1 only and a 32-bit tag.
 struct ReportEvent {
   std::uint64_t when_ns{0};  ///< ns since the run origin
   std::uint32_t subject{0};
   std::uint8_t kind{0};
-  std::uint64_t tag{0};
+  std::uint64_t tag{0};  ///< live: the tag's low 32 bits
 
   friend bool operator==(const ReportEvent&, const ReportEvent&) = default;
 };

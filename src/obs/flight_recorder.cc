@@ -89,6 +89,9 @@ void FlightRecorder::record(TraceKind kind, std::uint32_t a,
   slot.a = a;
   slot.b = b;
   slot.kind = kind;
+  if (kind == TraceKind::kSuspectAdd || kind == TraceKind::kSuspectDrop) {
+    suspicions_.push_back(slot);
+  }
   ++total_;
 }
 
@@ -103,6 +106,11 @@ std::vector<TraceRecord> FlightRecorder::snapshot() const {
     out.push_back(ring_[s % ring_.size()]);
   }
   return out;
+}
+
+std::vector<TraceRecord> FlightRecorder::suspicions() const {
+  std::lock_guard lock(mutex_);
+  return suspicions_;
 }
 
 std::uint64_t FlightRecorder::recorded() const {

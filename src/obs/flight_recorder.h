@@ -1,13 +1,16 @@
 // Flight recorder: a fixed-size ring of compact binary trace records for
-// post-hoc "what did this node actually do" forensics.
+// post-hoc "what did this node actually do" forensics, plus a suspicion
+// section that never wraps: every kSuspectAdd/kSuspectDrop record is also
+// kept there, so the node's whole suspicion history survives the ring.
 //
-// Each record is 24 bytes — timestamp, monotone sequence number, two
-// 32-bit operands and a kind tag. The clock is pluggable so the same
-// recorder works stamped by simulated time inside a deterministic run and
-// by the wall clock inside a real process; recording never draws
-// randomness, never schedules events, and never allocates (the ring is
-// sized once at construction), so it is safe to wire through the
-// fixed-seed golden-digest paths.
+// Each record holds a timestamp, a monotone sequence number, two 32-bit
+// operands and a kind tag: 32 bytes in memory, 29 per record in a binary
+// dump. The clock is pluggable so the same recorder works stamped by
+// simulated time inside a deterministic run and by the wall clock inside a
+// real process. The ring is sized once at construction; only the
+// suspicion section grows. Recording never draws randomness and never
+// schedules events, so it is safe to wire through the fixed-seed
+// golden-digest paths.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +92,10 @@ class FlightRecorder {
   // ring wraps, the oldest records are the ones overwritten.
   std::vector<TraceRecord> snapshot() const;
 
+  // Every kSuspectAdd/kSuspectDrop record ever written, in seq order.
+  // Unlike snapshot(), never loses one to the ring wrapping.
+  std::vector<TraceRecord> suspicions() const;
+
   // Total records ever written (>= snapshot().size()).
   std::uint64_t recorded() const;
   std::size_t capacity() const { return ring_.size(); }
@@ -99,11 +106,13 @@ class FlightRecorder {
   // dump_text to `path` (truncate); returns false on I/O failure.
   bool dump_to_file(const std::string& path) const;
 
-  // Binary dump, ASYNC-SIGNAL-SAFE: no locks, no allocation, no iostream —
-  // only write(2) on an already-open fd. Intended for fatal-signal
-  // handlers, where a concurrently-writing recorder may leave one torn
-  // record in the ring; the loader drops records whose kind falls outside
-  // [1, kMaxTraceKind]. Layout (little-endian):
+  // Binary dump of the ring alone, ASYNC-SIGNAL-SAFE: no locks, no
+  // allocation, no iostream — only write(2) on an already-open fd. The
+  // suspicion section stays out: another thread may be reallocating it.
+  // Intended for fatal-signal handlers, where a concurrently-writing
+  // recorder may leave one torn record in the ring; the loader drops
+  // records whose kind falls outside [1, kMaxTraceKind]. Layout
+  // (little-endian):
   //   8-byte magic "MMRTRCB1", u64 total, u64 capacity,
   //   capacity x { u64 t_ns, u64 seq, u32 a, u32 b, u8 kind }
   // Returns false if any write(2) fails.
@@ -111,6 +120,10 @@ class FlightRecorder {
   // dump_binary_fd to `path` (truncate). Also lock-free — only call from
   // a quiescent recorder outside the signal path (tests, shutdown).
   bool dump_binary_to_file(const std::string& path) const;
+
+  // Largest ring capacity a binary-dump loader accepts (a bigger header
+  // claim is taken for corruption), so the largest ring worth recording.
+  static constexpr std::uint64_t kMaxCapacity = 1u << 26;
 
   // First bytes of every binary dump, so loaders can sniff the format.
   static constexpr char kBinaryMagic[8] = {'M', 'M', 'R', 'T',
@@ -120,6 +133,7 @@ class FlightRecorder {
   mutable std::mutex mutex_;
   TraceClock clock_;
   std::vector<TraceRecord> ring_;
+  std::vector<TraceRecord> suspicions_;
   std::uint64_t total_{0};
 };
 

@@ -451,7 +451,9 @@ std::optional<std::vector<TraceRecord>> load_binary(const std::string& data) {
   // record that made it out, but reject a capacity the header itself lies
   // about (bigger than the file could ever hold).
   const std::size_t stored = (data.size() - kHeader) / kRecord;
-  if (capacity > (1u << 26) || stored > capacity) return std::nullopt;
+  if (capacity > FlightRecorder::kMaxCapacity || stored > capacity) {
+    return std::nullopt;
+  }
   std::vector<TraceRecord> records;
   records.reserve(stored);
   for (std::size_t i = 0; i < stored; ++i) {
@@ -723,21 +725,26 @@ double ms(std::int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 }  // namespace
 
+void write_skew(std::ostream& out, const AssembledTrace& trace) {
+  if (trace.skew.empty()) return;
+  out << "clock skew (vs node " << trace.skew.front().node << "):\n";
+  for (const SkewEstimate& s : trace.skew) {
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "  node %-4u offset %+10.3f us  min-rtt %8.3f us  "
+                  "samples %zu%s\n",
+                  s.node, static_cast<double>(s.offset_ns) / 1e3,
+                  static_cast<double>(s.min_rtt_ns) / 1e3, s.samples,
+                  s.reachable ? "" : "  (UNREACHABLE — offset unknown)");
+    out << line;
+  }
+}
+
 void write_text(std::ostream& out, const AssembledTrace& trace) {
   out << "assembled " << trace.records << " records, "
       << trace.matched_pairs << " matched query/response pairs, "
       << trace.causal_violations << " causal violations\n";
-  out << "clock skew (vs lowest-id node):\n";
-  for (const SkewEstimate& s : trace.skew) {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "  node %-4u offset %+10.3f ms  min-rtt %8.3f ms  "
-                  "samples %zu%s\n",
-                  s.node, ms(s.offset_ns),
-                  ms(static_cast<std::int64_t>(s.min_rtt_ns)), s.samples,
-                  s.reachable ? "" : "  (UNREACHABLE — offset unknown)");
-    out << line;
-  }
+  write_skew(out, trace);
   for (const CrashTimeline& c : trace.crashes) {
     out << "crash of node " << c.victim << " at " << ms(c.crash_ns)
         << " ms:\n";

@@ -198,7 +198,11 @@ std::optional<AssembledTrace> assemble_from_dir(const std::string& dir,
 /// included when present).
 std::string to_json(const AssembledTrace& trace);
 
-/// Human-readable per-crash breakdown tables.
+/// Per-node clock-skew table (offsets and spanning-tree RTTs in µs); prints
+/// nothing when skew was not estimated.
+void write_skew(std::ostream& out, const AssembledTrace& trace);
+
+/// Human-readable per-crash breakdown tables, after the skew table.
 void write_text(std::ostream& out, const AssembledTrace& trace);
 
 /// Chronological merged event listing (requires keep_timeline).

@@ -156,11 +156,6 @@ void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
   }
 }
 
-void RealTimeDetector::set_observer(core::SuspicionObserver* observer) {
-  std::lock_guard lock(mutex_);
-  driver_.core().set_observer(observer);
-}
-
 std::vector<ProcessId> RealTimeDetector::suspected() const {
   std::lock_guard lock(mutex_);
   return driver_.core().suspected();

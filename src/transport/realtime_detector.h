@@ -14,6 +14,10 @@
 // acknowledged) and received, finished rounds, resend waves (the late wave
 // in the grace included), and the rt.round_rtt_ns histogram (issue to the
 // quorum-completing response, sampled on the receive thread).
+//
+// It attaches no SuspicionObserver: the core's kSuspectAdd/kSuspectDrop
+// records in config.recorder, kept whole by the recorder's suspicion
+// section, are the live path's suspicion history.
 #pragma once
 
 #include <condition_variable>
@@ -71,11 +75,6 @@ class RealTimeDetector final : public core::FailureDetector {
   void start();
   /// Stops the loop and the transport. Idempotent.
   void stop();
-
-  /// Registers a suspicion-transition observer (forwarded to the core).
-  /// Call before start(); callbacks fire with the detector mutex held, so
-  /// the observer must not call back into this detector.
-  void set_observer(core::SuspicionObserver* observer);
 
   [[nodiscard]] std::vector<ProcessId> suspected() const override;
   [[nodiscard]] bool is_suspected(ProcessId id) const override;

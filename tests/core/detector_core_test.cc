@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/flight_recorder.h"
 
 namespace mmrfd::core {
 namespace {
@@ -915,6 +916,42 @@ TEST(DetectorCore, CorruptedJournalStillBuildsWellFormedQueries) {
     }
     ASSERT_TRUE(d.query_terminated());
     d.finish_round();
+  }
+}
+
+TEST(DetectorCore, RecorderSuspicionsMatchTheObserverThroughCorruption) {
+  // The recorder's suspicion section is the live path's whole suspicion
+  // history, so it must carry exactly the suspected/cleared transitions an
+  // observer sees, the set diff of a transient fault included.
+  using Transition = std::tuple<obs::TraceKind, std::uint32_t, std::uint32_t>;
+  struct Transitions final : SuspicionObserver {
+    std::vector<Transition> seen;
+    void on_suspected(ProcessId s, Tag tag) override {
+      seen.emplace_back(obs::TraceKind::kSuspectAdd, s.value,
+                        static_cast<std::uint32_t>(tag));
+    }
+    void on_cleared(ProcessId s, Tag tag) override {
+      seen.emplace_back(obs::TraceKind::kSuspectDrop, s.value,
+                        static_cast<std::uint32_t>(tag));
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Transitions observer;
+    obs::FlightRecorder recorder(4, obs::TraceClock{});
+    DetectorCore d(delta_cfg(0, 8, 2));
+    d.set_observer(&observer);
+    d.set_recorder(&recorder);
+    // Peer 7 stays silent, so the history has a transition before the
+    // fault; the rounds after it repair a planted self-suspicion.
+    for (int round = 0; round < 6; ++round) {
+      if (round == 3) d.inject_transient_corruption(seed);
+      run_round(d, {1, 2, 3, 4, 5, 6});
+    }
+    std::vector<Transition> traced;
+    for (const obs::TraceRecord& r : recorder.suspicions()) {
+      traced.emplace_back(r.kind, r.a, r.b);
+    }
+    EXPECT_EQ(traced, observer.seen) << "seed " << seed;
   }
 }
 

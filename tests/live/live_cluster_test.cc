@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -107,7 +108,8 @@ TEST(LiveCluster, KillOneNodeAllSurvivorsConverge) {
   EXPECT_LT(result.detection_latencies.max(), 7.0);
 
   // Per-survivor reports: the victim is in the final suspected set, the
-  // delta wire path actually ran, and the kernel path was clean.
+  // transition history replays to exactly that set, the delta wire path
+  // actually ran, and the kernel path was clean.
   for (std::uint32_t i = 0; i < kN; ++i) {
     if (i == kVictim) continue;
     const NodeReport* r = final_report(result, i);
@@ -115,6 +117,17 @@ TEST(LiveCluster, KillOneNodeAllSurvivorsConverge) {
     EXPECT_NE(std::find(r->suspected.begin(), r->suspected.end(), kVictim),
               r->suspected.end())
         << "survivor " << i << " does not suspect the victim";
+    std::set<std::uint32_t> replayed;
+    for (const ReportEvent& ev : r->events) {
+      if (ev.kind == 0) {
+        replayed.insert(ev.subject);
+      } else {
+        replayed.erase(ev.subject);
+      }
+    }
+    EXPECT_EQ(std::vector<std::uint32_t>(replayed.begin(), replayed.end()),
+              r->suspected)
+        << "survivor " << i << "'s history does not replay to its final set";
     EXPECT_GT(r->rounds, 0u);
     EXPECT_EQ(r->metrics.counter_value("udp.truncated"), 0u);
     EXPECT_EQ(r->metrics.counter_value("codec.malformed"), 0u);

@@ -31,5 +31,29 @@ TEST(NodeMain, RejectsBadMembership) {
   EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "3"}), 2);
 }
 
+// Each case below also passes --run-s=1, so a node that wrongly accepts
+// its arguments returns after a second instead of running until SIGTERM.
+
+TEST(NodeMain, RejectsTraceCapacityOutsideTheLoadableRange) {
+  // A negative capacity used to throw std::length_error out of node_main;
+  // one above FlightRecorder::kMaxCapacity writes crash dumps no loader
+  // accepts.
+  for (const char* cap : {"--trace-cap=-1", "--trace-cap=67108865"}) {
+    EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "1", "--run-s=1", cap}),
+              2)
+        << cap;
+  }
+}
+
+TEST(NodeMain, RejectsBasePortsOutsideThePortRange) {
+  // Node i binds base-port + i, which must not wrap past 65535.
+  for (const char* port : {"--base-port=0", "--base-port=-1",
+                           "--base-port=65534", "--base-port=70000"}) {
+    EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "1", "--run-s=1", port}),
+              2)
+        << port;
+  }
+}
+
 }  // namespace
 }  // namespace mmrfd::live

@@ -1,5 +1,6 @@
-// Unit tests for the flight recorder: ring wraparound order, pluggable
-// clock stamping, and the text/file dump format.
+// Unit tests for the flight recorder: ring wraparound order, the
+// never-wrapping suspicion section, pluggable clock stamping, and the
+// text/file dump format.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mmrfd::obs {
 namespace {
@@ -53,6 +55,30 @@ TEST(FlightRecorder, RingWrapsKeepingTheNewestRecords) {
     EXPECT_EQ(records[i].a, 6 + i);
     EXPECT_EQ(records[i].t_ns, 6 + i);
   }
+}
+
+TEST(FlightRecorder, SuspicionSectionOutlivesTheRing) {
+  // Ten suspicion records among a hundred others in a 4-slot ring: the
+  // ring keeps the last four writes, the suspicion section keeps all ten.
+  std::uint64_t now = 0;
+  FlightRecorder rec(4, TraceClock{&fake_now, &now});
+  std::vector<TraceRecord> expected;
+  for (std::uint32_t i = 0; i < 110; ++i) {
+    now = 1000 + i;
+    if (i % 11 == 5) {
+      const TraceKind kind =
+          i % 2 == 0 ? TraceKind::kSuspectAdd : TraceKind::kSuspectDrop;
+      rec.record(kind, i, 3 * i);
+      expected.push_back(TraceRecord{now, i, i, 3 * i, kind});
+    } else {
+      rec.record(TraceKind::kQueryTx, i, 64);
+    }
+  }
+  ASSERT_EQ(expected.size(), 10u);
+  EXPECT_EQ(rec.suspicions(), expected);
+  const auto ring = rec.snapshot();
+  ASSERT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.front().seq, 106u);
 }
 
 TEST(FlightRecorder, ZeroCapacityStillHoldsTheLatestRecord) {

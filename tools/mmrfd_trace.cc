@@ -15,8 +15,6 @@
 //
 // --no-skew skips clock-skew estimation (all rings assumed to share one
 // clock frame); --out=FILE writes to a file instead of stdout.
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -29,7 +27,6 @@
 namespace {
 
 using mmrfd::obs::AssembledTrace;
-using mmrfd::obs::SkewEstimate;
 
 void write_summary(std::ostream& out, const AssembledTrace& trace) {
   out << "records:          " << trace.records << "\n"
@@ -37,24 +34,7 @@ void write_summary(std::ostream& out, const AssembledTrace& trace) {
       << "causal violations:" << (trace.causal_violations == 0 ? " " : " !")
       << trace.causal_violations << "\n"
       << "crashes:          " << trace.crashes.size() << "\n";
-  if (!trace.skew.empty()) {
-    out << "\nclock skew (vs node " << trace.skew.front().node << "):\n";
-    char line[160];
-    for (const SkewEstimate& s : trace.skew) {
-      if (!s.reachable) {
-        std::snprintf(line, sizeof(line),
-                      "  node %-4" PRIu32 " unreachable (no matched pairs)\n",
-                      s.node);
-      } else {
-        std::snprintf(line, sizeof(line),
-                      "  node %-4" PRIu32 " offset %+10.3f us  rtt %8.3f us  "
-                      "samples %zu\n",
-                      s.node, static_cast<double>(s.offset_ns) / 1e3,
-                      static_cast<double>(s.min_rtt_ns) / 1e3, s.samples);
-      }
-      out << line;
-    }
-  }
+  mmrfd::obs::write_skew(out, trace);
 }
 
 int usage() {
