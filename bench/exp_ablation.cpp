@@ -2,14 +2,10 @@
 //
 //   (a) winning quorum n - f + extra: waiting for more than n - f responses
 //       trades detection latency for fewer false suspicions;
-//   (b) pacing Delta: faster cadence = faster detection, more messages;
-//   (c) accept_late_responses: the Section-6 improvement — counting
-//       responses that arrive during the pacing window slashes false
-//       suspicions at zero protocol cost.
+//   (b) pacing Delta: faster cadence = faster detection, more messages.
 //
 // Expected shape: (a) latency grows with extra quorum, false suspicions
-// fall; (b) detection ~ Delta + delay, messages ~ 1/Delta; (c) late-response
-// acceptance strictly reduces false suspicions.
+// fall; (b) detection ~ Delta + delay, messages ~ 1/Delta.
 #include <iostream>
 
 #include "common/argparse.h"
@@ -60,7 +56,7 @@ Agg sweep(const ArgParser& args, std::uint64_t seeds, Mutator mutate) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args("E7: protocol ablations (quorum slack, pacing, late responses)");
+  ArgParser args("E7: protocol ablations (quorum slack, pacing)");
   args.flag("n", "20", "system size")
       .flag("f", "5", "fault tolerance")
       .flag("seeds", "3", "seeds per cell")
@@ -92,16 +88,5 @@ int main(int argc, char** argv) {
                 Table::num(std::uint64_t{a.false_susp}), Table::num(a.msgs)});
   }
   pa.print(std::cout);
-
-  std::cout << "\n# E7c: late-response acceptance (the Section-6 tweak)\n\n";
-  Table la({"accept_late", "mean_detect_s", "false_susp"});
-  for (const bool accept : {true, false}) {
-    const auto a = sweep(args, seeds, [&](bench::Workload& w) {
-      w.accept_late_responses = accept;
-    });
-    la.add_row({accept ? "yes" : "no", Table::num(a.latency.mean()),
-                Table::num(std::uint64_t{a.false_susp})});
-  }
-  la.print(std::cout);
   return 0;
 }

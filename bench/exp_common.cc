@@ -98,7 +98,6 @@ RunMetrics run_mmr(const Workload& w) {
   cfg.fast_set = w.fast_set;
   cfg.fast_factor = w.fast_factor;
   cfg.spike = w.spike;
-  cfg.accept_late_responses = w.accept_late_responses;
   cfg.extra_quorum = w.extra_quorum;
   runtime::MmrCluster cluster(cfg);
   cluster.network().set_size_fn([](const runtime::MmrMessage& m) {

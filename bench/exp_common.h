@@ -47,7 +47,6 @@ struct Workload {
   std::optional<runtime::SpikeSpec> spike;
 
   // MMR ablation knobs.
-  bool accept_late_responses{true};
   std::uint32_t extra_quorum{0};
 };
 

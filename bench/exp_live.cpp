@@ -2,7 +2,7 @@
 //
 // Where exp_scale stresses the simulator, this driver stresses the kernel:
 // every configuration fork/execs n mmrfd-node processes (one detector, one
-// UDP socket, three threads each), injects SIGKILL crash-stops from a
+// UDP socket, two threads each), injects SIGKILL crash-stops from a
 // runtime::CrashPlan-derived schedule at real wall-clock offsets, and
 // aggregates the nodes' binary reports through live::Supervisor into the
 // same detection/accuracy/cost metrics the simulated experiments report.
@@ -57,6 +57,11 @@ struct LiveResult {
   std::size_t false_suspicions{0};
   std::size_t unexpected_exits{0};
   std::size_t missing_reports{0};
+  // Resource use of every node incarnation, summed from the supervisor's
+  // wait4 reaps: user + system CPU and context switches.
+  std::uint64_t node_cpu_us{0};
+  std::uint64_t voluntary_switches{0};
+  std::uint64_t involuntary_switches{0};
   // The cluster-merged registry: every counter and round-RTT column is read
   // from it by instrument name. Wire cost is ground truth (udp.bytes_sent:
   // framing, retransmits and ACKs included); bytes_per_query counts codec
@@ -96,6 +101,13 @@ double per_query(const LiveResult& r, std::string_view bytes) {
   return queries > 0 ? static_cast<double>(count(r, bytes)) /
                            static_cast<double>(queries)
                      : 0.0;
+}
+
+/// A node-resource total per finished round (rt.rounds).
+double per_round(const LiveResult& r, std::uint64_t total) {
+  const std::uint64_t rounds = count(r, "rt.rounds");
+  return rounds > 0 ? static_cast<double>(total) / static_cast<double>(rounds)
+                    : 0.0;
 }
 
 /// Cluster-wide round RTT percentile (q in [0, 1]) in ms.
@@ -143,6 +155,11 @@ double round_rtt_ms(const LiveResult& r, double q) {
        << ", \"truncated\": " << count(r, "udp.truncated")
        << ", \"recv_errors\": " << count(r, "udp.recv_errors")
        << ", \"malformed\": " << count(r, "codec.malformed")
+       << ", \"node_cpu_us_per_round\": " << per_round(r, r.node_cpu_us)
+       << ", \"vol_ctx_switches_per_round\": "
+       << per_round(r, r.voluntary_switches)
+       << ", \"invol_ctx_switches_per_round\": "
+       << per_round(r, r.involuntary_switches)
        << ", \"unexpected_exits\": " << r.unexpected_exits
        << ", \"missing_reports\": " << r.missing_reports
        << ", \"pacing_mean_ms\": " << r.pacing_mean_ms
@@ -350,6 +367,9 @@ int main(int argc, char** argv) {
     r.false_suspicions = run.false_suspicions;
     r.unexpected_exits = run.unexpected_exits;
     r.missing_reports = run.missing_reports;
+    r.node_cpu_us = run.node_user_cpu_us + run.node_sys_cpu_us;
+    r.voluntary_switches = run.node_voluntary_switches;
+    r.involuntary_switches = run.node_involuntary_switches;
     if (run.trace) {
       r.trace_causal_violations = run.trace->causal_violations;
       double pacing_sum = 0, grace_sum = 0, resend_sum = 0, wire_sum = 0;

@@ -1,7 +1,8 @@
 // udp_live — the detector over real UDP sockets on loopback, in real time.
 //
 // Five detector instances run inside this one binary (each with its own
-// socket and threads — architecturally identical to five separate daemons).
+// socket and protocol thread — architecturally identical to five separate
+// daemons).
 // After a second of steady state we crash-stop p4 and watch the survivors
 // converge on suspecting it, each at its first unanswered query round.
 //

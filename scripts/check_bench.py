@@ -19,6 +19,9 @@ configuration key and flags metric movements outside a tolerance band:
                           cross-node trace; the three sum to the latency)
   * grace_mean_ms       — higher is a regression (the share of
                           pacing_mean_ms after the detecting round's quorum)
+  * node_cpu_us_per_round        — higher is a regression (exp_live: node
+  * vol_ctx_switches_per_round     user + system CPU and context switches
+  * invol_ctx_switches_per_round   per finished round, from wait4's rusage)
 
 The key includes the engine/shards columns exp_scale emits and the
 simulated horizon, so a serial and a sharded run of the same (n, f, seed),
@@ -62,6 +65,9 @@ METRICS = {
     "resend_wait_mean_ms": "down",
     "wire_mean_ms": "down",
     "grace_mean_ms": "down",
+    "node_cpu_us_per_round": "down",
+    "vol_ctx_switches_per_round": "down",
+    "invol_ctx_switches_per_round": "down",
 }
 KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards", "horizon_s")
 # exp_scale columns that a fixed seed determines: they must match exactly.

@@ -172,7 +172,7 @@ bool DetectorCore::on_response(ProcessId from, const ResponseMessage& response) 
   if (!in_progress_ || response.seq != seq_) return false;  // stale round
   // Watermark bookkeeping: a response to the current query proves the peer
   // merged its contents, i.e. our state through the epoch it echoes. Valid
-  // even for responses rejected below as late/duplicate (DeltaState clamps
+  // even for responses rejected below as duplicates (DeltaState clamps
   // the ack and drops the watermark on need_full).
   delta_.on_ack(from, response.ack_epoch, response.need_full);
   if (response.need_full) {
@@ -182,7 +182,6 @@ bool DetectorCore::on_response(ProcessId from, const ResponseMessage& response) 
   // A sender id outside Pi cannot count toward a quorum (only reachable via
   // forged datagrams on the live path; simulated senders are always < n).
   if (from.value >= config_.n) return false;
-  if (terminated_ && !config_.accept_late_responses) return false;
   if (responded_[from.value]) return false;  // duplicate
   responded_[from.value] = true;
   rec_from_.push_back(from);

@@ -58,12 +58,6 @@ struct DetectorConfig {
   std::uint32_t n{0};  ///< |Pi| — known system cardinality
   std::uint32_t f{0};  ///< max number of crashes tolerated, f < n
 
-  /// Count responses that arrive after query termination (with
-  /// core::RoundDriver: until the round's grace ends and finish_round runs)
-  /// as responders of the round. Reduces false suspicions; does not affect
-  /// correctness (Section 6 of the lineage).
-  bool accept_late_responses{true};
-
   /// Extra winning slack: wait for (n - f + extra_quorum) responses instead
   /// of (n - f). Ablation knob (experiment E7); 0 is the paper's protocol.
   std::uint32_t extra_quorum{0};

@@ -1,16 +1,18 @@
 #include "live/node_runtime.h"
 
 #include <fcntl.h>
+#include <pthread.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <cstdint>
+#include <ctime>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/argparse.h"
@@ -25,12 +27,6 @@
 namespace mmrfd::live {
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-volatile std::sig_atomic_t g_dump_trace = 0;
-
-void on_signal(int) { g_stop = 1; }
-void on_dump_signal(int) { g_dump_trace = 1; }
 
 // Best-effort flight-ring flush on abnormal termination: SIGSEGV/SIGABRT
 // (and friends) dump the ring in the binary format before re-raising, so
@@ -94,12 +90,20 @@ int node_main(int argc, const char* const* argv) {
   const auto self = static_cast<std::uint32_t>(args.get_int("self"));
   const auto f = static_cast<std::uint32_t>(args.get_int("f"));
   // No resend waves would let one lost datagram wedge a round; a zero
-  // interval would fire them back to back.
+  // interval would fire them back to back, and a zero pause (hence a zero
+  // grace) would issue rounds back to back. A zero flush interval would
+  // write snapshots back to back.
   const auto resend_ms = args.get_int("resend-ms");
-  if (n < 2 || self >= n || f >= n || resend_ms <= 0) {
-    std::cerr << "mmrfd-node: need n >= 2, self < n, f < n, resend-ms > 0 "
-              << "(got n=" << n << " self=" << self << " f=" << f
-              << " resend-ms=" << resend_ms << ")\n";
+  const auto pacing_ms = args.get_int("pacing-ms");
+  const std::string report_path = args.get("report");
+  const auto flush_ms = args.get_int("flush-ms");
+  if (n < 2 || self >= n || f >= n || resend_ms <= 0 || pacing_ms < 1 ||
+      (!report_path.empty() && flush_ms < 1)) {
+    std::cerr << "mmrfd-node: need n >= 2, self < n, f < n, resend-ms > 0, "
+              << "pacing-ms >= 1, flush-ms >= 1 with --report (got n=" << n
+              << " self=" << self << " f=" << f << " resend-ms=" << resend_ms
+              << " pacing-ms=" << pacing_ms << " flush-ms=" << flush_ms
+              << ")\n";
     return 2;
   }
   // Node i binds base-port + i, so the whole range must be a valid port
@@ -115,15 +119,11 @@ int node_main(int argc, const char* const* argv) {
               << base_port << " trace-cap=" << trace_cap << ")\n";
     return 2;
   }
-  const std::string report_path = args.get("report");
   const std::uint64_t origin_ns =
       args.get_int("origin-ns") > 0
           ? static_cast<std::uint64_t>(args.get_int("origin-ns"))
           : wall_clock_ns();
 
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGUSR1, on_dump_signal);
   for (const int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE}) {
     std::signal(sig, on_fatal_signal);
   }
@@ -183,17 +183,26 @@ int node_main(int argc, const char* const* argv) {
       static_cast<std::uint32_t>(args.get_int("giveup"));
   rcfg.detector.resync_interval =
       static_cast<std::uint32_t>(args.get_int("resync"));
-  rcfg.pacing = from_millis(static_cast<double>(args.get_int("pacing-ms")));
+  rcfg.pacing = from_millis(static_cast<double>(pacing_ms));
   rcfg.resend = from_millis(static_cast<double>(resend_ms));
   rcfg.registry = &registry;
   rcfg.recorder = &recorder;
   transport::RealTimeDetector detector(typed, rcfg);
 
+  // The main thread takes SIGTERM, SIGINT and SIGUSR1 in sigtimedwait below.
+  // Blocked before the protocol thread starts, so it inherits the mask and
+  // never takes them; the caller's mask comes back before returning.
+  sigset_t waited;
+  sigemptyset(&waited);
+  for (const int sig : {SIGTERM, SIGINT, SIGUSR1}) sigaddset(&waited, sig);
+  sigset_t caller_mask;
+  pthread_sigmask(SIG_BLOCK, &waited, &caller_mask);
   try {
     detector.start();
   } catch (const std::exception& e) {
     std::cerr << "mmrfd-node " << self << ": start failed: " << e.what()
               << "\n";
+    pthread_sigmask(SIG_SETMASK, &caller_mask, nullptr);
     return 1;
   }
 
@@ -225,19 +234,11 @@ int node_main(int argc, const char* const* argv) {
     }
   };
 
-  const auto started = std::chrono::steady_clock::now();
-  const auto flush_every =
-      std::chrono::milliseconds(args.get_int("flush-ms"));
-  const auto run_for = std::chrono::seconds(args.get_int("run-s"));
-  auto last_flush = started;
-  // SIGUSR1 handling happens here, not in the handler: dump_to_file takes a
-  // mutex and allocates, so the handler only flips an async-signal-safe flag
-  // that the 20 ms poll loop (and the shutdown path) consumes.
+  // SIGUSR1 dumps the ring here, not in a handler: dump_to_file takes a
+  // mutex and allocates.
   const std::string trace_path =
       report_path.empty() ? "" : report_path + ".trace";
-  const auto maybe_dump_trace = [&] {
-    if (g_dump_trace == 0) return;
-    g_dump_trace = 0;
+  const auto dump_trace = [&] {
     if (trace_path.empty()) {
       recorder.dump_text(std::cerr);
     } else if (!recorder.dump_to_file(trace_path)) {
@@ -246,20 +247,45 @@ int node_main(int argc, const char* const* argv) {
     }
   };
 
-  while (g_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    maybe_dump_trace();
-    const auto now = std::chrono::steady_clock::now();
-    if (run_for.count() > 0 && now - started >= run_for) break;
-    if (!report_path.empty() && now - last_flush >= flush_every) {
+  // Sleep until the next flush, the end of --run-s or a signal; with
+  // neither a report nor a run length, until a signal alone.
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kNever = Clock::time_point::max();
+  const auto started = Clock::now();
+  const auto run_for = std::chrono::seconds(args.get_int("run-s"));
+  const auto flush_every = std::chrono::milliseconds(flush_ms);
+  const auto end = run_for.count() > 0 ? started + run_for : kNever;
+  auto next_flush = report_path.empty() ? kNever : started + flush_every;
+  while (true) {
+    const auto now = Clock::now();
+    if (now >= end) break;
+    if (now >= next_flush) {
       write_snapshot();
-      last_flush = now;
+      next_flush = now + flush_every;
+      continue;
     }
+    const auto wake = std::min(end, next_flush);
+    timespec timeout{};
+    if (wake != kNever) {
+      const auto ns = std::chrono::nanoseconds(wake - now).count();
+      timeout = {static_cast<time_t>(ns / 1'000'000'000),
+                 static_cast<long>(ns % 1'000'000'000)};
+    }
+    const int sig =
+        sigtimedwait(&waited, nullptr, wake == kNever ? nullptr : &timeout);
+    if (sig == SIGUSR1) dump_trace();
+    if (sig == SIGTERM || sig == SIGINT) break;
   }
 
   detector.stop();
-  maybe_dump_trace();  // a SIGUSR1 racing shutdown still gets its dump
+  // Signals taken during shutdown: a SIGUSR1 still gets its dump, and a
+  // late SIGTERM is spent here rather than on the restored mask.
+  const timespec no_wait{};
+  for (int sig; (sig = sigtimedwait(&waited, nullptr, &no_wait)) > 0;) {
+    if (sig == SIGUSR1) dump_trace();
+  }
   if (!report_path.empty()) write_snapshot();
+  pthread_sigmask(SIG_SETMASK, &caller_mask, nullptr);
   return 0;
 }
 

@@ -12,7 +12,10 @@ namespace mmrfd::live {
 
 /// Entry point of the mmrfd-node binary. Returns the process exit code:
 /// 0 clean shutdown, 1 runtime failure (e.g. port already bound), 2 bad
-/// arguments. Installs SIGTERM/SIGINT handlers.
+/// arguments. While the node runs, SIGTERM, SIGINT and SIGUSR1 are blocked
+/// and taken by sigtimedwait on the calling thread; the caller's signal
+/// mask is restored before returning. Installs fatal-signal handlers that
+/// dump the flight ring.
 int node_main(int argc, const char* const* argv);
 
 }  // namespace mmrfd::live

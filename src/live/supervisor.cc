@@ -1,6 +1,7 @@
 #include "live/supervisor.h"
 
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -39,6 +40,27 @@ void append_counters_json(std::ostream& os, const obs::RegistrySnapshot& m) {
     os << '"' << c.name << "\":" << c.value;
   }
   os << '}';
+}
+
+std::uint64_t micros(const timeval& t) {
+  return static_cast<std::uint64_t>(t.tv_sec) * 1'000'000 +
+         static_cast<std::uint64_t>(t.tv_usec);
+}
+
+/// wait4 on one child; a reaped child's resource use is summed into
+/// `result`. Returns what wait4 returns.
+pid_t reap_child(pid_t pid, int options, int& status, LiveRunResult& result) {
+  rusage usage{};
+  const pid_t got = ::wait4(pid, &status, options, &usage);
+  if (got == pid) {
+    result.node_user_cpu_us += micros(usage.ru_utime);
+    result.node_sys_cpu_us += micros(usage.ru_stime);
+    result.node_voluntary_switches +=
+        static_cast<std::uint64_t>(usage.ru_nvcsw);
+    result.node_involuntary_switches +=
+        static_cast<std::uint64_t>(usage.ru_nivcsw);
+  }
+  return got;
 }
 
 }  // namespace
@@ -176,7 +198,7 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
     for (Proc& p : procs) {
       if (p.alive && p.pid > 0) {
         int status = 0;
-        ::waitpid(p.pid, &status, 0);
+        reap_child(p.pid, 0, status, result);
         p.alive = false;
       }
     }
@@ -200,13 +222,13 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
 
   // An exit is "unexpected" only while the run is live and the node was
   // neither SIGKILLed by the schedule nor SIGTERMed by the shutdown path.
-  // Reaps strictly per-pid: a waitpid(-1) here would steal exit statuses
+  // Reaps strictly per-pid: a wait4(-1) here would steal exit statuses
   // from any OTHER children the embedding process happens to have.
   const auto reap = [&] {
     for (Proc& p : procs) {
       if (!p.alive || p.pid <= 0) continue;
       int status = 0;
-      if (::waitpid(p.pid, &status, WNOHANG) != p.pid) continue;
+      if (reap_child(p.pid, WNOHANG, status, result) != p.pid) continue;
       p.alive = false;
       if (!p.planned_kill && !p.graceful) {
         ++result.unexpected_exits;
@@ -292,10 +314,10 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
   }
 
   // Flight-ring harvest, strictly before SIGTERM: SIGUSR1 asks each live
-  // node to dump its ring, but nodes only notice the flag on their 20 ms
-  // poll — a SIGTERM sent in the same breath could win the race and the
-  // dump request would die with the process. So signal, then wait (bounded)
-  // for the .trace files to land.
+  // node to dump its ring, which its main thread does as soon as
+  // sigtimedwait takes the signal. Wait (bounded) for the .trace files to
+  // land before the first SIGTERM, so every ring is taken while the whole
+  // cluster still runs and none records peers shutting down.
   reap();
   if (config_.trace) {
     std::vector<std::string> expected;
@@ -343,7 +365,7 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
       p.graceful = false;
       ::kill(p.pid, SIGKILL);
       int status = 0;
-      ::waitpid(p.pid, &status, 0);
+      reap_child(p.pid, 0, status, result);
       p.alive = false;
     }
   }

@@ -114,6 +114,14 @@ struct LiveRunResult {
   std::uint64_t datagrams_sent{0};
   std::uint64_t wire_bytes_sent{0};
 
+  /// Resource use of every node incarnation the run reaped (wait4's
+  /// rusage), summed: user and system CPU in µs, voluntary and involuntary
+  /// context switches.
+  std::uint64_t node_user_cpu_us{0};
+  std::uint64_t node_sys_cpu_us{0};
+  std::uint64_t node_voluntary_switches{0};
+  std::uint64_t node_involuntary_switches{0};
+
   /// Assembled cross-node causal timeline (SupervisorConfig::trace only):
   /// per-crash detection latencies attributed to round-pacing, resend-wait
   /// and wire time, with per-node clock-skew estimates. Also written to

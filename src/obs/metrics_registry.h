@@ -2,12 +2,13 @@
 // log-scale histograms behind one registry.
 //
 // Design constraints, in order:
-//  - The hot path is an increment from a detector driver thread, a shard
-//    worker or a transport receive loop. Every instrument is a plain
-//    relaxed atomic, so recording is lock-free and wait-free; the registry
-//    mutex is only taken at name-resolution time, and components cache the
-//    returned reference (references are stable for the registry's
-//    lifetime — instruments live in node-based maps and are never erased).
+//  - The hot path is an increment from a live node's protocol thread (its
+//    transport's poll included) or a shard worker. Every instrument is a
+//    plain relaxed atomic, so recording is lock-free and wait-free; the
+//    registry mutex is only taken at name-resolution time, and components
+//    cache the returned reference (references are stable for the
+//    registry's lifetime — instruments live in node-based maps and are
+//    never erased).
 //  - Collection must be schedule-neutral: no RNG, no event scheduling, no
 //    allocation on the record path. Snapshotting allocates, but only the
 //    reader does it.

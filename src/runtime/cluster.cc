@@ -54,7 +54,6 @@ MmrHostConfig mmr_host_config(const MmrClusterConfig& config, ProcessId self,
   hc.detector.self = self;
   hc.detector.n = config.n;
   hc.detector.f = config.f;
-  hc.detector.accept_late_responses = config.accept_late_responses;
   hc.detector.extra_quorum = config.extra_quorum;
   hc.detector.delta_queries = config.delta_queries;
   hc.detector.giveup_rounds = config.giveup_rounds;

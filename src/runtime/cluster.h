@@ -54,7 +54,6 @@ struct MmrClusterConfig {
   std::optional<SpikeSpec> spike;
 
   /// Protocol knobs (see core::DetectorConfig).
-  bool accept_late_responses{true};
   std::uint32_t extra_quorum{0};
   /// Delta-encoded queries (ON = production default; OFF = the paper's
   /// canonical full encoding, kept as the semantic reference the

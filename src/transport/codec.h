@@ -1,6 +1,6 @@
 // Compact binary wire codec.
 //
-// Used by the real transports (UDP / in-memory threaded) and by the
+// Used by the real transports (UDP / in-memory) and by the
 // simulator's size hook to account bytes on the wire for every protocol
 // message. Every datagram is an envelope
 //   [u32 sender][u8 type][payload...]

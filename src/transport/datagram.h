@@ -9,7 +9,12 @@
 //        │ datagrams (bytes)
 //   [FaultyTransport]           optional: injected channel faults    fault.*
 //        │ datagrams (bytes)
-//   UdpTransport / InMemoryHub  sockets / threads                    udp.*
+//   UdpTransport / InMemoryHub  sockets / in-process queues          udp.*
+//
+// No layer owns a thread. The node's one protocol thread (RealTimeDetector)
+// calls poll(), which runs the receive path down the stack and hands each
+// ready datagram up to the handler on that thread, as the simulator runs a
+// process's two tasks as events of one loop.
 //
 // The paper's model assumes reliable channels; on loopback UDP that is
 // effectively true. No layer here retransmits: the detector's merges are
@@ -28,8 +33,9 @@ namespace mmrfd::transport {
 
 class DatagramTransport {
  public:
-  /// Receive callback: the raw datagram bytes. Invoked from the transport's
-  /// receive thread; the payload is only valid for the duration of the call.
+  /// Receive callback: the raw datagram bytes. Invoked inside poll(), on
+  /// the thread that called it; the payload is only valid for the duration
+  /// of the call.
   using DatagramHandler =
       std::function<void(std::span<const std::uint8_t> datagram)>;
 
@@ -39,7 +45,13 @@ class DatagramTransport {
   virtual void start() = 0;
   virtual void stop() = 0;
 
-  /// Sends one datagram to a peer. Thread-safe. Best-effort: may drop.
+  /// Waits at most `max_wait` for a datagram, then hands every ready one to
+  /// the handler on the calling thread. Call from one thread at a time,
+  /// between start() and stop().
+  virtual void poll(Duration max_wait) = 0;
+
+  /// Sends one datagram to a peer; the handler may call it. Best-effort:
+  /// may drop.
   virtual void send(ProcessId to, std::span<const std::uint8_t> datagram) = 0;
 
   [[nodiscard]] virtual ProcessId self() const = 0;

@@ -58,6 +58,7 @@ class FaultyTransport final : public DatagramTransport {
   }
   void start() override { inner_.start(); }
   void stop() override;
+  void poll(Duration max_wait) override { inner_.poll(max_wait); }
   void send(ProcessId to, std::span<const std::uint8_t> datagram) override;
 
   [[nodiscard]] ProcessId self() const override { return inner_.self(); }

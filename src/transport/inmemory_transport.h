@@ -1,16 +1,13 @@
-// In-memory threaded transport: n endpoints exchanging raw datagrams through
-// per-receiver queues, each drained by a dedicated dispatch thread. The
-// multi-threaded analogue of net::Network — real concurrency, loopback
-// latency, no loss — used by the transport integration tests; wrap an
-// endpoint in a FaultyTransport for lossy links.
+// In-memory transport: n endpoints exchanging raw datagrams through
+// per-receiver queues, each drained by whoever polls its endpoint. The
+// multi-threaded analogue of net::Network — one protocol thread per node,
+// real concurrency between nodes, loopback latency, no loss — used by the
+// transport integration tests; wrap an endpoint in a FaultyTransport for
+// lossy links.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "transport/datagram.h"
@@ -29,16 +26,12 @@ class InMemoryHub {
   [[nodiscard]] DatagramTransport& endpoint(ProcessId id);
 
   [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(nodes_.size());
+    return static_cast<std::uint32_t>(endpoints_.size());
   }
 
  private:
-  struct Node;
   class Endpoint;
 
-  void enqueue(ProcessId to, std::vector<std::uint8_t> datagram);
-
-  std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 };
 

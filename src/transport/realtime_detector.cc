@@ -5,9 +5,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace mmrfd::transport {
 
 namespace {
+
+/// The longest one poll waits, so stop() is noticed promptly.
+constexpr Duration kMaxPollWait = std::chrono::milliseconds(50);
 
 TimePoint steady_now() {
   return std::chrono::duration_cast<Duration>(
@@ -44,62 +49,56 @@ RealTimeDetector::RealTimeDetector(Transport& transport,
 RealTimeDetector::~RealTimeDetector() { stop(); }
 
 void RealTimeDetector::start() {
-  {
-    std::lock_guard lock(mutex_);
-    if (running_) return;
-    running_ = true;
-    stopping_ = false;
-  }
-  try {
-    transport_.start();
-  } catch (...) {
-    // Bind/socket failure is a routine live-path event (occupied port).
-    // Roll back so the destructor's stop() does not try to join a thread
-    // that was never started — that would terminate() the process.
-    std::lock_guard lock(mutex_);
-    running_ = false;
-    throw;
-  }
-  driver_thread_ = std::thread([this] { driver_loop(); });
+  if (thread_.joinable()) return;
+  transport_.start();  // a bind failure throws before any thread exists
+  stopping_.store(false);
+  thread_ = std::thread([this] { run(); });
 }
 
 void RealTimeDetector::stop() {
-  {
-    std::lock_guard lock(mutex_);
-    if (!running_) return;
-    stopping_ = true;
-  }
-  quorum_cv_.notify_all();
-  if (driver_thread_.joinable()) driver_thread_.join();
+  if (!thread_.joinable()) return;
+  stopping_.store(true);
+  thread_.join();
   transport_.stop();
-  std::lock_guard lock(mutex_);
-  running_ = false;
 }
 
-void RealTimeDetector::driver_loop() {
+void RealTimeDetector::run() {
   const auto plan = [this](core::Outgoing&& q) {
     outgoing_.push_back(std::move(q));
   };
-  std::unique_lock lock(mutex_);
-  while (!stopping_) {
-    driver_.on_deadline(steady_now(), peers_, plan);
-    transmit(lock);
+  // The first round waits one pause, plus a share of another drawn per
+  // node as the simulated hosts stagger theirs. Peers started alongside
+  // bind their sockets meanwhile: a query sent before its peer binds is
+  // lost, holding the round until its first resend wave. And the nodes'
+  // rounds start out of step: in step, every observer of a crash opens its
+  // detecting round at about the same instant, so the first detection,
+  // which the others then merge, comes later.
+  Xoshiro256 stagger(
+      derive_seed(0, "rt.first_issue", config_.detector.self.value));
+  const TimePoint first_issue =
+      steady_now() + config_.pacing +
+      Duration(static_cast<Duration::rep>(
+          stagger.next_double() * static_cast<double>(config_.pacing.count())));
+  while (!stopping_.load()) {
     // The protocol stays time-free: a deadline only ever re-sends, ends the
-    // grace or ends the pause. A quorum moves it, and on_datagram wakes us
-    // then.
-    const TimePoint due = *driver_.deadline();
-    quorum_cv_.wait_until(
-        lock,
-        std::chrono::steady_clock::time_point(
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                due)),
-        [&] { return stopping_ || driver_.deadline() != due; });
+    // grace or ends the pause. A response handled inside poll() may reach
+    // the quorum and move it, so it is read again after every poll.
+    const TimePoint now = steady_now();
+    const TimePoint due = std::max(*driver_.deadline(), first_issue);
+    if (now < due) {
+      transport_.poll(std::min(due - now, kMaxPollWait));
+      continue;
+    }
+    {
+      std::lock_guard lock(mutex_);
+      driver_.on_deadline(now, peers_, plan);
+    }
+    transmit();
   }
 }
 
-void RealTimeDetector::transmit(std::unique_lock<std::mutex>& lock) {
+void RealTimeDetector::transmit() {
   if (outgoing_.empty()) return;
-  lock.unlock();
   // Every peer shares one payload (reference mode, first round, mass
   // resync, or one delta base for all): broadcast() serializes it once,
   // per-peer send() per call. Peers on different bases never share one.
@@ -123,7 +122,6 @@ void RealTimeDetector::transmit(std::unique_lock<std::mutex>& lock) {
   }
   if (broadcast) transport_.broadcast(*outgoing_.front().query);
   outgoing_.clear();
-  lock.lock();
 }
 
 void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
@@ -147,12 +145,8 @@ void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
     responses_received_->add(1);
     if (r->need_full) need_full_received_->add(1);
     trace(obs::TraceKind::kResponseRx, from.value, r->need_full ? 1 : 0);
-    bool quorum = false;
-    {
-      std::lock_guard lock(mutex_);
-      quorum = driver_.handle_response(steady_now(), from, *r);
-    }
-    if (quorum) quorum_cv_.notify_all();
+    std::lock_guard lock(mutex_);
+    driver_.handle_response(steady_now(), from, *r);
   }
 }
 

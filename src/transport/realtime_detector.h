@@ -1,26 +1,30 @@
-// RealTimeDetector — the thread adapter that binds a DetectorCore's
-// RoundDriver to a real Transport (UDP or in-memory threads): the exact
-// state machine verified under simulation, bound to sockets and threads.
+// RealTimeDetector — the adapter that binds a DetectorCore's RoundDriver to a
+// real Transport (UDP or in-memory): the exact state machine verified under
+// simulation, bound to sockets and one protocol thread.
 //
-// One driver thread sleeps on a condition variable until the driver's
-// deadline, fires it under the mutex and sends what the driver planned
-// outside it; the transport's receive thread feeds on_datagram() and wakes
-// the driver thread when a quorum moves the deadline. Only what needs the
-// transport layer stays here: the byte-sized kQueryTx/kResponseTx/
-// kResponseRx stamps, the origin_seq piggyback, and the rt.* registry
-// instruments: full/delta query encodings and codec bytes sent (socket-level
-// egress counts as udp.*), queries and responses received and sent,
-// need_full resync requests sent (a delta named a base we never
-// acknowledged) and received, finished rounds, resend waves (the late wave
-// in the grace included), and the rt.round_rtt_ns histogram (issue to the
-// quorum-completing response, sampled on the receive thread).
+// The thread runs the paper's two tasks as one loop, as the simulator does: it
+// fires the driver's deadline and sends what the driver planned (T1), then
+// polls the transport until the next deadline, handling each query (T2) and
+// response inline. A quorum moves the deadline, so the loop looks at it again
+// after every poll. The first round waits one pause plus a per-node share of
+// another, so peers started alongside bind their sockets before they are
+// queried and the nodes' rounds start out of step. The mutex guards the driver
+// only against readers on other threads (suspected(), is_suspected(),
+// rounds_completed()). Only what needs the transport layer stays here: the
+// byte-sized kQueryTx/kResponseTx/kResponseRx stamps, the origin_seq piggyback,
+// and the rt.* registry instruments: full/delta query encodings and codec bytes
+// sent (socket-level egress counts as udp.*), queries and responses received
+// and sent, need_full resync requests sent (a delta named a base we never
+// acknowledged) and received, finished rounds, resend waves (the late wave in
+// the grace included), and the rt.round_rtt_ns histogram (issue to the
+// quorum-completing response, sampled as that response is handled).
 //
-// It attaches no SuspicionObserver: the core's kSuspectAdd/kSuspectDrop
-// records in config.recorder, kept whole by the recorder's suspicion
-// section, are the live path's suspicion history.
+// It attaches no SuspicionObserver: the core's kSuspectAdd/kSuspectDrop records
+// in config.recorder, kept whole by the recorder's suspicion section, are the
+// live path's suspicion history.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,9 +75,10 @@ class RealTimeDetector final : public core::FailureDetector {
   RealTimeDetector(const RealTimeDetector&) = delete;
   RealTimeDetector& operator=(const RealTimeDetector&) = delete;
 
-  /// Starts the transport and the query loop.
+  /// Starts the transport and the protocol thread.
   void start();
-  /// Stops the loop and the transport. Idempotent.
+  /// Stops the thread, within one poll wait (50 ms at most), and the
+  /// transport. Idempotent.
   void stop();
 
   [[nodiscard]] std::vector<ProcessId> suspected() const override;
@@ -89,9 +94,9 @@ class RealTimeDetector final : public core::FailureDetector {
   }
 
  private:
-  void driver_loop();
-  /// Sends the transmissions the driver planned, with `lock` released.
-  void transmit(std::unique_lock<std::mutex>& lock);
+  void run();
+  /// Sends the transmissions the driver planned.
+  void transmit();
   void on_datagram(ProcessId from, const WireMessage& msg);
   void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const {
     if (config_.recorder != nullptr) config_.recorder->record(kind, a, b);
@@ -102,9 +107,9 @@ class RealTimeDetector final : public core::FailureDetector {
   std::vector<ProcessId> peers_;  // every id but self: the fan-out order
 
   // Instruments are registry-backed relaxed atomics, not mutex-guarded
-  // state: the driver thread bumps the tx side outside the lock (sends
-  // happen unlocked) and report-flush threads snapshot the registry without
-  // contending on the lock. Resolved once, valid for the registry's life.
+  // state: the protocol thread bumps them outside the lock and report-flush
+  // threads snapshot the registry without contending on it. Resolved once,
+  // valid for the registry's life.
   std::unique_ptr<obs::MetricsRegistry> own_registry_{
       config_.registry == nullptr ? std::make_unique<obs::MetricsRegistry>()
                                   : nullptr};
@@ -124,13 +129,14 @@ class RealTimeDetector final : public core::FailureDetector {
   obs::Counter* response_bytes_sent_{
       &registry_->counter("rt.response_bytes_sent")};
 
+  /// Guards driver_: the protocol thread, its only writer, changes it under
+  /// the lock and may read it without; other threads read its core under
+  /// the lock.
   mutable std::mutex mutex_;
-  std::condition_variable quorum_cv_;
   core::RoundDriver<core::DetectorCore> driver_;
-  bool running_{false};
-  bool stopping_{false};
-  std::vector<core::Outgoing> outgoing_;  // driver thread only
-  std::thread driver_thread_;
+  std::vector<core::Outgoing> outgoing_;  // protocol thread only
+  std::atomic<bool> stopping_{false};
+  std::thread thread_;
 };
 
 }  // namespace mmrfd::transport

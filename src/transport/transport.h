@@ -19,16 +19,20 @@ class Transport {
 
   virtual ~Transport() = default;
 
-  /// Installs the receive callback. Invoked from the transport's thread;
-  /// the callee synchronizes its own state. Must be set before start().
+  /// Installs the receive callback, invoked inside poll() on the thread
+  /// that called it. Must be set before start().
   virtual void set_handler(Handler handler) = 0;
 
   virtual void start() = 0;
   virtual void stop() = 0;
 
-  /// Sends to one peer. Thread-safe.
+  /// Waits at most `max_wait` for a message, then hands every ready one to
+  /// the handler on the calling thread (DatagramTransport::poll).
+  virtual void poll(Duration max_wait) = 0;
+
+  /// Sends to one peer; the handler may call it.
   virtual void send(ProcessId to, const WireMessage& msg) = 0;
-  /// Sends to every other process. Thread-safe.
+  /// Sends to every other process; the handler may call it.
   virtual void broadcast(const WireMessage& msg) = 0;
 
   [[nodiscard]] virtual ProcessId self() const = 0;

@@ -41,6 +41,7 @@ class TypedTransport final : public Transport {
 
   void start() override { datagrams_.start(); }
   void stop() override { datagrams_.stop(); }
+  void poll(Duration max_wait) override { datagrams_.poll(max_wait); }
 
   void send(ProcessId to, const WireMessage& msg) override {
     const auto bytes = encode_envelope(self(), msg);

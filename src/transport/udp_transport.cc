@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <system_error>
 
 #include "common/log.h"
@@ -68,7 +69,7 @@ void UdpTransport::start() {
     throw std::system_error(errno, std::generic_category(), "socket");
   }
   // Size the socket buffers BEFORE traffic can arrive. The auto rule covers
-  // a whole cluster's fan-in landing while the receiver thread is
+  // a whole cluster's fan-in landing while the protocol thread is busy or
   // descheduled: n peers can each have a full query plus a response in
   // flight to us within one pacing period, with slack for retransmissions.
   // The kernel clamps to net.core.{r,w}mem_max silently; the rcvbuf gauge
@@ -95,16 +96,30 @@ void UdpTransport::start() {
     throw std::system_error(err, std::generic_category(), "bind");
   }
   recv_buffers_.assign(slot * kRecvBatch, 0);
-  stopping_.store(false);
-  receiver_ = std::thread([this] { receive_loop(); });
 }
 
 void UdpTransport::stop() {
   if (fd_ < 0) return;
-  stopping_.store(true);
-  if (receiver_.joinable()) receiver_.join();
   ::close(fd_);
   fd_ = -1;
+}
+
+void UdpTransport::poll(Duration max_wait) {
+  if (fd_ < 0) return;
+  const auto ns = std::max(max_wait, Duration::zero()).count();
+  const timespec timeout{static_cast<time_t>(ns / 1'000'000'000),
+                         static_cast<long>(ns % 1'000'000'000)};
+  pollfd pfd{fd_, POLLIN, 0};
+  const int ready = ::ppoll(&pfd, 1, &timeout, nullptr);
+  if (ready < 0) {
+    if (errno != EINTR) recv_errors_->add(1);
+    return;
+  }
+  if (ready == 0) return;
+  // Drain everything this wakeup saw: a full batch means more may be
+  // queued.
+  while (drain_ready() == kRecvBatch) {
+  }
 }
 
 void UdpTransport::send(ProcessId to,
@@ -172,22 +187,6 @@ std::size_t UdpTransport::drain_ready() {
                                          static_cast<std::size_t>(got)));
   return 1;
 #endif
-}
-
-void UdpTransport::receive_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (ready < 0) {
-      if (errno != EINTR) recv_errors_->add(1);
-      continue;  // EINTR: re-check stopping_ and poll again
-    }
-    if (ready == 0) continue;  // timeout: re-check stopping_
-    // Drain everything this wakeup saw. Full batches mean more may be
-    // queued; stop between batches if shutdown was requested meanwhile.
-    while (drain_ready() == kRecvBatch && !stopping_.load()) {
-    }
-  }
 }
 
 }  // namespace mmrfd::transport

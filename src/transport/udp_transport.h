@@ -11,9 +11,9 @@
 // core/round_driver.h.)
 //
 // Scale hardening (the live-cluster subsystem runs 128+ of these per
-// machine): the receive loop drains in batches via recvmmsg where available,
-// SO_RCVBUF/SO_SNDBUF are sized to survive an n-process query fan-in landing
-// within one pacing period, and nothing is dropped silently.
+// machine): poll() waits in ppoll and drains in batches via recvmmsg where
+// available, SO_RCVBUF/SO_SNDBUF are sized to survive an n-process query
+// fan-in landing within one pacing period, and nothing is dropped silently.
 //
 // Wire-level accounting, in the obs registry (UdpConfig::registry): every
 // datagram the kernel hands us counts once in udp.datagrams_received /
@@ -24,11 +24,9 @@
 // the SO_RCVBUF the kernel actually granted (doubled on Linux).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics_registry.h"
@@ -41,8 +39,9 @@ struct UdpConfig {
   std::uint32_t n{0};
   std::uint16_t base_port{39000};
   /// Requested socket buffer size; 0 = auto (scales with n, so a whole
-  /// round's fan-in of full queries fits while the receiver thread is
-  /// descheduled). The kernel may clamp; udp.rcvbuf_bytes holds the grant.
+  /// round's fan-in of full queries fits while the protocol thread is busy
+  /// or descheduled). The kernel may clamp; udp.rcvbuf_bytes holds the
+  /// grant.
   std::uint32_t socket_buffer_bytes{0};
   /// Shared metrics registry for the udp.* instruments; the transport owns
   /// a private one when null.
@@ -60,6 +59,7 @@ class UdpTransport final : public DatagramTransport {
   /// Binds the socket; throws std::system_error on failure (port in use).
   void start() override;
   void stop() override;
+  void poll(Duration max_wait) override;
 
   void set_handler(DatagramHandler handler) override {
     handler_ = std::move(handler);
@@ -72,15 +72,12 @@ class UdpTransport final : public DatagramTransport {
   }
 
  private:
-  void receive_loop();
   /// Drains one poll-ready batch; returns the number of datagrams handled.
   std::size_t drain_ready();
 
   UdpConfig config_;
   DatagramHandler handler_;
   int fd_{-1};
-  std::atomic<bool> stopping_{false};
-  std::thread receiver_;
 
   // Receive slots (allocated once in start()); one slot per recvmmsg entry
   // on Linux, a single slot for the portable recvfrom path.

@@ -171,18 +171,6 @@ TEST(DetectorCore, LateResponseJoinsRecFromBeforeFinish) {
   EXPECT_EQ(suspects[0], ProcessId{4});
 }
 
-TEST(DetectorCore, LateResponsesRejectedWhenDisabled) {
-  auto c = cfg(0, 5, 2);
-  c.accept_late_responses = false;
-  DetectorCore d(c);
-  const auto q = d.start_query();
-  (void)d.on_response(ProcessId{1}, ResponseMessage{q.seq});
-  (void)d.on_response(ProcessId{2}, ResponseMessage{q.seq});
-  (void)d.on_response(ProcessId{3}, ResponseMessage{q.seq});  // dropped
-  d.finish_round();
-  EXPECT_EQ(d.suspected().size(), 2u);
-}
-
 TEST(DetectorCore, WinningSetIsFirstQuorumOnly) {
   DetectorCore d(cfg(0, 5, 2));
   const auto q = d.start_query();

@@ -44,15 +44,13 @@ struct Schedule {
   double duplicate_rate{0.0};
   double loss_rate{0.0};
   bool spike{false};
-  bool accept_late{true};
 
   [[nodiscard]] std::string describe() const {
     std::ostringstream os;
     os << "schedule seed=" << seed << " n=" << n << " f=" << f
        << " crashes=" << crashes << " jitter=" << pacing_jitter
        << " preset=" << static_cast<int>(preset) << " dup=" << duplicate_rate
-       << " loss=" << loss_rate << " spike=" << spike
-       << " accept_late=" << accept_late;
+       << " loss=" << loss_rate << " spike=" << spike;
     return os.str();
   }
 };
@@ -70,7 +68,6 @@ Schedule make_schedule(std::uint64_t seed) {
   s.duplicate_rate = rng.bernoulli(0.3) ? 0.05 : 0.0;
   s.loss_rate = rng.bernoulli(0.2) ? 0.05 : 0.0;
   s.spike = rng.bernoulli(0.3);
-  s.accept_late = !rng.bernoulli(0.2);
   return s;
 }
 
@@ -86,7 +83,6 @@ MmrCluster make_cluster(const Schedule& s, bool delta) {
   cfg.pacing_jitter = s.pacing_jitter;
   cfg.mean_delay = from_millis(1);
   cfg.delay_preset = s.preset;
-  cfg.accept_late_responses = s.accept_late;
   cfg.delta_queries = delta;
   if (s.spike) {
     SpikeSpec spike;

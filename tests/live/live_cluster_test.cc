@@ -506,7 +506,7 @@ TEST(LiveCluster, Sigusr1DumpsFlightRecorder) {
   }
 
   // Let it make rounds, then ask for the dump and poll for the file (the
-  // node checks the signal flag on its 20 ms housekeeping tick).
+  // node's main thread takes the signal in sigtimedwait and writes it).
   std::this_thread::sleep_for(std::chrono::milliseconds(1000));
   ASSERT_EQ(::kill(pid, SIGUSR1), 0);
   const std::string trace_path = report + ".trace";

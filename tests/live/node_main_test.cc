@@ -45,6 +45,25 @@ TEST(NodeMain, RejectsTraceCapacityOutsideTheLoadableRange) {
   }
 }
 
+TEST(NodeMain, RejectsNonPositivePacing) {
+  // A zero pause makes a zero grace, so rounds would issue back to back.
+  for (const char* pacing : {"--pacing-ms=0", "--pacing-ms=-5"}) {
+    EXPECT_EQ(
+        run({"--self", "0", "--n", "3", "--f", "1", "--run-s=1", pacing}), 2)
+        << pacing;
+  }
+}
+
+TEST(NodeMain, RejectsNonPositiveFlushWithAReport) {
+  // With a report, a zero interval would write snapshots back to back.
+  for (const char* flush : {"--flush-ms=0", "--flush-ms=-5"}) {
+    EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "1", "--run-s=1",
+                   "--report=node_main_test_unused.bin", flush}),
+              2)
+        << flush;
+  }
+}
+
 TEST(NodeMain, RejectsBasePortsOutsideThePortRange) {
   // Node i binds base-port + i, which must not wrap past 65535.
   for (const char* port : {"--base-port=0", "--base-port=-1",

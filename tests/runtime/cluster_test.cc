@@ -350,23 +350,6 @@ TEST(MmrCluster, SpikeCausesFalseSuspicionsThatAreRepaired) {
   ASSERT_TRUE(stable.has_value());
 }
 
-TEST(MmrCluster, LateResponseAcceptanceReducesFalseSuspicions) {
-  auto run = [](bool accept_late) {
-    auto cfg = base_config(8, 2, 9);
-    cfg.delay_preset = net::DelayPreset::kPareto;
-    cfg.mean_delay = from_millis(20);
-    cfg.pacing = from_millis(200);
-    cfg.accept_late_responses = accept_late;
-    MmrCluster cluster(cfg);
-    cluster.start();
-    cluster.run_for(from_seconds(30));
-    return metrics::Analysis(cluster.log(), 8, from_seconds(30))
-        .false_suspicions()
-        .size();
-  };
-  EXPECT_LE(run(true), run(false));
-}
-
 TEST(MmrCluster, AliveListShrinksOnCrash) {
   MmrCluster cluster(base_config(5, 1, 10));
   CrashPlan plan;

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -39,26 +38,22 @@ bool eventually(Cond cond, std::chrono::milliseconds budget = 10000ms) {
   return cond();
 }
 
-/// Thread-safe recorder of everything the far endpoint received.
+/// Recorder of everything the far endpoint received; fills on the thread
+/// that polls that endpoint.
 class Sink {
  public:
   void attach(DatagramTransport& t) {
     t.set_handler([this](std::span<const std::uint8_t> d) {
-      std::lock_guard lock(mutex_);
       received_.emplace_back(d.begin(), d.end());
     });
   }
-  [[nodiscard]] std::vector<std::vector<std::uint8_t>> snapshot() const {
-    std::lock_guard lock(mutex_);
+  [[nodiscard]] const std::vector<std::vector<std::uint8_t>>& received()
+      const {
     return received_;
   }
-  [[nodiscard]] std::size_t count() const {
-    std::lock_guard lock(mutex_);
-    return received_.size();
-  }
+  [[nodiscard]] std::size_t count() const { return received_.size(); }
 
  private:
-  mutable std::mutex mutex_;
   std::vector<std::vector<std::uint8_t>> received_;
 };
 
@@ -88,8 +83,9 @@ TEST(FaultyTransport, AllKnobsOffIsByteExactPassthrough) {
   for (std::uint32_t i = 0; i < 50; ++i) {
     faulty.send(ProcessId{1}, payload(i));
   }
-  ASSERT_TRUE(eventually([&] { return sink.count() == 50; }));
-  const auto got = sink.snapshot();
+  hub.endpoint(ProcessId{1}).poll(Duration::zero());
+  ASSERT_EQ(sink.count(), 50u);
+  const auto& got = sink.received();
   for (std::uint32_t i = 0; i < 50; ++i) {
     EXPECT_EQ(got[i], payload(i)) << i;
   }
@@ -152,11 +148,12 @@ TEST(FaultyTransport, ReorderIsLosslessAndActuallyReorders) {
     faulty.send(ProcessId{1}, payload(i));
   }
   faulty.stop();  // flushes the holdback slot — nothing may be lost
-  ASSERT_TRUE(eventually([&] { return sink.count() == kSends; }));
+  hub.endpoint(ProcessId{1}).poll(Duration::zero());
+  ASSERT_EQ(sink.count(), kSends);
   EXPECT_GT(metrics.counter("fault.reordered").value(), 50u);
 
   std::vector<std::uint32_t> order;
-  for (const auto& d : sink.snapshot()) {
+  for (const auto& d : sink.received()) {
     ASSERT_EQ(d.size(), 6u);
     order.push_back(static_cast<std::uint32_t>(d[0]) |
                     (static_cast<std::uint32_t>(d[1]) << 8) |
@@ -195,7 +192,8 @@ TEST(FaultyTransport, DuplicatesAreDeliveredTwice) {
   for (std::uint32_t i = 0; i < 20; ++i) {
     faulty.send(ProcessId{1}, payload(i));
   }
-  ASSERT_TRUE(eventually([&] { return sink.count() == 40; }));
+  hub.endpoint(ProcessId{1}).poll(Duration::zero());
+  ASSERT_EQ(sink.count(), 40u);
   EXPECT_EQ(metrics.counter("fault.duplicated").value(), 20u);
   faulty.stop();
 }
@@ -218,11 +216,11 @@ TEST(FaultyTransport, TruncationEmitsStrictPrefixes) {
   }
   EXPECT_EQ(metrics.counter("fault.truncated").value(), kSends);
   // Every delivery is a strict prefix of the 6-byte payload; empty results
-  // are swallowed, so fewer than kSends may arrive. Give the queues a beat
-  // to drain before snapshotting.
-  ASSERT_TRUE(eventually([&] { return sink.count() >= kSends / 2; }));
+  // are swallowed, so fewer than kSends arrive.
   faulty.stop();
-  for (const auto& d : sink.snapshot()) {
+  hub.endpoint(ProcessId{1}).poll(Duration::zero());
+  ASSERT_GE(sink.count(), kSends / 2);
+  for (const auto& d : sink.received()) {
     EXPECT_LT(d.size(), 6u);
     EXPECT_FALSE(d.empty());
   }
@@ -244,10 +242,11 @@ TEST(FaultyTransport, CorruptionChangesBytesButNeverLength) {
   for (std::uint32_t i = 0; i < kSends; ++i) {
     faulty.send(ProcessId{1}, payload(i));
   }
-  ASSERT_TRUE(eventually([&] { return sink.count() == kSends; }));
+  hub.endpoint(ProcessId{1}).poll(Duration::zero());
+  ASSERT_EQ(sink.count(), kSends);
   EXPECT_EQ(metrics.counter("fault.corrupted").value(), kSends);
   std::size_t changed = 0;
-  const auto got = sink.snapshot();
+  const auto& got = sink.received();
   for (std::uint32_t i = 0; i < kSends; ++i) {
     ASSERT_EQ(got[i].size(), 6u);
     if (got[i] != payload(i)) ++changed;

@@ -1,11 +1,11 @@
-// Real-transport integration: the simulator-verified core over threads and
-// sockets. These tests use generous wall-clock budgets and liveness-style
-// assertions (eventually-suspects / eventually-clean) to stay robust on
-// loaded CI machines.
+// Real-transport integration: the simulator-verified core over sockets and
+// one protocol thread per node. Transports own no thread, so the transport
+// cases poll them on the test thread; the detector cases use generous
+// wall-clock budgets and liveness-style assertions (eventually-suspects /
+// eventually-clean) to stay robust on loaded CI machines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -62,7 +62,7 @@ struct TypedHub {
 
 TEST(InMemoryTransport, DeliversPointToPoint) {
   TypedHub h(2);
-  std::atomic<int> got{0};
+  int got = 0;
   h.at(1).set_handler([&](ProcessId from, const WireMessage& m) {
     EXPECT_EQ(from, ProcessId{0});
     EXPECT_TRUE(std::holds_alternative<core::ResponseMessage>(m));
@@ -72,25 +72,27 @@ TEST(InMemoryTransport, DeliversPointToPoint) {
   h.at(0).start();
   h.at(1).start();
   h.at(0).send(ProcessId{1}, core::ResponseMessage{7});
-  EXPECT_TRUE(eventually([&] { return got.load() == 1; }));
+  h.at(1).poll(Duration::zero());
+  EXPECT_EQ(got, 1);
 }
 
 TEST(InMemoryTransport, BroadcastReachesAllOthers) {
   TypedHub h(4);
-  std::atomic<int> got{0};
+  int got = 0;
   for (std::uint32_t i = 0; i < 4; ++i) {
     h.at(i).set_handler([&](ProcessId, const WireMessage&) { ++got; });
     h.at(i).start();
   }
   h.at(2).broadcast(core::ResponseMessage{1});
-  EXPECT_TRUE(eventually([&] { return got.load() == 3; }));
+  for (std::uint32_t i = 0; i < 4; ++i) h.at(i).poll(Duration::zero());
+  EXPECT_EQ(got, 3);
 }
 
 TEST(TypedTransport, MalformedDatagramsCountedAndDropped) {
   InMemoryHub hub(2);
   obs::MetricsRegistry metrics;
   TypedTransport typed(hub.endpoint(ProcessId{1}), &metrics);
-  std::atomic<int> got{0};
+  int got = 0;
   typed.set_handler([&](ProcessId, const WireMessage&) { ++got; });
   typed.start();
   const std::vector<std::uint8_t> junk{1, 2, 3};
@@ -98,9 +100,9 @@ TEST(TypedTransport, MalformedDatagramsCountedAndDropped) {
       .set_handler([](std::span<const std::uint8_t>) {});
   hub.endpoint(ProcessId{0}).start();
   hub.endpoint(ProcessId{0}).send(ProcessId{1}, junk);
-  const obs::Counter& malformed = metrics.counter("codec.malformed");
-  EXPECT_TRUE(eventually([&] { return malformed.value() == 1; }));
-  EXPECT_EQ(got.load(), 0);
+  typed.poll(Duration::zero());
+  EXPECT_EQ(metrics.counter("codec.malformed").value(), 1u);
+  EXPECT_EQ(got, 0);
   typed.stop();
 }
 
@@ -113,7 +115,7 @@ TEST(RealTimeDetector, InMemoryClusterRunsRoundsAndStaysClean) {
         std::make_unique<RealTimeDetector>(h.at(i), rt_config(i, kN, 1)));
   }
   for (auto& n : nodes) n->start();
-  // "Eventually clean": under machine load a driver thread can be
+  // "Eventually clean": under machine load a protocol thread can be
   // descheduled past the pacing window, causing a *transient* suspicion
   // that the protocol then repairs — assert the stable state, not an
   // instantaneous snapshot.
@@ -166,7 +168,7 @@ TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
   // Every node stamps its flight ring from the one host clock, so the true
   // skew is zero: assembled without skew estimation, a matched rx stamped
   // before its tx can only mean a tx stamp taken after its send(). Eight
-  // nodes give every query fan-out seven sends for a fast receiver thread
+  // nodes give every query fan-out seven sends for a fast peer thread
   // to overtake.
   constexpr std::uint32_t kN = 8;
   TypedHub h(kN);
@@ -205,7 +207,7 @@ TEST(UdpTransport, LoopbackRoundTrip) {
   UdpTransport t1({ProcessId{1}, 2, 39200});
   TypedTransport typed0(t0);
   TypedTransport typed1(t1);
-  std::atomic<int> got{0};
+  int got = 0;
   typed0.set_handler([](ProcessId, const WireMessage&) {});
   typed1.set_handler([&](ProcessId from, const WireMessage& m) {
     EXPECT_EQ(from, ProcessId{0});
@@ -221,9 +223,52 @@ TEST(UdpTransport, LoopbackRoundTrip) {
   q.seq = 3;
   q.push_suspected({ProcessId{1}, 9});
   typed0.send(ProcessId{1}, q);
-  EXPECT_TRUE(eventually([&] { return got.load() == 1; }));
+  EXPECT_TRUE(eventually([&] {
+    typed1.poll(from_millis(50));
+    return got == 1;
+  }));
   typed0.stop();
   typed1.stop();
+}
+
+TEST(UdpTransport, PollDeliversEveryReadyDatagramOnTheCallingThread) {
+  UdpTransport tx({ProcessId{0}, 2, 39210});
+  UdpTransport rx({ProcessId{1}, 2, 39210});
+  std::vector<std::uint8_t> got;
+  std::size_t off_thread = 0;
+  const auto caller = std::this_thread::get_id();
+  tx.set_handler([](std::span<const std::uint8_t>) {});
+  rx.set_handler([&](std::span<const std::uint8_t> d) {
+    if (std::this_thread::get_id() != caller) ++off_thread;
+    got.push_back(d.empty() ? 0 : d[0]);
+  });
+  try {
+    tx.start();
+    rx.start();
+  } catch (const std::system_error& e) {
+    GTEST_SKIP() << "UDP loopback unavailable: " << e.what();
+  }
+  // More than one 16-slot recvmmsg batch, all queued before the poll.
+  constexpr std::uint8_t kSends = 40;
+  for (std::uint8_t i = 0; i < kSends; ++i) {
+    const std::vector<std::uint8_t> datagram{i, 0xAB};
+    tx.send(ProcessId{1}, datagram);
+  }
+  std::this_thread::sleep_for(200ms);
+  rx.poll(from_millis(1000));
+  ASSERT_EQ(got.size(), kSends);
+  for (std::uint8_t i = 0; i < kSends; ++i) EXPECT_EQ(got[i], i);
+  EXPECT_EQ(off_thread, 0u);
+
+  // Nothing ready: poll waits out max_wait and calls no handler.
+  const auto before = std::chrono::steady_clock::now();
+  rx.poll(from_millis(50));
+  const auto waited = std::chrono::steady_clock::now() - before;
+  EXPECT_EQ(got.size(), kSends);
+  EXPECT_GE(waited, 45ms);
+  EXPECT_LT(waited, 2s);
+  tx.stop();
+  rx.stop();
 }
 
 TEST(UdpTransport, FullDetectorClusterOverSockets) {
@@ -275,6 +320,19 @@ TEST(RealTimeDetector, RejectsNonPositiveResend) {
     c.resend = resend;
     EXPECT_THROW(RealTimeDetector(h.at(0), c), std::invalid_argument);
   }
+}
+
+TEST(RealTimeDetector, StopReturnsPromptlyWhileARoundWaitsForItsResend) {
+  // Node 0 alone cannot reach its quorum of 2, so its first round waits for
+  // the default 500 ms resend wave; stop() must not wait that out.
+  TypedHub h(3);
+  RealTimeDetector node(h.at(0), rt_config(0, 3, 1));
+  node.start();
+  std::this_thread::sleep_for(100ms);
+  const auto before = std::chrono::steady_clock::now();
+  node.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - before, 200ms);
+  EXPECT_EQ(node.rounds_completed(), 0u);
 }
 
 TEST(RealTimeDetector, StopIsIdempotentAndRestartable) {
