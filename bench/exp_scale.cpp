@@ -16,8 +16,9 @@
 // --mode both (the default) runs every (n, seed) config under the delta
 // wire encoding AND the canonical full encoding: the `delta` column is the
 // sweep's own differential check (state metrics must match row for row) and
-// `B_per_query` shows what the encoding buys. --jobs N forks one process
-// per config so seed-averaged sweeps use the whole machine.
+// `B_per_query` shows what the encoding buys. Every config runs in its own
+// forked worker, --jobs N of them at a time (one by default), and the row's
+// peak_rss_mb is that worker's own peak resident set, from wait4.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -32,6 +33,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MMRFD_HAVE_FORK 1
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #else
@@ -82,8 +84,10 @@ struct ScaleResult {
   // merge the per-shard ones.
   double round_rtt_p50_ms{0};
   double round_rtt_p99_ms{0};
+  /// The config's worker's peak RSS (ru_maxrss), in MiB; 0 without fork.
+  double peak_rss_mb{0};
 };
-// The --jobs path ships results from child to parent as raw bytes.
+// Workers ship results to the parent as raw bytes.
 static_assert(std::is_trivially_copyable_v<ScaleResult>);
 
 runtime::MmrClusterConfig cluster_config(const ScaleConfig& c,
@@ -282,10 +286,11 @@ ScaleResult run_config(const ScaleConfig& c, Duration horizon, Duration pacing,
 #if MMRFD_HAVE_FORK
 /// Runs every config in its own forked process, at most `jobs` at a time
 /// (the configs are embarrassingly parallel; one process per config also
-/// returns each run's slab/log memory to the OS the moment it finishes).
+/// returns each run's slab/log memory to the OS the moment it finishes, and
+/// gives each its own peak RSS: wait4's ru_maxrss, kept as peak_rss_mb).
 /// Results arrive over per-child pipes and land at their config's index, so
-/// the output order is identical to the serial path. Returns 0 when every
-/// child succeeded; otherwise the first failing child's exit status (or
+/// the output order is the config order. Returns 0 when every child
+/// succeeded; otherwise the first failing child's exit status (or
 /// 128 + signal for a signalled child), so the sweep's exit code carries
 /// the real failure instead of a generic 1.
 int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
@@ -342,7 +347,8 @@ int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
     }
     if (active.empty()) break;
     int status = 0;
-    const pid_t done = waitpid(-1, &status, 0);
+    rusage usage{};
+    const pid_t done = wait4(-1, &status, 0, &usage);
     auto it = active.begin();
     while (it != active.end() && it->pid != done) ++it;
     if (it == active.end()) continue;  // not one of ours
@@ -358,6 +364,7 @@ int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
     const bool child_ok =
         WIFEXITED(status) && WEXITSTATUS(status) == 0 && got == sizeof r;
     if (child_ok) {
+      r.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB
       results[it->index] = r;
     } else {
       // Propagate what actually happened: the child's own exit status, a
@@ -415,7 +422,8 @@ int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
        << ", \"detection_max_s\": " << r.detection_max_s
        << ", \"round_rtt_p50_ms\": " << r.round_rtt_p50_ms
        << ", \"round_rtt_p99_ms\": " << r.round_rtt_p99_ms
-       << ", \"false_suspicions\": " << r.false_suspicions << "}";
+       << ", \"false_suspicions\": " << r.false_suspicions
+       << ", \"peak_rss_mb\": " << r.peak_rss_mb << "}";
   }
   os << "\n  ]\n}\n";
   os.flush();
@@ -440,7 +448,7 @@ int main(int argc, char** argv) {
       .flag("engine", "serial", "simulation engine: serial, sharded, or both")
       .flag("shards", "4", "worker shards for the sharded engine")
       .flag("log", "full", "serial event-log retention: full or rollup")
-      .flag("jobs", "1", "fork one worker process per config, N at a time")
+      .flag("jobs", "1", "worker processes (one per config) run at a time")
       .flag("out", "BENCH_scale.json", "JSON output path")
       .flag("csv", "false", "emit CSV instead of an aligned table");
   if (!args.parse(argc, argv)) return 0;
@@ -529,7 +537,7 @@ int main(int argc, char** argv) {
   }
 #if !MMRFD_HAVE_FORK
   if (jobs > 1) {
-    std::cerr << "exp_scale: --jobs needs fork(); running serially\n";
+    std::cerr << "exp_scale: --jobs needs fork(); running in-process\n";
   }
 #endif
   const auto horizon =
@@ -561,22 +569,20 @@ int main(int argc, char** argv) {
   std::vector<ScaleResult> results(configs.size());
   const bool spike = args.get_bool("spike");
 #if MMRFD_HAVE_FORK
-  if (jobs > 1) {
-    if (const int rc = run_forked(configs, horizon, pacing, spike, jobs, results);
-        rc != 0) {
-      return rc;
-    }
-  } else
-#endif
-  {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      results[i] = run_config(configs[i], horizon, pacing, spike);
-    }
+  if (const int rc = run_forked(configs, horizon, pacing, spike, jobs, results);
+      rc != 0) {
+    return rc;
   }
+#else
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    results[i] = run_config(configs[i], horizon, pacing, spike);
+  }
+#endif
 
   Table table({"n", "f", "seed", "delta", "engine", "wall_s", "events",
                "events_per_sec", "msgs_sent", "B_per_query", "mean_det_s",
-               "p99_det_s", "rtt_p50_ms", "complete", "false_susp"});
+               "p99_det_s", "rtt_p50_ms", "complete", "false_susp",
+               "peak_rss_mb"});
   for (const auto& r : results) {
     table.add_row({Table::num(std::uint64_t{r.n}),
                    Table::num(std::uint64_t{r.f}), Table::num(r.seed),
@@ -590,7 +596,8 @@ int main(int argc, char** argv) {
                    Table::num(r.detection_p99_s),
                    Table::num(r.round_rtt_p50_ms),
                    r.strong_completeness ? "yes" : "no",
-                   Table::num(std::uint64_t{r.false_suspicions})});
+                   Table::num(std::uint64_t{r.false_suspicions}),
+                   Table::num(r.peak_rss_mb)});
   }
 
   if (args.get_bool("csv")) {

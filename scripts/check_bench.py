@@ -22,6 +22,8 @@ configuration key and flags metric movements outside a tolerance band:
   * node_cpu_us_per_round        — higher is a regression (exp_live: node
   * vol_ctx_switches_per_round     user + system CPU and context switches
   * invol_ctx_switches_per_round   per finished round, from wait4's rusage)
+  * peak_rss_mb         — higher is a regression (exp_scale: the config's
+                          worker process's peak resident set, from wait4)
 
 The key includes the engine/shards columns exp_scale emits and the
 simulated horizon, so a serial and a sharded run of the same (n, f, seed),
@@ -68,6 +70,7 @@ METRICS = {
     "node_cpu_us_per_round": "down",
     "vol_ctx_switches_per_round": "down",
     "invol_ctx_switches_per_round": "down",
+    "peak_rss_mb": "down",
 }
 KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards", "horizon_s")
 # exp_scale columns that a fixed seed determines: they must match exactly.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/peer_range.h"
+
 namespace mmrfd::baselines {
 
 GossipDetector::GossipDetector(sim::Simulation& simulation,
@@ -27,9 +29,8 @@ void GossipDetector::start() {
   assert(!started_);
   started_ = true;
   sim_.schedule(config_.initial_delay, [this] {
-    for (std::uint32_t i = 0; i < config_.n; ++i) {
-      const ProcessId peer{i};
-      if (peer != id()) arm_timer(peer);
+    for (ProcessId peer : PeerRange::all_but(id(), config_.n)) {
+      arm_timer(peer);
     }
     tick();
   });

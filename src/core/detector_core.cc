@@ -11,13 +11,6 @@
 
 namespace mmrfd::core {
 
-namespace {
-void insert_sorted(std::vector<ProcessId>& v, ProcessId id) {
-  auto it = std::lower_bound(v.begin(), v.end(), id);
-  if (it == v.end() || *it != id) v.insert(it, id);
-}
-}  // namespace
-
 DetectorCore::DetectorCore(const DetectorConfig& config)
     : config_(config), delta_(config.n, config.delta_journal_capacity) {
   if (config_.n < 1) {
@@ -34,12 +27,6 @@ DetectorCore::DetectorCore(const DetectorConfig& config)
         "DetectorConfig: self must be < n (got self=" +
         std::to_string(config_.self.value) +
         ", n=" + std::to_string(config_.n) + ")");
-  }
-  // Known membership from the start (the DSN'03 model): every process of Pi
-  // except this one is a suspicion candidate.
-  known_.reserve(config_.n - 1);
-  for (std::uint32_t i = 0; i < config_.n; ++i) {
-    if (i != config_.self.value) known_.push_back(ProcessId{i});
   }
   dense_tag_.assign(config_.n, 0);
   dense_kind_.assign(config_.n, 0);
@@ -66,13 +53,11 @@ void DetectorCore::begin_query() {
   ++seq_;
   in_progress_ = true;
   rec_from_.clear();
-  winning_.clear();
   responded_.assign(config_.n, false);
   // The issuer's own response is always counted, and always among the first
   // quorum() (paper convention).
   rec_from_.push_back(config_.self);
   responded_[config_.self.value] = true;
-  winning_.push_back(config_.self);
   terminated_ = rec_from_.size() >= config_.quorum();
   // Give-up skip set: peers suspected and silent for >= K consecutive
   // rounds are queried only on their 1/K probe rounds. At most n - quorum()
@@ -90,8 +75,7 @@ void DetectorCore::begin_query() {
     // unbounded, and a round must not be starved of the live responders it
     // needs for quorum.
     std::vector<ProcessId> cand;
-    for (ProcessId pj : known_) {
-      if (pj.value >= streak_.size()) continue;
+    for (ProcessId pj : known()) {
       const std::uint32_t s = streak_[pj.value];
       if (s >= k && s % k != 0) cand.push_back(pj);
     }
@@ -185,13 +169,9 @@ bool DetectorCore::on_response(ProcessId from, const ResponseMessage& response) 
   if (responded_[from.value]) return false;  // duplicate
   responded_[from.value] = true;
   rec_from_.push_back(from);
-  if (!terminated_) {
-    winning_.push_back(from);
-    if (rec_from_.size() >= config_.quorum()) {
-      terminated_ = true;
-      std::sort(winning_.begin(), winning_.end());
-      return true;
-    }
+  if (!terminated_ && rec_from_.size() >= config_.quorum()) {
+    terminated_ = true;
+    return true;
   }
   return false;
 }
@@ -201,10 +181,8 @@ bool DetectorCore::finish_round() {
   // T1 lines 9-15: suspect every known process that did not respond and is
   // not already suspected.
   bool fresh = false;
-  for (ProcessId pj : known_) {
-    // Ids >= n (bogus live-path senders remembered in known_) can never
-    // have responded — on_response rejects them.
-    if (pj.value < responded_.size() && responded_[pj.value]) continue;
+  for (ProcessId pj : known()) {
+    if (responded_[pj.value]) continue;
     const auto mine = local_tag(pj);
     if (mine.has_value() && !is_mistake(pj)) continue;  // already suspected
     if (mine.has_value()) {
@@ -244,7 +222,8 @@ bool DetectorCore::finish_round() {
 
 ResponseMessage DetectorCore::on_query(ProcessId from,
                                        const QueryMessage& query) {
-  insert_sorted(known_, from);  // T2 line 20 (no-op with known membership)
+  // T2 line 20 adds the sender to `known`; the membership is known here,
+  // so known() is Pi \ {self} whoever queries.
 
   // Epoch miss: a delta built on a base we never acknowledged (we lost
   // state, or the ack the sender saw was not ours). The entries themselves
@@ -254,8 +233,12 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
   const bool epoch_miss =
       delta_.epoch_miss(from, query.is_delta(), query.base_epoch);
 
+  // Both loops skip ids outside Pi: only a corrupted or forged datagram
+  // names one, and merged it would be a suspicion no process can defend,
+  // spread by every later full query.
   // First loop (T2 lines 21-31): merge the sender's suspicions.
   for (const TaggedEntry& e : query.suspected()) {
+    if (e.id.value >= config_.n) continue;
     const auto mine = local_tag(e.id);
     const bool newer = !mine.has_value() || *mine < e.tag;
     if (!newer) continue;
@@ -275,6 +258,7 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
   // Second loop (T2 lines 32-37): merge the sender's mistakes. Note `<=`:
   // on a tag tie the mistake wins over the suspicion.
   for (const TaggedEntry& e : query.mistakes()) {
+    if (e.id.value >= config_.n) continue;
     const auto mine = local_tag(e.id);
     const bool newer_or_tied = !mine.has_value() || *mine <= e.tag;
     if (!newer_or_tied) continue;
@@ -398,19 +382,16 @@ std::vector<ProcessId> DetectorCore::suspected() const {
 }
 
 bool DetectorCore::is_suspected(ProcessId id) const {
-  if (id.value < dense_kind_.size()) return dense_kind_[id.value] == 1;
-  return suspected_.contains(id);
+  return id.value < config_.n && dense_kind_[id.value] == 1;
 }
 
 void DetectorCore::add_suspicion(ProcessId id, Tag tag) {
-  assert(id != config_.self);
+  assert(id != config_.self && id.value < config_.n);
   assert(!mistake_.contains(id));  // callers erase the mistake entry first
   const bool was_suspected = suspected_.contains(id);
   suspected_.add(id, tag);
-  if (id.value < dense_kind_.size()) {
-    dense_kind_[id.value] = 1;
-    dense_tag_[id.value] = tag;
-  }
+  dense_kind_[id.value] = 1;
+  dense_tag_[id.value] = tag;
   delta_.record(id);
   if (!was_suspected) {
     trace(obs::TraceKind::kSuspectAdd, id.value,
@@ -420,13 +401,12 @@ void DetectorCore::add_suspicion(ProcessId id, Tag tag) {
 }
 
 void DetectorCore::add_mistake(ProcessId id, Tag tag) {
+  assert(id.value < config_.n);
   const bool was_suspected = suspected_.contains(id);
   if (was_suspected) suspected_.erase(id);
   mistake_.add(id, tag);
-  if (id.value < dense_kind_.size()) {
-    dense_kind_[id.value] = 2;
-    dense_tag_[id.value] = tag;
-  }
+  dense_kind_[id.value] = 2;
+  dense_tag_[id.value] = tag;
   delta_.record(id);
   if (was_suspected) {
     trace(obs::TraceKind::kSuspectDrop, id.value,
@@ -439,17 +419,12 @@ void DetectorCore::add_mistake(ProcessId id, Tag tag) {
 }
 
 std::optional<Tag> DetectorCore::local_tag(ProcessId id) const {
-  if (id.value < dense_kind_.size()) {
-    if (dense_kind_[id.value] == 0) return std::nullopt;
-    return dense_tag_[id.value];
-  }
-  if (auto t = suspected_.tag_of(id)) return t;
-  return mistake_.tag_of(id);
+  if (dense_kind_[id.value] == 0) return std::nullopt;
+  return dense_tag_[id.value];
 }
 
 bool DetectorCore::is_mistake(ProcessId id) const {
-  if (id.value < dense_kind_.size()) return dense_kind_[id.value] == 2;
-  return mistake_.contains(id);
+  return dense_kind_[id.value] == 2;
 }
 
 void DetectorCore::trace(obs::TraceKind kind, std::uint32_t a,

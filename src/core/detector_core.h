@@ -35,12 +35,15 @@
 // property MP (see properties.h).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/peer_range.h"
 #include "common/tagged_set.h"
 #include "common/types.h"
 #include "core/failure_detector.h"
@@ -200,13 +203,19 @@ class DetectorCore final : public FailureDetector {
   [[nodiscard]] bool responded(ProcessId id) const {
     return id.value < responded_.size() && responded_[id.value];
   }
-  /// The first quorum() responders (self included) — the *winning* set used
-  /// by the MP property machinery.
-  [[nodiscard]] std::span<const ProcessId> winning() const { return winning_; }
+  /// The first quorum() responders (self included), in arrival order — the
+  /// *winning* set used by the MP property machinery.
+  [[nodiscard]] std::span<const ProcessId> winning() const {
+    return std::span(rec_from_).first(
+        std::min<std::size_t>(rec_from_.size(), config_.quorum()));
+  }
 
-  /// Processes this node has ever heard a query from (plus the initial
-  /// membership). With known membership this is Pi \ {self} from the start.
-  [[nodiscard]] std::span<const ProcessId> known() const { return known_; }
+  /// The suspicion candidates: the known membership Pi \ {self}, ascending,
+  /// stored nowhere. A query from an id outside Pi does not add it (only a
+  /// forged live-path datagram can carry one).
+  [[nodiscard]] PeerRange known() const {
+    return PeerRange::all_but(config_.self, config_.n);
+  }
 
   [[nodiscard]] const DetectorConfig& config() const { return config_; }
 
@@ -259,11 +268,11 @@ class DetectorCore final : public FailureDetector {
  private:
   void add_suspicion(ProcessId id, Tag tag);
   void add_mistake(ProcessId id, Tag tag);
-  /// Largest tag attached to `id` in either set, if any. The sets are
-  /// mutually exclusive, so this is simply the tag of the only entry.
-  /// O(1) via the dense mirror for id < n; binary search otherwise.
+  /// Largest tag attached to `id` (< n) in either set, if any. The sets
+  /// are mutually exclusive, so this is simply the tag of the only entry,
+  /// read from the dense mirror in O(1).
   [[nodiscard]] std::optional<Tag> local_tag(ProcessId id) const;
-  /// True iff `id`'s entry (if any) lives in the mistake set.
+  /// True iff `id`'s (< n) entry, if any, lives in the mistake set.
   [[nodiscard]] bool is_mistake(ProcessId id) const;
 
   void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const;
@@ -275,21 +284,19 @@ class DetectorCore final : public FailureDetector {
   Tag counter_{0};
   TaggedSet suspected_;
   TaggedSet mistake_;
-  /// Dense O(1) mirror of the two sets for ids < n: the merge loop probes
-  /// local state once per received entry, and the sorted sets' binary
-  /// search + cache-miss chain dominated large-n profiles. Ids >= n (bogus
-  /// wire senders on the live path) fall back to the sets themselves.
-  /// kind: 0 = absent, 1 = suspected, 2 = mistake.
+  /// Dense O(1) mirror of the two sets, which hold ids < n only (on_query
+  /// skips any other): the merge loop probes local state once per received
+  /// entry, and the sorted sets' binary search + cache-miss chain
+  /// dominated large-n profiles. kind: 0 = absent, 1 = suspected,
+  /// 2 = mistake.
   std::vector<Tag> dense_tag_;
   std::vector<std::uint8_t> dense_kind_;
-  std::vector<ProcessId> known_;  // sorted, excludes self
 
   QuerySeq seq_{0};
   bool in_progress_{false};
   bool terminated_{false};
   std::vector<ProcessId> rec_from_;  // arrival order
   std::vector<bool> responded_;      // per id < n: in rec_from_ this round
-  std::vector<ProcessId> winning_;
   std::uint64_t rounds_{0};
 
   // Give-up policy state: per-peer consecutive-suspected-round streaks

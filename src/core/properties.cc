@@ -1,21 +1,45 @@
 #include "core/properties.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 namespace mmrfd::core {
+
+std::vector<ProcessId> QueryRecord::winners() const {
+  std::vector<ProcessId> out;
+  for (std::size_t w = 0; w < winning.size(); ++w) {
+    for (std::uint64_t bits = winning[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(ProcessId{static_cast<std::uint32_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits)))});
+    }
+  }
+  return out;
+}
 
 void PropertyRecorder::record(ProcessId issuer, QuerySeq seq,
                               TimePoint terminated_at,
                               std::span<const ProcessId> winning) {
+  const auto check = [this](ProcessId id, const char* what) {
+    if (id.value >= n_) {
+      throw std::out_of_range(std::string("PropertyRecorder: ") + what +
+                              " id " + std::to_string(id.value) +
+                              " is outside Pi (n=" + std::to_string(n_) + ")");
+    }
+  };
+  check(issuer, "issuer");
   QueryRecord r;
   r.issuer = issuer;
   r.seq = seq;
   r.terminated_at = terminated_at;
-  r.winning.assign(winning.begin(), winning.end());
-  assert(std::is_sorted(r.winning.begin(), r.winning.end()));
+  r.winning.assign((static_cast<std::size_t>(n_) + 63) / 64, 0);
+  for (const ProcessId p : winning) {
+    check(p, "winner");
+    r.winning[p.value / 64] |= std::uint64_t{1} << (p.value % 64);
+  }
   records_.push_back(std::move(r));
 }
 
@@ -27,14 +51,14 @@ MpChecker::MpChecker(const PropertyRecorder& recorder, std::uint32_t f,
 
 double MpChecker::winning_fraction(ProcessId p, ProcessId q) const {
   std::size_t total = 0;
-  std::size_t won = 0;
+  std::size_t wins = 0;
   for (const auto& r : recorder_.records()) {
     if (r.issuer != q) continue;
     ++total;
-    if (std::binary_search(r.winning.begin(), r.winning.end(), p)) ++won;
+    if (r.won(p)) ++wins;
   }
   return total == 0 ? 0.0
-                    : static_cast<double>(won) / static_cast<double>(total);
+                    : static_cast<double>(wins) / static_cast<double>(total);
 }
 
 std::size_t MpChecker::query_count(ProcessId q) const {
@@ -62,7 +86,7 @@ MpVerdict MpChecker::check(std::size_t min_queries_after) const {
   for (ProcessId p : correct_) {
     std::vector<TimePoint> viol(n, kNever);
     for (const auto& r : recorder_.records()) {
-      if (std::binary_search(r.winning.begin(), r.winning.end(), p)) continue;
+      if (r.won(p)) continue;
       viol[r.issuer.value] = std::max(viol[r.issuer.value], r.terminated_at);
     }
     MpVerdict v;
@@ -120,7 +144,7 @@ MpVerdict MpChecker::check_with_quorum(std::size_t issuers,
       viol[q] = kNever;
     }
     for (const auto& r : recorder_.records()) {
-      if (std::binary_search(r.winning.begin(), r.winning.end(), p)) continue;
+      if (r.won(p)) continue;
       auto& v = viol[r.issuer.value];
       if (v.has_value()) v = std::max(*v, r.terminated_at);
     }

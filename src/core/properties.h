@@ -23,7 +23,9 @@
 //
 // This module provides:
 //   * PropertyRecorder — collects, per terminated query, the issuer and the
-//     winning responder set (hosts feed it as rounds terminate);
+//     winning responder set (hosts feed it as rounds terminate), each set as
+//     n bits: the journal is the recorded execution MP is decided on, so it
+//     stays exact, at n/8 bytes a query instead of 4 bytes per winner;
 //   * MpChecker — decides, offline, whether/when MP held in the recorded
 //     execution, which witness p and quorum set Q realize it, and the
 //     pairwise winning-fraction statistics used by experiment E5.
@@ -44,13 +46,27 @@ struct QueryRecord {
   ProcessId issuer;
   QuerySeq seq{0};
   TimePoint terminated_at{kTimeZero};
-  std::vector<ProcessId> winning;  // sorted, includes the issuer
+  /// The winning set (issuer included) as n bits: p won iff bit p % 64 of
+  /// word p / 64 is set.
+  std::vector<std::uint64_t> winning;
+
+  /// True iff `p` is in the winning set.
+  [[nodiscard]] bool won(ProcessId p) const {
+    const std::size_t word = p.value / 64;
+    return word < winning.size() && ((winning[word] >> (p.value % 64)) & 1U);
+  }
+  /// The winning set, ascending.
+  [[nodiscard]] std::vector<ProcessId> winners() const;
 };
 
 class PropertyRecorder {
  public:
   explicit PropertyRecorder(std::uint32_t n) : n_(n) {}
 
+  /// Journals one terminated query; `winning` may come in any order (the
+  /// core hands its responders in arrival order). Throws std::out_of_range
+  /// for an issuer or winner id >= n, in every build: it would index past
+  /// the bit set and the checker's per-issuer tables.
   void record(ProcessId issuer, QuerySeq seq, TimePoint terminated_at,
               std::span<const ProcessId> winning);
 

@@ -6,7 +6,9 @@
 // the tag-free SimpleDetectorCore) with no clock, socket or simulator: an
 // adapter passes in the time and what it receives, calls on_deadline()
 // whenever deadline() has come, and transmits what `send` receives, which
-// goes out in the order of the `peers` it passes.
+// goes out in the order of the `peers` it passes (on the full mesh every id
+// but self, ascending and stored nowhere: Topology::full, DetectorCore::
+// known()).
 //
 // The first deadline issues the first round. While a round is short of
 // quorum the deadline is its next resend wave (if a resend interval is
@@ -33,12 +35,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "common/peer_range.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "core/detector_core.h"
@@ -110,8 +112,7 @@ class RoundDriver {
   /// one at once if it suspected a new peer), or at the pause's end issues
   /// the next round.
   template <typename Send>
-  void on_deadline(TimePoint now, std::span<const ProcessId> peers,
-                   Send&& send) {
+  void on_deadline(TimePoint now, PeerRange peers, Send&& send) {
     if (!deadline_ || now < *deadline_) return;
     switch (step_) {
       case Step::kIssue:
@@ -163,7 +164,7 @@ class RoundDriver {
  private:
   /// Starts a round and hands its queries to `send`, in `peers` order.
   template <typename Send>
-  void issue(TimePoint now, std::span<const ProcessId> peers, Send& send) {
+  void issue(TimePoint now, PeerRange peers, Send& send) {
     core_.begin_query();
     round_start_ = now;
     waves_ = 0;
@@ -184,7 +185,7 @@ class RoundDriver {
   /// Counts a wave and re-sends the round's full encoding, in `peers`
   /// order, to every peer `target` picks; with none it sends nothing.
   template <typename Send, typename Target>
-  void wave(std::span<const ProcessId> peers, Send& send, Target target) {
+  void wave(PeerRange peers, Send& send, Target target) {
     ++waves_;
     const auto targets = std::count_if(peers.begin(), peers.end(), target);
     if (targets == 0) return;

@@ -39,9 +39,10 @@ void export_queries_csv(const core::PropertyRecorder& recorder,
   for (const auto& r : recorder.records()) {
     os << r.issuer.value << ',' << r.seq << ',' << to_seconds(r.terminated_at)
        << ',';
-    for (std::size_t i = 0; i < r.winning.size(); ++i) {
-      if (i) os << ';';
-      os << r.winning[i].value;
+    const char* sep = "";
+    for (const ProcessId p : r.winners()) {
+      os << sep << p.value;
+      sep = ";";
     }
     os << '\n';
   }
@@ -64,9 +65,10 @@ void export_jsonl(const EventLog& log, const core::PropertyRecorder* recorder,
       os << R"({"type":"query","issuer":)" << r.issuer.value << R"(,"seq":)"
          << r.seq << R"(,"terminated_s":)" << to_seconds(r.terminated_at)
          << R"(,"winning":[)";
-      for (std::size_t i = 0; i < r.winning.size(); ++i) {
-        if (i) os << ',';
-        os << r.winning[i].value;
+      const char* sep = "";
+      for (const ProcessId p : r.winners()) {
+        os << sep << p.value;
+        sep = ",";
       }
       os << "]}\n";
     }

@@ -17,7 +17,8 @@ void export_events_csv(const EventLog& log, std::ostream& os);
 /// CSV: subject,when_s
 void export_crashes_csv(const EventLog& log, std::ostream& os);
 
-/// CSV: issuer,seq,terminated_s,winning  (winning = ';'-joined ids)
+/// CSV: issuer,seq,terminated_s,winning  (winning = ';'-joined ids,
+/// ascending)
 void export_queries_csv(const core::PropertyRecorder& recorder,
                         std::ostream& os);
 

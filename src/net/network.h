@@ -65,9 +65,7 @@ class Network {
                                         ProcessId to,
                                         std::shared_ptr<const Msg> payload)>;
 
-  /// Shares an existing topology — the sharded runtime hands every
-  /// per-shard network one copy of the (potentially O(n^2)) adjacency.
-  Network(sim::Simulation& simulation, std::shared_ptr<const Topology> topology,
+  Network(sim::Simulation& simulation, Topology topology,
           std::unique_ptr<DelayModel> delays, std::uint64_t seed)
       : sim_(simulation),
         topology_(std::move(topology)),
@@ -75,20 +73,13 @@ class Network {
         rng_(derive_seed(seed, "net.delays")),
         loss_rng_(derive_seed(seed, "net.loss")),
         fault_rng_(derive_seed(seed, "net.faults")),
-        handlers_(topology_->size()),
-        crashed_(topology_->size(), false) {
+        handlers_(topology_.size()),
+        crashed_(topology_.size(), false) {
     assert(delays_ != nullptr);
-    assert(topology_ != nullptr);
   }
 
-  Network(sim::Simulation& simulation, Topology topology,
-          std::unique_ptr<DelayModel> delays, std::uint64_t seed)
-      : Network(simulation,
-                std::make_shared<const Topology>(std::move(topology)),
-                std::move(delays), seed) {}
-
-  [[nodiscard]] std::size_t size() const { return topology_->size(); }
-  [[nodiscard]] const Topology& topology() const { return *topology_; }
+  [[nodiscard]] std::size_t size() const { return topology_.size(); }
+  [[nodiscard]] const Topology& topology() const { return topology_; }
 
   /// Turns this instance into one shard of a partitioned deployment:
   /// `shard_of[i]` names node i's owning shard, `self_shard` is this
@@ -189,7 +180,7 @@ class Network {
   /// shared payload, and then both delivery events share that single copy.
   void send(ProcessId from, ProcessId to, Msg msg) {
     assert(!is_crashed(from));
-    assert(from == to || topology_->are_neighbors(from, to));
+    assert(from == to || topology_.are_neighbors(from, to));
     ++stats_.messages_sent;
     if (size_fn_) stats_.bytes_sent += size_fn_(msg);
     if (link_down(from, to)) {
@@ -233,7 +224,7 @@ class Network {
   void send_shared(ProcessId from, ProcessId to,
                    std::shared_ptr<const Msg> payload) {
     assert(!is_crashed(from));
-    assert(from == to || topology_->are_neighbors(from, to));
+    assert(from == to || topology_.are_neighbors(from, to));
     assert(payload != nullptr);
     ++stats_.messages_sent;
     if (size_fn_) stats_.bytes_sent += size_fn_(*payload);
@@ -273,8 +264,7 @@ class Network {
  private:
   void broadcast_payload(ProcessId from, std::shared_ptr<const Msg> payload) {
     assert(!is_crashed(from));
-    const auto& neighbors = topology_->neighbors(from);
-    for (ProcessId to : neighbors) {
+    for (ProcessId to : topology_.neighbors(from)) {
       ++stats_.messages_sent;
       if (size_fn_) stats_.bytes_sent += size_fn_(*payload);
       if (link_down(from, to)) {
@@ -378,7 +368,7 @@ class Network {
   };
 
   sim::Simulation& sim_;
-  std::shared_ptr<const Topology> topology_;
+  Topology topology_;
   std::unique_ptr<DelayModel> delays_;
   Xoshiro256 rng_;
   Xoshiro256 loss_rng_;

@@ -9,7 +9,7 @@
 namespace mmrfd::net {
 
 void Topology::add_edge(std::uint32_t a, std::uint32_t b) {
-  assert(a != b && a < adjacency_.size() && b < adjacency_.size());
+  assert(!full_ && a != b && a < n_ && b < n_);
   auto insert_sorted = [](std::vector<ProcessId>& v, ProcessId x) {
     auto it = std::lower_bound(v.begin(), v.end(), x);
     if (it == v.end() || *it != x) v.insert(it, x);
@@ -18,22 +18,10 @@ void Topology::add_edge(std::uint32_t a, std::uint32_t b) {
   insert_sorted(adjacency_[b], ProcessId{a});
 }
 
-Topology Topology::full(std::size_t n) {
-  // Every list is every other id in order: fill it directly, O(n^2), where
-  // add_edge's sorted inserts would cost O(n^2 log n) and regrowth.
-  Topology t(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto& adj = t.adjacency_[i];
-    adj.reserve(n - 1);
-    for (std::uint32_t j = 0; j < n; ++j) {
-      if (j != i) adj.push_back(ProcessId{j});
-    }
-  }
-  return t;
-}
+Topology Topology::full(std::size_t n) { return Topology(n, true); }
 
 Topology Topology::ring(std::size_t n) {
-  Topology t(n);
+  Topology t(n, false);
   if (n < 2) return t;
   for (std::uint32_t i = 0; i < n; ++i) {
     t.add_edge(i, static_cast<std::uint32_t>((i + 1) % n));
@@ -42,7 +30,7 @@ Topology Topology::ring(std::size_t n) {
 }
 
 Topology Topology::star(std::size_t n) {
-  Topology t(n);
+  Topology t(n, false);
   for (std::uint32_t i = 1; i < n; ++i) t.add_edge(0, i);
   return t;
 }
@@ -62,30 +50,33 @@ Topology Topology::random_connected(std::size_t n, double edge_prob,
 Topology Topology::from_edges(
     std::size_t n,
     std::span<const std::pair<std::uint32_t, std::uint32_t>> edges) {
-  Topology t(n);
+  Topology t(n, false);
   for (const auto& [a, b] : edges) t.add_edge(a, b);
   return t;
 }
 
 bool Topology::are_neighbors(ProcessId a, ProcessId b) const {
-  if (a.value >= adjacency_.size()) return false;
+  if (a.value >= n_) return false;
+  if (full_) return b.value < n_ && b != a;
   const auto& adj = adjacency_[a.value];
   return std::binary_search(adj.begin(), adj.end(), b);
 }
 
-std::span<const ProcessId> Topology::neighbors(ProcessId id) const {
-  assert(id.value < adjacency_.size());
-  return adjacency_[id.value];
+PeerRange Topology::neighbors(ProcessId id) const {
+  assert(id.value < n_);
+  if (full_) return PeerRange::all_but(id, static_cast<std::uint32_t>(n_));
+  return PeerRange(adjacency_[id.value]);
 }
 
 std::size_t Topology::min_degree() const {
+  if (full_) return n_ == 0 ? 0 : n_ - 1;
   std::size_t d = adjacency_.empty() ? 0 : adjacency_[0].size();
   for (const auto& adj : adjacency_) d = std::min(d, adj.size());
   return d;
 }
 
 bool Topology::connected_excluding(const std::vector<bool>& removed) const {
-  const std::size_t n = adjacency_.size();
+  const std::size_t n = n_;
   std::size_t alive = 0;
   std::size_t start = n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -103,7 +94,7 @@ bool Topology::connected_excluding(const std::vector<bool>& removed) const {
   while (!q.empty()) {
     const std::size_t u = q.front();
     q.pop();
-    for (ProcessId v : adjacency_[u]) {
+    for (ProcessId v : neighbors(ProcessId{static_cast<std::uint32_t>(u)})) {
       if (!removed[v.value] && !seen[v.value]) {
         seen[v.value] = true;
         ++visited;
@@ -115,11 +106,11 @@ bool Topology::connected_excluding(const std::vector<bool>& removed) const {
 }
 
 bool Topology::connected() const {
-  return connected_excluding(std::vector<bool>(adjacency_.size(), false));
+  return connected_excluding(std::vector<bool>(n_, false));
 }
 
 bool Topology::k_vertex_connected(std::size_t k) const {
-  const std::size_t n = adjacency_.size();
+  const std::size_t n = n_;
   if (k == 0) return connected();
   if (n <= k + 1) return false;
   // Enumerate all subsets of size <= k to remove (tests use tiny k/n).

@@ -36,15 +36,12 @@ ShardedMmrCluster::ShardedMmrCluster(const MmrClusterConfig& config,
   }
   shard_of_ = std::move(shard_of);
 
-  // One O(n^2) adjacency, shared read-only by every per-shard network.
-  auto topology =
-      std::make_shared<const net::Topology>(net::Topology::full(config_.n));
-
   nets_.reserve(shards);
   logs_.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
     nets_.push_back(std::make_unique<MmrNetwork>(
-        engine_.shard(s), topology, build_mmr_delays(config_),
+        engine_.shard(s), net::Topology::full(config_.n),
+        build_mmr_delays(config_),
         derive_seed(config_.seed, "shard.net", s)));
     apply_fault_knobs(*nets_[s], config_);
     nets_[s]->enable_shard_routing(

@@ -5,9 +5,9 @@
 // Partitioning scheme:
 //   * Nodes are assigned to shards in contiguous blocks (node i lives on
 //     shard i * S / n), deterministically.
-//   * Each shard owns a private Simulation, a private Network instance (the
-//     O(n^2) Topology is built once and shared read-only across all of
-//     them), a private rollup-mode EventLog and the hosts of its nodes. All
+//   * Each shard owns a private Simulation, a private Network instance
+//     (each over Topology::full, which stores no adjacency), a private
+//     rollup-mode EventLog and the hosts of its nodes. All
 //     of a shard's random streams (delays, loss, per-host jitter) are
 //     private to its thread.
 //   * A message whose recipient lives on another shard is handed to the

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/peer_range.h"
 #include "common/rng.h"
 
 namespace mmrfd::transport {
@@ -38,9 +39,6 @@ RealTimeDetector::RealTimeDetector(Transport& transport,
     : transport_(transport),
       config_(config),
       driver_(config.detector, driver_config(config, *registry_)) {
-  for (std::uint32_t i = 0; i < config.detector.n; ++i) {
-    if (i != config.detector.self.value) peers_.push_back(ProcessId{i});
-  }
   transport_.set_handler([this](ProcessId from, const WireMessage& msg) {
     on_datagram(from, msg);
   });
@@ -66,6 +64,8 @@ void RealTimeDetector::run() {
   const auto plan = [this](core::Outgoing&& q) {
     outgoing_.push_back(std::move(q));
   };
+  // The fan-out order: every id but self, ascending.
+  const PeerRange peers = driver_.core().known();
   // The first round waits one pause, plus a share of another drawn per
   // node as the simulated hosts stagger theirs. Peers started alongside
   // bind their sockets meanwhile: a query sent before its peer binds is
@@ -91,7 +91,7 @@ void RealTimeDetector::run() {
     }
     {
       std::lock_guard lock(mutex_);
-      driver_.on_deadline(now, peers_, plan);
+      driver_.on_deadline(now, peers, plan);
     }
     transmit();
   }
@@ -103,7 +103,7 @@ void RealTimeDetector::transmit() {
   // resync, or one delta base for all): broadcast() serializes it once,
   // per-peer send() per call. Peers on different bases never share one.
   const bool broadcast =
-      outgoing_.size() == peers_.size() &&
+      outgoing_.size() == driver_.core().known().size() &&
       std::all_of(outgoing_.begin(), outgoing_.end(),
                   [&](const core::Outgoing& q) {
                     return q.query == outgoing_.front().query;

@@ -104,7 +104,6 @@ class RealTimeDetector final : public core::FailureDetector {
 
   Transport& transport_;
   RealTimeConfig config_;
-  std::vector<ProcessId> peers_;  // every id but self: the fan-out order
 
   // Instruments are registry-backed relaxed atomics, not mutex-guarded
   // state: the protocol thread bumps them outside the lock and report-flush

@@ -8,6 +8,7 @@
 #include <memory>
 #include <span>
 
+#include "common/peer_range.h"
 #include "obs/metrics_registry.h"
 #include "transport/datagram.h"
 #include "transport/transport.h"
@@ -50,8 +51,8 @@ class TypedTransport final : public Transport {
 
   void broadcast(const WireMessage& msg) override {
     const auto bytes = encode_envelope(self(), msg);
-    for (std::uint32_t i = 0; i < cluster_size(); ++i) {
-      if (i != self().value) datagrams_.send(ProcessId{i}, bytes);
+    for (ProcessId to : PeerRange::all_but(self(), cluster_size())) {
+      datagrams_.send(to, bytes);
     }
   }
 

@@ -74,6 +74,44 @@ TEST(DetectorCore, TiedTagMistakeRemergeIsNotAnEvent) {
   EXPECT_EQ(obs.mistakes, 2);
 }
 
+TEST(DetectorCore, QueryFromIdOutsidePiIsNeverSuspected) {
+  // Only a forged live datagram can carry a sender id outside Pi. The core
+  // answers it, but its suspicion candidates stay Pi \ {self}: the id is
+  // never suspected, so no later query spreads it.
+  DetectorCore d(cfg(0, 4, 1));
+  QueryMessage in;
+  in.seq = 1;
+  (void)d.on_query(ProcessId{99}, in);
+  EXPECT_EQ(d.known().size(), 3u);
+  for (int round = 0; round < 3; ++round) {
+    const auto q = d.start_query();
+    for (std::uint32_t p = 1; p < 4; ++p) {
+      (void)d.on_response(ProcessId{p}, ResponseMessage{q.seq});
+    }
+    EXPECT_FALSE(d.finish_round());
+    EXPECT_TRUE(d.suspected().empty());
+    EXPECT_TRUE(d.full_query().entries.empty());
+  }
+}
+
+TEST(DetectorCore, QueryEntriesOutsidePiAreNotMerged) {
+  // A corrupted datagram can name ids outside Pi in its entries. Merged,
+  // such an id would be a suspicion no process can ever defend, spread by
+  // every later full query.
+  DetectorCore d(cfg(0, 4, 1));
+  QueryMessage in;
+  in.seq = 1;
+  in.push_suspected({ProcessId{2}, 5});
+  in.push_suspected({ProcessId{99}, 5});
+  in.push_mistake({ProcessId{3}, 4});
+  in.push_mistake({ProcessId{77}, 4});
+  (void)d.on_query(ProcessId{1}, in);
+  EXPECT_EQ(d.suspected(), std::vector<ProcessId>{ProcessId{2}});
+  EXPECT_EQ(d.mistake_set().ids(), std::vector<ProcessId>{ProcessId{3}});
+  EXPECT_FALSE(d.is_suspected(ProcessId{99}));
+  EXPECT_EQ(d.full_query().entries.size(), 2u);
+}
+
 TEST(DetectorCore, SingletonSystemIsValidAndTerminatesInstantly) {
   DetectorCore d(cfg(0, 1, 0));
   EXPECT_TRUE(d.known().empty());
@@ -177,11 +215,10 @@ TEST(DetectorCore, WinningSetIsFirstQuorumOnly) {
   (void)d.on_response(ProcessId{3}, ResponseMessage{q.seq});
   (void)d.on_response(ProcessId{1}, ResponseMessage{q.seq});
   (void)d.on_response(ProcessId{2}, ResponseMessage{q.seq});  // late
+  // The first quorum() responders, in arrival order: p2 came too late.
   const auto w = d.winning();
-  ASSERT_EQ(w.size(), 3u);  // self, p3, p1 — sorted
-  EXPECT_TRUE(std::binary_search(w.begin(), w.end(), ProcessId{0}));
-  EXPECT_TRUE(std::binary_search(w.begin(), w.end(), ProcessId{1}));
-  EXPECT_TRUE(std::binary_search(w.begin(), w.end(), ProcessId{3}));
+  EXPECT_EQ(std::vector<ProcessId>(w.begin(), w.end()),
+            (std::vector<ProcessId>{ProcessId{0}, ProcessId{3}, ProcessId{1}}));
   EXPECT_EQ(d.rec_from().size(), 4u);
 }
 

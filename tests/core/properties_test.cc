@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <stdexcept>
 #include <vector>
+
+#include "metrics/export.h"
 
 namespace mmrfd::core {
 namespace {
@@ -150,6 +155,54 @@ TEST(MpChecker, PrefersEarlierStabilization) {
   const auto v = checker.check();
   ASSERT_TRUE(v.holds);
   EXPECT_EQ(v.witness, ProcessId{1});
+}
+
+// The journal keeps each winning set as n bits. At n = 130 the last of the
+// three 64-bit words is mostly unused, and the winners come in arrival
+// order, as a core hands them over.
+TEST(PropertyRecorder, WinningSetIsExactAcrossAPartlyUsedLastWord) {
+  PropertyRecorder rec(130);
+  const auto arrival = ids({7, 129, 0, 64, 63, 128, 65});
+  rec.record(ProcessId{7}, 1, from_millis(5), arrival);
+  ASSERT_EQ(rec.records().size(), 1u);
+  const QueryRecord& r = rec.records().front();
+  for (std::uint32_t p = 0; p < 130; ++p) {
+    const bool winner =
+        std::find(arrival.begin(), arrival.end(), ProcessId{p}) !=
+        arrival.end();
+    EXPECT_EQ(r.won(ProcessId{p}), winner) << "p" << p;
+  }
+  EXPECT_FALSE(r.won(ProcessId{130}));
+  EXPECT_FALSE(r.won(ProcessId{191}));  // last bit of the last word
+  EXPECT_FALSE(r.won(ProcessId{5000}));
+  EXPECT_EQ(r.winners(), ids({0, 7, 63, 64, 65, 128, 129}));
+}
+
+TEST(PropertyRecorder, QueriesCsvListsWinnersAscending) {
+  PropertyRecorder rec(130);
+  rec.record(ProcessId{129}, 4, from_millis(1500), ids({129, 3, 64, 0}));
+  rec.record(ProcessId{2}, 9, from_millis(2000), ids({2}));
+  std::ostringstream os;
+  metrics::export_queries_csv(rec, os);
+  EXPECT_EQ(os.str(),
+            "issuer,seq,terminated_s,winning\n"
+            "129,4,1.5,0;3;64;129\n"
+            "2,9,2,2\n");
+}
+
+TEST(PropertyRecorder, RejectsIdsOutsidePiInEveryBuild) {
+  // An id >= n would set a bit past the set (and index past the checker's
+  // per-issuer tables), so the recorder throws rather than asserts.
+  PropertyRecorder rec(130);
+  EXPECT_THROW(rec.record(ProcessId{3}, 1, from_millis(1), ids({3, 130})),
+               std::out_of_range);
+  EXPECT_THROW(rec.record(ProcessId{3}, 1, from_millis(1), ids({3, 192})),
+               std::out_of_range);
+  EXPECT_THROW(rec.record(ProcessId{130}, 1, from_millis(1), ids({0})),
+               std::out_of_range);
+  EXPECT_TRUE(rec.records().empty());
+  rec.record(ProcessId{129}, 1, from_millis(1), ids({129}));
+  EXPECT_EQ(rec.records().size(), 1u);
 }
 
 TEST(StabilizationChecker, ConvergedTraceIsExactView) {

@@ -55,7 +55,7 @@ struct Harness {
   void fire_at(TimePoint at) {
     now = at;
     sent.clear();
-    driver.on_deadline(now, peers, [this](Outgoing&& q) {
+    driver.on_deadline(now, PeerRange(peers), [this](Outgoing&& q) {
       last_query[q.to.value] = std::get<QueryMessage>(*q.query);
       sent.push_back(std::move(q));
     });
@@ -446,7 +446,7 @@ TEST(RoundDriver, IssuesStayAtLeastTheQuorumSpanPlusHalfAPauseApart) {
       continue;
     }
     const QuerySeq before = driver.core().query_seq();
-    driver.on_deadline(due, peers, [](Outgoing&&) {});
+    driver.on_deadline(due, PeerRange(peers), [](Outgoing&&) {});
     if (driver.core().query_seq() == before) {
       if (!driver.core().query_terminated()) {  // a resend wave: all answer
         for (const ProcessId p : peers) {

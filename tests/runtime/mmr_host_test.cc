@@ -74,9 +74,8 @@ TEST(MmrHost, RecorderSeesEveryTerminatedQuery) {
   for (const auto& r : f.recorder.records()) {
     // Winning sets have exactly quorum = n - f = 2 members and include the
     // issuer.
-    EXPECT_EQ(r.winning.size(), 2u);
-    EXPECT_TRUE(std::binary_search(r.winning.begin(), r.winning.end(),
-                                   r.issuer));
+    EXPECT_EQ(r.winners().size(), 2u);
+    EXPECT_TRUE(r.won(r.issuer));
   }
 }
 
