@@ -76,7 +76,8 @@ void BM_FullRound(benchmark::State& state) {
 BENCHMARK(BM_FullRound)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_StartQuerySnapshot(benchmark::State& state) {
-  // Cost of snapshotting suspicion sets into a query, with a loaded state.
+  // Cost of a round whose full query lists a loaded table (one walk of the
+  // n per-id entries).
   const auto n = static_cast<std::uint32_t>(state.range(0));
   DetectorCore d(cfg(n, 1));
   // Load ~n/2 suspicions via a merge.
@@ -91,31 +92,6 @@ void BM_StartQuerySnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StartQuerySnapshot)->Arg(64)->Arg(512);
-
-void BM_TaggedSetAdd(benchmark::State& state) {
-  const auto size = static_cast<std::uint32_t>(state.range(0));
-  TaggedSet s;
-  Xoshiro256 rng(3);
-  for (std::uint32_t i = 0; i < size; ++i) s.add(ProcessId{i}, i);
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    s.add(ProcessId{i % size}, i);
-    ++i;
-  }
-}
-BENCHMARK(BM_TaggedSetAdd)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_TaggedSetLookup(benchmark::State& state) {
-  const auto size = static_cast<std::uint32_t>(state.range(0));
-  TaggedSet s;
-  for (std::uint32_t i = 0; i < size; ++i) s.add(ProcessId{2 * i}, i);
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.tag_of(ProcessId{i % (2 * size)}));
-    ++i;
-  }
-}
-BENCHMARK(BM_TaggedSetLookup)->Arg(16)->Arg(256)->Arg(4096);
 
 }  // namespace
 

@@ -5,51 +5,6 @@
 
 namespace mmrfd {
 
-namespace {
-auto lower_bound_for(std::vector<TaggedEntry>& v, ProcessId id) {
-  return std::lower_bound(
-      v.begin(), v.end(), id,
-      [](const TaggedEntry& e, ProcessId key) { return e.id < key; });
-}
-
-auto lower_bound_for(const std::vector<TaggedEntry>& v, ProcessId id) {
-  return std::lower_bound(
-      v.begin(), v.end(), id,
-      [](const TaggedEntry& e, ProcessId key) { return e.id < key; });
-}
-}  // namespace
-
-void TaggedSet::add(ProcessId id, Tag tag) {
-  auto it = lower_bound_for(entries_, id);
-  if (it != entries_.end() && it->id == id) {
-    it->tag = tag;
-  } else {
-    entries_.insert(it, TaggedEntry{id, tag});
-  }
-}
-
-bool TaggedSet::erase(ProcessId id) {
-  auto it = lower_bound_for(entries_, id);
-  if (it != entries_.end() && it->id == id) {
-    entries_.erase(it);
-    return true;
-  }
-  return false;
-}
-
-std::optional<Tag> TaggedSet::tag_of(ProcessId id) const {
-  auto it = lower_bound_for(entries_, id);
-  if (it != entries_.end() && it->id == id) return it->tag;
-  return std::nullopt;
-}
-
-std::vector<ProcessId> TaggedSet::ids() const {
-  std::vector<ProcessId> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.id);
-  return out;
-}
-
 ChangeJournal::ChangeJournal(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 

@@ -1,20 +1,14 @@
-// TaggedSet: the `suspected` / `mistake` sets of the DSN'03 protocol.
+// The tagged entries of the DSN'03 protocol's `suspected` / `mistake` sets,
+// and the delta-encoding machinery that ships changes to them.
 //
-// Each entry is a pair <id, tag> — "process `id` is suspected (resp. was
+// An entry is a pair <id, tag>: "process `id` is suspected (resp. was
 // falsely suspected), and that piece of information was generated when the
-// originator's round counter had value `tag`". At most one entry per id;
-// Add() implements the paper's replacement semantics: inserting <id, tag>
-// overwrites any existing <id, ->.
-//
-// Entries are kept sorted by id in a flat vector: sets are small (<= n), the
-// protocol iterates them on every query, and flat storage keeps merge loops
-// cache-friendly and the serialized wire form canonical.
+// originator's round counter had value `tag`". The sets themselves live in
+// DetectorCore's per-id table, which gives each id at most one entry.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -28,41 +22,6 @@ struct TaggedEntry {
 
   friend constexpr bool operator==(const TaggedEntry&,
                                    const TaggedEntry&) = default;
-};
-
-class TaggedSet {
- public:
-  TaggedSet() = default;
-
-  /// Inserts <id, tag>, replacing any existing entry for `id`
-  /// (the paper's Add(set, <id, counter>)).
-  void add(ProcessId id, Tag tag);
-
-  /// Removes the entry for `id` if present; returns true if removed.
-  bool erase(ProcessId id);
-
-  /// Tag of `id`'s entry, or nullopt if absent.
-  [[nodiscard]] std::optional<Tag> tag_of(ProcessId id) const;
-
-  [[nodiscard]] bool contains(ProcessId id) const {
-    return tag_of(id).has_value();
-  }
-
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
-
-  /// Sorted-by-id view of the entries.
-  [[nodiscard]] std::span<const TaggedEntry> entries() const {
-    return entries_;
-  }
-
-  [[nodiscard]] std::vector<ProcessId> ids() const;
-
-  friend bool operator==(const TaggedSet&, const TaggedSet&) = default;
-
- private:
-  std::vector<TaggedEntry> entries_;  // sorted by id, unique ids
 };
 
 /// Epoch — a monotone version of one process's (suspected, mistake) state.

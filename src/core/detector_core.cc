@@ -105,17 +105,26 @@ QueryMessage DetectorCore::full_query() const {
   // Reference full mode stays epoch-less — byte-identical to the paper's
   // encoding; the delta machinery only engages via acknowledgements.
   q.epoch = config_.delta_queries ? delta_.sent_epoch() : 0;
-  q.entries.reserve(suspected_.size() + mistake_.size());
-  q.entries.assign(suspected_.entries().begin(), suspected_.entries().end());
-  q.entries.insert(q.entries.end(), mistake_.entries().begin(),
-                   mistake_.entries().end());
-  q.suspected_count = static_cast<std::uint32_t>(suspected_.size());
+  // One walk of the table fills both halves, each ascending by id.
+  q.entries.resize(std::size_t{suspected_count_} + mistake_count_);
+  q.suspected_count = suspected_count_;
+  std::size_t sus = 0;
+  std::size_t mis = suspected_count_;
+  for (std::uint32_t i = 0; i < config_.n; ++i) {
+    if (dense_kind_[i] == kSuspected) {
+      q.entries[sus++] = TaggedEntry{ProcessId{i}, dense_tag_[i]};
+    } else if (dense_kind_[i] == kMistake) {
+      q.entries[mis++] = TaggedEntry{ProcessId{i}, dense_tag_[i]};
+    }
+  }
+  assert(sus == suspected_count_ && mis == q.entries.size());
   return q;
 }
 
 bool DetectorCore::full_query_needed(ProcessId peer) const {
   if (!config_.delta_queries) return true;
-  return delta_.full_needed(peer, suspected_.size() + mistake_.size());
+  return delta_.full_needed(peer,
+                            std::size_t{suspected_count_} + mistake_count_);
 }
 
 QueryMessage DetectorCore::query_for(ProcessId peer) {
@@ -136,13 +145,14 @@ QueryMessage DetectorCore::query_for(ProcessId peer) {
     std::vector<TaggedEntry> mist;
     for (ProcessId id : delta_.journal().changed_since(base)) {
       // In a correct execution every id ever touched stays in exactly one
-      // of the two sets (erase only ever accompanies a re-add), but
+      // of the two sets (an entry only ever moves between them), but
       // transient corruption can leave the replay window naming ids that
       // are now in neither — absence is not gossipable, so skip them.
-      if (const auto t = suspected_.tag_of(id)) {
-        q.entries.push_back({id, *t});
-      } else if (const auto m = mistake_.tag_of(id)) {
-        mist.push_back({id, *m});
+      const Tag tag = dense_tag_[id.value];
+      if (dense_kind_[id.value] == kSuspected) {
+        q.entries.push_back({id, tag});
+      } else if (dense_kind_[id.value] == kMistake) {
+        mist.push_back({id, tag});
       }
     }
     q.suspected_count = static_cast<std::uint32_t>(q.entries.size());
@@ -183,12 +193,10 @@ bool DetectorCore::finish_round() {
   bool fresh = false;
   for (ProcessId pj : known()) {
     if (responded_[pj.value]) continue;
-    const auto mine = local_tag(pj);
-    if (mine.has_value() && !is_mistake(pj)) continue;  // already suspected
-    if (mine.has_value()) {
+    if (is_suspected(pj)) continue;
+    if (const auto mistake = mistake_tag(pj)) {
       // A stale mistake exists: the fresh suspicion must dominate it.
-      counter_ = std::max(counter_, *mine + 1);
-      mistake_.erase(pj);
+      counter_ = std::max(counter_, *mistake + 1);
     }
     add_suspicion(pj, counter_);
     fresh = true;
@@ -202,7 +210,8 @@ bool DetectorCore::finish_round() {
   // its first probe response whatever the timing.
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     if (i == config_.self.value) continue;
-    streak_[i] = dense_kind_[i] == 1 && !responded_[i] ? streak_[i] + 1 : 0;
+    streak_[i] =
+        dense_kind_[i] == kSuspected && !responded_[i] ? streak_[i] + 1 : 0;
   }
   // Self-stabilization guard: periodically discard the per-sender seen
   // watermarks (see DetectorConfig::resync_interval). The next delta query
@@ -216,7 +225,7 @@ bool DetectorCore::finish_round() {
   }
   trace(obs::TraceKind::kRoundClose,
         static_cast<std::uint32_t>(seq_),
-        static_cast<std::uint32_t>(suspected_.size()));
+        suspected_count_);
   return fresh;
 }
 
@@ -250,8 +259,7 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
       counter_ = std::max(counter_, e.tag + 1);
       add_mistake(config_.self, counter_);
     } else {
-      mistake_.erase(e.id);  // line 28
-      add_suspicion(e.id, e.tag);
+      add_suspicion(e.id, e.tag);  // replaces any mistake entry (line 28)
     }
   }
 
@@ -262,7 +270,8 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
     const auto mine = local_tag(e.id);
     const bool newer_or_tied = !mine.has_value() || *mine <= e.tag;
     if (!newer_or_tied) continue;
-    if (mine.has_value() && *mine == e.tag && is_mistake(e.id)) {
+    if (mine.has_value() && *mine == e.tag &&
+        dense_kind_[e.id.value] == kMistake) {
       // Identical entry already present: re-adding changes no state, and
       // firing on_mistake for it floods the event log — at n = 1000 a
       // post-spike sweep logged ~200M of these no-op "events" (6+ GB).
@@ -291,23 +300,19 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
   // Replace both sets with arbitrary entries — including, possibly, the
   // self-suspicion no correct execution produces. Tags land around the
   // (already scrambled) counter.
-  suspected_.clear();
-  mistake_.clear();
-  std::fill(dense_kind_.begin(), dense_kind_.end(), std::uint8_t{0});
+  std::fill(dense_kind_.begin(), dense_kind_.end(), kAbsent);
   std::fill(dense_tag_.begin(), dense_tag_.end(), Tag{0});
+  suspected_count_ = 0;
+  mistake_count_ = 0;
   const Tag tag_ceiling = counter_ + 8;
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     const double u = rng.next_double();
-    const std::uint8_t kind = u < 0.25 ? 1 : (u < 0.40 ? 2 : 0);
-    if (kind == 0) continue;
-    const Tag tag = rng.next_below(tag_ceiling);
-    if (kind == 1) {
-      suspected_.add(ProcessId{i}, tag);
-    } else {
-      mistake_.add(ProcessId{i}, tag);
-    }
+    const std::uint8_t kind =
+        u < 0.25 ? kSuspected : (u < 0.40 ? kMistake : kAbsent);
+    if (kind == kAbsent) continue;
+    ++(kind == kSuspected ? suspected_count_ : mistake_count_);
     dense_kind_[i] = kind;
-    dense_tag_[i] = tag;
+    dense_tag_[i] = rng.next_below(tag_ceiling);
   }
 
   // Journal: restart the replay window at an arbitrary epoch (zero, below
@@ -321,7 +326,7 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
                                      : true_epoch + 1000000;
   delta_.corrupt_journal(new_base);
   for (std::uint32_t i = 0; i < config_.n; ++i) {
-    if (dense_kind_[i] != old_kind[i] || dense_kind_[i] != 0) {
+    if (dense_kind_[i] != old_kind[i] || dense_kind_[i] != kAbsent) {
       delta_.record(ProcessId{i});
     }
   }
@@ -364,33 +369,42 @@ void DetectorCore::inject_transient_corruption(std::uint64_t seed) {
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     const ProcessId id{i};
     const Tag tag = dense_tag_[i];
-    if (old_kind[i] == 1 && dense_kind_[i] != 1) {
+    const bool was_suspected = old_kind[i] == kSuspected;
+    const bool suspected = dense_kind_[i] == kSuspected;
+    if (was_suspected && !suspected) {
       trace(obs::TraceKind::kSuspectDrop, i, static_cast<std::uint32_t>(tag));
       if (observer_ != nullptr) observer_->on_cleared(id, tag);
-    } else if (old_kind[i] != 1 && dense_kind_[i] == 1) {
+    } else if (!was_suspected && suspected) {
       trace(obs::TraceKind::kSuspectAdd, i, static_cast<std::uint32_t>(tag));
       if (observer_ != nullptr) observer_->on_suspected(id, tag);
     }
-    if (observer_ != nullptr && old_kind[i] != 2 && dense_kind_[i] == 2) {
+    if (observer_ != nullptr && old_kind[i] != kMistake &&
+        dense_kind_[i] == kMistake) {
       observer_->on_mistake(id, tag);
     }
   }
 }
 
 std::vector<ProcessId> DetectorCore::suspected() const {
-  return suspected_.ids();
+  std::vector<ProcessId> out;
+  out.reserve(suspected_count_);
+  for (std::uint32_t i = 0; i < config_.n; ++i) {
+    if (dense_kind_[i] == kSuspected) out.push_back(ProcessId{i});
+  }
+  return out;
 }
 
 bool DetectorCore::is_suspected(ProcessId id) const {
-  return id.value < config_.n && dense_kind_[id.value] == 1;
+  return suspicion_tag(id).has_value();
 }
 
 void DetectorCore::add_suspicion(ProcessId id, Tag tag) {
   assert(id != config_.self && id.value < config_.n);
-  assert(!mistake_.contains(id));  // callers erase the mistake entry first
-  const bool was_suspected = suspected_.contains(id);
-  suspected_.add(id, tag);
-  dense_kind_[id.value] = 1;
+  std::uint8_t& kind = dense_kind_[id.value];
+  const bool was_suspected = kind == kSuspected;
+  if (kind == kMistake) --mistake_count_;
+  if (!was_suspected) ++suspected_count_;
+  kind = kSuspected;
   dense_tag_[id.value] = tag;
   delta_.record(id);
   if (!was_suspected) {
@@ -402,10 +416,11 @@ void DetectorCore::add_suspicion(ProcessId id, Tag tag) {
 
 void DetectorCore::add_mistake(ProcessId id, Tag tag) {
   assert(id.value < config_.n);
-  const bool was_suspected = suspected_.contains(id);
-  if (was_suspected) suspected_.erase(id);
-  mistake_.add(id, tag);
-  dense_kind_[id.value] = 2;
+  std::uint8_t& kind = dense_kind_[id.value];
+  const bool was_suspected = kind == kSuspected;
+  if (was_suspected) --suspected_count_;
+  if (kind != kMistake) ++mistake_count_;
+  kind = kMistake;
   dense_tag_[id.value] = tag;
   delta_.record(id);
   if (was_suspected) {
@@ -416,15 +431,6 @@ void DetectorCore::add_mistake(ProcessId id, Tag tag) {
     if (was_suspected) observer_->on_cleared(id, tag);
     observer_->on_mistake(id, tag);
   }
-}
-
-std::optional<Tag> DetectorCore::local_tag(ProcessId id) const {
-  if (dense_kind_[id.value] == 0) return std::nullopt;
-  return dense_tag_[id.value];
-}
-
-bool DetectorCore::is_mistake(ProcessId id) const {
-  return dense_kind_[id.value] == 2;
 }
 
 void DetectorCore::trace(obs::TraceKind kind, std::uint32_t a,

@@ -143,7 +143,8 @@ class DetectorCore final : public FailureDetector {
   void begin_query();
 
   /// The canonical full query for the current round (self-contained; every
-  /// entry of both sets). Requires a round started this cycle.
+  /// entry of both sets: suspicions, then mistakes, each ascending by id).
+  /// It is the one listing of the sets; tests read them through it too.
   [[nodiscard]] QueryMessage full_query() const;
 
   /// True when `peer` must receive the full encoding this round: delta mode
@@ -187,8 +188,14 @@ class DetectorCore final : public FailureDetector {
   [[nodiscard]] std::vector<ProcessId> suspected() const override;
   [[nodiscard]] bool is_suspected(ProcessId id) const override;
 
-  [[nodiscard]] const TaggedSet& suspected_set() const { return suspected_; }
-  [[nodiscard]] const TaggedSet& mistake_set() const { return mistake_; }
+  /// Tag of `id`'s suspicion entry; nullopt when `id` is not suspected.
+  [[nodiscard]] std::optional<Tag> suspicion_tag(ProcessId id) const {
+    return tag_if(id, kSuspected);
+  }
+  /// Tag of `id`'s mistake entry; nullopt when it has none.
+  [[nodiscard]] std::optional<Tag> mistake_tag(ProcessId id) const {
+    return tag_if(id, kMistake);
+  }
   [[nodiscard]] Tag counter() const { return counter_; }
   [[nodiscard]] QuerySeq query_seq() const { return seq_; }
   [[nodiscard]] bool query_in_progress() const { return in_progress_; }
@@ -266,14 +273,27 @@ class DetectorCore final : public FailureDetector {
   }
 
  private:
+  /// Per-id entry kinds of the table.
+  static constexpr std::uint8_t kAbsent = 0;
+  static constexpr std::uint8_t kSuspected = 1;
+  static constexpr std::uint8_t kMistake = 2;
+
+  /// Both Add <id, tag>, replacing `id`'s entry in either set.
   void add_suspicion(ProcessId id, Tag tag);
   void add_mistake(ProcessId id, Tag tag);
-  /// Largest tag attached to `id` (< n) in either set, if any. The sets
-  /// are mutually exclusive, so this is simply the tag of the only entry,
-  /// read from the dense mirror in O(1).
-  [[nodiscard]] std::optional<Tag> local_tag(ProcessId id) const;
-  /// True iff `id`'s (< n) entry, if any, lives in the mistake set.
-  [[nodiscard]] bool is_mistake(ProcessId id) const;
+  /// Tag of `id`'s (< n) entry in either set, if any: the sets are
+  /// mutually exclusive, so an id has at most one.
+  [[nodiscard]] std::optional<Tag> local_tag(ProcessId id) const {
+    if (dense_kind_[id.value] == kAbsent) return std::nullopt;
+    return dense_tag_[id.value];
+  }
+  [[nodiscard]] std::optional<Tag> tag_if(ProcessId id,
+                                          std::uint8_t kind) const {
+    if (id.value >= config_.n || dense_kind_[id.value] != kind) {
+      return std::nullopt;
+    }
+    return dense_tag_[id.value];
+  }
 
   void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const;
 
@@ -282,15 +302,15 @@ class DetectorCore final : public FailureDetector {
   obs::FlightRecorder* recorder_{nullptr};
 
   Tag counter_{0};
-  TaggedSet suspected_;
-  TaggedSet mistake_;
-  /// Dense O(1) mirror of the two sets, which hold ids < n only (on_query
-  /// skips any other): the merge loop probes local state once per received
-  /// entry, and the sorted sets' binary search + cache-miss chain
-  /// dominated large-n profiles. kind: 0 = absent, 1 = suspected,
-  /// 2 = mistake.
+  /// The suspected and mistake sets, as one table indexed by id (they hold
+  /// ids < n only; on_query skips any other): each id has at most one
+  /// entry, of kind kSuspected or kMistake, so a merge probes local state
+  /// once per received entry in O(1). The table is the sets' only copy;
+  /// full_query() lists them.
   std::vector<Tag> dense_tag_;
   std::vector<std::uint8_t> dense_kind_;
+  std::uint32_t suspected_count_{0};
+  std::uint32_t mistake_count_{0};
 
   QuerySeq seq_{0};
   bool in_progress_{false};

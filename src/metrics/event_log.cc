@@ -14,10 +14,8 @@ void EventLog::apply(TimePoint when, ProcessId observer, ProcessId subject,
                      SuspicionEventKind kind, Tag tag) {
   if (mode_ == LogMode::kFull) {
     events_.push_back(SuspicionEvent{when, observer, subject, kind, tag});
+    return;
   }
-  // The pair summary is maintained in both modes: full-mode callers get
-  // rollup() for free, and the rollup/full equivalence is testable on one
-  // log instance.
   PairState& p = pairs_[pair_key(observer, subject)];
   switch (kind) {
     case SuspicionEventKind::kSuspected:
@@ -49,6 +47,12 @@ void EventLog::record_crash(ProcessId subject) {
 }
 
 std::vector<PairRollup> EventLog::rollup() const {
+  if (mode_ == LogMode::kFull) {
+    // The stream is the only copy: fold it through the same rule.
+    EventLog folded(sim_, LogMode::kRollup);
+    for (const SuspicionEvent& e : events_) folded.append(e);
+    return folded.rollup();
+  }
   std::vector<PairRollup> out;
   out.reserve(pairs_.size());
   for (const auto& [key, p] : pairs_) {
@@ -71,13 +75,15 @@ std::vector<PairRollup> EventLog::rollup() const {
 }
 
 std::size_t EventLog::approx_retained_bytes() const {
-  // unordered_map node overhead (~2 pointers) + bucket array estimate.
-  const std::size_t per_pair =
-      sizeof(std::uint64_t) + sizeof(PairState) + 2 * sizeof(void*);
-  const std::size_t map_bytes =
-      pairs_.size() * per_pair + pairs_.bucket_count() * sizeof(void*);
-  return events_.capacity() * sizeof(SuspicionEvent) +
-         crashes_.capacity() * sizeof(CrashRecord) + map_bytes;
+  std::size_t bytes = events_.capacity() * sizeof(SuspicionEvent) +
+                      crashes_.capacity() * sizeof(CrashRecord);
+  if (mode_ == LogMode::kRollup) {
+    // unordered_map node overhead (~2 pointers) + bucket array estimate.
+    const std::size_t per_pair =
+        sizeof(std::uint64_t) + sizeof(PairState) + 2 * sizeof(void*);
+    bytes += pairs_.size() * per_pair + pairs_.bucket_count() * sizeof(void*);
+  }
+  return bytes;
 }
 
 core::SuspicionObserver* EventLog::observer_for(ProcessId observer_id) {

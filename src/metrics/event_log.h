@@ -7,11 +7,11 @@
 // counts, accuracy convergence) are pure functions of this log plus the
 // crash schedule — see analysis.h.
 //
-// Two retention modes:
-//   * kFull keeps every transition (the default; what Analysis consumes).
-//     At n = 1000 a 20 s sweep retains ~1.3M entries (~30 MB) — fine for a
-//     single serial run, ruinous when multiplied by shards and pushed to
-//     n = 10,000.
+// Two retention modes, each keeping one copy of the history:
+//   * kFull keeps every transition (the default; what Analysis consumes)
+//     and nothing else. At n = 1000 a 20 s sweep retains ~1.3M entries
+//     (~30 MB) — fine for a single serial run, ruinous when multiplied by
+//     shards and pushed to n = 10,000.
 //   * kRollup folds each transition into a per-(observer, subject) pair
 //     summary on arrival: the currently-open suspicion interval, episode
 //     and mistake counters, and the last repair instant. Memory is bounded
@@ -105,17 +105,17 @@ class EventLog {
   }
 
   /// Snapshot of the per-pair summaries, sorted by (observer, subject) so
-  /// the result is deterministic. Meaningful in either mode (full mode
-  /// maintains the same running state), but it is the *only* output of
-  /// rollup mode.
+  /// the result is deterministic. It is the *only* output of rollup mode;
+  /// a full-mode log folds its stream through the same rule on each call.
   [[nodiscard]] std::vector<PairRollup> rollup() const;
 
   /// Number of retained entries: events in full mode, pairs in rollup mode.
   [[nodiscard]] std::size_t entries() const {
     return mode_ == LogMode::kFull ? events_.size() : pairs_.size();
   }
-  /// Approximate bytes retained by the log's growing state (events or pair
-  /// map), for memory-bound assertions and capacity planning.
+  /// Approximate bytes retained by the log's growing state (events and
+  /// crashes, plus the pair map in rollup mode), for memory-bound
+  /// assertions and capacity planning.
   [[nodiscard]] std::size_t approx_retained_bytes() const;
 
   [[nodiscard]] TimePoint now() const { return sim_.now(); }

@@ -4,12 +4,15 @@
 // counts into the node's one obs::MetricsRegistry under its own prefix:
 //
 //   RealTimeDetector            protocol driver                      rt.*
-//        │ WireMessage (typed)
+//        │ WireMessage (typed), a direct call
 //   TypedTransport              codec: envelope encode/decode        codec.*
-//        │ datagrams (bytes)
+//        │ datagrams (bytes), through DatagramTransport
 //   [FaultyTransport]           optional: injected channel faults    fault.*
-//        │ datagrams (bytes)
+//        │ datagrams (bytes), through DatagramTransport
 //   UdpTransport / InMemoryHub  sockets / in-process queues          udp.*
+//
+// DatagramTransport below is the stack's one interface: it is where tests
+// swap sockets for InMemoryHub queues and insert FaultyTransport.
 //
 // No layer owns a thread. The node's one protocol thread (RealTimeDetector)
 // calls poll(), which runs the receive path down the stack and hands each

@@ -34,7 +34,7 @@ core::RoundDriverConfig driver_config(const RealTimeConfig& config,
 
 }  // namespace
 
-RealTimeDetector::RealTimeDetector(Transport& transport,
+RealTimeDetector::RealTimeDetector(TypedTransport& transport,
                                    const RealTimeConfig& config)
     : transport_(transport),
       config_(config),

@@ -1,6 +1,6 @@
 // RealTimeDetector — the adapter that binds a DetectorCore's RoundDriver to a
-// real Transport (UDP or in-memory): the exact state machine verified under
-// simulation, bound to sockets and one protocol thread.
+// TypedTransport over UDP or in-memory datagrams: the exact state machine
+// verified under simulation, bound to sockets and one protocol thread.
 //
 // The thread runs the paper's two tasks as one loop, as the simulator does: it
 // fires the driver's deadline and sends what the driver planned (T1), then
@@ -35,7 +35,7 @@
 #include "core/round_driver.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
-#include "transport/transport.h"
+#include "transport/typed_transport.h"
 
 namespace mmrfd::transport {
 
@@ -69,7 +69,7 @@ class RealTimeDetector final : public core::FailureDetector {
  public:
   /// Throws std::invalid_argument unless config.resend is positive (the
   /// round driver's check), and for whatever DetectorCore rejects.
-  RealTimeDetector(Transport& transport, const RealTimeConfig& config);
+  RealTimeDetector(TypedTransport& transport, const RealTimeConfig& config);
   ~RealTimeDetector() override;
 
   RealTimeDetector(const RealTimeDetector&) = delete;
@@ -102,7 +102,7 @@ class RealTimeDetector final : public core::FailureDetector {
     if (config_.recorder != nullptr) config_.recorder->record(kind, a, b);
   }
 
-  Transport& transport_;
+  TypedTransport& transport_;
   RealTimeConfig config_;
 
   // Instruments are registry-backed relaxed atomics, not mutex-guarded

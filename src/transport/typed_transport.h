@@ -1,22 +1,27 @@
 // TypedTransport — the codec layer: adapts any DatagramTransport (bytes) to
-// the typed Transport interface (WireMessage) the protocol drivers consume.
-// Malformed datagrams are dropped, never surfaced, and counted in the
-// codec.malformed registry counter.
+// the typed messages (WireMessage) RealTimeDetector consumes, so the
+// simulator-verified protocol core runs over exactly the bytes a deployment
+// exchanges. Malformed datagrams are dropped, never surfaced, and counted in
+// the codec.malformed registry counter.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 
 #include "common/peer_range.h"
+#include "common/types.h"
 #include "obs/metrics_registry.h"
+#include "transport/codec.h"
 #include "transport/datagram.h"
-#include "transport/transport.h"
 
 namespace mmrfd::transport {
 
-class TypedTransport final : public Transport {
+class TypedTransport final {
  public:
+  using Handler = std::function<void(ProcessId from, const WireMessage&)>;
+
   /// `registry` receives the codec.* counters; the layer owns a private one
   /// when null.
   explicit TypedTransport(DatagramTransport& datagrams,
@@ -33,31 +38,37 @@ class TypedTransport final : public Transport {
   TypedTransport(const TypedTransport&) = delete;
   TypedTransport& operator=(const TypedTransport&) = delete;
 
-  void set_handler(Handler handler) override {
+  /// Installs the receive callback, invoked inside poll() on the thread
+  /// that called it. Must be set before start().
+  void set_handler(Handler handler) {
     handler_ = std::move(handler);
     datagrams_.set_handler([this](std::span<const std::uint8_t> datagram) {
       on_datagram(datagram);
     });
   }
 
-  void start() override { datagrams_.start(); }
-  void stop() override { datagrams_.stop(); }
-  void poll(Duration max_wait) override { datagrams_.poll(max_wait); }
+  void start() { datagrams_.start(); }
+  void stop() { datagrams_.stop(); }
+  /// Waits at most `max_wait` for a datagram, then hands every ready one to
+  /// the handler on the calling thread (DatagramTransport::poll).
+  void poll(Duration max_wait) { datagrams_.poll(max_wait); }
 
-  void send(ProcessId to, const WireMessage& msg) override {
+  /// Sends to one peer; the handler may call it.
+  void send(ProcessId to, const WireMessage& msg) {
     const auto bytes = encode_envelope(self(), msg);
     datagrams_.send(to, bytes);
   }
 
-  void broadcast(const WireMessage& msg) override {
+  /// Sends to every other process; the handler may call it.
+  void broadcast(const WireMessage& msg) {
     const auto bytes = encode_envelope(self(), msg);
     for (ProcessId to : PeerRange::all_but(self(), cluster_size())) {
       datagrams_.send(to, bytes);
     }
   }
 
-  [[nodiscard]] ProcessId self() const override { return datagrams_.self(); }
-  [[nodiscard]] std::uint32_t cluster_size() const override {
+  [[nodiscard]] ProcessId self() const { return datagrams_.self(); }
+  [[nodiscard]] std::uint32_t cluster_size() const {
     return datagrams_.cluster_size();
   }
 

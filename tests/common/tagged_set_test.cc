@@ -2,122 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <map>
-
-#include "common/rng.h"
-
 namespace mmrfd {
 namespace {
-
-TEST(TaggedSet, StartsEmpty) {
-  TaggedSet s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.size(), 0u);
-  EXPECT_FALSE(s.contains(ProcessId{0}));
-  EXPECT_EQ(s.tag_of(ProcessId{0}), std::nullopt);
-}
-
-TEST(TaggedSet, AddAndLookup) {
-  TaggedSet s;
-  s.add(ProcessId{3}, 7);
-  EXPECT_TRUE(s.contains(ProcessId{3}));
-  EXPECT_EQ(s.tag_of(ProcessId{3}), 7u);
-  EXPECT_FALSE(s.contains(ProcessId{2}));
-}
-
-TEST(TaggedSet, AddReplacesExistingEntry) {
-  // The paper's Add(set, <id, counter>): an existing <id, -> is replaced.
-  TaggedSet s;
-  s.add(ProcessId{5}, 1);
-  s.add(ProcessId{5}, 9);
-  EXPECT_EQ(s.size(), 1u);
-  EXPECT_EQ(s.tag_of(ProcessId{5}), 9u);
-}
-
-TEST(TaggedSet, AddCanLowerTag) {
-  // Replacement is unconditional — ordering policy lives in the protocol,
-  // not the container.
-  TaggedSet s;
-  s.add(ProcessId{5}, 9);
-  s.add(ProcessId{5}, 1);
-  EXPECT_EQ(s.tag_of(ProcessId{5}), 1u);
-}
-
-TEST(TaggedSet, EraseRemoves) {
-  TaggedSet s;
-  s.add(ProcessId{1}, 4);
-  EXPECT_TRUE(s.erase(ProcessId{1}));
-  EXPECT_FALSE(s.contains(ProcessId{1}));
-  EXPECT_FALSE(s.erase(ProcessId{1}));
-}
-
-TEST(TaggedSet, EntriesSortedById) {
-  TaggedSet s;
-  s.add(ProcessId{9}, 1);
-  s.add(ProcessId{2}, 2);
-  s.add(ProcessId{5}, 3);
-  const auto es = s.entries();
-  ASSERT_EQ(es.size(), 3u);
-  EXPECT_EQ(es[0].id, ProcessId{2});
-  EXPECT_EQ(es[1].id, ProcessId{5});
-  EXPECT_EQ(es[2].id, ProcessId{9});
-}
-
-TEST(TaggedSet, IdsSorted) {
-  TaggedSet s;
-  s.add(ProcessId{7}, 1);
-  s.add(ProcessId{0}, 1);
-  const auto ids = s.ids();
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(ids[0], ProcessId{0});
-  EXPECT_EQ(ids[1], ProcessId{7});
-}
-
-TEST(TaggedSet, EqualityIsValueBased) {
-  TaggedSet a;
-  TaggedSet b;
-  a.add(ProcessId{1}, 2);
-  b.add(ProcessId{1}, 2);
-  EXPECT_EQ(a, b);
-  b.add(ProcessId{2}, 3);
-  EXPECT_NE(a, b);
-}
-
-TEST(TaggedSet, ClearEmpties) {
-  TaggedSet s;
-  s.add(ProcessId{1}, 1);
-  s.clear();
-  EXPECT_TRUE(s.empty());
-}
-
-TEST(TaggedSet, EraseThenReAddWithOlderTag) {
-  // The delta path leans on this: an entry can migrate between the protocol
-  // sets and come back under ANY tag — the container must not remember the
-  // erased entry's tag or resist the "older" re-add (ordering policy lives
-  // in DetectorCore, not here).
-  TaggedSet s;
-  s.add(ProcessId{4}, 100);
-  ASSERT_TRUE(s.erase(ProcessId{4}));
-  EXPECT_FALSE(s.contains(ProcessId{4}));
-  s.add(ProcessId{4}, 3);  // older than the erased entry's tag
-  EXPECT_EQ(s.tag_of(ProcessId{4}), 3u);
-  EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(TaggedSet, ReplacementAtTagWraparoundInputs) {
-  // Tags are u64; replacement must be exact at the extremes, with no
-  // arithmetic on the stored value that could wrap.
-  constexpr Tag kMax = std::numeric_limits<Tag>::max();
-  TaggedSet s;
-  s.add(ProcessId{1}, kMax);
-  EXPECT_EQ(s.tag_of(ProcessId{1}), kMax);
-  s.add(ProcessId{1}, 0);  // wraparound-adjacent replacement
-  EXPECT_EQ(s.tag_of(ProcessId{1}), 0u);
-  s.add(ProcessId{1}, kMax - 1);
-  EXPECT_EQ(s.tag_of(ProcessId{1}), kMax - 1);
-  EXPECT_EQ(s.size(), 1u);
-}
 
 TEST(ChangeJournal, EpochCountsRecords) {
   ChangeJournal j(8);
@@ -171,27 +57,6 @@ TEST(ChangeJournal, CoversStaysExactAcrossManyCompactions) {
     ASSERT_EQ(j.epoch(), i + 1u);
     ASSERT_TRUE(j.covers(j.epoch()));
     ASSERT_TRUE(j.changed_since(j.epoch()).empty());
-  }
-}
-
-TEST(TaggedSet, RandomizedAgainstReferenceModel) {
-  // Model-based check against a std::map reference.
-  TaggedSet s;
-  std::map<std::uint32_t, Tag> model;
-  Xoshiro256 rng(2024);
-  for (int step = 0; step < 5000; ++step) {
-    const auto id = static_cast<std::uint32_t>(rng.next_below(32));
-    if (rng.bernoulli(0.7)) {
-      const Tag tag = rng.next();
-      s.add(ProcessId{id}, tag);
-      model[id] = tag;
-    } else {
-      EXPECT_EQ(s.erase(ProcessId{id}), model.erase(id) > 0);
-    }
-    ASSERT_EQ(s.size(), model.size());
-  }
-  for (const auto& [id, tag] : model) {
-    EXPECT_EQ(s.tag_of(ProcessId{id}), tag);
   }
 }
 

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,7 +31,7 @@ TEST(DetectorCore, InitialState) {
   DetectorCore d(cfg(0, 5, 1));
   EXPECT_EQ(d.counter(), 0u);
   EXPECT_TRUE(d.suspected().empty());
-  EXPECT_TRUE(d.mistake_set().empty());
+  EXPECT_TRUE(d.full_query().mistakes().empty());
   EXPECT_EQ(d.known().size(), 4u);  // Pi \ {self}
   EXPECT_FALSE(d.query_in_progress());
 }
@@ -107,7 +110,9 @@ TEST(DetectorCore, QueryEntriesOutsidePiAreNotMerged) {
   in.push_mistake({ProcessId{77}, 4});
   (void)d.on_query(ProcessId{1}, in);
   EXPECT_EQ(d.suspected(), std::vector<ProcessId>{ProcessId{2}});
-  EXPECT_EQ(d.mistake_set().ids(), std::vector<ProcessId>{ProcessId{3}});
+  const QueryMessage listed = d.full_query();
+  ASSERT_EQ(listed.mistakes().size(), 1u);
+  EXPECT_EQ(listed.mistakes()[0].id, ProcessId{3});
   EXPECT_FALSE(d.is_suspected(ProcessId{99}));
   EXPECT_EQ(d.full_query().entries.size(), 2u);
 }
@@ -192,7 +197,7 @@ TEST(DetectorCore, FinishRoundSuspectsNonResponders) {
   EXPECT_EQ(suspects[0], ProcessId{3});
   EXPECT_EQ(suspects[1], ProcessId{4});
   // Tagged with the pre-increment counter value 0; counter then advanced.
-  EXPECT_EQ(d.suspected_set().tag_of(ProcessId{3}), 0u);
+  EXPECT_EQ(d.suspicion_tag(ProcessId{3}), 0u);
   EXPECT_EQ(d.counter(), 1u);
 }
 
@@ -232,7 +237,7 @@ TEST(DetectorCore, AlreadySuspectedNotReTagged) {
   };
   round();  // p3 suspected with tag 0
   round();  // p3 still absent, but already suspected: tag unchanged
-  EXPECT_EQ(d.suspected_set().tag_of(ProcessId{3}), 0u);
+  EXPECT_EQ(d.suspicion_tag(ProcessId{3}), 0u);
   EXPECT_EQ(d.counter(), 2u);
 }
 
@@ -246,7 +251,7 @@ TEST(DetectorCore, MergeAdoptsUnknownSuspicion) {
   const auto r = d.on_query(ProcessId{1}, q);
   EXPECT_EQ(r.seq, 1u);
   EXPECT_TRUE(d.is_suspected(ProcessId{2}));
-  EXPECT_EQ(d.suspected_set().tag_of(ProcessId{2}), 7u);
+  EXPECT_EQ(d.suspicion_tag(ProcessId{2}), 7u);
 }
 
 TEST(DetectorCore, MergeIgnoresOlderSuspicion) {
@@ -259,7 +264,7 @@ TEST(DetectorCore, MergeIgnoresOlderSuspicion) {
   older.seq = 2;
   older.push_suspected({ProcessId{2}, 3});
   (void)d.on_query(ProcessId{3}, older);
-  EXPECT_EQ(d.suspected_set().tag_of(ProcessId{2}), 7u);
+  EXPECT_EQ(d.suspicion_tag(ProcessId{2}), 7u);
 }
 
 TEST(DetectorCore, MergeIgnoresEqualTagSuspicion) {
@@ -279,7 +284,7 @@ TEST(DetectorCore, MergeIgnoresEqualTagSuspicion) {
   q3.push_suspected({ProcessId{2}, 7});
   (void)d.on_query(ProcessId{1}, q3);  // suspicion with equal tag loses
   EXPECT_FALSE(d.is_suspected(ProcessId{2}));
-  EXPECT_TRUE(d.mistake_set().contains(ProcessId{2}));
+  EXPECT_TRUE(d.mistake_tag(ProcessId{2}).has_value());
 }
 
 TEST(DetectorCore, MistakeTieBreakFavorsMistake) {
@@ -296,7 +301,7 @@ TEST(DetectorCore, MistakeTieBreakFavorsMistake) {
   mist.push_mistake({ProcessId{3}, 4});
   (void)d.on_query(ProcessId{2}, mist);
   EXPECT_FALSE(d.is_suspected(ProcessId{3}));
-  EXPECT_EQ(d.mistake_set().tag_of(ProcessId{3}), 4u);
+  EXPECT_EQ(d.mistake_tag(ProcessId{3}), 4u);
 }
 
 TEST(DetectorCore, NewerSuspicionOverridesMistake) {
@@ -310,7 +315,7 @@ TEST(DetectorCore, NewerSuspicionOverridesMistake) {
   susp.push_suspected({ProcessId{3}, 5});
   (void)d.on_query(ProcessId{2}, susp);
   EXPECT_TRUE(d.is_suspected(ProcessId{3}));
-  EXPECT_FALSE(d.mistake_set().contains(ProcessId{3}));
+  EXPECT_FALSE(d.mistake_tag(ProcessId{3}).has_value());
 }
 
 TEST(DetectorCore, SelfDefenceGeneratesDominatingMistake) {
@@ -322,8 +327,8 @@ TEST(DetectorCore, SelfDefenceGeneratesDominatingMistake) {
   q.push_suspected({ProcessId{0}, 9});
   (void)d.on_query(ProcessId{1}, q);
   EXPECT_FALSE(d.is_suspected(ProcessId{0}));
-  ASSERT_TRUE(d.mistake_set().contains(ProcessId{0}));
-  EXPECT_EQ(d.mistake_set().tag_of(ProcessId{0}), 10u);
+  ASSERT_TRUE(d.mistake_tag(ProcessId{0}).has_value());
+  EXPECT_EQ(d.mistake_tag(ProcessId{0}), 10u);
   EXPECT_GE(d.counter(), 10u);
   // The mistake rides the next query.
   const auto out = d.start_query();
@@ -341,7 +346,7 @@ TEST(DetectorCore, SelfDefenceIgnoredWhenOwnMistakeNewer) {
   stale.seq = 1;
   stale.push_suspected({ProcessId{0}, 6});
   (void)d.on_query(ProcessId{2}, stale);
-  EXPECT_EQ(d.mistake_set().tag_of(ProcessId{0}), 10u);
+  EXPECT_EQ(d.mistake_tag(ProcessId{0}), 10u);
 }
 
 TEST(DetectorCore, FreshSuspicionDominatesLocalMistake) {
@@ -357,8 +362,8 @@ TEST(DetectorCore, FreshSuspicionDominatesLocalMistake) {
   (void)d.on_response(ProcessId{2}, ResponseMessage{q.seq});
   d.finish_round();  // p3 did not respond
   EXPECT_TRUE(d.is_suspected(ProcessId{3}));
-  EXPECT_EQ(d.suspected_set().tag_of(ProcessId{3}), 42u);
-  EXPECT_FALSE(d.mistake_set().contains(ProcessId{3}));
+  EXPECT_EQ(d.suspicion_tag(ProcessId{3}), 42u);
+  EXPECT_FALSE(d.mistake_tag(ProcessId{3}).has_value());
   EXPECT_EQ(d.counter(), 43u);
 }
 
@@ -413,9 +418,134 @@ TEST(DetectorCore, SuspectedAndMistakeSetsDisjointUnderRandomMerges) {
     const auto from =
         ProcessId{static_cast<std::uint32_t>(1 + rng.next_below(7))};
     (void)d.on_query(from, q);
-    for (const auto& e : d.suspected_set().entries()) {
-      EXPECT_FALSE(d.mistake_set().contains(e.id));
+    for (const auto listed = d.full_query();
+         const auto& e : listed.suspected()) {
+      EXPECT_FALSE(d.mistake_tag(e.id).has_value());
       EXPECT_NE(e.id, ProcessId{0});  // never suspects itself
+    }
+  }
+}
+
+/// A random query: up to six suspicions and mistakes, interleaved, over ids
+/// [1, n + 4) (ids >= n included, id 0 never) and tags [0, 12), so
+/// replacements, stale entries and tag ties all occur.
+QueryMessage random_query(Xoshiro256& rng, std::uint32_t n, QuerySeq seq) {
+  QueryMessage q;
+  q.seq = seq;
+  const auto count = rng.next_below(7);
+  for (std::uint64_t k = 0; k < count; ++k) {
+    const TaggedEntry e{
+        ProcessId{static_cast<std::uint32_t>(1 + rng.next_below(n + 3))},
+        rng.next_below(12)};
+    if (rng.bernoulli(0.5)) {
+      q.push_suspected(e);
+    } else {
+      q.push_mistake(e);
+    }
+  }
+  return q;
+}
+
+/// full_query() is the table's one listing: suspected_count suspicions,
+/// then the mistakes, each strictly ascending by id and disjoint, in
+/// agreement with is_suspected(), the per-id tags and suspected(). Ids >= n
+/// hold no entry.
+void expect_listing_agrees(const DetectorCore& d) {
+  std::vector<TaggedEntry> suspicions;
+  std::vector<TaggedEntry> mistakes;
+  std::vector<ProcessId> suspects;
+  for (std::uint32_t i = 0; i < d.config().n + 4; ++i) {
+    const ProcessId id{i};
+    const auto suspicion = d.suspicion_tag(id);
+    const auto mistake = d.mistake_tag(id);
+    ASSERT_FALSE(suspicion && mistake) << "p" << i << " is in both sets";
+    ASSERT_EQ(d.is_suspected(id), suspicion.has_value()) << "p" << i;
+    if (suspicion) {
+      suspicions.push_back({id, *suspicion});
+      suspects.push_back(id);
+    }
+    if (mistake) mistakes.push_back({id, *mistake});
+  }
+  const QueryMessage q = d.full_query();
+  ASSERT_EQ(q.suspected_count, suspicions.size());
+  EXPECT_TRUE(std::ranges::equal(q.suspected(), suspicions));
+  EXPECT_TRUE(std::ranges::equal(q.mistakes(), mistakes));
+  EXPECT_EQ(d.suspected(), suspects);
+}
+
+TEST(DetectorCore, MergesMatchAReferenceModelOfT2) {
+  // T2 against a std::map model: the newest tag wins, and on a tie the
+  // mistake wins. Ids >= n are never merged.
+  Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::uint32_t>(2 + rng.next_below(15));
+    DetectorCore d(cfg(0, n, (n - 1) / 2));
+    std::map<std::uint32_t, std::pair<Tag, bool>> model;  // tag, mistake?
+    const auto merge = [&](const TaggedEntry& e, bool mistake) {
+      if (e.id.value >= n) return;
+      const auto it = model.find(e.id.value);
+      if (it == model.end() || it->second.first < e.tag ||
+          (mistake && it->second.first == e.tag)) {
+        model[e.id.value] = {e.tag, mistake};
+      }
+    };
+    for (int step = 0; step < 100; ++step) {
+      const QueryMessage q =
+          random_query(rng, n, static_cast<QuerySeq>(step + 1));
+      (void)d.on_query(
+          ProcessId{static_cast<std::uint32_t>(1 + rng.next_below(n - 1))},
+          q);
+      for (const auto& e : q.suspected()) merge(e, false);
+      for (const auto& e : q.mistakes()) merge(e, true);
+      for (std::uint32_t i = 0; i < n + 4; ++i) {
+        std::optional<Tag> suspicion;
+        std::optional<Tag> mistake;
+        if (const auto it = model.find(i); it != model.end()) {
+          (it->second.second ? mistake : suspicion) = it->second.first;
+        }
+        ASSERT_EQ(d.suspicion_tag(ProcessId{i}), suspicion)
+            << "trial " << trial << " step " << step << " p" << i;
+        ASSERT_EQ(d.mistake_tag(ProcessId{i}), mistake)
+            << "trial " << trial << " step " << step << " p" << i;
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_listing_agrees(d))
+          << "trial " << trial << " step " << step;
+    }
+  }
+}
+
+TEST(DetectorCore, FullQueryListsTheTableThroughRoundsAndCorruption) {
+  // Rounds with random responders, merges (self-defence included) and one
+  // transient corruption; the listing must agree with the table after
+  // every step.
+  Xoshiro256 rng(7919);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::uint32_t>(2 + rng.next_below(15));
+    const auto self = static_cast<std::uint32_t>(rng.next_below(n));
+    DetectorCore d(cfg(self, n, static_cast<std::uint32_t>(rng.next_below(n))));
+    const auto corrupt_at = rng.next_below(60);
+    for (std::uint64_t step = 0; step < 60; ++step) {
+      if (step == corrupt_at) {
+        d.inject_transient_corruption(rng.next());
+      } else if (rng.bernoulli(0.5)) {
+        const auto from = (self + 1 + rng.next_below(n - 1)) % n;
+        (void)d.on_query(ProcessId{static_cast<std::uint32_t>(from)},
+                         random_query(rng, n, step + 1));
+      } else {
+        d.begin_query();
+        for (ProcessId p : d.known()) {
+          if (rng.bernoulli(0.6)) {
+            (void)d.on_response(p, ResponseMessage{d.query_seq()});
+          }
+        }
+        while (!d.query_terminated()) {
+          const ProcessId p{static_cast<std::uint32_t>(rng.next_below(n))};
+          (void)d.on_response(p, ResponseMessage{d.query_seq()});
+        }
+        d.finish_round();
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_listing_agrees(d))
+          << "trial " << trial << " step " << step;
     }
   }
 }
@@ -463,12 +593,12 @@ TEST(DetectorCore, TwoCoreConversationConverges) {
   const auto q1 = d1.start_query();
   const auto r0 = d0.on_query(ProcessId{1}, q1);  // p0 defends itself
   (void)d1.on_response(ProcessId{0}, ResponseMessage{r0.seq});
-  EXPECT_TRUE(d0.mistake_set().contains(ProcessId{0}));
+  EXPECT_TRUE(d0.mistake_tag(ProcessId{0}).has_value());
   // p0's next query carries the mistake; p1 adopts it.
   const auto q0 = d0.start_query();
   (void)d1.on_query(ProcessId{0}, q0);
   EXPECT_FALSE(d1.is_suspected(ProcessId{0}));
-  EXPECT_EQ(d1.mistake_set().tag_of(ProcessId{0}), 10u);
+  EXPECT_EQ(d1.mistake_tag(ProcessId{0}), 10u);
 }
 
 TEST(DetectorCore, RoundsCompletedCounts) {
@@ -573,8 +703,12 @@ TEST(DetectorCore, DeltaMergeMatchesFullMerge) {
       (void)s->on_response(ProcessId{2}, ResponseMessage{s->query_seq()});
       s->finish_round();  // p3 never answers -> suspicion churn
     }
-    ASSERT_EQ(rx_delta.suspected_set(), rx_full.suspected_set()) << round;
-    ASSERT_EQ(rx_delta.mistake_set(), rx_full.mistake_set()) << round;
+    ASSERT_TRUE(std::ranges::equal(rx_delta.full_query().suspected(),
+                                   rx_full.full_query().suspected()))
+        << round;
+    ASSERT_TRUE(std::ranges::equal(rx_delta.full_query().mistakes(),
+                                   rx_full.full_query().mistakes()))
+        << round;
   }
 }
 
@@ -686,17 +820,17 @@ TEST(DetectorCore, PaperFigureOneScenario) {
   fromC.push_suspected({ProcessId{0}, 10});
   // D hears B first, then C: upgrades 5 -> 10.
   (void)dnode.on_query(ProcessId{1}, fromB);
-  EXPECT_EQ(dnode.suspected_set().tag_of(ProcessId{0}), 5u);
+  EXPECT_EQ(dnode.suspicion_tag(ProcessId{0}), 5u);
   (void)dnode.on_query(ProcessId{2}, fromC);
-  EXPECT_EQ(dnode.suspected_set().tag_of(ProcessId{0}), 10u);
+  EXPECT_EQ(dnode.suspicion_tag(ProcessId{0}), 10u);
   // B holds the counter-5 entry, C the counter-10 entry.
   (void)b.on_query(ProcessId{4}, fromB);
   (void)c.on_query(ProcessId{4}, fromC);
   // B upgrades from C's info; C discards B's older info.
   (void)b.on_query(ProcessId{2}, fromC);
-  EXPECT_EQ(b.suspected_set().tag_of(ProcessId{0}), 10u);
+  EXPECT_EQ(b.suspicion_tag(ProcessId{0}), 10u);
   (void)c.on_query(ProcessId{1}, fromB);
-  EXPECT_EQ(c.suspected_set().tag_of(ProcessId{0}), 10u);
+  EXPECT_EQ(c.suspicion_tag(ProcessId{0}), 10u);
 }
 
 TEST(DetectorCore, GiveupSkipsDeadPeerAtProbeRate) {
@@ -844,7 +978,7 @@ TEST(DetectorCore, GiveupProbeResponseEndsTheSkipEvenIfTheDefenceIsLate) {
     }
     ASSERT_TRUE(d.query_terminated());
     d.finish_round();
-    const auto suspicion = d.suspected_set().tag_of(ProcessId{3});
+    const auto suspicion = d.suspicion_tag(ProcessId{3});
     if (!queried || !suspicion) continue;
     if (probe_round < 0) probe_round = round;
     QueryMessage defence;  // peer 3's next query, after our finish_round
@@ -877,8 +1011,9 @@ TEST(DetectorCore, CorruptionIsDeterministicPerSeed) {
     DetectorCore d(delta_cfg(0, 6, 2));
     for (int round = 0; round < 3; ++round) run_round(d, {1, 2, 3});
     d.inject_transient_corruption(seed);
-    const auto sus = d.suspected_set().entries();
-    const auto mis = d.mistake_set().entries();
+    const QueryMessage listed = d.full_query();
+    const auto sus = listed.suspected();
+    const auto mis = listed.mistakes();
     return std::tuple{d.counter(),
                       std::vector<TaggedEntry>(sus.begin(), sus.end()),
                       std::vector<TaggedEntry>(mis.begin(), mis.end()),
@@ -898,10 +1033,10 @@ TEST(DetectorCore, CorruptedSelfSuspicionIsRepairedByNextQuery) {
     d.inject_transient_corruption(seed);
     if (!d.is_suspected(ProcessId{0})) continue;
     found = true;
-    const Tag bad_tag = *d.suspected_set().tag_of(ProcessId{0});
+    const Tag bad_tag = *d.suspicion_tag(ProcessId{0});
     d.begin_query();
     EXPECT_FALSE(d.is_suspected(ProcessId{0}));
-    const auto repair = d.mistake_set().tag_of(ProcessId{0});
+    const auto repair = d.mistake_tag(ProcessId{0});
     ASSERT_TRUE(repair.has_value());
     EXPECT_GT(*repair, bad_tag);  // dominates the corrupted suspicion
     // The round machinery is intact: queries build and the round runs.
@@ -930,10 +1065,10 @@ TEST(DetectorCore, CorruptedJournalStillBuildsWellFormedQueries) {
       const QueryMessage q = d.query_for(ProcessId{p});
       ASSERT_LE(q.suspected_count, q.entries.size());
       for (const auto& e : q.suspected()) {
-        EXPECT_EQ(d.suspected_set().tag_of(e.id), e.tag) << "seed " << seed;
+        EXPECT_EQ(d.suspicion_tag(e.id), e.tag) << "seed " << seed;
       }
       for (const auto& e : q.mistakes()) {
-        EXPECT_EQ(d.mistake_set().tag_of(e.id), e.tag) << "seed " << seed;
+        EXPECT_EQ(d.mistake_tag(e.id), e.tag) << "seed " << seed;
       }
     }
     for (const std::uint32_t r : {1u, 2u, 3u}) {

@@ -101,10 +101,12 @@ void expect_same_state(const MmrCluster& full, const MmrCluster& delta,
   for (std::uint32_t i = 0; i < s.n; ++i) {
     const auto& df = full.host(ProcessId{i}).detector();
     const auto& dd = delta.host(ProcessId{i}).detector();
-    ASSERT_EQ(df.suspected_set(), dd.suspected_set())
+    ASSERT_TRUE(std::ranges::equal(df.full_query().suspected(),
+                                   dd.full_query().suspected()))
         << s.describe() << " host " << i << " suspected sets diverged "
         << where;
-    ASSERT_EQ(df.mistake_set(), dd.mistake_set())
+    ASSERT_TRUE(std::ranges::equal(df.full_query().mistakes(),
+                                   dd.full_query().mistakes()))
         << s.describe() << " host " << i << " mistake sets diverged "
         << where;
     ASSERT_EQ(df.counter(), dd.counter())

@@ -244,8 +244,9 @@ TEST(Adversarial, PermanentAsymmetricPartitionStaysSafe) {
   EXPECT_TRUE(analysis.strong_completeness());
   for (std::uint32_t i = 1; i < 8; ++i) {
     const auto& d = cluster.host(ProcessId{i}).detector();
-    for (const auto& e : d.suspected_set().entries()) {
-      EXPECT_FALSE(d.mistake_set().contains(e.id)) << "observer " << i;
+    for (const auto listed = d.full_query();
+         const auto& e : listed.suspected()) {
+      EXPECT_FALSE(d.mistake_tag(e.id).has_value()) << "observer " << i;
     }
   }
 }

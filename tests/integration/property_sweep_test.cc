@@ -138,8 +138,9 @@ TEST_P(DetectorSweep, StateInvariantsAtEndOfRun) {
   for (std::uint32_t i = 0; i < 12; ++i) {
     const auto& d = cluster.host(ProcessId{i}).detector();
     EXPECT_FALSE(d.is_suspected(ProcessId{i}));
-    for (const auto& e : d.suspected_set().entries()) {
-      EXPECT_FALSE(d.mistake_set().contains(e.id))
+    for (const auto listed = d.full_query();
+         const auto& e : listed.suspected()) {
+      EXPECT_FALSE(d.mistake_tag(e.id).has_value())
           << "p" << i << " holds both suspicion and mistake for p"
           << e.id.value;
     }

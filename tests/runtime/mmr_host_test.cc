@@ -92,10 +92,10 @@ TEST(MmrHost, SuspectsAreExchangedAcrossHosts) {
   }
   // Tags agree after flooding: all three hold the same <p3, tag> entry.
   const auto tag0 =
-      f.hosts[0]->detector().suspected_set().tag_of(ProcessId{3});
+      f.hosts[0]->detector().suspicion_tag(ProcessId{3});
   for (int i = 1; i < 3; ++i) {
     EXPECT_EQ(
-        f.hosts[static_cast<std::size_t>(i)]->detector().suspected_set().tag_of(
+        f.hosts[static_cast<std::size_t>(i)]->detector().suspicion_tag(
             ProcessId{3}),
         tag0);
   }
