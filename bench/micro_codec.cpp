@@ -1,11 +1,16 @@
 // Micro-benchmarks of the wire codec: per-datagram serialization cost on the
-// real-transport path, and the sizing pass the simulator's size hook runs on
-// every send.
+// real-transport path, the sizing pass the simulator's size hook runs on
+// every send, and a live node's report snapshot.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "live/report.h"
+#include "obs/metrics_registry.h"
 #include "transport/codec.h"
 
 using namespace mmrfd;
@@ -103,6 +108,70 @@ void BM_EncodeResponse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeResponse);
+
+// One report snapshot as mmrfd-node's main thread takes it every
+// --flush-ms: the registry snapshot, the report's build and encode, and one
+// ReportWriter::write (a pwrite into an open slot file). Shaped like a node
+// of a 16-node cluster after three kills: the live stack's instruments, a
+// filled round-RTT histogram, 3 suspects and their history.
+void BM_ReportSnapshot(benchmark::State& state) {
+  obs::MetricsRegistry registry;
+  for (const char* name :
+       {"codec.malformed", "rt.delta_queries_sent", "rt.full_queries_sent",
+        "rt.need_full_received", "rt.need_full_sent", "rt.queries_received",
+        "rt.query_bytes_sent", "rt.resend_waves", "rt.response_bytes_sent",
+        "rt.responses_received", "rt.responses_sent", "rt.rounds",
+        "udp.bytes_received", "udp.bytes_sent", "udp.datagrams_received",
+        "udp.datagrams_sent", "udp.recv_errors", "udp.truncated"}) {
+    registry.counter(name).add(270 * 15);
+  }
+  registry.gauge("udp.rcvbuf_bytes").set(425'984);
+  obs::Histogram& rtt = registry.histogram("rt.round_rtt_ns");
+  Xoshiro256 rng(16);
+  for (int i = 0; i < 270; ++i) {
+    rtt.observe(300'000 + rng.next_below(900'000));
+  }
+  std::vector<live::ReportEvent> events;
+  for (std::uint32_t victim : {3u, 9u, 14u}) {
+    events.push_back({victim * 1'000'000'000ull, victim, 0, 40 + victim});
+  }
+  events.push_back({12'000'000'000ull, 9, 1, 49});  // one cleared mistake
+
+  const auto take_snapshot = [&](std::uint64_t rounds) {
+    live::NodeReport r;
+    r.self = 0;
+    r.n = 16;
+    r.f = 7;
+    r.pacing_ns = 100'000'000;
+    r.snapshot_ns = rounds * 110'000'000;
+    r.rounds = rounds;
+    r.metrics = registry.snapshot();
+    r.suspected = {3, 14};
+    r.events = events;
+    return r;
+  };
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("mmrfd_micro_report." + std::to_string(::getpid())))
+          .string();
+  std::filesystem::create_directories(dir);
+  {
+    live::ReportWriter writer(dir + "/node0.g0.bin");
+    std::uint64_t rounds = 270;
+    for (auto _ : state) {
+      if (!writer.write(take_snapshot(rounds++))) {
+        state.SkipWithError("report write failed");
+        break;
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(live::encode_report(take_snapshot(270)).size()));
+}
+BENCHMARK(BM_ReportSnapshot);
 
 }  // namespace
 

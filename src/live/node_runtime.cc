@@ -141,6 +141,10 @@ int node_main(int argc, const char* const* argv) {
     }
   }
   g_crash_recorder = &recorder;
+  // Opened once per incarnation: its two slots start empty, so nothing a
+  // reader finds at the path predates this process.
+  std::optional<ReportWriter> writer;
+  if (!report_path.empty()) writer.emplace(report_path);
 
   transport::UdpConfig ucfg;
   ucfg.self = ProcessId{self};
@@ -228,7 +232,7 @@ int node_main(int argc, const char* const* argv) {
       r.events.push_back(ReportEvent{
           t.t_ns > origin_ns ? t.t_ns - origin_ns : 0, t.a, kind, t.b});
     }
-    if (!write_report_file(r, report_path)) {
+    if (!writer->write(r)) {
       std::cerr << "mmrfd-node " << self << ": cannot write report "
                 << report_path << "\n";
     }

@@ -1,9 +1,13 @@
 #include "live/report.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
+#include <utility>
 
 #include "transport/codec.h"
 
@@ -12,12 +16,14 @@ namespace mmrfd::live {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'M', 'M', 'R', 'L'};
-// v4 layout: magic, u32 version, u32 self/n/f, u8 delta, u64
-// pacing_ns/origin_ns/snapshot_ns/rounds, the obs::RegistrySnapshot (the
-// report's only counters), the suspected set, then the events. Node and
-// supervisor always ship together, so older files (stale runs) are simply
-// rejected rather than upgraded.
-constexpr std::uint32_t kVersion = 4;
+// v5 layout: magic, u32 version, u64 snapshot_seq, u32 self/n/f, u8 delta,
+// u64 pacing_ns/origin_ns/snapshot_ns/rounds, the obs::RegistrySnapshot (the
+// report's only counters), the suspected set, the events, then a u64 FNV-1a
+// checksum of every byte before it. Node and supervisor always ship
+// together, so older files (stale runs) are simply rejected rather than
+// upgraded.
+constexpr std::uint32_t kVersion = 5;
+constexpr std::size_t kChecksumBytes = 8;
 
 // Decode-side allocation caps. A report is trusted input in the happy path
 // (we wrote it), but a SIGKILL can leave stale files from older runs and the
@@ -26,6 +32,17 @@ constexpr std::uint64_t kMaxSuspected = 1u << 20;
 constexpr std::uint64_t kMaxEvents = 1u << 26;
 constexpr std::uint64_t kMaxMetricName = 1u << 10;
 constexpr std::uint64_t kMaxInstruments = 1u << 16;
+
+// 64-bit FNV-1a: one multiply per byte, and any torn or flipped byte of a
+// slot changes it.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 void encode_name(transport::Encoder& e, const std::string& name) {
   e.u32(static_cast<std::uint32_t>(name.size()));
@@ -129,12 +146,14 @@ bool decode_metrics(transport::Decoder& d, std::size_t data_size,
   return true;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_report(const NodeReport& r) {
-  transport::Encoder e;
+// Encodes `r` stamped with snapshot number `seq` into `storage`'s
+// allocation and seals the frame with its checksum.
+std::vector<std::uint8_t> encode_frame(const NodeReport& r, std::uint64_t seq,
+                                       std::vector<std::uint8_t> storage) {
+  transport::Encoder e(std::move(storage));
   for (const std::uint8_t b : kMagic) e.u8(b);
   e.u32(kVersion);
+  e.u64(seq);
   e.u32(r.self);
   e.u32(r.n);
   e.u32(r.f);
@@ -153,17 +172,39 @@ std::vector<std::uint8_t> encode_report(const NodeReport& r) {
     e.u8(ev.kind);
     e.u64(ev.tag);
   }
-  return e.take();
+  std::vector<std::uint8_t> bytes = e.take();
+  const std::uint64_t sum = fnv1a64(bytes);
+  for (std::size_t i = 0; i < kChecksumBytes; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));  // LE, as u64
+  }
+  return bytes;
 }
 
-std::optional<NodeReport> decode_report(std::span<const std::uint8_t> data) {
-  transport::Decoder d(data);
+// The frame's bytes before its checksum, if the checksum holds: a torn or
+// damaged frame fails here, before any field is read.
+std::optional<std::span<const std::uint8_t>> sealed_body(
+    std::span<const std::uint8_t> frame) {
+  if (frame.size() < kChecksumBytes) return std::nullopt;
+  const auto body = frame.first(frame.size() - kChecksumBytes);
+  transport::Decoder trailer(frame.last(kChecksumBytes));
+  if (trailer.u64() != fnv1a64(body)) return std::nullopt;
+  return body;
+}
+
+// Reads the magic and the version; false if either is not v5's.
+bool decode_preamble(transport::Decoder& d) {
   for (const std::uint8_t b : kMagic) {
     const auto got = d.u8();
-    if (!got || *got != b) return std::nullopt;
+    if (!got || *got != b) return false;
   }
   const auto version = d.u32();
-  if (!version || *version != kVersion) return std::nullopt;
+  return version && *version == kVersion;
+}
+
+// Parses a frame's body, the bytes before its checksum.
+std::optional<NodeReport> decode_body(std::span<const std::uint8_t> data) {
+  transport::Decoder d(data);
+  if (!decode_preamble(d)) return std::nullopt;
 
   NodeReport r;
   const auto u32_into = [&](std::uint32_t& out) {
@@ -176,7 +217,8 @@ std::optional<NodeReport> decode_report(std::span<const std::uint8_t> data) {
     if (v) out = *v;
     return v.has_value();
   };
-  if (!u32_into(r.self) || !u32_into(r.n) || !u32_into(r.f)) {
+  if (!u64_into(r.snapshot_seq) || !u32_into(r.self) || !u32_into(r.n) ||
+      !u32_into(r.f)) {
     return std::nullopt;
   }
   const auto delta = d.u8();
@@ -224,24 +266,90 @@ std::optional<NodeReport> decode_report(std::span<const std::uint8_t> data) {
   return r;
 }
 
-bool write_report_file(const NodeReport& r, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = encode_report(r);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    if (!os) {
-      std::remove(tmp.c_str());
+// The bytes one slot file holds, as many as its size said when opened (a
+// frame still growing reads torn); empty if it is missing or unreadable.
+std::vector<std::uint8_t> slot_bytes(const std::string& slot) {
+  std::vector<std::uint8_t> bytes;
+  const int fd = ::open(slot.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return bytes;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+      const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    bytes.resize(got);
+  }
+  ::close(fd);
+  return bytes;
+}
+
+// The snapshot number of a slot's frame if the frame is whole: its
+// checksum holds and it opens with v5's magic and version.
+std::optional<std::uint64_t> sealed_seq(std::span<const std::uint8_t> frame) {
+  const auto body = sealed_body(frame);
+  if (!body) return std::nullopt;
+  transport::Decoder d(*body);
+  if (!decode_preamble(d)) return std::nullopt;
+  return d.u64();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_report(const NodeReport& r) {
+  return encode_frame(r, r.snapshot_seq, {});
+}
+
+std::optional<NodeReport> decode_report(std::span<const std::uint8_t> frame) {
+  const auto body = sealed_body(frame);
+  return body ? decode_body(*body) : std::nullopt;
+}
+
+std::string report_slot_path(const std::string& path) { return path + ".1"; }
+
+ReportWriter::ReportWriter(const std::string& path) {
+  const std::string slots[2] = {path, report_slot_path(path)};
+  for (int i = 0; i < 2; ++i) {
+    fd_[i] = ::open(slots[i].c_str(),
+                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  }
+}
+
+ReportWriter::~ReportWriter() {
+  for (const int fd : fd_) {
+    if (fd >= 0) ::close(fd);
+  }
+}
+
+bool ReportWriter::write(const NodeReport& r) {
+  const std::uint64_t seq = written_ + 1;
+  const std::size_t slot = seq % 2;
+  const int fd = fd_[slot];
+  if (fd < 0) return false;
+  buf_ = encode_frame(r, seq, std::move(buf_));
+  std::size_t done = 0;
+  while (done < buf_.size()) {
+    const ssize_t put = ::pwrite(fd, buf_.data() + done, buf_.size() - done,
+                                 static_cast<off_t>(done));
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) {
+      len_[slot] = std::max(len_[slot], done);
       return false;
     }
+    done += static_cast<std::size_t>(put);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  // A frame shorter than the slot's last one (a cleared suspicion shrinks
+  // the suspected set) must not keep that frame's tail behind it.
+  if (buf_.size() < len_[slot] &&
+      ::ftruncate(fd, static_cast<off_t>(buf_.size())) != 0) {
     return false;
   }
+  len_[slot] = buf_.size();
+  written_ = seq;
   return true;
 }
 
@@ -253,12 +361,27 @@ std::uint64_t wall_clock_ns() {
 }
 
 std::optional<NodeReport> read_report_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
-  if (!is.good() && !is.eof()) return std::nullopt;
-  return decode_report(bytes);
+  // Reads alternate between the slots, `path` first, and stop at a whole
+  // frame read right after the other slot; the newer of those two reads
+  // wins, and only it is decoded. Together they never miss the snapshot
+  // that was newest when the first began: if the second finds its slot
+  // still holding the snapshot before that one, the writer had not begun
+  // the next, so the first read found the newest whole. Any two reads would
+  // not do: a writer that laps the reader between them can leave an older
+  // snapshot in the first and a torn one in the second. A writer that keeps
+  // lapping for four reads yields nullopt.
+  const std::string slots[2] = {path, report_slot_path(path)};
+  std::vector<std::uint8_t> bytes[2];
+  std::optional<std::uint64_t> seq[2];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i % 2] = slot_bytes(slots[i % 2]);
+    seq[i % 2] = sealed_seq(bytes[i % 2]);
+    if (i > 0 && seq[i % 2]) break;
+  }
+  const int newer = seq[0] && (!seq[1] || *seq[0] > *seq[1]) ? 0 : 1;
+  if (!seq[newer]) return std::nullopt;
+  return decode_body(std::span<const std::uint8_t>(bytes[newer])
+                         .first(bytes[newer].size() - kChecksumBytes));
 }
 
 }  // namespace mmrfd::live

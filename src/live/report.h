@@ -2,16 +2,29 @@
 // subsystem.
 //
 // Each mmrfd-node process periodically snapshots its metrics registry and
-// suspicion history to one file; the supervisor aggregates the files after
-// the run. Counters travel only inside the embedded registry snapshot.
-// The format is write-once binary (transport::Encoder primitives) because a
-// node can die by SIGKILL at any instant: writes go to a temp file renamed
-// into place, so a reader sees either the previous complete snapshot or the
-// next one, never a torn file. Timestamps are wall-clock nanoseconds since
-// a shared origin instant the supervisor hands every node, which makes
-// events comparable across processes on one host.
+// suspicion history; the supervisor aggregates the snapshots after the run.
+// Counters travel only inside the embedded registry snapshot. The format is
+// binary (transport::Encoder primitives) and self-checking: a v5 frame
+// carries its writer's 1-based snapshot number right after the version and
+// ends with a 64-bit FNV-1a checksum over every byte before it, which the
+// decoder verifies.
+//
+// A node can die by SIGKILL at any instant, and readers poll while it
+// writes, so a ReportWriter keeps two slot files per path, `<path>` and
+// `<path>.1`, opened (and truncated) once per incarnation. Snapshot k is one
+// pwrite at offset 0 of slot k mod 2; a snapshot makes no open, rename or
+// unlink. A kill can tear only the slot being written, and a reader that
+// overlaps a write can see only that slot torn; either way its checksum
+// fails, and the other slot still holds snapshot k - 1 whole.
+// read_report_file returns the valid slot with the larger snapshot number,
+// so a reader sees the previous or the next complete snapshot, never a torn
+// one, and a reader that polls never sees the number go backwards.
+// Timestamps are wall-clock nanoseconds since a shared origin instant the
+// supervisor hands every node, which makes events comparable across
+// processes on one host.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -38,6 +51,10 @@ struct ReportEvent {
 /// Everything one node incarnation knows about its own run. Cumulative: a
 /// later snapshot supersedes an earlier one at the same path.
 struct NodeReport {
+  /// The writer's 1-based snapshot number: ReportWriter stamps it on every
+  /// write, and the reader keeps the slot whose number is larger.
+  std::uint64_t snapshot_seq{0};
+
   // --- identity / configuration -------------------------------------------
   std::uint32_t self{0};
   std::uint32_t n{0};
@@ -63,19 +80,45 @@ struct NodeReport {
   friend bool operator==(const NodeReport&, const NodeReport&) = default;
 };
 
+/// One v5 frame of `r`, numbered r.snapshot_seq.
 [[nodiscard]] std::vector<std::uint8_t> encode_report(const NodeReport& r);
 
-/// Total decode: malformed or truncated input yields nullopt, never UB and
-/// never an unbounded allocation.
+/// Total decode: malformed, truncated or checksum-failing input yields
+/// nullopt, never UB and never an unbounded allocation.
 [[nodiscard]] std::optional<NodeReport> decode_report(
-    std::span<const std::uint8_t> data);
+    std::span<const std::uint8_t> frame);
 
-/// Atomic snapshot write (temp file + rename). Returns false on any I/O
-/// failure; the previous snapshot at `path`, if any, survives a failure.
-[[nodiscard]] bool write_report_file(const NodeReport& r,
-                                     const std::string& path);
+/// One node incarnation's snapshot store: the two slot files of `path`,
+/// opened and truncated at construction, so a stale slot of an earlier run
+/// can never outrank this writer's snapshots.
+class ReportWriter {
+ public:
+  explicit ReportWriter(const std::string& path);
+  ~ReportWriter();
+  ReportWriter(const ReportWriter&) = delete;
+  ReportWriter& operator=(const ReportWriter&) = delete;
 
-/// Reads and decodes one report file; nullopt if missing or malformed.
+  /// Stamps `r` with the next snapshot number, encodes it into the buffer
+  /// the writer keeps, and writes it with one pwrite into slot
+  /// (number mod 2); a frame shorter than the slot's last one also
+  /// truncates the slot. Returns false on an I/O failure; the number then
+  /// does not advance, so the other slot keeps the last snapshot written.
+  [[nodiscard]] bool write(const NodeReport& r);
+
+ private:
+  int fd_[2]{-1, -1};
+  std::size_t len_[2]{0, 0};  ///< bytes each slot holds
+  std::uint64_t written_{0};  ///< the last snapshot number written
+  std::vector<std::uint8_t> buf_;
+};
+
+/// Second slot file of a report path; the first is the path itself.
+[[nodiscard]] std::string report_slot_path(const std::string& path);
+
+/// Reads both slot files of `path` and returns the valid report with the
+/// larger snapshot number: never older than the newest snapshot complete
+/// when the call began. nullopt if neither slot holds one, or if the writer
+/// rewrote both slots while this call read them.
 [[nodiscard]] std::optional<NodeReport> read_report_file(
     const std::string& path);
 

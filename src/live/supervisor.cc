@@ -105,7 +105,11 @@ std::string Supervisor::report_path(ProcessId id, int incarnation) const {
 void Supervisor::spawn(Proc& p) {
   const std::string report = report_path(p.id, p.spawns);
   std::error_code ec;
-  std::filesystem::remove(report, ec);  // never harvest a stale run's file
+  // Never harvest a stale run's snapshot: until this incarnation's writer
+  // truncates both slots, or if it never gets that far, they hold an
+  // earlier run's.
+  std::filesystem::remove(report, ec);
+  std::filesystem::remove(report_slot_path(report), ec);
   // Same for the flight-ring dumps: a leftover node<i>.g<g>.bin.trace from a
   // previous run in the same report_dir would otherwise be stitched into this
   // run's timeline as if it were fresh.
@@ -240,8 +244,9 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
   };
 
   // Cluster time series: one JSONL line per readable node report every
-  // config_.telemetry. Reading the report files is pure observation — the
-  // nodes keep renaming fresh snapshots into place regardless.
+  // config_.telemetry. Reading the report slots is pure observation: a read
+  // that overlaps a node's pwrite fails that slot's checksum and takes the
+  // other slot's complete snapshot.
   const bool telemetry_on = config_.telemetry > Duration::zero();
   const std::string telemetry_path = config_.report_dir + "/telemetry.jsonl";
   if (telemetry_on) {

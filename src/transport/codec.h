@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -40,6 +41,14 @@ namespace mmrfd::transport {
 
 class Encoder {
  public:
+  Encoder() = default;
+  /// Encodes into `storage`'s allocation, cleared first: a caller that
+  /// encodes repeatedly hands back what take() returned and keeps one buffer.
+  explicit Encoder(std::vector<std::uint8_t> storage)
+      : buf_(std::move(storage)) {
+    buf_.clear();
+  }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);

@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "live/report.h"
 #include "live/supervisor.h"
 
 namespace mmrfd::live {
@@ -538,6 +540,90 @@ TEST(LiveCluster, Sigusr1DumpsFlightRecorder) {
   EXPECT_GT(lines, 0u);
   EXPECT_TRUE(saw_round_open);
 
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LiveCluster, SigkillAtAnyInstantLeavesACompleteSnapshot) {
+  // The crash model of the report slots on a real process: a node writing a
+  // snapshot every millisecond dies by SIGKILL at fixed-seed instants,
+  // wherever they fall among its writes (a kill that tears a slot is
+  // report_test's case, made exact there). After each kill the reader must
+  // still find a
+  // complete snapshot that had counted a round, and a reader polling the
+  // running node must never see its snapshot number, rounds or snapshot
+  // stamp go backwards. One node with n=2, f=1 makes rounds alone (quorum
+  // 1), as in Sigusr1DumpsFlightRecorder. Each incarnation gets its own
+  // path, as the Supervisor's do.
+  const std::string dir = fresh_report_dir("sigkill");
+  std::filesystem::create_directories(dir);
+  const std::string binary = default_node_binary();
+  Xoshiro256 rng(2003);
+  constexpr int kKills = 12;
+  for (int kill = 0; kill < kKills; ++kill) {
+    const std::string report = dir + "/node0.g" + std::to_string(kill) + ".bin";
+    const std::vector<std::string> arg_strings = {
+        binary,         "--self=0",          "--n=2",
+        "--f=1",        "--base-port=48700", "--pacing-ms=20",
+        "--flush-ms=1", "--run-s=60",        "--report=" + report};
+    std::vector<char*> argv;
+    argv.reserve(arg_strings.size() + 1);
+    for (const std::string& s : arg_strings) {
+      argv.push_back(const_cast<char*>(s.c_str()));
+    }
+    argv.push_back(nullptr);
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::execv(binary.c_str(), argv.data());
+      _exit(127);  // exec failed
+    }
+    // Reaps the node on every path out of this iteration, failures included.
+    struct Reaper {
+      pid_t pid;
+      ~Reaper() {
+        if (pid > 0) {
+          ::kill(pid, SIGKILL);
+          ::waitpid(pid, nullptr, 0);
+        }
+      }
+    } reaper{pid};
+
+    std::uint64_t seq = 0;
+    std::uint64_t rounds = 0;
+    std::uint64_t stamp = 0;
+    const auto observe = [&](const NodeReport& r) {
+      EXPECT_GE(r.snapshot_seq, seq) << "incarnation " << kill;
+      EXPECT_GE(r.rounds, rounds) << "incarnation " << kill;
+      EXPECT_GE(r.snapshot_ns, stamp) << "incarnation " << kill;
+      seq = r.snapshot_seq;
+      rounds = r.rounds;
+      stamp = r.snapshot_ns;
+    };
+    // Past the first flush: poll until a snapshot has counted a round, then
+    // on until a fixed-seed instant 0-80 ms later, and kill there.
+    using Clock = std::chrono::steady_clock;
+    const auto give_up = Clock::now() + std::chrono::seconds(10);
+    while (rounds == 0 && Clock::now() < give_up) {
+      if (const auto r = read_report_file(report)) observe(*r);
+    }
+    ASSERT_GE(rounds, 1u) << "incarnation " << kill << " never made a round";
+    const auto kill_at =
+        Clock::now() + std::chrono::microseconds(rng.next_below(80'000));
+    while (Clock::now() < kill_at) {
+      if (const auto r = read_report_file(report)) observe(*r);
+    }
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    reaper.pid = 0;
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+    const auto after = read_report_file(report);
+    ASSERT_TRUE(after.has_value()) << "no complete snapshot after kill " << kill;
+    EXPECT_GE(after->rounds, 1u);
+    observe(*after);
+  }
   std::filesystem::remove_all(dir);
 }
 
