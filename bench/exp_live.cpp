@@ -27,6 +27,7 @@
 #include "common/argparse.h"
 #include "live/supervisor.h"
 #include "metrics/table.h"
+#include "obs/trace_assembler.h"
 #include "runtime/crash_plan.h"
 
 using namespace mmrfd;
@@ -88,6 +89,9 @@ struct LiveResult {
   double resend_wait_mean_ms{0};
   double wire_mean_ms{0};
   std::size_t trace_causal_violations{0};
+  /// Node incarnations whose harvested ring holds a resend wave before its
+  /// first round close: first rounds that waited for a wave.
+  std::size_t first_round_waves{0};
 };
 
 std::uint64_t count(const LiveResult& r, std::string_view name) {
@@ -114,6 +118,20 @@ double per_round(const LiveResult& r, std::uint64_t total) {
 double round_rtt_ms(const LiveResult& r, double q) {
   const obs::HistogramSnapshot* h = r.metrics.find_histogram("rt.round_rtt_ns");
   return h != nullptr ? h->percentile(q) / 1e6 : 0.0;
+}
+
+/// Counts the harvested rings (one per node incarnation) whose first round
+/// waited for a resend wave.
+std::size_t first_round_waves(const std::string& report_dir) {
+  const auto manifest = obs::load_manifest(
+      report_dir + "/" + std::string(obs::kTraceManifestName));
+  if (!manifest) return 0;
+  std::size_t waited = 0;
+  for (const auto& entry : manifest->traces) {
+    const auto records = obs::load_trace_records(report_dir + "/" + entry.file);
+    if (records && obs::first_round_waited_for_wave(*records)) ++waited;
+  }
+  return waited;
 }
 
 [[nodiscard]] bool write_json(const std::vector<LiveResult>& results,
@@ -167,6 +185,7 @@ double round_rtt_ms(const LiveResult& r, double q) {
        << ", \"resend_wait_mean_ms\": " << r.resend_wait_mean_ms
        << ", \"wire_mean_ms\": " << r.wire_mean_ms
        << ", \"trace_causal_violations\": " << r.trace_causal_violations
+       << ", \"first_round_waves\": " << r.first_round_waves
        << ", \"crash_breakdowns\": [";
     bool first_crash = true;
     for (const auto& b : r.breakdowns) {
@@ -372,6 +391,7 @@ int main(int argc, char** argv) {
     r.involuntary_switches = run.node_involuntary_switches;
     if (run.trace) {
       r.trace_causal_violations = run.trace->causal_violations;
+      r.first_round_waves = first_round_waves(scfg.report_dir);
       double pacing_sum = 0, grace_sum = 0, resend_sum = 0, wire_sum = 0;
       std::size_t observers_total = 0;
       for (const obs::CrashTimeline& ct : run.trace->crashes) {
@@ -420,7 +440,8 @@ int main(int argc, char** argv) {
   Table table({"n", "f", "seed", "delta", "kills", "det_mean_s", "det_p99_s",
                "pace_ms", "grace_ms", "resend_ms", "wire_ms", "rtt_p50_ms",
                "complete", "false_susp", "B_per_query", "wire_B_per_q",
-               "delta_q", "full_q", "need_full", "trunc", "errs"});
+               "delta_q", "full_q", "need_full", "trunc", "errs",
+               "first_waves"});
   for (const auto& r : results) {
     table.add_row({Table::num(std::uint64_t{r.n}),
                    Table::num(std::uint64_t{r.f}), Table::num(r.seed),
@@ -442,7 +463,8 @@ int main(int argc, char** argv) {
                    Table::num(count(r, "rt.need_full_sent") +
                               count(r, "rt.need_full_received")),
                    Table::num(count(r, "udp.truncated")),
-                   Table::num(count(r, "udp.recv_errors"))});
+                   Table::num(count(r, "udp.recv_errors")),
+                   Table::num(std::uint64_t{r.first_round_waves})});
   }
   if (args.get_bool("csv")) {
     table.print_csv(std::cout);

@@ -24,6 +24,10 @@ configuration key and flags metric movements outside a tolerance band:
   * invol_ctx_switches_per_round   per finished round, from wait4's rusage)
   * peak_rss_mb         — higher is a regression (exp_scale: the config's
                           worker process's peak resident set, from wait4)
+  * first_round_waves   — higher is a regression (exp_live: node
+                          incarnations whose first round waited for a resend
+                          wave; a count whose baseline is 0, so any fresh
+                          nonzero value is flagged)
 
 The key includes the engine/shards columns exp_scale emits and the
 simulated horizon, so a serial and a sharded run of the same (n, f, seed),
@@ -71,7 +75,10 @@ METRICS = {
     "vol_ctx_switches_per_round": "down",
     "invol_ctx_switches_per_round": "down",
     "peak_rss_mb": "down",
+    "first_round_waves": "down",
 }
+# Counts compared as counts: from a baseline of 0, any rise is flagged.
+COUNTS = ("first_round_waves",)
 KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards", "horizon_s")
 # exp_scale columns that a fixed seed determines: they must match exactly.
 EXACT = (
@@ -160,21 +167,26 @@ def main():
             if metric in exact or metric not in row or metric not in base:
                 continue
             old, new = float(base[metric]), float(row[metric])
-            if old <= 0:
+            if old <= 0 and metric not in COUNTS:
                 continue
             compared += 1
-            ratio = new / old
-            worse = (
-                ratio < 1 - args.tolerance
-                if direction == "up"
-                else ratio > 1 + args.tolerance
-            )
+            if old <= 0:
+                worse = new > 0
+                versus = "baseline 0"
+            else:
+                ratio = new / old
+                worse = (
+                    ratio < 1 - args.tolerance
+                    if direction == "up"
+                    else ratio > 1 + args.tolerance
+                )
+                versus = f"{ratio:.0%} of baseline"
             tag = "REGRESSION" if worse else "ok"
             if worse:
                 regressions += 1
             print(
                 f"[{tag}] {fmt_key(key)} {metric}: "
-                f"{old:.4g} -> {new:.4g} ({ratio:.0%} of baseline)"
+                f"{old:.4g} -> {new:.4g} ({versus})"
             )
 
     print(

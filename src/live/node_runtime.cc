@@ -1,7 +1,9 @@
 #include "live/node_runtime.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <pthread.h>
+#include <sys/signalfd.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/argparse.h"
+#include "live/control.h"
 #include "live/report.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
@@ -67,9 +70,11 @@ int node_main(int argc, const char* const* argv) {
       .flag("rcvbuf", "0", "socket buffer bytes (0 = auto-scale with n)")
       .flag("report", "", "binary NodeReport path (empty = no reports)")
       .flag("flush-ms", "200", "report snapshot interval (ms)")
-      .flag("origin-ns", "0",
-            "wall-clock origin (UNIX ns) event timestamps are relative to "
-            "(0 = this process's start)")
+      .flag("control-fd", "-1",
+            "inherited control socket (live/control.h): say ready once "
+            "bound, start at the release and take its origin, stop when it "
+            "closes (-1 = none: start at once, origin = this process's "
+            "start)")
       .flag("run-s", "0", "exit after this many seconds (0 = until SIGTERM)")
       .flag("giveup", "8",
             "crashed-peer give-up: probe peers suspected this many "
@@ -119,10 +124,16 @@ int node_main(int argc, const char* const* argv) {
               << base_port << " trace-cap=" << trace_cap << ")\n";
     return 2;
   }
-  const std::uint64_t origin_ns =
-      args.get_int("origin-ns") > 0
-          ? static_cast<std::uint64_t>(args.get_int("origin-ns"))
-          : wall_clock_ns();
+  const auto control_fd = static_cast<int>(args.get_int("control-fd"));
+  if (control_fd < -1 ||
+      (control_fd >= 0 && ::fcntl(control_fd, F_GETFD) < 0)) {
+    std::cerr << "mmrfd-node: --control-fd " << control_fd
+              << " is not an open descriptor\n";
+    return 2;
+  }
+  // Event stamps count from the run's origin: the release's, or this
+  // process's start without a control socket.
+  std::uint64_t origin_ns = wall_clock_ns();
 
   for (const int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE}) {
     std::signal(sig, on_fatal_signal);
@@ -193,20 +204,39 @@ int node_main(int argc, const char* const* argv) {
   rcfg.recorder = &recorder;
   transport::RealTimeDetector detector(typed, rcfg);
 
-  // The main thread takes SIGTERM, SIGINT and SIGUSR1 in sigtimedwait below.
-  // Blocked before the protocol thread starts, so it inherits the mask and
-  // never takes them; the caller's mask comes back before returning.
+  // The main thread takes SIGTERM, SIGINT and SIGUSR1 from a signalfd in the
+  // loop below. Blocked before the protocol thread starts, so it inherits
+  // the mask and never takes them; the caller's mask comes back, and the
+  // signalfd is closed, before returning.
   sigset_t waited;
   sigemptyset(&waited);
   for (const int sig : {SIGTERM, SIGINT, SIGUSR1}) sigaddset(&waited, sig);
-  sigset_t caller_mask;
-  pthread_sigmask(SIG_BLOCK, &waited, &caller_mask);
+  struct SignalScope {
+    sigset_t caller_mask{};
+    int fd{-1};
+    ~SignalScope() {
+      if (fd >= 0) ::close(fd);
+      pthread_sigmask(SIG_SETMASK, &caller_mask, nullptr);
+    }
+  } signals;
+  pthread_sigmask(SIG_BLOCK, &waited, &signals.caller_mask);
+  signals.fd = ::signalfd(-1, &waited, SFD_NONBLOCK | SFD_CLOEXEC);
+  if (signals.fd < 0) {
+    std::cerr << "mmrfd-node " << self << ": signalfd: "
+              << std::strerror(errno) << "\n";
+    return 1;
+  }
+  const auto take_signal = [&](signalfd_siginfo& info) {
+    return ::read(signals.fd, &info, sizeof info) ==
+           static_cast<ssize_t>(sizeof info);
+  };
+  // Bound before anyone is told this node is up; a bind failure (a port in
+  // use) exits here, which a Supervisor sees as its control socket closing.
   try {
-    detector.start();
+    typed.start();
   } catch (const std::exception& e) {
     std::cerr << "mmrfd-node " << self << ": start failed: " << e.what()
               << "\n";
-    pthread_sigmask(SIG_SETMASK, &caller_mask, nullptr);
     return 1;
   }
 
@@ -251,16 +281,45 @@ int node_main(int argc, const char* const* argv) {
     }
   };
 
-  // Sleep until the next flush, the end of --run-s or a signal; with
-  // neither a report nor a run length, until a signal alone.
+  // Starts the protocol thread and the flush and run-length clocks: at once
+  // without a control socket, else at the release.
   using Clock = std::chrono::steady_clock;
   constexpr auto kNever = Clock::time_point::max();
-  const auto started = Clock::now();
   const auto run_for = std::chrono::seconds(args.get_int("run-s"));
   const auto flush_every = std::chrono::milliseconds(flush_ms);
-  const auto end = run_for.count() > 0 ? started + run_for : kNever;
-  auto next_flush = report_path.empty() ? kNever : started + flush_every;
-  while (true) {
+  auto end = kNever;
+  auto next_flush = kNever;
+  bool running = false;
+  const auto begin = [&] {
+    try {
+      detector.start();
+    } catch (const std::exception& e) {
+      std::cerr << "mmrfd-node " << self << ": start failed: " << e.what()
+                << "\n";
+      return false;
+    }
+    running = true;
+    const auto now = Clock::now();
+    if (run_for.count() > 0) end = now + run_for;
+    if (!report_path.empty()) next_flush = now + flush_every;
+    return true;
+  };
+  // Without a control socket the node starts at once; with one, it says
+  // ready and waits for the release. A Supervisor already gone ends the run
+  // before it starts.
+  bool stop = false;
+  int exit_code = 0;
+  if (control_fd < 0) {
+    if (!begin()) return 1;
+  } else {
+    stop = !control::send_ready(control_fd);
+  }
+
+  // Sleep until the next flush, the end of --run-s, a signal or a control
+  // message; before the release, until a signal or the release.
+  pollfd watched[2] = {{signals.fd, POLLIN, 0}, {control_fd, POLLIN, 0}};
+  const nfds_t nwatched = control_fd >= 0 ? 2 : 1;
+  while (!stop) {
     const auto now = Clock::now();
     if (now >= end) break;
     if (now >= next_flush) {
@@ -275,22 +334,40 @@ int node_main(int argc, const char* const* argv) {
       timeout = {static_cast<time_t>(ns / 1'000'000'000),
                  static_cast<long>(ns % 1'000'000'000)};
     }
-    const int sig =
-        sigtimedwait(&waited, nullptr, wake == kNever ? nullptr : &timeout);
-    if (sig == SIGUSR1) dump_trace();
-    if (sig == SIGTERM || sig == SIGINT) break;
+    if (::ppoll(watched, nwatched, wake == kNever ? nullptr : &timeout,
+                nullptr) <= 0) {
+      continue;
+    }
+    if (watched[0].revents != 0) {
+      signalfd_siginfo info{};
+      while (take_signal(info)) {
+        if (info.ssi_signo == SIGUSR1) dump_trace();
+        if (info.ssi_signo == SIGTERM || info.ssi_signo == SIGINT) stop = true;
+      }
+    }
+    if (nwatched == 2 && watched[1].revents != 0) {
+      const control::Message m = control::receive(control_fd);
+      if (m.kind == control::Message::Kind::kClosed) {
+        stop = true;  // the lifeline: the Supervisor is gone
+      } else if (m.kind == control::Message::Kind::kRelease && !running) {
+        origin_ns = m.origin_ns;
+        if (!begin()) {
+          exit_code = 1;
+          stop = true;
+        }
+      }
+    }
   }
 
   detector.stop();
   // Signals taken during shutdown: a SIGUSR1 still gets its dump, and a
   // late SIGTERM is spent here rather than on the restored mask.
-  const timespec no_wait{};
-  for (int sig; (sig = sigtimedwait(&waited, nullptr, &no_wait)) > 0;) {
-    if (sig == SIGUSR1) dump_trace();
+  signalfd_siginfo info{};
+  while (take_signal(info)) {
+    if (info.ssi_signo == SIGUSR1) dump_trace();
   }
-  if (!report_path.empty()) write_snapshot();
-  pthread_sigmask(SIG_SETMASK, &caller_mask, nullptr);
-  return 0;
+  if (running && !report_path.empty()) write_snapshot();
+  return exit_code;
 }
 
 }  // namespace mmrfd::live

@@ -1,7 +1,10 @@
 #include "live/supervisor.h"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -15,6 +18,7 @@
 #include <thread>
 
 #include "common/log.h"
+#include "live/control.h"
 #include "metrics/analysis.h"
 #include "metrics/event_log.h"
 #include "sim/simulation.h"
@@ -22,6 +26,9 @@
 namespace mmrfd::live {
 
 namespace {
+
+/// How long the start barrier waits for every node to say it is ready.
+constexpr auto kReadyTimeout = std::chrono::seconds(30);
 
 /// Counters-only JSON object for one telemetry line: {"name":value,...}.
 /// Metric names are code-side constants ([a-z0-9._] by convention), so no
@@ -128,7 +135,6 @@ void Supervisor::spawn(Proc& p) {
       "--rcvbuf=" + std::to_string(config_.rcvbuf),
       "--report=" + report,
       "--flush-ms=" + std::to_string(config_.flush.count() / 1'000'000),
-      "--origin-ns=" + std::to_string(origin_ns_),
       "--resend-ms=" + std::to_string(config_.resend.count() / 1'000'000),
       "--giveup=" + std::to_string(config_.giveup_rounds),
       "--resync=" + std::to_string(config_.resync_interval),
@@ -154,6 +160,16 @@ void Supervisor::spawn(Proc& p) {
         std::to_string(config_.fault_seed + 1315423911ull * p.id.value +
                        static_cast<std::uint64_t>(p.spawns)));
   }
+  // The control socket (live/control.h). Both ends are close-on-exec, so no
+  // other child inherits one, a sibling node or one that another Supervisor
+  // in this process forks: a leaked Supervisor end would hold the node's
+  // lifeline open after the Supervisor died. The child clears the flag on
+  // its own end only, between fork and exec.
+  int ends[2];
+  if (::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, ends) != 0) {
+    throw std::runtime_error("Supervisor: socketpair failed");
+  }
+  argstrs.push_back("--control-fd=" + std::to_string(ends[1]));
   std::vector<char*> argv;
   argv.reserve(argstrs.size() + 1);
   for (std::string& s : argstrs) argv.push_back(s.data());
@@ -161,12 +177,18 @@ void Supervisor::spawn(Proc& p) {
 
   const pid_t pid = ::fork();
   if (pid < 0) {
+    ::close(ends[0]);
+    ::close(ends[1]);
     throw std::runtime_error("Supervisor: fork failed");
   }
   if (pid == 0) {
+    ::fcntl(ends[1], F_SETFD, 0);
     ::execv(node_binary_.c_str(), argv.data());
     _exit(127);  // exec failure: reported to the parent as an exit status
   }
+  ::close(ends[1]);
+  if (p.control >= 0) ::close(p.control);
+  p.control = ends[0];
   p.pid = pid;
   p.alive = true;
   ++p.spawns;
@@ -187,7 +209,6 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
     }
   }
 
-  origin_ns_ = wall_clock_ns();
   LiveRunResult result;
   result.horizon = horizon;
 
@@ -195,6 +216,16 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     procs[i].id = ProcessId{i};
   }
+  // The Supervisor's control ends close on every way out of run(), after
+  // the nodes are reaped; a node still running then takes it as SIGTERM.
+  struct CloseControls {
+    std::vector<Proc>& procs;
+    ~CloseControls() {
+      for (Proc& p : procs) {
+        if (p.control >= 0) ::close(p.control);
+      }
+    }
+  } close_controls{procs};
   const auto kill_everything = [&] {
     for (Proc& p : procs) {
       if (p.alive && p.pid > 0) ::kill(p.pid, SIGKILL);
@@ -209,10 +240,18 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
   };
   try {
     for (Proc& p : procs) spawn(p);
+    await_ready(procs);
   } catch (...) {
     kill_everything();
     throw;
   }
+  // The release: every node is bound, so none loses a first query. The
+  // origin is stamped here, and the kill plan, the kill stamps, the node
+  // reports and the horizon all count from it. A node that died meanwhile
+  // fails its send (no SIGPIPE) and is reaped as an unexpected exit.
+  origin_ns_ = wall_clock_ns();
+  const auto started = std::chrono::steady_clock::now();
+  for (const Proc& p : procs) control::send_release(p.control, origin_ns_);
 
   struct PendingCrash {
     CrashEvent event;
@@ -268,7 +307,6 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
     }
   };
 
-  const auto started = std::chrono::steady_clock::now();
   const auto elapsed = [&] {
     return std::chrono::duration_cast<Duration>(
         std::chrono::steady_clock::now() - started);
@@ -302,6 +340,8 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
         Proc& victim = procs[pc.event.victim.value];
         if (!victim.alive) {
           spawn(victim);
+          // Its peers are running: no barrier, only the run's origin.
+          control::send_release(victim.control, origin_ns_);
           // The new incarnation is a regular cluster member again: if IT
           // dies (exec failure, bind failure), that must count as an
           // unexpected exit, not hide behind the earlier planned kill.
@@ -319,8 +359,8 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
   }
 
   // Flight-ring harvest, strictly before SIGTERM: SIGUSR1 asks each live
-  // node to dump its ring, which its main thread does as soon as
-  // sigtimedwait takes the signal. Wait (bounded) for the .trace files to
+  // node to dump its ring, which its main thread does as soon as it reads
+  // the signal from its signalfd. Wait (bounded) for the .trace files to
   // land before the first SIGTERM, so every ring is taken while the whole
   // cluster still runs and none records peers shutting down.
   reap();
@@ -378,6 +418,40 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
   aggregate(procs, horizon, result);
   if (config_.trace) assemble_traces(procs, result);
   return result;
+}
+
+void Supervisor::await_ready(const std::vector<Proc>& procs) const {
+  std::vector<pollfd> waiting;
+  waiting.reserve(procs.size());
+  for (const Proc& p : procs) waiting.push_back({p.control, POLLIN, 0});
+  std::size_t left = waiting.size();
+  const auto deadline = std::chrono::steady_clock::now() + kReadyTimeout;
+  while (left > 0) {
+    const auto wait_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (wait_ms.count() <= 0) {
+      throw std::runtime_error("Supervisor: " + std::to_string(left) +
+                               " node(s) not ready after 30 s");
+    }
+    if (::poll(waiting.data(), waiting.size(),
+               static_cast<int>(wait_ms.count())) <= 0) {
+      continue;
+    }
+    for (std::size_t i = 0; i < waiting.size(); ++i) {
+      if (waiting[i].fd < 0 || waiting[i].revents == 0) continue;
+      const control::Message m = control::receive(waiting[i].fd);
+      if (m.kind == control::Message::Kind::kReady) {
+        waiting[i].fd = -1;  // poll skips it from now on
+        --left;
+      } else if (m.kind == control::Message::Kind::kClosed) {
+        // Exited before it bound (a port in use, an exec failure): the run
+        // cannot start, and its peers would wait for it forever.
+        throw std::runtime_error("Supervisor: node " +
+                                 std::to_string(procs[i].id.value) +
+                                 " exited before it was ready");
+      }
+    }
+  }
 }
 
 void Supervisor::assemble_traces(const std::vector<Proc>& procs,

@@ -7,6 +7,15 @@
 // detection latency, false suspicions and message cost are computed by the
 // same code as the simulated experiments.
 //
+// Start and end: each node gets one end of a control socket
+// (live/control.h). The Supervisor forks all n, waits until every one has
+// bound its UDP socket and said ready, and then releases them all at once
+// with the run's origin, stamped at that instant: the crash plan, the kill
+// stamps, the node reports and the horizon count from the release. A node
+// that exits before it is ready (a port in use) fails the run at once. A
+// node whose Supervisor is gone sees EOF on its socket and stops as on
+// SIGTERM, so a Supervisor killed mid-run leaves no node behind.
+//
 // Crash semantics: SIGKILL is a faithful crash-stop (no flush, no goodbye);
 // what survives of a victim's history is its last periodic report snapshot.
 // A restart re-execs the same node id with fresh state, which is exactly
@@ -27,8 +36,9 @@
 
 namespace mmrfd::live {
 
-/// One planned fault: SIGKILL `victim` at `at` (relative to run start) and,
-/// if `restart_at` is set, re-exec it with fresh state at that offset.
+/// One planned fault: SIGKILL `victim` at `at` (relative to the release) and,
+/// if `restart_at` is set, re-exec it with fresh state at that offset; the
+/// new incarnation is released as soon as it is spawned.
 struct CrashEvent {
   ProcessId victim;
   Duration at{kTimeZero};
@@ -141,10 +151,12 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Runs one full experiment: spawns the cluster, executes `schedule`,
-  /// SIGTERM-stops everything at `horizon`, harvests and aggregates the
-  /// reports. Blocking; throws std::runtime_error when the cluster cannot
-  /// be spawned. Reaps every child it created before returning.
+  /// Runs one full experiment: spawns the cluster, releases it once every
+  /// node is ready, executes `schedule`, SIGTERM-stops everything at
+  /// `horizon` after the release, harvests and aggregates the reports
+  /// (metrics::Analysis clips at the horizon). Blocking; throws
+  /// std::runtime_error when the cluster cannot be spawned or a node exits
+  /// before it is ready. Reaps every child it created before returning.
   [[nodiscard]] LiveRunResult run(const std::vector<CrashEvent>& schedule,
                                   Duration horizon);
 
@@ -152,6 +164,8 @@ class Supervisor {
   struct Proc {
     ProcessId id;
     pid_t pid{-1};
+    /// The Supervisor's end of this incarnation's control socket.
+    int control{-1};
     bool alive{false};
     int spawns{0};
     bool planned_kill{false};
@@ -163,6 +177,10 @@ class Supervisor {
   };
 
   void spawn(Proc& p);
+  /// The start barrier: returns once every node has said ready on its
+  /// control socket; throws std::runtime_error as soon as one exits first,
+  /// or after 30 s.
+  void await_ready(const std::vector<Proc>& procs) const;
   [[nodiscard]] std::string report_path(ProcessId id, int incarnation) const;
   void aggregate(std::vector<Proc>& procs, Duration horizon,
                  LiveRunResult& result) const;

@@ -44,6 +44,7 @@ std::vector<Detection> Analysis::detections() const {
     return (static_cast<std::uint64_t>(obs.value) << 32) | subj.value;
   };
   for (const auto& e : log_.events()) {
+    if (e.when > horizon_) continue;
     if (e.kind == SuspicionEventKind::kSuspected) {
       last_suspected[key(e.observer, e.subject)] = e.when;
     } else if (e.kind == SuspicionEventKind::kCleared) {
@@ -108,6 +109,7 @@ std::vector<FalseSuspicion> Analysis::false_suspicions() const {
   // Track open suspicion intervals per (observer, subject).
   std::map<std::pair<std::uint32_t, std::uint32_t>, TimePoint> open;
   for (const auto& e : log_.events()) {
+    if (e.when > horizon_) continue;
     if (!is_correct(e.subject) || !is_correct(e.observer)) continue;
     const auto key = std::make_pair(e.observer.value, e.subject.value);
     if (e.kind == SuspicionEventKind::kSuspected) {

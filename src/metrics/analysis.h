@@ -60,6 +60,10 @@ struct FalseSuspicionPoint {
 class Analysis {
  public:
   /// `n` = system size; the log's crash records define the faulty set.
+  /// `horizon` = the end of the run: a transition stamped after it does not
+  /// count, so each pair's state at the horizon is final. One stamped at
+  /// exactly the horizon counts, as the simulator fires an event due at its
+  /// deadline.
   Analysis(const EventLog& log, std::uint32_t n, TimePoint horizon);
 
   [[nodiscard]] std::vector<ProcessId> correct() const;

@@ -516,6 +516,14 @@ std::optional<std::vector<TraceRecord>> load_text(const std::string& data) {
 
 }  // namespace
 
+bool first_round_waited_for_wave(const std::vector<TraceRecord>& records) {
+  for (const TraceRecord& r : records) {
+    if (r.kind == TraceKind::kRoundClose) return false;
+    if (r.kind == TraceKind::kResendWave) return true;
+  }
+  return false;
+}
+
 std::optional<std::vector<TraceRecord>> load_trace_records(
     const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -153,6 +153,13 @@ class TraceAssembler {
 std::optional<std::vector<TraceRecord>> load_trace_records(
     const std::string& path);
 
+/// True when one node's ring (seq-ordered) holds a kResendWave before its
+/// first kRoundClose: that incarnation's first round, if the ring still
+/// holds it, waited for a wave, as one whose first query went to an unbound
+/// peer does.
+[[nodiscard]] bool first_round_waited_for_wave(
+    const std::vector<TraceRecord>& records);
+
 /// Parses node id and incarnation from a dump filename shaped like
 /// `node<i>.g<g>[...]` (the supervisor's report naming).
 std::optional<std::pair<std::uint32_t, std::uint32_t>> parse_trace_filename(

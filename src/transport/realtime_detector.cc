@@ -66,19 +66,22 @@ void RealTimeDetector::run() {
   };
   // The fan-out order: every id but self, ascending.
   const PeerRange peers = driver_.core().known();
-  // The first round waits one pause, plus a share of another drawn per
-  // node as the simulated hosts stagger theirs. Peers started alongside
-  // bind their sockets meanwhile: a query sent before its peer binds is
-  // lost, holding the round until its first resend wave. And the nodes'
-  // rounds start out of step: in step, every observer of a crash opens its
-  // detecting round at about the same instant, so the first detection,
-  // which the others then merge, comes later.
+  // The first round waits a share of one pause, drawn inside the node's own
+  // 1/n stratum of it, so the nodes' rounds start out of step and evenly
+  // spread. In step, every observer of a crash opens its detecting round at
+  // about the same instant, so the first detection, which the others then
+  // merge, comes later; a wide gap between phases delays a crash that falls
+  // in it. mmrfd-node releases a cluster at one instant, so these draws
+  // alone set the phases (a share of the whole pause left gaps of up to
+  // 17 ms at n = 16). The caller sees to it that the peers are bound: a
+  // query to an unbound peer is lost until the round's first resend wave.
   Xoshiro256 stagger(
       derive_seed(0, "rt.first_issue", config_.detector.self.value));
+  const double share = (config_.detector.self.value + stagger.next_double()) /
+                       static_cast<double>(config_.detector.n);
   const TimePoint first_issue =
-      steady_now() + config_.pacing +
-      Duration(static_cast<Duration::rep>(
-          stagger.next_double() * static_cast<double>(config_.pacing.count())));
+      steady_now() + Duration(static_cast<Duration::rep>(
+                         share * static_cast<double>(config_.pacing.count())));
   while (!stopping_.load()) {
     // The protocol stays time-free: a deadline only ever re-sends, ends the
     // grace or ends the pause. A response handled inside poll() may reach

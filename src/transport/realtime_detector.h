@@ -6,10 +6,13 @@
 // fires the driver's deadline and sends what the driver planned (T1), then
 // polls the transport until the next deadline, handling each query (T2) and
 // response inline. A quorum moves the deadline, so the loop looks at it again
-// after every poll. The first round waits one pause plus a per-node share of
-// another, so peers started alongside bind their sockets before they are
-// queried and the nodes' rounds start out of step. The mutex guards the driver
-// only against readers on other threads (suspected(), is_suspected(),
+// after every poll. The first round waits a share of one pause drawn inside
+// the node's own 1/n stratum of it, so the nodes' rounds start out of step
+// and evenly spread. It does not wait for peers to bind: a query to an
+// unbound peer is lost until the round's first resend wave, so the caller
+// starts the detector once its peers are up (mmrfd-node waits for its
+// Supervisor's release). The mutex guards the driver only against
+// readers on other threads (suspected(), is_suspected(),
 // rounds_completed()). Only what needs the transport layer stays here: the
 // byte-sized kQueryTx/kResponseTx/kResponseRx stamps, the origin_seq piggyback,
 // and the rt.* registry instruments: full/delta query encodings and codec bytes

@@ -10,13 +10,16 @@
 // eventual convergence, never on tight timing.
 #include <gtest/gtest.h>
 
-#include <csignal>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -64,6 +67,55 @@ std::map<std::string, std::uint64_t> parse_counters(const std::string& line) {
     if (pos < line.size() && line[pos] == ',') ++pos;
   }
   return out;
+}
+
+/// Binds 127.0.0.1:port over UDP, as a node does; the socket, or -1.
+int bind_udp(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// True once nothing holds the port: a node that bound it has exited.
+bool port_free(std::uint16_t port) {
+  const int fd = bind_udp(port);
+  if (fd < 0) return false;
+  ::close(fd);
+  return true;
+}
+
+/// The running mmrfd-node processes whose argv names
+/// `--base-port=<base_port>` (an exited one has no argv left to read).
+std::vector<pid_t> nodes_of(std::uint16_t base_port) {
+  const std::string flag = "--base-port=" + std::to_string(base_port);
+  std::vector<pid_t> out;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc", ec)) {
+    const std::string pid = entry.path().filename().string();
+    if (pid.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream is(entry.path() / "cmdline");
+    std::string arg;
+    bool node = false, ours = false;
+    while (std::getline(is, arg, '\0')) {
+      node = node || arg.find("mmrfd-node") != std::string::npos;
+      ours = ours || arg == flag;
+    }
+    if (node && ours) out.push_back(std::stoi(pid));
+  }
+  return out;
+}
+
+/// The cleanup for a test whose nodes outlived the process that owned them.
+void kill_nodes_of(std::uint16_t base_port) {
+  for (const pid_t pid : nodes_of(base_port)) ::kill(pid, SIGKILL);
 }
 
 const NodeReport* final_report(const LiveRunResult& result, std::uint32_t id) {
@@ -508,7 +560,7 @@ TEST(LiveCluster, Sigusr1DumpsFlightRecorder) {
   }
 
   // Let it make rounds, then ask for the dump and poll for the file (the
-  // node's main thread takes the signal in sigtimedwait and writes it).
+  // node's main thread reads the signal from its signalfd and writes it).
   std::this_thread::sleep_for(std::chrono::milliseconds(1000));
   ASSERT_EQ(::kill(pid, SIGUSR1), 0);
   const std::string trace_path = report + ".trace";
@@ -736,6 +788,153 @@ TEST(LiveCluster, SupervisorHarvestsAndAssemblesTraces) {
         << "node " << i;
   }
 
+  std::filesystem::remove_all(cfg.report_dir);
+}
+
+TEST(LiveCluster, NoFirstRoundWaitsForAResendWave) {
+  // The start barrier: the Supervisor releases the nodes only once every
+  // one has bound its socket. A query sent to a peer not bound yet is
+  // lost, and its round waits for the resend wave (500 ms here), so a
+  // resend wave before a ring's first round close means that node queried
+  // a peer before the peer had bound.
+  constexpr std::uint32_t kN = 16;
+  SupervisorConfig cfg;
+  cfg.n = kN;
+  cfg.f = 4;
+  cfg.base_port = 44000;
+  cfg.trace = true;
+  cfg.report_dir = fresh_report_dir("barrier");
+
+  Supervisor supervisor(cfg);
+  const LiveRunResult result = supervisor.run({}, from_seconds(3));
+  EXPECT_EQ(result.unexpected_exits, 0u);
+  EXPECT_EQ(result.missing_reports, 0u);
+
+  const auto manifest = obs::load_manifest(
+      cfg.report_dir + "/" + std::string(obs::kTraceManifestName));
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_EQ(manifest->traces.size(), kN);
+  for (const auto& entry : manifest->traces) {
+    const auto records =
+        obs::load_trace_records(cfg.report_dir + "/" + entry.file);
+    ASSERT_TRUE(records.has_value()) << entry.file;
+    EXPECT_TRUE(std::any_of(records->begin(), records->end(),
+                            [](const obs::TraceRecord& r) {
+                              return r.kind == obs::TraceKind::kRoundClose;
+                            }))
+        << "node " << entry.node << " closed no round";
+    EXPECT_FALSE(obs::first_round_waited_for_wave(*records))
+        << "node " << entry.node << "'s first round waited for a wave";
+  }
+  // Every report counts from the release, the origin the manifest records.
+  for (const LiveNodeOutcome& node : result.nodes) {
+    for (const NodeReport& r : node.reports) {
+      EXPECT_EQ(r.origin_ns, manifest->origin_ns) << "node " << node.id;
+    }
+  }
+  std::filesystem::remove_all(cfg.report_dir);
+}
+
+TEST(LiveCluster, NodesExitWhenTheirSupervisorDies) {
+  // The lifeline: a Supervisor killed mid-run (no shutdown, no SIGTERM to
+  // its nodes) closes every control socket as it dies, and each node stops
+  // as on SIGTERM. The Supervisor runs in a forked child, with a horizon it
+  // never reaches. With n >= 2 this also catches a Supervisor end leaked
+  // into a sibling node, which would keep that node's socket open.
+  constexpr std::uint32_t kN = 4;
+  constexpr std::uint16_t kBasePort = 44200;
+  SupervisorConfig cfg;
+  cfg.n = kN;
+  cfg.f = 1;
+  cfg.base_port = kBasePort;
+  cfg.pacing = from_millis(50);
+  cfg.flush = from_millis(100);
+  cfg.report_dir = fresh_report_dir("lifeline");
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      Supervisor supervisor(cfg);
+      (void)supervisor.run({}, from_seconds(600));
+    } catch (...) {
+    }
+    _exit(0);
+  }
+  // Kills the Supervisor, and any node it leaves, on every path out.
+  struct Cleanup {
+    pid_t pid;
+    ~Cleanup() {
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+      kill_nodes_of(kBasePort);
+    }
+  } cleanup{pid};
+
+  using Clock = std::chrono::steady_clock;
+  const auto give_up = Clock::now() + std::chrono::seconds(20);
+  std::set<std::uint32_t> running;
+  while (running.size() < kN && Clock::now() < give_up) {
+    for (std::uint32_t i = 0; i < kN; ++i) {
+      const auto r = read_report_file(cfg.report_dir + "/node" +
+                                      std::to_string(i) + ".g0.bin");
+      if (r && r->rounds >= 1) running.insert(i);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(running.size(), kN) << "the cluster never made rounds";
+
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  ASSERT_EQ(::waitpid(pid, nullptr, 0), pid);
+  cleanup.pid = 0;
+  const auto deadline = Clock::now() + std::chrono::seconds(2);
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    const auto port = static_cast<std::uint16_t>(kBasePort + i);
+    while (!port_free(port) && Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(port_free(port))
+        << "node " << i << " still holds its port 2 s after its Supervisor died";
+  }
+  while (!nodes_of(kBasePort).empty() && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(nodes_of(kBasePort).empty())
+      << "a node still runs 2 s after its Supervisor died";
+  std::filesystem::remove_all(cfg.report_dir);
+}
+
+TEST(LiveCluster, SpawnFailsFastWhenANodeCannotBind) {
+  // A node that cannot bind exits before it is ready; the Supervisor sees
+  // its control socket close, kills the others and throws, rather than
+  // releasing a cluster one node short. Nothing is sent to a dead node, so
+  // no SIGPIPE reaches this process.
+  constexpr std::uint32_t kN = 4;
+  constexpr std::uint16_t kBasePort = 44300;
+  constexpr std::uint32_t kBlocked = 2;
+  const int held = bind_udp(kBasePort + kBlocked);
+  ASSERT_GE(held, 0) << "port " << kBasePort + kBlocked << " already in use";
+
+  SupervisorConfig cfg;
+  cfg.n = kN;
+  cfg.f = 1;
+  cfg.base_port = kBasePort;
+  cfg.report_dir = fresh_report_dir("bindfail");
+  Supervisor supervisor(cfg);
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)supervisor.run({}, from_seconds(600)),
+               std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(5));
+  ::close(held);
+  // The other nodes are gone, so their ports bind at once.
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    EXPECT_TRUE(port_free(static_cast<std::uint16_t>(kBasePort + i)))
+        << "node " << i << " outlived the failed spawn";
+  }
+  kill_nodes_of(kBasePort);
   std::filesystem::remove_all(cfg.report_dir);
 }
 

@@ -1,7 +1,14 @@
 // mmrfd-node argument validation: bad arguments exit 2 before the node
 // binds a socket or installs a signal handler, so node_main runs in-process.
+// So does the node side of the control socket: a node waiting for its
+// release never starts its protocol thread.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -72,6 +79,56 @@ TEST(NodeMain, RejectsBasePortsOutsideThePortRange) {
               2)
         << port;
   }
+}
+
+TEST(NodeMain, RejectsAControlFdThatIsNotOpen) {
+  int closed[2];
+  ASSERT_EQ(::pipe(closed), 0);
+  ::close(closed[0]);
+  ::close(closed[1]);
+  for (const std::string& fd :
+       {std::string("--control-fd=-2"),
+        "--control-fd=" + std::to_string(closed[0])}) {
+    EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "1", "--run-s=1", fd}), 2)
+        << fd;
+  }
+}
+
+TEST(NodeMain, ExitsWhenItsControlSocketClosesBeforeRelease) {
+  // Bound and ready, the node waits for a release that never comes; when
+  // the Supervisor's end closes it stops, as on SIGTERM, with no --run-s.
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, ends), 0);
+  auto node = std::async(std::launch::async, [fd = ends[1]] {
+    return run({"--self", "0", "--n", "3", "--f", "1", "--base-port=44400",
+                "--control-fd=" + std::to_string(fd)});
+  });
+  // Declared after `node`, so a failed assertion closes the Supervisor's
+  // end, and the node returns, before the future waits for it.
+  struct CloseOnExit {
+    int fd;
+    ~CloseOnExit() {
+      if (fd >= 0) ::close(fd);
+    }
+  } supervisor_end{ends[0]};
+  pollfd ready{ends[0], POLLIN, 0};
+  ASSERT_EQ(::poll(&ready, 1, 10'000), 1) << "the node never said ready";
+  char byte = 0;
+  EXPECT_EQ(::recv(ends[0], &byte, 1, 0), 1);
+  ::close(ends[0]);
+  supervisor_end.fd = -1;
+  ASSERT_EQ(node.wait_for(std::chrono::seconds(2)), std::future_status::ready)
+      << "the node outlived its control socket";
+  EXPECT_EQ(node.get(), 0);
+  ::close(ends[1]);
+
+  // Closed before the node starts: it cannot say ready, so it never runs.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, ends), 0);
+  ::close(ends[0]);
+  EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "1", "--base-port=44400",
+                 "--control-fd=" + std::to_string(ends[1])}),
+            0);
+  ::close(ends[1]);
 }
 
 }  // namespace

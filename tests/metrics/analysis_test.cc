@@ -144,6 +144,52 @@ TEST(Analysis, FalseSuspicionSeriesStepsUpAndDown) {
   EXPECT_EQ(series[2].active, 0);
 }
 
+// The horizon ends the run: each pair's state there is final, and a
+// transition stamped after it (a live node's shutdown, say) does not count.
+
+TEST(Analysis, SuspicionAfterTheHorizonIsNoDetection) {
+  LogBuilder b;
+  b.at(from_seconds(5)).crash(2);
+  b.at(from_seconds(6)).suspect(0, 2);
+  b.at(from_seconds(11)).suspect(1, 2);
+  Analysis a(b.log(), 3, from_seconds(10));
+  const auto ds = a.detections();
+  ASSERT_EQ(ds.size(), 2u);
+  for (const Detection& d : ds) {
+    EXPECT_EQ(d.latency().has_value(), d.observer == ProcessId{0})
+        << "observer " << d.observer;
+  }
+  EXPECT_FALSE(a.strong_completeness());
+}
+
+TEST(Analysis, ClearAfterTheHorizonDoesNotEndAFalseSuspicion) {
+  LogBuilder b;
+  b.at(from_seconds(3)).suspect(0, 1);
+  b.at(from_seconds(12)).clear(0, 1);
+  Analysis a(b.log(), 2, from_seconds(10));
+  const auto fs = a.false_suspicions();
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].suspected_at, from_seconds(3));
+  EXPECT_FALSE(fs[0].cleared_at.has_value());
+  EXPECT_FALSE(a.full_accuracy_stabilization().has_value());
+}
+
+TEST(Analysis, FalseSuspicionOpenedAfterTheHorizonIsNotCounted) {
+  LogBuilder b;
+  b.at(from_seconds(10)).suspect(0, 1);  // at the horizon: counts
+  b.at(from_seconds(10)).clear(0, 1);
+  b.at(from_seconds(10) + Duration{1}).suspect(1, 0);
+  b.at(from_seconds(11)).suspect(2, 0).clear(2, 0);
+  Analysis a(b.log(), 3, from_seconds(10));
+  const auto fs = a.false_suspicions();
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].observer, ProcessId{0});
+  EXPECT_EQ(fs[0].subject, ProcessId{1});
+  ASSERT_TRUE(fs[0].cleared_at.has_value());
+  EXPECT_EQ(*fs[0].cleared_at, from_seconds(10));
+  EXPECT_EQ(a.false_suspicion_series().back().active, 0);
+}
+
 TEST(Table, AlignedOutputContainsHeadersAndCells) {
   Table t({"n", "detector", "latency"});
   t.add_row({"10", "mmr", Table::num(1.234, 2)});
