@@ -230,8 +230,8 @@ int main(int argc, char** argv) {
       .flag("out", "BENCH_live.json", "JSON output path")
       .flag("csv", "false", "emit CSV instead of an aligned table")
       .flag("trace", "true",
-            "harvest flight rings and attribute detection latency "
-            "(pacing/resend-wait/wire) from the assembled cross-node trace");
+            "assemble the flight rings the nodes write as they stop and "
+            "attribute detection latency (pacing/resend-wait/wire)");
   if (!args.parse(argc, argv)) return 0;
 
   std::vector<std::uint32_t> sizes;
@@ -344,8 +344,9 @@ int main(int argc, char** argv) {
     scfg.trace = args.get_bool("trace");
     // The causal kinds cost O(n) records per round, so a fixed-size ring
     // wraps past early crashes at n=64 and their suspect_add events vanish
-    // before the end-of-run harvest. Scale the ring so it spans the whole
-    // sweep: ~2n records per round per node, `run_s / pacing` rounds.
+    // before the node writes its ring at the stop. Scale the ring so it
+    // spans the whole sweep: ~2n records per round per node, `run_s /
+    // pacing` rounds.
     scfg.trace_capacity =
         std::max<std::uint32_t>(16384, c.n * 1024);
     scfg.node_binary = args.get("node-bin");

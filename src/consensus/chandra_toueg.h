@@ -72,8 +72,7 @@ using ConsensusMessage =
 using ConsensusNetwork = net::Network<ConsensusMessage>;
 
 /// How a ConsensusProcess reaches its peers. Decoupled from the concrete
-/// network so instances can be multiplexed (the replicated log tags each
-/// message with an instance number).
+/// network so a test can drive an instance through a scripted transport.
 class ConsensusTransport {
  public:
   virtual ~ConsensusTransport() = default;
@@ -111,9 +110,9 @@ struct ConsensusConfig {
   /// re-evaluated (the FD is a passive oracle; it must be polled).
   Duration fd_poll{from_millis(10)};
   /// Rotates the coordinator schedule: round r's coordinator is
-  /// (coordinator_offset + r - 1) mod n. The replicated log sets this to
-  /// the slot number so leadership (and thus whose proposal round 1 favours)
-  /// round-robins across slots — otherwise p0 would win every slot.
+  /// (coordinator_offset + r - 1) mod n, so instances run one after another
+  /// can start from different coordinators instead of p0 leading (and its
+  /// proposal being favoured in) round 1 of every one.
   std::uint32_t coordinator_offset{0};
 };
 
@@ -125,8 +124,8 @@ class ConsensusProcess {
 
   ConsensusProcess(const ConsensusProcess&) = delete;
   ConsensusProcess& operator=(const ConsensusProcess&) = delete;
-  /// Cancels the pending FD-poll event so the owner may destroy decided
-  /// instances (the replicated log seals slots).
+  /// Cancels the pending FD-poll event so the owner may destroy a decided
+  /// instance while its simulation runs on.
   ~ConsensusProcess();
 
   /// Proposes `v` and starts executing. Call once. Messages received before

@@ -32,18 +32,17 @@ namespace mmrfd::live {
 namespace {
 
 // Best-effort flight-ring flush on abnormal termination: SIGSEGV/SIGABRT
-// (and friends) dump the ring in the binary format before re-raising, so
-// post-mortem traces survive crashes nobody scheduled. Strictly
-// async-signal-safe — open/write/close only, path pre-formatted into a
-// static buffer, and dump_binary_fd takes no locks (a torn record from a
-// fault mid-record() is dropped by the loader).
+// (and friends) write the ring to <report>.trace, as a stop does, before
+// re-raising, so post-mortem traces survive crashes nobody scheduled.
+// Strictly async-signal-safe — open/write/close only, path pre-formatted
+// into a static buffer, and dump_binary_fd takes no locks (a torn record
+// from a fault mid-record() is dropped by the loader).
 const obs::FlightRecorder* g_crash_recorder = nullptr;
-char g_crash_trace_path[512] = {0};
+char g_trace_path[512] = {0};
 
 void on_fatal_signal(int sig) {
-  if (g_crash_recorder != nullptr && g_crash_trace_path[0] != '\0') {
-    const int fd =
-        ::open(g_crash_trace_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (g_crash_recorder != nullptr && g_trace_path[0] != '\0') {
+    const int fd = ::open(g_trace_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
       g_crash_recorder->dump_binary_fd(fd);
       ::close(fd);
@@ -88,7 +87,8 @@ int node_main(int argc, const char* const* argv) {
       .flag("fault-truncate", "0", "adversarial channel: truncation rate")
       .flag("fault-seed", "1", "adversarial channel RNG seed")
       .flag("trace-cap", "4096",
-            "flight-recorder ring capacity (records; dump with SIGUSR1)");
+            "flight-recorder ring capacity (records; written to "
+            "<report>.trace when the node stops)");
   if (!args.parse(argc, argv)) return 2;
 
   const auto n = static_cast<std::uint32_t>(args.get_int("n"));
@@ -139,17 +139,16 @@ int node_main(int argc, const char* const* argv) {
     std::signal(sig, on_fatal_signal);
   }
 
-  // One registry shared by every layer of this process's stack, and one
-  // flight recorder the detector layers trace into. Both are dumped on
-  // demand (SIGUSR1) and embedded in every NodeReport snapshot.
+  // One registry shared by every layer of this process's stack, embedded
+  // in every NodeReport snapshot, and one flight recorder the detector
+  // layers trace into, whose ring goes to <report>.trace once, at the stop
+  // (or from the fatal-signal handler).
   obs::MetricsRegistry registry;
   obs::FlightRecorder recorder(static_cast<std::size_t>(trace_cap));
-  if (!report_path.empty()) {
-    const std::string crash_trace = report_path + ".crash.trace";
-    if (crash_trace.size() < sizeof(g_crash_trace_path)) {
-      std::memcpy(g_crash_trace_path, crash_trace.c_str(),
-                  crash_trace.size() + 1);
-    }
+  const std::string trace_path =
+      report_path.empty() ? "" : report_path + ".trace";
+  if (trace_path.size() < sizeof(g_trace_path)) {
+    std::memcpy(g_trace_path, trace_path.c_str(), trace_path.size() + 1);
   }
   g_crash_recorder = &recorder;
   // Opened once per incarnation: its two slots start empty, so nothing a
@@ -204,13 +203,13 @@ int node_main(int argc, const char* const* argv) {
   rcfg.recorder = &recorder;
   transport::RealTimeDetector detector(typed, rcfg);
 
-  // The main thread takes SIGTERM, SIGINT and SIGUSR1 from a signalfd in the
-  // loop below. Blocked before the protocol thread starts, so it inherits
-  // the mask and never takes them; the caller's mask comes back, and the
+  // The main thread takes SIGTERM and SIGINT from a signalfd in the loop
+  // below. Blocked before the protocol thread starts, so it inherits the
+  // mask and never takes them; the caller's mask comes back, and the
   // signalfd is closed, before returning.
   sigset_t waited;
   sigemptyset(&waited);
-  for (const int sig : {SIGTERM, SIGINT, SIGUSR1}) sigaddset(&waited, sig);
+  for (const int sig : {SIGTERM, SIGINT}) sigaddset(&waited, sig);
   struct SignalScope {
     sigset_t caller_mask{};
     int fd{-1};
@@ -265,19 +264,6 @@ int node_main(int argc, const char* const* argv) {
     if (!writer->write(r)) {
       std::cerr << "mmrfd-node " << self << ": cannot write report "
                 << report_path << "\n";
-    }
-  };
-
-  // SIGUSR1 dumps the ring here, not in a handler: dump_to_file takes a
-  // mutex and allocates.
-  const std::string trace_path =
-      report_path.empty() ? "" : report_path + ".trace";
-  const auto dump_trace = [&] {
-    if (trace_path.empty()) {
-      recorder.dump_text(std::cerr);
-    } else if (!recorder.dump_to_file(trace_path)) {
-      std::cerr << "mmrfd-node " << self << ": cannot write trace "
-                << trace_path << "\n";
     }
   };
 
@@ -340,10 +326,7 @@ int node_main(int argc, const char* const* argv) {
     }
     if (watched[0].revents != 0) {
       signalfd_siginfo info{};
-      while (take_signal(info)) {
-        if (info.ssi_signo == SIGUSR1) dump_trace();
-        if (info.ssi_signo == SIGTERM || info.ssi_signo == SIGINT) stop = true;
-      }
+      while (take_signal(info)) stop = true;
     }
     if (nwatched == 2 && watched[1].revents != 0) {
       const control::Message m = control::receive(control_fd);
@@ -360,13 +343,19 @@ int node_main(int argc, const char* const* argv) {
   }
 
   detector.stop();
-  // Signals taken during shutdown: a SIGUSR1 still gets its dump, and a
-  // late SIGTERM is spent here rather than on the restored mask.
+  // A late SIGTERM is spent here rather than on the restored mask.
   signalfd_siginfo info{};
   while (take_signal(info)) {
-    if (info.ssi_signo == SIGUSR1) dump_trace();
   }
-  if (running && !report_path.empty()) write_snapshot();
+  if (running && !report_path.empty()) {
+    write_snapshot();
+    // The protocol thread is joined and the transports are passive, so
+    // nothing records any more: the lock-free dump reads a quiescent ring.
+    if (!recorder.dump_binary_to_file(trace_path)) {
+      std::cerr << "mmrfd-node " << self << ": cannot write trace "
+                << trace_path << "\n";
+    }
+  }
   return exit_code;
 }
 

@@ -2,7 +2,9 @@
 // DetectorCore over UdpTransport (optionally through FaultyTransport),
 // paced by wall clock, periodically snapshotting a live::NodeReport and
 // flushing a final one on SIGTERM/SIGINT, when --run-s elapses, or when its
-// Supervisor is gone.
+// Supervisor is gone. With --report it then writes its flight ring once, in
+// the binary dump layout, to <report>.trace (the fatal-signal handler
+// writes the same file).
 //
 // With --control-fd (live/control.h) the node binds its UDP socket, says
 // ready, and starts its protocol thread and its report clock only at the
@@ -20,8 +22,8 @@ namespace mmrfd::live {
 /// Entry point of the mmrfd-node binary. Returns the process exit code:
 /// 0 clean shutdown (a closed control socket included), 1 runtime failure
 /// (e.g. port already bound), 2 bad arguments. While the node runs,
-/// SIGTERM, SIGINT and SIGUSR1 are blocked and read from a signalfd on the
-/// calling thread; the caller's signal mask is restored before returning.
+/// SIGTERM and SIGINT are blocked and read from a signalfd on the calling
+/// thread; the caller's signal mask is restored before returning.
 /// Installs fatal-signal handlers that dump the flight ring.
 int node_main(int argc, const char* const* argv);
 

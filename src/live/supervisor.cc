@@ -117,11 +117,10 @@ void Supervisor::spawn(Proc& p) {
   // earlier run's.
   std::filesystem::remove(report, ec);
   std::filesystem::remove(report_slot_path(report), ec);
-  // Same for the flight-ring dumps: a leftover node<i>.g<g>.bin.trace from a
+  // Same for the flight-ring dump: a leftover node<i>.g<g>.bin.trace from a
   // previous run in the same report_dir would otherwise be stitched into this
   // run's timeline as if it were fresh.
   std::filesystem::remove(report + ".trace", ec);
-  std::filesystem::remove(report + ".crash.trace", ec);
 
   std::vector<std::string> argstrs = {
       node_binary_,
@@ -358,34 +357,8 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
     throw;
   }
 
-  // Flight-ring harvest, strictly before SIGTERM: SIGUSR1 asks each live
-  // node to dump its ring, which its main thread does as soon as it reads
-  // the signal from its signalfd. Wait (bounded) for the .trace files to
-  // land before the first SIGTERM, so every ring is taken while the whole
-  // cluster still runs and none records peers shutting down.
-  reap();
-  if (config_.trace) {
-    std::vector<std::string> expected;
-    for (Proc& p : procs) {
-      if (p.alive && p.pid > 0 && !p.report_paths.empty()) {
-        ::kill(p.pid, SIGUSR1);
-        expected.push_back(p.report_paths.back() + ".trace");
-      }
-    }
-    const auto dump_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(3);
-    while (std::chrono::steady_clock::now() < dump_deadline) {
-      std::error_code dump_ec;
-      const bool all = std::all_of(
-          expected.begin(), expected.end(), [&](const std::string& f) {
-            return std::filesystem::exists(f, dump_ec);
-          });
-      if (all) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-
-  // Graceful shutdown: SIGTERM triggers each node's final report flush.
+  // Graceful shutdown: SIGTERM makes each node stop its protocol thread,
+  // flush its final report and write its flight ring to <report>.trace.
   reap();
   for (Proc& p : procs) {
     if (p.alive && p.pid > 0) {
@@ -462,19 +435,17 @@ void Supervisor::assemble_traces(const std::vector<Proc>& procs,
   manifest.origin_ns = origin_ns_;
   manifest.pacing_ns = static_cast<std::uint64_t>(config_.pacing.count());
   manifest.resend_ns = static_cast<std::uint64_t>(config_.resend.count());
+  manifest.horizon_ns = result.horizon.count();
   for (const LiveCrash& c : result.crashes) {
     manifest.crashes.push_back({c.victim.value, c.at.count(), c.restarted});
   }
   std::error_code ec;
   for (const Proc& p : procs) {
     for (std::size_t g = 0; g < p.report_paths.size(); ++g) {
-      // Prefer the SIGUSR1 dump; the fatal-signal binary dump is the
-      // fallback for an incarnation that died before it could be asked.
-      std::string file = p.report_paths[g] + ".trace";
-      if (!fs::exists(file, ec)) {
-        file = p.report_paths[g] + ".crash.trace";
-        if (!fs::exists(file, ec)) continue;
-      }
+      // Written at the stop or by a fatal signal; a SIGKILLed incarnation
+      // leaves none.
+      const std::string file = p.report_paths[g] + ".trace";
+      if (!fs::exists(file, ec)) continue;
       manifest.traces.push_back({p.id.value, static_cast<std::uint32_t>(g),
                                  fs::path(file).filename().string()});
     }

@@ -76,10 +76,12 @@ struct SupervisorConfig {
   double fault_truncate{0.0};
   std::uint64_t fault_seed{1};
 
-  /// Cross-node causal tracing: harvest every node's flight ring at the end
-  /// of the run (SIGUSR1 before SIGTERM), write a trace_manifest.txt next to
-  /// the dumps, and assemble the cluster-wide timeline with skew-aligned
-  /// detection-latency attribution into LiveRunResult::trace.
+  /// Cross-node causal tracing: after the shutdown, list every ring dump the
+  /// nodes wrote as they stopped (or died by a fatal signal) in a
+  /// trace_manifest.txt beside them, with the run's origin and horizon, and
+  /// assemble the cluster-wide timeline up to the horizon, with skew-aligned
+  /// detection-latency attribution, into LiveRunResult::trace. Every node
+  /// writes its ring at the stop; this sets its size and reads the dumps.
   bool trace{false};
   std::uint32_t trace_capacity{16384};  ///< per-node ring size when tracing
 };

@@ -5,8 +5,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <fstream>
-#include <ostream>
 
 namespace mmrfd::obs {
 namespace {
@@ -64,14 +62,6 @@ std::string_view trace_kind_name(TraceKind kind) {
   return "unknown";
 }
 
-TraceKind trace_kind_from_name(std::string_view name) {
-  for (std::uint8_t k = 1; k <= kMaxTraceKind; ++k) {
-    const auto kind = static_cast<TraceKind>(k);
-    if (trace_kind_name(kind) == name) return kind;
-  }
-  return static_cast<TraceKind>(0);
-}
-
 FlightRecorder::FlightRecorder(std::size_t capacity, TraceClock clock)
     : clock_(clock), ring_(capacity == 0 ? 1 : capacity) {}
 
@@ -118,21 +108,6 @@ std::uint64_t FlightRecorder::recorded() const {
   return total_;
 }
 
-void FlightRecorder::dump_text(std::ostream& out) const {
-  for (const TraceRecord& r : snapshot()) {
-    out << r.t_ns << " #" << r.seq << ' ' << trace_kind_name(r.kind)
-        << " a=" << r.a << " b=" << r.b << '\n';
-  }
-}
-
-bool FlightRecorder::dump_to_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  dump_text(out);
-  out.flush();
-  return static_cast<bool>(out);
-}
-
 namespace {
 
 // Little-endian scalar append into a flat byte buffer (signal path: the
@@ -163,24 +138,29 @@ bool FlightRecorder::dump_binary_fd(int fd) const noexcept {
   // Deliberately lock-free: taking mutex_ inside a SIGSEGV handler could
   // self-deadlock if the fault happened under record(). At worst one slot
   // is torn mid-write; the loader's kind/seq validation drops it.
-  unsigned char header[24];
+  constexpr std::size_t kHeader = 24;
+  constexpr std::size_t kRecord = 29;
+  unsigned char buf[kHeader + kDumpChunkRecords * kRecord];
   for (std::size_t i = 0; i < sizeof(kBinaryMagic); ++i) {
-    header[i] = static_cast<unsigned char>(kBinaryMagic[i]);
+    buf[i] = static_cast<unsigned char>(kBinaryMagic[i]);
   }
-  put_le(header + 8, total_);
-  put_le(header + 16, static_cast<std::uint64_t>(ring_.size()));
-  if (!write_all(fd, header, sizeof(header))) return false;
-
-  unsigned char rec[29];
+  put_le(buf + 8, total_);
+  put_le(buf + 16, static_cast<std::uint64_t>(ring_.size()));
+  std::size_t used = kHeader;
   for (const TraceRecord& r : ring_) {
+    if (used + kRecord > sizeof(buf)) {
+      if (!write_all(fd, buf, used)) return false;
+      used = 0;
+    }
+    unsigned char* rec = buf + used;
     put_le(rec + 0, r.t_ns);
     put_le(rec + 8, r.seq);
     put_le(rec + 16, r.a);
     put_le(rec + 20, r.b);
     rec[28] = static_cast<unsigned char>(r.kind);
-    if (!write_all(fd, rec, sizeof(rec))) return false;
+    used += kRecord;
   }
-  return true;
+  return write_all(fd, buf, used);
 }
 
 bool FlightRecorder::dump_binary_to_file(const std::string& path) const {

@@ -5,16 +5,17 @@
 //
 // Each record holds a timestamp, a monotone sequence number, two 32-bit
 // operands and a kind tag: 32 bytes in memory, 29 per record in a binary
-// dump. The clock is pluggable so the same recorder works stamped by
-// simulated time inside a deterministic run and by the wall clock inside a
-// real process. The ring is sized once at construction; only the
-// suspicion section grows. Recording never draws randomness and never
-// schedules events, so it is safe to wire through the fixed-seed
-// golden-digest paths.
+// dump. A dump is the ring's one way out of a process: a live node writes
+// it once when it stops, or from its fatal-signal handler. The clock is
+// pluggable so the same recorder works stamped by simulated time inside a
+// deterministic run and by the wall clock inside a real process. The ring
+// is sized once at construction; only the suspicion section grows.
+// Recording never draws randomness and never schedules events, so it is
+// safe to wire through the fixed-seed golden-digest paths.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -65,10 +66,6 @@ inline constexpr std::uint8_t kMaxTraceKind = 18;
 
 std::string_view trace_kind_name(TraceKind kind);
 
-// Inverse of trace_kind_name, for parsing text dumps. Returns 0 (an
-// invalid kind) when the name is unknown.
-TraceKind trace_kind_from_name(std::string_view name);
-
 struct TraceRecord {
   std::uint64_t t_ns{0};  // clock stamp
   std::uint64_t seq{0};   // monotone per-recorder sequence number
@@ -100,16 +97,11 @@ class FlightRecorder {
   std::uint64_t recorded() const;
   std::size_t capacity() const { return ring_.size(); }
 
-  // Human-readable dump, one record per line:
-  //   <t_ns> #<seq> <kind> a=<a> b=<b>
-  void dump_text(std::ostream& out) const;
-  // dump_text to `path` (truncate); returns false on I/O failure.
-  bool dump_to_file(const std::string& path) const;
-
   // Binary dump of the ring alone, ASYNC-SIGNAL-SAFE: no locks, no
-  // allocation, no iostream — only write(2) on an already-open fd. The
-  // suspicion section stays out: another thread may be reallocating it.
-  // Intended for fatal-signal handlers, where a concurrently-writing
+  // allocation — whole records are packed into a fixed stack buffer that
+  // goes out in one write(2) per kDumpChunkRecords records, on an
+  // already-open fd. The suspicion section stays out: another thread may
+  // be reallocating it. From a fatal-signal handler a concurrently-writing
   // recorder may leave one torn record in the ring; the loader drops
   // records whose kind falls outside [1, kMaxTraceKind]. Layout
   // (little-endian):
@@ -117,15 +109,19 @@ class FlightRecorder {
   //   capacity x { u64 t_ns, u64 seq, u32 a, u32 b, u8 kind }
   // Returns false if any write(2) fails.
   bool dump_binary_fd(int fd) const noexcept;
-  // dump_binary_fd to `path` (truncate). Also lock-free — only call from
-  // a quiescent recorder outside the signal path (tests, shutdown).
+  // dump_binary_fd to `path` (truncate). Also lock-free — only call on a
+  // quiescent recorder (a stopped node, a test).
   bool dump_binary_to_file(const std::string& path) const;
+
+  // Records per write(2) of a binary dump: 256 x 29 B, a 7.4 KB buffer
+  // on the dumping thread's stack.
+  static constexpr std::size_t kDumpChunkRecords = 256;
 
   // Largest ring capacity a binary-dump loader accepts (a bigger header
   // claim is taken for corruption), so the largest ring worth recording.
   static constexpr std::uint64_t kMaxCapacity = 1u << 26;
 
-  // First bytes of every binary dump, so loaders can sniff the format.
+  // First bytes of every binary dump; a loader rejects a file without them.
   static constexpr char kBinaryMagic[8] = {'M', 'M', 'R', 'T',
                                            'R', 'C', 'B', '1'};
 

@@ -92,7 +92,6 @@ AssembledTrace TraceAssembler::assemble() const {
                        }
                        return a.record.seq < b.record.seq;
                      });
-    out.records += stream.size();
   }
 
   // --- collect causal role maps ---------------------------------------------
@@ -296,6 +295,20 @@ AssembledTrace TraceAssembler::assemble() const {
     if (align(l.to, l.rx) < align(l.from, l.tx)) ++out.causal_violations;
   }
 
+  // --- the run ends at the horizon ------------------------------------------
+  // Every exchange above informs the clocks; what the trace tells of the
+  // run stops at the horizon, as in metrics::Analysis: a record aligned
+  // after it is dropped, one at exactly the horizon counts.
+  for (auto& [node, stream] : streams) {
+    if (options_.horizon_ns) {
+      const std::uint32_t id = node;
+      std::erase_if(stream, [&](const NodeEvent& e) {
+        return align(id, e.record.t_ns) > *options_.horizon_ns;
+      });
+    }
+    out.records += stream.size();
+  }
+
   // --- per-crash critical paths ---------------------------------------------
   std::vector<std::uint32_t> victims;
   for (const auto& [victim, at] : crashes_) victims.push_back(victim);
@@ -421,12 +434,26 @@ AssembledTrace TraceAssembler::assemble() const {
 
 // --- dump loading ------------------------------------------------------------
 
-namespace {
+bool first_round_waited_for_wave(const std::vector<TraceRecord>& records) {
+  for (const TraceRecord& r : records) {
+    if (r.kind == TraceKind::kRoundClose) return false;
+    if (r.kind == TraceKind::kResendWave) return true;
+  }
+  return false;
+}
 
-std::optional<std::vector<TraceRecord>> load_binary(const std::string& data) {
+std::optional<std::vector<TraceRecord>> load_trace_records(
+    const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string data = buf.str();
   constexpr std::size_t kHeader = 24;
   constexpr std::size_t kRecord = 29;
-  if (data.size() < kHeader) return std::nullopt;
+  constexpr std::string_view kMagic(FlightRecorder::kBinaryMagic,
+                                    sizeof(FlightRecorder::kBinaryMagic));
+  if (data.size() < kHeader || !data.starts_with(kMagic)) return std::nullopt;
   const auto u64_at = [&](std::size_t pos) {
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < 8; ++i) {
@@ -481,65 +508,6 @@ std::optional<std::vector<TraceRecord>> load_binary(const std::string& data) {
   return records;
 }
 
-std::optional<std::vector<TraceRecord>> load_text(const std::string& data) {
-  std::vector<TraceRecord> records;
-  std::istringstream in(data);
-  std::string line;
-  while (std::getline(in, line)) {
-    // <t_ns> #<seq> <kind> a=<a> b=<b>
-    std::istringstream ls(line);
-    std::uint64_t t_ns = 0;
-    std::string seq_tok, name, a_tok, b_tok;
-    if (!(ls >> t_ns >> seq_tok >> name >> a_tok >> b_tok)) continue;
-    if (seq_tok.size() < 2 || seq_tok[0] != '#') continue;
-    if (a_tok.rfind("a=", 0) != 0 || b_tok.rfind("b=", 0) != 0) continue;
-    const TraceKind kind = trace_kind_from_name(name);
-    if (static_cast<std::uint8_t>(kind) == 0) continue;  // unknown kind
-    TraceRecord r;
-    r.t_ns = t_ns;
-    r.kind = kind;
-    try {
-      r.seq = std::stoull(seq_tok.substr(1));
-      r.a = static_cast<std::uint32_t>(std::stoul(a_tok.substr(2)));
-      r.b = static_cast<std::uint32_t>(std::stoul(b_tok.substr(2)));
-    } catch (...) {
-      continue;
-    }
-    records.push_back(r);
-  }
-  std::sort(records.begin(), records.end(),
-            [](const TraceRecord& a, const TraceRecord& b) {
-              return a.seq < b.seq;
-            });
-  return records;
-}
-
-}  // namespace
-
-bool first_round_waited_for_wave(const std::vector<TraceRecord>& records) {
-  for (const TraceRecord& r : records) {
-    if (r.kind == TraceKind::kRoundClose) return false;
-    if (r.kind == TraceKind::kResendWave) return true;
-  }
-  return false;
-}
-
-std::optional<std::vector<TraceRecord>> load_trace_records(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
-  if (data.size() >= sizeof(FlightRecorder::kBinaryMagic) &&
-      data.compare(0, sizeof(FlightRecorder::kBinaryMagic),
-                   FlightRecorder::kBinaryMagic,
-                   sizeof(FlightRecorder::kBinaryMagic)) == 0) {
-    return load_binary(data);
-  }
-  return load_text(data);
-}
-
 std::optional<std::pair<std::uint32_t, std::uint32_t>> parse_trace_filename(
     std::string_view filename) {
   // node<i>.g<g>[...], the supervisor's report naming.
@@ -578,6 +546,7 @@ bool write_manifest(const std::string& path, const TraceManifest& manifest) {
   out << "origin_ns " << manifest.origin_ns << '\n';
   out << "pacing_ns " << manifest.pacing_ns << '\n';
   out << "resend_ns " << manifest.resend_ns << '\n';
+  if (manifest.horizon_ns) out << "horizon_ns " << *manifest.horizon_ns << '\n';
   for (const auto& c : manifest.crashes) {
     out << "crash " << c.victim << ' ' << c.at_ns << ' '
         << (c.restarted ? 1 : 0) << '\n';
@@ -610,6 +579,8 @@ std::optional<TraceManifest> load_manifest(const std::string& path) {
       ls >> m.pacing_ns;
     } else if (tag == "resend_ns") {
       ls >> m.resend_ns;
+    } else if (tag == "horizon_ns") {
+      if (std::int64_t h = 0; ls >> h) m.horizon_ns = h;
     } else if (tag == "crash") {
       TraceManifest::Crash c;
       int restarted = 0;
@@ -636,6 +607,7 @@ std::optional<AssembledTrace> assemble_from_dir(const std::string& dir,
   AssemblerOptions options;
   options.n = manifest->n;
   options.origin_ns = manifest->origin_ns;
+  options.horizon_ns = manifest->horizon_ns;
   options.estimate_skew = estimate_skew;
   options.keep_timeline = keep_timeline;
   TraceAssembler assembler(options);

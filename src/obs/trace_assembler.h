@@ -1,9 +1,11 @@
 // TraceAssembler — stitches per-node flight-recorder rings into one
 // cluster-wide causal timeline with detection-latency attribution.
 //
-// Input: one record stream per (node, incarnation) — loaded from SIGUSR1
-// text dumps, crash-handler binary dumps, or taken straight from an
-// in-memory FlightRecorder — plus the run's crash schedule. Output, per
+// Input: one record stream per (node, incarnation) — loaded from the
+// binary ring dump a live node writes when it stops (or from its
+// fatal-signal handler), or taken straight from an in-memory
+// FlightRecorder — plus the run's crash schedule and, for a live run, its
+// horizon: what the trace tells of the run stops there. Output, per
 // crash: the critical path crash → first missed query → each observer's
 // permanent suspicion → cluster-stable detection, with every observer's
 // detection latency split into three exactly-summing components:
@@ -64,6 +66,10 @@ struct AssemblerOptions {
   /// wall-clock rings into the supervisor's origin-relative frame (the
   /// frame crash times are stamped in). 0 for simulator rings.
   std::uint64_t origin_ns{0};
+  /// The run's end, origin-relative. Records aligned after it are dropped
+  /// after the skew estimate, as metrics::Analysis drops transitions after
+  /// its horizon (one at exactly the horizon counts). Unset = keep all.
+  std::optional<std::int64_t> horizon_ns;
   /// Keep the merged, aligned record stream in the result (timeline CLI).
   bool keep_timeline{false};
 };
@@ -146,10 +152,9 @@ class TraceAssembler {
 
 // --- dump loading ------------------------------------------------------------
 
-/// Loads a `.trace` dump, sniffing the format: binary (kBinaryMagic, as
-/// written by the fatal-signal handler) or text (dump_text lines). Torn or
-/// corrupt binary records are dropped; nullopt = unreadable file / bad
-/// header. Records come back seq-ordered.
+/// Loads a binary `.trace` dump (FlightRecorder::dump_binary_fd's layout).
+/// Torn or corrupt records are dropped; nullopt = unreadable file, no
+/// kBinaryMagic, or a bad header. Records come back seq-ordered.
 std::optional<std::vector<TraceRecord>> load_trace_records(
     const std::string& path);
 
@@ -174,6 +179,8 @@ struct TraceManifest {
   std::uint64_t origin_ns{0};
   std::uint64_t pacing_ns{0};
   std::uint64_t resend_ns{0};
+  /// The run's horizon, origin-relative (AssemblerOptions::horizon_ns).
+  std::optional<std::int64_t> horizon_ns;
   struct Crash {
     std::uint32_t victim{0};
     std::int64_t at_ns{0};

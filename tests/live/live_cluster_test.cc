@@ -118,6 +118,25 @@ void kill_nodes_of(std::uint16_t base_port) {
   for (const pid_t pid : nodes_of(base_port)) ::kill(pid, SIGKILL);
 }
 
+/// Forks and execs one mmrfd-node that makes rounds alone: with n=2, f=1
+/// the quorum is 1, so its own response closes every round although the
+/// peer never exists. `flags` follow the fixed ones; returns the pid.
+pid_t exec_lone_node(const std::vector<std::string>& flags) {
+  const std::string binary = default_node_binary();
+  std::vector<std::string> args = {binary, "--self=0", "--n=2", "--f=1",
+                                   "--pacing-ms=20"};
+  args.insert(args.end(), flags.begin(), flags.end());
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execv(binary.c_str(), argv.data());
+    _exit(127);  // exec failed
+  }
+  return pid;
+}
+
 const NodeReport* final_report(const LiveRunResult& result, std::uint32_t id) {
   for (const LiveNodeOutcome& node : result.nodes) {
     if (node.id.value == id) {
@@ -530,71 +549,6 @@ TEST(LiveCluster, TelemetrySeriesSumsToRollup) {
   std::filesystem::remove_all(cfg.report_dir);
 }
 
-TEST(LiveCluster, Sigusr1DumpsFlightRecorder) {
-  // SIGUSR1 must make a running node dump its flight-recorder ring next to
-  // its report file without disturbing the process. One node with n=2, f=1
-  // suffices: quorum is n - f = 1, so the node's own response closes every
-  // round and the recorder fills with round/query traffic even though the
-  // peer never exists.
-  const std::string dir = fresh_report_dir("sigusr1");
-  std::filesystem::create_directories(dir);
-  const std::string report = dir + "/node0.g0.bin";
-  const std::string binary = default_node_binary();
-
-  const std::vector<std::string> arg_strings = {
-      binary,          "--self=0",        "--n=2",
-      "--f=1",         "--base-port=48400", "--pacing-ms=20",
-      "--flush-ms=50", "--report=" + report};
-  std::vector<char*> argv;
-  argv.reserve(arg_strings.size() + 1);
-  for (const std::string& s : arg_strings) {
-    argv.push_back(const_cast<char*>(s.c_str()));
-  }
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::execv(binary.c_str(), argv.data());
-    _exit(127);  // exec failed
-  }
-
-  // Let it make rounds, then ask for the dump and poll for the file (the
-  // node's main thread reads the signal from its signalfd and writes it).
-  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
-  ASSERT_EQ(::kill(pid, SIGUSR1), 0);
-  const std::string trace_path = report + ".trace";
-  for (int i = 0; i < 100 && !std::filesystem::exists(trace_path); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  ::kill(pid, SIGTERM);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status)) << "node did not exit cleanly";
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  ASSERT_TRUE(std::filesystem::exists(trace_path));
-  std::ifstream is(trace_path);
-  std::size_t lines = 0;
-  bool saw_round_open = false;
-  std::string line;
-  while (std::getline(is, line)) {
-    ++lines;
-    // Every line is "<t_ns> #<seq> <kind> a=<u32> b=<u32>".
-    ASSERT_TRUE(std::isdigit(static_cast<unsigned char>(line.front())))
-        << "bad trace line: " << line;
-    EXPECT_NE(line.find(" #"), std::string::npos) << line;
-    EXPECT_NE(line.find(" a="), std::string::npos) << line;
-    EXPECT_NE(line.find(" b="), std::string::npos) << line;
-    if (line.find(" round_open ") != std::string::npos) saw_round_open = true;
-  }
-  EXPECT_GT(lines, 0u);
-  EXPECT_TRUE(saw_round_open);
-
-  std::filesystem::remove_all(dir);
-}
-
 TEST(LiveCluster, SigkillAtAnyInstantLeavesACompleteSnapshot) {
   // The crash model of the report slots on a real process: a node writing a
   // snapshot every millisecond dies by SIGKILL at fixed-seed instants,
@@ -603,33 +557,17 @@ TEST(LiveCluster, SigkillAtAnyInstantLeavesACompleteSnapshot) {
   // still find a
   // complete snapshot that had counted a round, and a reader polling the
   // running node must never see its snapshot number, rounds or snapshot
-  // stamp go backwards. One node with n=2, f=1 makes rounds alone (quorum
-  // 1), as in Sigusr1DumpsFlightRecorder. Each incarnation gets its own
-  // path, as the Supervisor's do.
+  // stamp go backwards. One node makes rounds alone (exec_lone_node). Each
+  // incarnation gets its own path, as the Supervisor's do.
   const std::string dir = fresh_report_dir("sigkill");
   std::filesystem::create_directories(dir);
-  const std::string binary = default_node_binary();
   Xoshiro256 rng(2003);
   constexpr int kKills = 12;
   for (int kill = 0; kill < kKills; ++kill) {
     const std::string report = dir + "/node0.g" + std::to_string(kill) + ".bin";
-    const std::vector<std::string> arg_strings = {
-        binary,         "--self=0",          "--n=2",
-        "--f=1",        "--base-port=48700", "--pacing-ms=20",
-        "--flush-ms=1", "--run-s=60",        "--report=" + report};
-    std::vector<char*> argv;
-    argv.reserve(arg_strings.size() + 1);
-    for (const std::string& s : arg_strings) {
-      argv.push_back(const_cast<char*>(s.c_str()));
-    }
-    argv.push_back(nullptr);
-
-    const pid_t pid = ::fork();
+    const pid_t pid = exec_lone_node({"--base-port=48700", "--flush-ms=1",
+                                      "--run-s=60", "--report=" + report});
     ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);  // exec failed
-    }
     // Reaps the node on every path out of this iteration, failures included.
     struct Reaper {
       pid_t pid;
@@ -679,63 +617,57 @@ TEST(LiveCluster, SigkillAtAnyInstantLeavesACompleteSnapshot) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(LiveCluster, FatalSignalDumpsBinaryTrace) {
-  // An abnormally-dying node must leave a loadable post-mortem of its
-  // flight ring: the SIGABRT handler writes the binary dump with only
-  // async-signal-safe calls before re-raising. SIGABRT (not SIGKILL —
-  // nothing can handle that) stands in for any fatal fault.
-  const std::string dir = fresh_report_dir("fatal");
+TEST(LiveCluster, StopAndFatalSignalWriteOneBinaryTrace) {
+  // A node's flight ring has one way out, <report>.trace in the binary
+  // layout, written once on every way out of the process: after the
+  // protocol thread stops on SIGTERM (exit 0), and from the SIGABRT
+  // handler with only async-signal-safe calls before it re-raises. SIGABRT
+  // (not SIGKILL — nothing can handle that) stands in for any fatal
+  // fault. One node makes rounds alone (exec_lone_node).
+  const std::string dir = fresh_report_dir("ringdump");
   std::filesystem::create_directories(dir);
-  const std::string report = dir + "/node0.g0.bin";
-  const std::string binary = default_node_binary();
+  for (const int sig : {SIGTERM, SIGABRT}) {
+    const std::string name = sig == SIGTERM ? "sigterm" : "sigabrt";
+    SCOPED_TRACE(name);
+    const std::string report = dir + "/" + name + ".bin";
+    const pid_t pid = exec_lone_node(
+        {"--base-port=48500", "--flush-ms=50", "--report=" + report});
+    ASSERT_GE(pid, 0);
 
-  const std::vector<std::string> arg_strings = {
-      binary,          "--self=0",          "--n=2",
-      "--f=1",         "--base-port=48500", "--pacing-ms=20",
-      "--flush-ms=50", "--report=" + report};
-  std::vector<char*> argv;
-  argv.reserve(arg_strings.size() + 1);
-  for (const std::string& s : arg_strings) {
-    argv.push_back(const_cast<char*>(s.c_str()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+    ASSERT_EQ(::kill(pid, sig), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    if (sig == SIGTERM) {
+      ASSERT_TRUE(WIFEXITED(status)) << "node did not exit cleanly";
+      EXPECT_EQ(WEXITSTATUS(status), 0);
+    } else {
+      ASSERT_TRUE(WIFSIGNALED(status)) << "node exited instead of dying";
+      EXPECT_EQ(WTERMSIG(status), SIGABRT);
+    }
+
+    const auto records = obs::load_trace_records(report + ".trace");
+    ASSERT_TRUE(records.has_value()) << "missing or unloadable ring dump";
+    EXPECT_GT(records->size(), 0u);
+    bool saw_round_open = false;
+    for (const obs::TraceRecord& r : *records) {
+      const auto kind = static_cast<std::uint8_t>(r.kind);
+      EXPECT_GE(kind, 1);
+      EXPECT_LE(kind, obs::kMaxTraceKind);
+      if (r.kind == obs::TraceKind::kRoundOpen) saw_round_open = true;
+    }
+    EXPECT_TRUE(saw_round_open);
   }
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::execv(binary.c_str(), argv.data());
-    _exit(127);  // exec failed
-  }
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
-  ASSERT_EQ(::kill(pid, SIGABRT), 0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status)) << "node exited instead of dying";
-  EXPECT_EQ(WTERMSIG(status), SIGABRT);
-
-  const std::string crash_trace = report + ".crash.trace";
-  ASSERT_TRUE(std::filesystem::exists(crash_trace));
-  const auto records = obs::load_trace_records(crash_trace);
-  ASSERT_TRUE(records.has_value()) << "unloadable crash dump";
-  EXPECT_GT(records->size(), 0u);
-  bool saw_round_open = false;
-  for (const obs::TraceRecord& r : *records) {
-    const auto kind = static_cast<std::uint8_t>(r.kind);
-    EXPECT_GE(kind, 1);
-    EXPECT_LE(kind, obs::kMaxTraceKind);
-    if (r.kind == obs::TraceKind::kRoundOpen) saw_round_open = true;
-  }
-  EXPECT_TRUE(saw_round_open);
 
   std::filesystem::remove_all(dir);
 }
 
 TEST(LiveCluster, SupervisorHarvestsAndAssemblesTraces) {
-  // End-to-end tracing over real processes: the supervisor SIGUSR1s every
-  // surviving node before SIGTERM, writes the manifest, and assembles the
-  // cluster-wide timeline — whose per-observer latency attribution must
-  // sum exactly even on wall clocks with estimated skew.
+  // End-to-end tracing over real processes: every surviving node writes its
+  // ring as it stops on the Supervisor's SIGTERM, and the Supervisor writes
+  // the manifest and assembles the cluster-wide timeline up to the horizon,
+  // whose per-observer latency attribution must sum exactly even on wall
+  // clocks with estimated skew.
   SupervisorConfig cfg;
   cfg.n = 6;
   cfg.f = 2;
@@ -745,24 +677,35 @@ TEST(LiveCluster, SupervisorHarvestsAndAssemblesTraces) {
   cfg.trace = true;
   cfg.report_dir = fresh_report_dir("traceharvest");
 
-  // Satellite regression: a stale dump from a "previous run" in the same
-  // directory must be removed at spawn, never stitched into this run. The
-  // victim dies by SIGKILL (no crash dump) and node 0 exits gracefully (no
-  // crash dump either), so if this file survives to the end, spawn() leaked
-  // it.
+  // A stale dump from a "previous run" in the same directory must be
+  // removed at spawn, never stitched into this run. The victim dies by
+  // SIGKILL and never writes its ring, so if its file survives to the end,
+  // spawn() leaked it.
   std::filesystem::create_directories(cfg.report_dir);
-  const std::string stale = cfg.report_dir + "/node0.g0.bin.crash.trace";
+  const std::string stale = cfg.report_dir + "/node5.g0.bin.trace";
   { std::ofstream os(stale); os << "stale garbage\n"; }
 
   Supervisor supervisor(cfg);
+  const Duration horizon = from_seconds(6);
   const std::vector<CrashEvent> schedule = {
       {ProcessId{5}, from_seconds(2), std::nullopt}};
-  const LiveRunResult result = supervisor.run(schedule, from_seconds(6));
+  const LiveRunResult result = supervisor.run(schedule, horizon);
 
-  EXPECT_FALSE(std::filesystem::exists(stale))
-      << "stale crash dump survived spawn";
-  EXPECT_TRUE(std::filesystem::exists(cfg.report_dir + "/" +
-                                      std::string(obs::kTraceManifestName)));
+  EXPECT_FALSE(std::filesystem::exists(stale)) << "stale dump survived spawn";
+  const auto manifest = obs::load_manifest(
+      cfg.report_dir + "/" + std::string(obs::kTraceManifestName));
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->horizon_ns, horizon.count());
+  // One dump per survivor, each written as it stopped; none for the victim.
+  ASSERT_EQ(manifest->traces.size(), cfg.n - 1);
+  for (const auto& entry : manifest->traces) {
+    EXPECT_NE(entry.node, 5u);
+    EXPECT_EQ(entry.file,
+              "node" + std::to_string(entry.node) + ".g0.bin.trace");
+    EXPECT_TRUE(
+        obs::load_trace_records(cfg.report_dir + "/" + entry.file).has_value())
+        << entry.file;
+  }
   EXPECT_TRUE(
       std::filesystem::exists(cfg.report_dir + "/trace_assembled.json"));
 
@@ -781,11 +724,13 @@ TEST(LiveCluster, SupervisorHarvestsAndAssemblesTraces) {
   if (ct.undetected == 0) {
     EXPECT_TRUE(ct.stable_ns.has_value());
   }
-  // Every surviving node answered the SIGUSR1 harvest with a dump.
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(std::filesystem::exists(cfg.report_dir + "/node" +
-                                        std::to_string(i) + ".g0.bin.trace"))
-        << "node " << i;
+  // The rings run on past the horizon until each node stops; the assembled
+  // run does not.
+  const auto timeline = obs::assemble_from_dir(cfg.report_dir, true, true);
+  ASSERT_TRUE(timeline.has_value());
+  EXPECT_EQ(timeline->timeline.size(), result.trace->records);
+  for (const obs::TimelineEvent& e : timeline->timeline) {
+    ASSERT_LE(e.t_ns, horizon.count()) << "node " << e.node;
   }
 
   std::filesystem::remove_all(cfg.report_dir);

@@ -1,17 +1,19 @@
 // Unit tests for the flight recorder: ring wraparound order, the
 // never-wrapping suspicion section, pluggable clock stamping, and the
-// text/file dump format.
+// binary dump's round trip through the loader.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "obs/trace_assembler.h"
 
 namespace mmrfd::obs {
 namespace {
@@ -130,44 +132,33 @@ TEST(TraceKindName, CoversEveryKind) {
   EXPECT_EQ(trace_kind_name(TraceKind::kPeerRound), "peer_round");
   EXPECT_EQ(kMaxTraceKind, 18);
   EXPECT_EQ(trace_kind_name(static_cast<TraceKind>(19)), "unknown");
-  // Every valid kind value maps to a distinct name, and the parser inverts
-  // the mapping — the text-dump loader depends on this round trip.
-  for (std::uint8_t k = 1; k <= kMaxTraceKind; ++k) {
-    const auto kind = static_cast<TraceKind>(k);
-    const std::string_view name = trace_kind_name(kind);
-    EXPECT_NE(name, "unknown") << "kind " << int{k} << " has no name";
-    EXPECT_EQ(trace_kind_from_name(name), kind) << "kind " << int{k};
+}
+
+TEST(FlightRecorder, BinaryDumpOfAMultiChunkRingLoadsAsItsSnapshot) {
+  // A ring three and a bit write chunks long, dumped before it wraps (the
+  // loader drops its unused slots) and after: each dump must load as
+  // exactly the snapshot, oldest first.
+  constexpr std::uint64_t kCapacity = 3 * FlightRecorder::kDumpChunkRecords + 5;
+  std::uint64_t now = 0;
+  FlightRecorder rec(kCapacity, TraceClock{&fake_now, &now});
+  const std::string path = testing::TempDir() + "/mmrfd_flight_recorder_" +
+                           std::to_string(::getpid()) + ".trace";
+  for (const std::uint64_t total : {kCapacity - 100, 2 * kCapacity + 100}) {
+    while (now < total) {
+      ++now;
+      rec.record(static_cast<TraceKind>(1 + now % kMaxTraceKind),
+                 static_cast<std::uint32_t>(now),
+                 static_cast<std::uint32_t>(7 * now));
+    }
+    ASSERT_TRUE(rec.dump_binary_to_file(path));
+    const auto loaded = load_trace_records(path);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->size(), std::min(total, kCapacity));
+    EXPECT_EQ(*loaded, rec.snapshot());
   }
-  EXPECT_EQ(static_cast<std::uint8_t>(trace_kind_from_name("bogus")), 0);
-}
-
-TEST(FlightRecorder, DumpTextFormat) {
-  std::uint64_t now = 1234;
-  FlightRecorder rec(4, TraceClock{&fake_now, &now});
-  rec.record(TraceKind::kQueryTx, 3, 57);
-  std::ostringstream os;
-  rec.dump_text(os);
-  EXPECT_EQ(os.str(), "1234 #0 query_tx a=3 b=57\n");
-}
-
-TEST(FlightRecorder, DumpToFileRoundTrips) {
-  std::uint64_t now = 7;
-  FlightRecorder rec(4, TraceClock{&fake_now, &now});
-  rec.record(TraceKind::kRoundOpen, 11);
-  rec.record(TraceKind::kRoundClose, 11, 2);
-
-  const std::string path =
-      testing::TempDir() + "/mmrfd_flight_recorder_test.trace";
-  ASSERT_TRUE(rec.dump_to_file(path));
-  std::ifstream is(path);
-  std::stringstream content;
-  content << is.rdbuf();
-  std::ostringstream expected;
-  rec.dump_text(expected);
-  EXPECT_EQ(content.str(), expected.str());
   std::remove(path.c_str());
 
-  EXPECT_FALSE(rec.dump_to_file("/nonexistent-dir-zz/x.trace"));
+  EXPECT_FALSE(rec.dump_binary_to_file("/nonexistent-dir-zz/x.trace"));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // TraceAssembler unit suite: clock-skew recovery from synthetic rings with
 // injected offsets, causal-order preservation, incarnation merging, the
-// text/binary dump loaders (including torn fatal-signal dumps), filename
-// parsing and the manifest round-trip.
+// horizon clip, the binary dump loader (including torn fatal-signal
+// dumps), filename parsing and the manifest round-trip.
 #include "obs/trace_assembler.h"
 
 #include <gtest/gtest.h>
@@ -51,8 +51,8 @@ class SyntheticCluster {
     records_[node].push_back(r);
   }
 
-  [[nodiscard]] TraceAssembler assembler(bool estimate_skew = true) const {
-    AssemblerOptions options;
+  [[nodiscard]] TraceAssembler assembler(bool estimate_skew = true,
+                                         AssemblerOptions options = {}) const {
     options.n = static_cast<std::uint32_t>(offsets_.size());
     options.estimate_skew = estimate_skew;
     TraceAssembler out(options);
@@ -272,6 +272,50 @@ TEST(TraceAssembler, LateWaveAfterTheQuorumIsPacingNotResendWait) {
   EXPECT_EQ(ob.pacing_ns + ob.resend_wait_ns + ob.wire_ns, ob.latency_ns);
 }
 
+TEST(TraceAssembler, RecordsAlignedAfterTheHorizonAreDropped) {
+  // The run ends at the horizon, as in metrics::Analysis, and the clip reads
+  // aligned stamps. Node 1's clock runs 5 ms ahead and node 2's 3 ms behind
+  // (symmetric exchanges make both offsets exact). Node 0 suspects the
+  // victim, node 3, exactly at the horizon: that counts. Node 1 does 1 ms
+  // before it, which its own clock reads as 4 ms after: that counts too.
+  // Node 2 does only 1 ms after it, which its own clock reads as 2 ms
+  // before: dropped, so node 2 never detected the crash.
+  SyntheticCluster cluster({0, 5'000'000, -3'000'000, 0});
+  for (std::uint32_t s = 1; s <= 4; ++s) {
+    const std::uint64_t t = kBase + s * 10'000'000ull;
+    cluster.exchange(0, 1, s, t, 400'000, 50'000, 400'000);
+    cluster.exchange(0, 2, s, t + 1000, 300'000, 50'000, 300'000);
+  }
+  constexpr std::int64_t kHorizon = 100'000'000;  // origin-relative
+  constexpr std::uint64_t kEnd = kBase + kHorizon;
+  cluster.add(0, TraceKind::kSuspectAdd, 3, 0, kEnd);
+  cluster.add(1, TraceKind::kSuspectAdd, 3, 0, kEnd - 1'000'000);
+  cluster.add(2, TraceKind::kSuspectAdd, 3, 0, kEnd + 1'000'000);
+  AssemblerOptions options;
+  options.origin_ns = kBase;
+  options.horizon_ns = kHorizon;
+  options.keep_timeline = true;
+  TraceAssembler assembler = cluster.assembler(true, options);
+  assembler.add_crash(3, 90'000'000);
+  const AssembledTrace trace = assembler.assemble();
+  EXPECT_EQ(trace.matched_pairs, 8u);  // the clocks still read every pair
+  EXPECT_EQ(trace.records, 4u * 8 + 2);
+  EXPECT_EQ(trace.timeline.size(), trace.records);
+  for (const TimelineEvent& e : trace.timeline) {
+    EXPECT_LE(e.t_ns, kHorizon) << "node " << e.node;
+    EXPECT_FALSE(e.node == 2 && e.record.kind == TraceKind::kSuspectAdd);
+  }
+  ASSERT_EQ(trace.crashes.size(), 1u);
+  const CrashTimeline& ct = trace.crashes[0];
+  ASSERT_EQ(ct.observers.size(), 2u);
+  EXPECT_EQ(ct.observers[0].observer, 0u);
+  EXPECT_EQ(ct.observers[0].detect_ns, kHorizon);
+  EXPECT_EQ(ct.observers[1].observer, 1u);
+  EXPECT_EQ(ct.observers[1].detect_ns, kHorizon - 1'000'000);
+  EXPECT_EQ(ct.undetected, 1u);
+  EXPECT_FALSE(ct.stable_ns.has_value());
+}
+
 // --- dump loaders ------------------------------------------------------------
 
 class TempDir {
@@ -297,23 +341,27 @@ class TempDir {
 
 std::uint64_t fixed_clock(const void*) { return 123'456'789; }
 
-TEST(TraceLoader, TextAndBinaryDumpsRoundTrip) {
+TEST(TraceLoader, BinaryDumpRoundTripsAndNeedsItsMagic) {
   TempDir dir;
   FlightRecorder recorder(16, TraceClock{&fixed_clock, nullptr});
   recorder.record(TraceKind::kRoundOpen, 1);
   recorder.record(TraceKind::kQueryTxSeq, 2, 1);
   recorder.record(TraceKind::kQuorum, 1, 5);
   recorder.record(TraceKind::kPeerRound, 3, 9);
-  const auto expected = recorder.snapshot();
 
-  ASSERT_TRUE(recorder.dump_to_file(dir.path("dump.trace")));
-  ASSERT_TRUE(recorder.dump_binary_to_file(dir.path("dump.bin.trace")));
-  const auto text = load_trace_records(dir.path("dump.trace"));
-  const auto binary = load_trace_records(dir.path("dump.bin.trace"));
-  ASSERT_TRUE(text.has_value());
+  ASSERT_TRUE(recorder.dump_binary_to_file(dir.path("dump.trace")));
+  const auto binary = load_trace_records(dir.path("dump.trace"));
   ASSERT_TRUE(binary.has_value());
-  EXPECT_EQ(*text, expected);
-  EXPECT_EQ(*binary, expected);
+  EXPECT_EQ(*binary, recorder.snapshot());
+
+  // A file without the magic, a text listing say, is no dump.
+  {
+    std::ofstream out(dir.path("text.trace"));
+    out << "123456789 #0 round_open a=1 b=0\n"
+           "123456789 #1 query_tx_seq a=2 b=1\n";
+  }
+  EXPECT_FALSE(load_trace_records(dir.path("text.trace")).has_value());
+  EXPECT_FALSE(load_trace_records(dir.path("missing.trace")).has_value());
 }
 
 TEST(TraceLoader, BinaryLoaderDropsTornRecordsAndTruncatedTails) {
@@ -353,7 +401,7 @@ TEST(TraceLoader, ParseTraceFilename) {
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->first, 3u);
   EXPECT_EQ(a->second, 2u);
-  const auto b = parse_trace_filename("node12.g0.bin.crash.trace");
+  const auto b = parse_trace_filename("node12.g0.bin");
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->first, 12u);
   EXPECT_EQ(b->second, 0u);
@@ -369,10 +417,11 @@ TEST(TraceManifestIo, RoundTrips) {
   manifest.origin_ns = 1'700'000'000'000'000'000ull;
   manifest.pacing_ns = 100'000'000;
   manifest.resend_ns = 500'000'000;
+  manifest.horizon_ns = 10'000'000'000;
   manifest.crashes.push_back({7, 1'900'000'000, true});
   manifest.crashes.push_back({2, 2'500'000'000, false});
   manifest.traces.push_back({0, 0, "node0.g0.bin.trace"});
-  manifest.traces.push_back({7, 1, "node7.g1.bin.crash.trace"});
+  manifest.traces.push_back({7, 1, "node7.g1.bin.trace"});
 
   const std::string path = dir.path(std::string(kTraceManifestName));
   ASSERT_TRUE(write_manifest(path, manifest));
@@ -382,6 +431,7 @@ TEST(TraceManifestIo, RoundTrips) {
   EXPECT_EQ(loaded->origin_ns, manifest.origin_ns);
   EXPECT_EQ(loaded->pacing_ns, manifest.pacing_ns);
   EXPECT_EQ(loaded->resend_ns, manifest.resend_ns);
+  EXPECT_EQ(loaded->horizon_ns, manifest.horizon_ns);
   ASSERT_EQ(loaded->crashes.size(), 2u);
   EXPECT_EQ(loaded->crashes[0].victim, 7u);
   EXPECT_EQ(loaded->crashes[0].at_ns, 1'900'000'000);
@@ -390,7 +440,14 @@ TEST(TraceManifestIo, RoundTrips) {
   ASSERT_EQ(loaded->traces.size(), 2u);
   EXPECT_EQ(loaded->traces[1].node, 7u);
   EXPECT_EQ(loaded->traces[1].incarnation, 1u);
-  EXPECT_EQ(loaded->traces[1].file, "node7.g1.bin.crash.trace");
+  EXPECT_EQ(loaded->traces[1].file, "node7.g1.bin.trace");
+
+  // A manifest without a horizon line leaves the assembled run unclipped.
+  manifest.horizon_ns.reset();
+  ASSERT_TRUE(write_manifest(path, manifest));
+  const auto unclipped = load_manifest(path);
+  ASSERT_TRUE(unclipped.has_value());
+  EXPECT_FALSE(unclipped->horizon_ns.has_value());
 
   EXPECT_FALSE(load_manifest(dir.path("missing.txt")).has_value());
 }
@@ -399,7 +456,7 @@ TEST(TraceAssemblerDir, AssemblesFromManifestAndToleratesMissingDumps) {
   TempDir dir;
   FlightRecorder recorder(16, TraceClock{&fixed_clock, nullptr});
   recorder.record(TraceKind::kSuspectAdd, 1);
-  ASSERT_TRUE(recorder.dump_to_file(dir.path("node0.g0.bin.trace")));
+  ASSERT_TRUE(recorder.dump_binary_to_file(dir.path("node0.g0.bin.trace")));
 
   TraceManifest manifest;
   manifest.n = 2;

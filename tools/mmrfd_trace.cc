@@ -1,8 +1,9 @@
 // mmrfd-trace — offline cross-node trace assembly.
 //
 // Operates on a report directory left behind by a traced supervisor run
-// (live::SupervisorConfig::trace): per-node `.trace` / `.crash.trace`
-// flight-ring dumps plus trace_manifest.txt. Subcommands:
+// (live::SupervisorConfig::trace): one binary `<report>.trace` flight-ring
+// dump per node incarnation, written as it stopped, plus
+// trace_manifest.txt, whose horizon ends the assembled run. Subcommands:
 //
 //   assemble  <dir>   assembly summary: record/pair counts, causal-violation
 //                     count, per-node clock-skew estimates (--json: the full
