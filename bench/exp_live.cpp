@@ -63,6 +63,8 @@ struct LiveResult {
   std::uint64_t node_cpu_us{0};
   std::uint64_t voluntary_switches{0};
   std::uint64_t involuntary_switches{0};
+  // The largest peak resident set of any node incarnation (VmHWM), in MiB.
+  double peak_rss_mb{0};
   // The cluster-merged registry: every counter and round-RTT column is read
   // from it by instrument name. Wire cost is ground truth (udp.bytes_sent:
   // framing, retransmits and ACKs included); bytes_per_query counts codec
@@ -178,6 +180,7 @@ std::size_t first_round_waves(const std::string& report_dir) {
        << per_round(r, r.voluntary_switches)
        << ", \"invol_ctx_switches_per_round\": "
        << per_round(r, r.involuntary_switches)
+       << ", \"peak_rss_mb\": " << r.peak_rss_mb
        << ", \"unexpected_exits\": " << r.unexpected_exits
        << ", \"missing_reports\": " << r.missing_reports
        << ", \"pacing_mean_ms\": " << r.pacing_mean_ms
@@ -390,6 +393,7 @@ int main(int argc, char** argv) {
     r.node_cpu_us = run.node_user_cpu_us + run.node_sys_cpu_us;
     r.voluntary_switches = run.node_voluntary_switches;
     r.involuntary_switches = run.node_involuntary_switches;
+    r.peak_rss_mb = static_cast<double>(run.node_max_rss_kb) / 1024.0;
     if (run.trace) {
       r.trace_causal_violations = run.trace->causal_violations;
       r.first_round_waves = first_round_waves(scfg.report_dir);
@@ -442,7 +446,7 @@ int main(int argc, char** argv) {
                "pace_ms", "grace_ms", "resend_ms", "wire_ms", "rtt_p50_ms",
                "complete", "false_susp", "B_per_query", "wire_B_per_q",
                "delta_q", "full_q", "need_full", "trunc", "errs",
-               "first_waves"});
+               "first_waves", "peak_rss_mb"});
   for (const auto& r : results) {
     table.add_row({Table::num(std::uint64_t{r.n}),
                    Table::num(std::uint64_t{r.f}), Table::num(r.seed),
@@ -465,7 +469,8 @@ int main(int argc, char** argv) {
                               count(r, "rt.need_full_received")),
                    Table::num(count(r, "udp.truncated")),
                    Table::num(count(r, "udp.recv_errors")),
-                   Table::num(std::uint64_t{r.first_round_waves})});
+                   Table::num(std::uint64_t{r.first_round_waves}),
+                   Table::num(r.peak_rss_mb)});
   }
   if (args.get_bool("csv")) {
     table.print_csv(std::cout);

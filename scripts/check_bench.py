@@ -23,7 +23,9 @@ configuration key and flags metric movements outside a tolerance band:
   * vol_ctx_switches_per_round     user + system CPU and context switches
   * invol_ctx_switches_per_round   per finished round, from wait4's rusage)
   * peak_rss_mb         — higher is a regression (exp_scale: the config's
-                          worker process's peak resident set, from wait4)
+                          worker process's peak resident set, from wait4;
+                          exp_live: the largest of any node incarnation's,
+                          its VmHWM read just before the Supervisor stops it)
   * first_round_waves   — higher is a regression (exp_live: node
                           incarnations whose first round waited for a resend
                           wave; a count whose baseline is 0, so any fresh

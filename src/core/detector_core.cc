@@ -47,7 +47,7 @@ void DetectorCore::begin_query() {
   // without a witness) so they already carry the dominating mistake; in an
   // uncorrupted run the branch never fires and schedules are untouched.
   if (is_suspected(config_.self)) {
-    counter_ = std::max(counter_, *local_tag(config_.self) + 1);
+    counter_ = std::max(counter_, next_tag(*local_tag(config_.self)));
     add_mistake(config_.self, counter_);
   }
   ++seq_;
@@ -196,12 +196,12 @@ bool DetectorCore::finish_round() {
     if (is_suspected(pj)) continue;
     if (const auto mistake = mistake_tag(pj)) {
       // A stale mistake exists: the fresh suspicion must dominate it.
-      counter_ = std::max(counter_, *mistake + 1);
+      counter_ = std::max(counter_, next_tag(*mistake));
     }
     add_suspicion(pj, counter_);
     fresh = true;
   }
-  ++counter_;  // T1 line 16
+  counter_ = next_tag(counter_);  // T1 line 16
   ++rounds_;
   in_progress_ = false;
   // Give-up bookkeeping: a peer's streak grows while it stays suspected and
@@ -242,21 +242,22 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
   const bool epoch_miss =
       delta_.epoch_miss(from, query.is_delta(), query.base_epoch);
 
-  // Both loops skip ids outside Pi: only a corrupted or forged datagram
-  // names one, and merged it would be a suspicion no process can defend,
-  // spread by every later full query.
+  // Both loops skip ids outside Pi and tags at or above kTagLimit: only a
+  // corrupted or forged datagram carries one, and merged it would be a
+  // suspicion no process can defend, spread by every later full query.
   // First loop (T2 lines 21-31): merge the sender's suspicions.
   for (const TaggedEntry& e : query.suspected()) {
-    if (e.id.value >= config_.n) continue;
+    if (e.id.value >= config_.n || e.tag >= kTagLimit) continue;
     const auto mine = local_tag(e.id);
     const bool newer = !mine.has_value() || *mine < e.tag;
     if (!newer) continue;
     if (e.id == config_.self) {
       // Self-defence (lines 23-25): I am alive; generate a mistake whose tag
-      // strictly dominates the suspicion. No correct execution puts self in
-      // the suspected set, but transient state corruption can — add_mistake
-      // erases any such entry instead of asserting it away.
-      counter_ = std::max(counter_, e.tag + 1);
+      // strictly dominates the suspicion (ties it at the cap, see next_tag).
+      // No correct execution puts self in the suspected set, but transient
+      // state corruption can — add_mistake erases any such entry instead of
+      // asserting it away.
+      counter_ = std::max(counter_, next_tag(e.tag));
       add_mistake(config_.self, counter_);
     } else {
       add_suspicion(e.id, e.tag);  // replaces any mistake entry (line 28)
@@ -266,7 +267,7 @@ ResponseMessage DetectorCore::on_query(ProcessId from,
   // Second loop (T2 lines 32-37): merge the sender's mistakes. Note `<=`:
   // on a tag tie the mistake wins over the suspicion.
   for (const TaggedEntry& e : query.mistakes()) {
-    if (e.id.value >= config_.n) continue;
+    if (e.id.value >= config_.n || e.tag >= kTagLimit) continue;
     const auto mine = local_tag(e.id);
     const bool newer_or_tied = !mine.has_value() || *mine <= e.tag;
     if (!newer_or_tied) continue;

@@ -179,9 +179,17 @@ class DetectorCore final : public FailureDetector {
   // --- T2: query serving ---------------------------------------------------
 
   /// Merges the query's suspicion/mistake information into local state and
-  /// returns the RESPONSE to send back to `from`.
+  /// returns the RESPONSE to send back to `from`. Entries naming an id
+  /// outside Pi or tagged at or above kTagLimit are skipped.
   [[nodiscard]] ResponseMessage on_query(ProcessId from,
                                          const QueryMessage& query);
+
+  /// Every tag a node merges or issues stays below 2^63. Merges skip larger
+  /// tags, which only a corrupted or forged datagram carries: the defence
+  /// against a suspicion tagged 2^64 - 1 would wrap to 0 and never
+  /// dominate it. Counters saturate at kTagLimit - 1 (see next_tag), so the
+  /// defence against a merged tag is always merged in turn.
+  static constexpr Tag kTagLimit = Tag{1} << 63;
 
   // --- observers -----------------------------------------------------------
 
@@ -277,6 +285,13 @@ class DetectorCore final : public FailureDetector {
   static constexpr std::uint8_t kAbsent = 0;
   static constexpr std::uint8_t kSuspected = 1;
   static constexpr std::uint8_t kMistake = 2;
+
+  /// t + 1, saturating at kTagLimit - 1. A counter reaches the cap only
+  /// through a forged tag: a defence then ties the suspicion it answers,
+  /// and T2 lets a tied mistake win.
+  [[nodiscard]] static Tag next_tag(Tag t) {
+    return t < kTagLimit - 1 ? t + 1 : kTagLimit - 1;
+  }
 
   /// Both Add <id, tag>, replacing `id`'s entry in either set.
   void add_suspicion(ProcessId id, Tag tag);

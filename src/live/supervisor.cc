@@ -70,6 +70,22 @@ pid_t reap_child(pid_t pid, int options, int& status, LiveRunResult& result) {
   return got;
 }
 
+/// Keeps a running node's peak resident set (VmHWM, KiB) in `result` if it
+/// is the largest so far. Read before the node is stopped, not from wait4:
+/// ru_maxrss also counts this process's pages, which the child held
+/// between fork and exec.
+void note_peak_rss(pid_t pid, LiveRunResult& result) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      result.node_max_rss_kb = std::max<std::uint64_t>(
+          result.node_max_rss_kb, std::strtoull(line.c_str() + 6, nullptr, 10));
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 std::string default_node_binary() {
@@ -324,7 +340,10 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
       if (!pc.killed && pc.event.at <= now) {
         Proc& victim = procs[pc.event.victim.value];
         victim.planned_kill = true;
-        if (victim.alive && victim.pid > 0) ::kill(victim.pid, SIGKILL);
+        if (victim.alive && victim.pid > 0) {
+          note_peak_rss(victim.pid, result);
+          ::kill(victim.pid, SIGKILL);
+        }
         pc.killed = true;
         // Stamp the kill in the same wall-clock frame the nodes stamp their
         // events in, so Analysis subtracts like from like.
@@ -363,6 +382,7 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
   for (Proc& p : procs) {
     if (p.alive && p.pid > 0) {
       p.graceful = true;
+      note_peak_rss(p.pid, result);
       ::kill(p.pid, SIGTERM);
     }
   }

@@ -133,6 +133,9 @@ struct LiveRunResult {
   std::uint64_t node_sys_cpu_us{0};
   std::uint64_t node_voluntary_switches{0};
   std::uint64_t node_involuntary_switches{0};
+  /// The largest peak resident set (VmHWM, KiB) of any incarnation the run
+  /// stopped, read just before its SIGKILL or SIGTERM.
+  std::uint64_t node_max_rss_kb{0};
 
   /// Assembled cross-node causal timeline (SupervisorConfig::trace only):
   /// per-crash detection latencies attributed to round-pacing, resend-wait

@@ -144,14 +144,19 @@ bool FlightRecorder::dump_binary_fd(int fd) const noexcept {
   for (std::size_t i = 0; i < sizeof(kBinaryMagic); ++i) {
     buf[i] = static_cast<unsigned char>(kBinaryMagic[i]);
   }
-  put_le(buf + 8, total_);
+  const std::uint64_t total = total_;
+  put_le(buf + 8, total);
   put_le(buf + 16, static_cast<std::uint64_t>(ring_.size()));
+  // Until the ring wraps, only slots [0, total) were ever written.
+  const std::size_t filled =
+      total < ring_.size() ? static_cast<std::size_t>(total) : ring_.size();
   std::size_t used = kHeader;
-  for (const TraceRecord& r : ring_) {
+  for (std::size_t i = 0; i < filled; ++i) {
     if (used + kRecord > sizeof(buf)) {
       if (!write_all(fd, buf, used)) return false;
       used = 0;
     }
+    const TraceRecord& r = ring_[i];
     unsigned char* rec = buf + used;
     put_le(rec + 0, r.t_ns);
     put_le(rec + 8, r.seq);

@@ -100,13 +100,14 @@ class FlightRecorder {
   // Binary dump of the ring alone, ASYNC-SIGNAL-SAFE: no locks, no
   // allocation — whole records are packed into a fixed stack buffer that
   // goes out in one write(2) per kDumpChunkRecords records, on an
-  // already-open fd. The suspicion section stays out: another thread may
-  // be reallocating it. From a fatal-signal handler a concurrently-writing
-  // recorder may leave one torn record in the ring; the loader drops
-  // records whose kind falls outside [1, kMaxTraceKind]. Layout
-  // (little-endian):
+  // already-open fd. Only the slots the ring filled go out: slots
+  // [0, total) before it wraps, every slot after. The suspicion section
+  // stays out: another thread may be reallocating it. From a fatal-signal
+  // handler a concurrently-writing recorder may leave one torn record in
+  // the ring; the loader drops records whose kind falls outside
+  // [1, kMaxTraceKind]. Layout (little-endian):
   //   8-byte magic "MMRTRCB1", u64 total, u64 capacity,
-  //   capacity x { u64 t_ns, u64 seq, u32 a, u32 b, u8 kind }
+  //   min(total, capacity) x { u64 t_ns, u64 seq, u32 a, u32 b, u8 kind }
   // Returns false if any write(2) fails.
   bool dump_binary_fd(int fd) const noexcept;
   // dump_binary_fd to `path` (truncate). Also lock-free — only call on a

@@ -601,6 +601,70 @@ TEST(DetectorCore, TwoCoreConversationConverges) {
   EXPECT_EQ(d1.mistake_tag(ProcessId{0}), 10u);
 }
 
+/// `rounds` rounds of p_a and p_b, two of three cores (the third is
+/// silent): each in turn issues a full query, the other merges it and
+/// answers, and the issuer finishes its round on that quorum.
+void exchange(DetectorCore& a, DetectorCore& b, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    for (const auto& [issuer, peer] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+      const QueryMessage q = issuer->start_query();
+      const ResponseMessage r = peer->on_query(issuer->config().self, q);
+      ASSERT_TRUE(issuer->on_response(peer->config().self, r));
+      issuer->finish_round();
+    }
+  }
+}
+
+TEST(DetectorCore, TagsNoDefenceCanDominateAreNotMerged) {
+  // Only a forged or corrupted datagram carries a tag of 2^63 or more.
+  // Merged, p2's suspicion of the live p1 tagged 2^64 - 1 outlived every
+  // defence: p1's tag + 1 wrapped to 0, so p0 suspected p1 for good. A
+  // mistake tagged 2^64 - 1 wrapped finish_round's bump the same way, so
+  // p0's next suspicion of p2 could not dominate it.
+  DetectorCore d0(cfg(0, 3, 1));
+  DetectorCore d1(cfg(1, 3, 1));
+  QueryMessage forged;
+  forged.seq = 1;
+  forged.push_suspected({ProcessId{1}, ~Tag{0}});
+  forged.push_mistake({ProcessId{2}, ~Tag{0}});
+  (void)d0.on_query(ProcessId{2}, forged);
+  EXPECT_FALSE(d0.is_suspected(ProcessId{1}));
+  EXPECT_FALSE(d0.mistake_tag(ProcessId{2}).has_value());
+  exchange(d0, d1, 5);
+  EXPECT_FALSE(d0.is_suspected(ProcessId{1}));
+  EXPECT_FALSE(d1.mistake_tag(ProcessId{1}).has_value());  // never defended
+
+  QueryMessage at_limit;
+  at_limit.seq = 2;
+  at_limit.push_suspected({ProcessId{1}, DetectorCore::kTagLimit});
+  (void)d0.on_query(ProcessId{2}, at_limit);
+  EXPECT_FALSE(d0.is_suspected(ProcessId{1}));
+}
+
+TEST(DetectorCore, TheLargestMergedTagIsStillDefended) {
+  // 2^63 - 1 is merged. p1's counter saturates there instead of leaving
+  // the merged range, so its defence ties the suspicion, and p0 lets the
+  // tied mistake win.
+  constexpr Tag kTop = DetectorCore::kTagLimit - 1;
+  DetectorCore d0(cfg(0, 3, 1));
+  DetectorCore d1(cfg(1, 3, 1));
+  QueryMessage forged;
+  forged.seq = 1;
+  forged.push_suspected({ProcessId{1}, kTop});
+  (void)d0.on_query(ProcessId{2}, forged);
+  EXPECT_EQ(d0.suspicion_tag(ProcessId{1}), kTop);
+  exchange(d0, d1, 1);
+  EXPECT_FALSE(d0.is_suspected(ProcessId{1}));
+  EXPECT_EQ(d0.mistake_tag(ProcessId{1}), kTop);
+  EXPECT_EQ(d1.counter(), kTop);
+  // Every later tag p1 issues stays mergeable: p1's suspicion of the
+  // silent p2 reaches p0, and p1 is not suspected again.
+  exchange(d0, d1, 4);
+  EXPECT_FALSE(d0.is_suspected(ProcessId{1}));
+  EXPECT_EQ(d0.suspicion_tag(ProcessId{2}), kTop);
+  EXPECT_EQ(d1.counter(), kTop);
+}
+
 TEST(DetectorCore, RoundsCompletedCounts) {
   DetectorCore d(cfg(0, 2, 1));  // quorum 1: self-terminating queries
   EXPECT_EQ(d.rounds_completed(), 0u);

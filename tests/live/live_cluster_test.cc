@@ -164,7 +164,14 @@ TEST(LiveCluster, KillOneNodeAllSurvivorsConverge) {
   // (dozens of 50 ms rounds — detection needs one).
   const std::vector<CrashEvent> schedule = {
       {ProcessId{kVictim}, from_seconds(2.0), std::nullopt}};
+  // Resident pages of the Supervisor's process, which each node holds
+  // between fork and exec: its peak RSS must not count them.
+  constexpr std::size_t kBallast = std::size_t{128} << 20;
+  const std::vector<char> ballast(kBallast, 1);
   const LiveRunResult result = supervisor.run(schedule, from_seconds(7));
+  EXPECT_GT(result.node_max_rss_kb, 0u);
+  EXPECT_LT(result.node_max_rss_kb, kBallast / 1024 / 2);
+  EXPECT_EQ(ballast.back(), 1);
 
   // Clean orchestration: one planned kill, nothing else died, and every
   // graceful node flushed a readable report.

@@ -1,21 +1,41 @@
 // mmrfd-node argument validation: bad arguments exit 2 before the node
 // binds a socket or installs a signal handler, so node_main runs in-process.
 // So does the node side of the control socket: a node waiting for its
-// release never starts its protocol thread.
+// release never starts its protocol thread. One case reads the built
+// binary itself: outside sanitizer builds it must be static.
+#include <elf.h>
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
+#include <fstream>
 #include <future>
 #include <string>
 #include <vector>
 
 #include "live/node_runtime.h"
+#include "live/supervisor.h"
 
 namespace mmrfd::live {
 namespace {
+
+// ASan and TSan need the dynamic loader, so their builds link the node
+// dynamically (src/live/CMakeLists.txt).
+constexpr bool kSanitizerBuild =
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+    true;
+#else
+    false;
+#endif
+#else
+    false;
+#endif
 
 int run(std::vector<std::string> args) {
   args.insert(args.begin(), "mmrfd-node");
@@ -129,6 +149,28 @@ TEST(NodeMain, ExitsWhenItsControlSocketClosesBeforeRelease) {
                  "--control-fd=" + std::to_string(ends[1])}),
             0);
   ::close(ends[1]);
+}
+
+TEST(NodeMain, NodeBinaryIsStaticOutsideSanitizerBuilds) {
+  // A Supervisor execs one node per incarnation; linked dynamically, each
+  // exec paid the loader's relocation of libstdc++, libm and libc. A static
+  // executable has no PT_INTERP program header.
+  if (kSanitizerBuild) GTEST_SKIP() << "sanitizer builds keep a dynamic node";
+  const std::string path = default_node_binary();
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open " << path;
+  Elf64_Ehdr eh{};
+  ASSERT_TRUE(in.read(reinterpret_cast<char*>(&eh), sizeof eh)) << path;
+  ASSERT_EQ(std::memcmp(eh.e_ident, ELFMAG, SELFMAG), 0) << path;
+  ASSERT_EQ(eh.e_ident[EI_CLASS], ELFCLASS64) << path;
+  ASSERT_GT(eh.e_phnum, 0) << path;
+  for (unsigned i = 0; i < eh.e_phnum; ++i) {
+    Elf64_Phdr ph{};
+    in.seekg(static_cast<std::streamoff>(eh.e_phoff + i * eh.e_phentsize));
+    ASSERT_TRUE(in.read(reinterpret_cast<char*>(&ph), sizeof ph)) << path;
+    EXPECT_NE(ph.p_type, static_cast<Elf64_Word>(PT_INTERP))
+        << path << " names a dynamic loader";
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -135,8 +136,8 @@ TEST(TraceKindName, CoversEveryKind) {
 }
 
 TEST(FlightRecorder, BinaryDumpOfAMultiChunkRingLoadsAsItsSnapshot) {
-  // A ring three and a bit write chunks long, dumped before it wraps (the
-  // loader drops its unused slots) and after: each dump must load as
+  // A ring three and a bit write chunks long, dumped before it wraps (only
+  // the filled slots go out) and after (every slot): each dump must load as
   // exactly the snapshot, oldest first.
   constexpr std::uint64_t kCapacity = 3 * FlightRecorder::kDumpChunkRecords + 5;
   std::uint64_t now = 0;
@@ -151,9 +152,11 @@ TEST(FlightRecorder, BinaryDumpOfAMultiChunkRingLoadsAsItsSnapshot) {
                  static_cast<std::uint32_t>(7 * now));
     }
     ASSERT_TRUE(rec.dump_binary_to_file(path));
+    const std::uint64_t filled = std::min(total, kCapacity);
+    EXPECT_EQ(std::filesystem::file_size(path), 24 + 29 * filled);
     const auto loaded = load_trace_records(path);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->size(), std::min(total, kCapacity));
+    EXPECT_EQ(loaded->size(), filled);
     EXPECT_EQ(*loaded, rec.snapshot());
   }
   std::remove(path.c_str());
