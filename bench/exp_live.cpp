@@ -27,6 +27,7 @@
 #include "common/argparse.h"
 #include "live/supervisor.h"
 #include "metrics/table.h"
+#include "obs/flight_recorder.h"
 #include "obs/trace_assembler.h"
 #include "runtime/crash_plan.h"
 
@@ -282,6 +283,11 @@ int main(int argc, char** argv) {
     std::cerr << "exp_live: --run must be >= 2 seconds\n";
     return 1;
   }
+  const auto period_ms = static_cast<double>(args.get_int("period"));
+  if (period_ms < 1) {
+    std::cerr << "exp_live: --period must be >= 1 ms\n";
+    return 1;
+  }
   const bool restart = args.get_bool("restart");
   const std::string report_root = args.get("report-dir").empty()
                                       ? args.get("out") + ".reports"
@@ -341,17 +347,23 @@ int main(int argc, char** argv) {
     scfg.n = c.n;
     scfg.f = f;
     scfg.base_port = c.base_port;
-    scfg.pacing = from_millis(static_cast<double>(args.get_int("period")));
+    scfg.pacing = from_millis(period_ms);
     scfg.delta = c.delta;
     scfg.flush = from_millis(static_cast<double>(args.get_int("flush-ms")));
     scfg.trace = args.get_bool("trace");
-    // The causal kinds cost O(n) records per round, so a fixed-size ring
-    // wraps past early crashes at n=64 and their suspect_add events vanish
-    // before the node writes its ring at the stop. Scale the ring so it
-    // spans the whole sweep: ~2n records per round per node, `run_s /
-    // pacing` rounds.
-    scfg.trace_capacity =
-        std::max<std::uint32_t>(16384, c.n * 1024);
+    // A ring that wraps before the node writes it at the stop loses the
+    // early crashes' suspect_add records, and their breakdowns read every
+    // observer undetected. So the ring holds the whole run: per round one
+    // record per peer of each per-peer kind (query_tx, query_rx,
+    // response_tx, response_rx, peer_round) plus the round's own (open,
+    // quorum, close, waves, suspicions), over run / period rounds, with a
+    // quarter's slack for the rounds after the horizon and those a fresh
+    // suspicion starts at once.
+    const double records_per_round = 5.0 * (c.n - 1) + 8;
+    const double rounds = run_s * 1000.0 / period_ms;
+    scfg.trace_capacity = static_cast<std::uint32_t>(std::clamp(
+        1.25 * records_per_round * rounds, 16384.0,
+        static_cast<double>(obs::FlightRecorder::kMaxCapacity)));
     scfg.node_binary = args.get("node-bin");
     scfg.report_dir = report_root + "/n" + std::to_string(c.n) + "_s" +
                       std::to_string(c.seed) +

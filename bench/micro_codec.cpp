@@ -1,6 +1,6 @@
 // Micro-benchmarks of the wire codec: per-datagram serialization cost on the
 // real-transport path, the sizing pass the simulator's size hook runs on
-// every send, and a live node's report snapshot.
+// every send, and a live node's report snapshot and flight-ring record.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "live/report.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "transport/codec.h"
 
@@ -172,6 +173,22 @@ void BM_ReportSnapshot(benchmark::State& state) {
       static_cast<std::int64_t>(live::encode_report(take_snapshot(270)).size()));
 }
 BENCHMARK(BM_ReportSnapshot);
+
+/// One flight-ring record() as every live node writes it, traced or not:
+/// stamped by the wall clock into mmrfd-node's default 4,096-slot ring.
+/// The operands vary like an exchange's (peer, round seq); the ring wraps
+/// every 4,096 iterations, as a running node's does.
+void BM_FlightRecorderRecord(benchmark::State& state) {
+  obs::FlightRecorder recorder(4096, obs::wall_trace_clock());
+  std::uint32_t seq = 0;
+  for (auto _ : state) {
+    recorder.record(obs::TraceKind::kQueryTx, seq % 15, seq / 15);
+    benchmark::ClobberMemory();
+    ++seq;
+  }
+  benchmark::DoNotOptimize(recorder.recorded());
+}
+BENCHMARK(BM_FlightRecorderRecord);
 
 }  // namespace
 

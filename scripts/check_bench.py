@@ -46,6 +46,14 @@ exit 1 when any fresh row has a nonzero
   * trace_causal_violations — matched tx -> rx pairs the assembled trace
                               puts in the wrong order
 
+or when an exp_live row reads strong_completeness true while one of its
+crash_breakdowns entries reads a nonzero
+
+  * undetected              — observers the assembled trace shows never
+                              suspecting the victim for good, though the
+                              nodes' reports show every survivor did (a
+                              ring that wrapped past the suspect_add)
+
 and, in exp_scale artifacts, when a matched row differs at all in one of
 the fixed-seed columns (EXACT below). A simulated run is a pure function of
 its configuration, so any difference there is a behaviour change: commit
@@ -152,6 +160,14 @@ def main():
                 violations += 1
                 print(f"[VIOLATION] {fmt_key(key)} {column}: {row[column]} "
                       "(must be 0)")
+        if row.get("strong_completeness") is True:
+            for crash in row.get("crash_breakdowns", []):
+                if crash.get("undetected", 0) != 0:
+                    violations += 1
+                    print(f"[VIOLATION] {fmt_key(key)} crash_breakdowns "
+                          f"victim {crash.get('victim')}: undetected "
+                          f"{crash['undetected']} (the reports read strong "
+                          "completeness)")
         base = baseline.get(key)
         if base is None:
             unmatched += 1
@@ -199,8 +215,8 @@ def main():
     if regressions and not args.strict:
         print("check_bench: warn-only mode — not failing on timing bands")
     if violations:
-        print(f"check_bench: {violations} violation(s) of a must-be-zero or "
-              "fixed-seed column")
+        print(f"check_bench: {violations} violation(s) of a must-be-zero, "
+              "crash-breakdown or fixed-seed column")
     return 1 if violations or (regressions and args.strict) else 0
 
 

@@ -89,13 +89,12 @@ struct ResponseMessage {
   /// watermark for this peer and fall back to the full encoding.
   bool need_full{false};
 
-  /// Causal context: the responder's *own* current round sequence at the
-  /// moment it answered (0 = not carried). Piggybacked on the wire so a
-  /// received response names the remote round that produced it, letting
-  /// the TraceAssembler stitch per-node rings into one happened-before
-  /// graph. Purely observational — never read by the protocol. The
-  /// simulator leaves it 0, keeping encoded bytes and fixed-seed digests
-  /// identical.
+  /// The responder's *own* current round sequence at the moment it
+  /// answered (0 = not carried). The live path sets it and the round
+  /// driver records it as kPeerRound; nothing reads it: not the protocol,
+  /// and not the TraceAssembler, which matches exchanges on the echoed
+  /// `seq`. The simulator leaves it 0, keeping encoded bytes and
+  /// fixed-seed digests identical.
   QuerySeq origin_seq{0};
 
   friend bool operator==(const ResponseMessage&,

@@ -144,7 +144,7 @@ class RoundDriver {
                                              const QueryMessage& query) {
     trace(obs::TraceKind::kQueryRx, from.value, low32(query.seq));
     const ResponseMessage response = core_.on_query(from, query);
-    trace(obs::TraceKind::kResponseTxSeq, from.value, low32(response.seq));
+    trace(obs::TraceKind::kResponseTx, from.value, low32(response.seq));
     return response;
   }
 
@@ -152,7 +152,7 @@ class RoundDriver {
   /// deadline to the late wave, or without waves to the end of the grace.
   bool handle_response(TimePoint now, ProcessId from,
                        const ResponseMessage& response) {
-    trace(obs::TraceKind::kResponseRxSeq, from.value, low32(response.seq));
+    trace(obs::TraceKind::kResponseRx, from.value, low32(response.seq));
     if (response.origin_seq != 0) {
       trace(obs::TraceKind::kPeerRound, from.value, low32(response.origin_seq));
     }
@@ -174,7 +174,7 @@ class RoundDriver {
     for (const ProcessId to : peers) {
       if (skipped(to)) continue;
       auto query = payload_for(to);
-      trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq());
+      trace(obs::TraceKind::kQueryTx, to.value, round_seq());
       send(Outgoing{to, std::move(query)});
     }
     payloads_.clear();
@@ -195,7 +195,7 @@ class RoundDriver {
     const auto full = std::make_shared<const Message>(core_.full_query());
     for (const ProcessId to : peers) {
       if (!target(to)) continue;
-      trace(obs::TraceKind::kQueryTxSeq, to.value, round_seq());
+      trace(obs::TraceKind::kQueryTx, to.value, round_seq());
       send(Outgoing{to, full});
     }
   }

@@ -50,12 +50,6 @@ std::string_view trace_kind_name(TraceKind kind) {
       return "resend_wave";
     case TraceKind::kQuorum:
       return "quorum";
-    case TraceKind::kQueryTxSeq:
-      return "query_tx_seq";
-    case TraceKind::kResponseTxSeq:
-      return "response_tx_seq";
-    case TraceKind::kResponseRxSeq:
-      return "response_rx_seq";
     case TraceKind::kPeerRound:
       return "peer_round";
   }
@@ -64,11 +58,6 @@ std::string_view trace_kind_name(TraceKind kind) {
 
 FlightRecorder::FlightRecorder(std::size_t capacity, TraceClock clock)
     : clock_(clock), ring_(capacity == 0 ? 1 : capacity) {}
-
-void FlightRecorder::set_clock(TraceClock clock) {
-  std::lock_guard lock(mutex_);
-  clock_ = clock;
-}
 
 void FlightRecorder::record(TraceKind kind, std::uint32_t a,
                             std::uint32_t b) {

@@ -8,8 +8,8 @@
 // dump. A dump is the ring's one way out of a process: a live node writes
 // it once when it stops, or from its fatal-signal handler. The clock is
 // pluggable so the same recorder works stamped by simulated time inside a
-// deterministic run and by the wall clock inside a real process. The ring
-// is sized once at construction; only the suspicion section grows.
+// deterministic run and by the wall clock inside a real process. Clock and
+// ring size are fixed at construction; only the suspicion section grows.
 // Recording never draws randomness and never schedules events, so it is
 // safe to wire through the fixed-seed golden-digest paths.
 #pragma once
@@ -35,13 +35,18 @@ struct TraceClock {
 // UNIX-epoch nanoseconds from the system clock — the live-path default.
 TraceClock wall_trace_clock();
 
+// One record per protocol step, written only by core::DetectorCore (rounds,
+// suspicions, need_full, resync, give-up skips) and core::RoundDriver (the
+// exchange, resend waves, quorum, peer rounds). A tx record is stamped
+// before its send; the TraceAssembler matches the four exchange kinds by
+// (peer, seq) into cross-node query/response quadruples.
 enum class TraceKind : std::uint8_t {
   kRoundOpen = 1,    // a = round seq
   kRoundClose = 2,   // a = round seq, b = |suspected|
-  kQueryTx = 3,      // a = peer, b = encoded bytes
-  kQueryRx = 4,      // a = peer, b = query seq
-  kResponseTx = 5,   // a = peer, b = need_full (0/1)
-  kResponseRx = 6,   // a = peer, b = need_full (0/1)
+  kQueryTx = 3,      // a = peer, b = our round seq (low 32)
+  kQueryRx = 4,      // a = peer, b = query seq (low 32)
+  kResponseTx = 5,   // a = peer, b = echoed query seq (low 32)
+  kResponseRx = 6,   // a = peer, b = echoed query seq (low 32)
   kSuspectAdd = 7,   // a = subject, b = low 32 bits of tag
   kSuspectDrop = 8,  // a = subject, b = low 32 bits of tag
   kNeedFullTx = 9,   // a = peer (we could not decode their delta)
@@ -49,20 +54,13 @@ enum class TraceKind : std::uint8_t {
   kResync = 11,      // a = journal epoch at reset
   kGiveUpSkip = 12,  // a = peer skipped this round
   kResendWave = 13,  // a = wave number, b = silent peer count
-
-  // Causal-tracing kinds (PR 10): these name the *remote* event a local
-  // record was caused by, so the TraceAssembler can stitch per-node rings
-  // into one cross-node happened-before graph.
-  kQuorum = 14,         // a = round seq (low 32), b = responders at quorum
-  kQueryTxSeq = 15,     // a = peer, b = our round seq (low 32)
-  kResponseTxSeq = 16,  // a = peer, b = echoed query seq (low 32)
-  kResponseRxSeq = 17,  // a = peer, b = echoed query seq (low 32)
-  kPeerRound = 18,      // a = peer, b = peer's own round seq off the wire
+  kQuorum = 14,      // a = round seq (low 32), b = responders at quorum
+  kPeerRound = 15,   // a = peer, b = peer's own round seq off the wire
 };
 
 // Largest valid TraceKind value; anything outside [1, kMaxTraceKind] in a
 // loaded dump is a torn or corrupt record and gets dropped.
-inline constexpr std::uint8_t kMaxTraceKind = 18;
+inline constexpr std::uint8_t kMaxTraceKind = 15;
 
 std::string_view trace_kind_name(TraceKind kind);
 
@@ -80,8 +78,6 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity,
                           TraceClock clock = wall_trace_clock());
-
-  void set_clock(TraceClock clock);
 
   void record(TraceKind kind, std::uint32_t a = 0, std::uint32_t b = 0);
 
@@ -106,7 +102,7 @@ class FlightRecorder {
   // handler a concurrently-writing recorder may leave one torn record in
   // the ring; the loader drops records whose kind falls outside
   // [1, kMaxTraceKind]. Layout (little-endian):
-  //   8-byte magic "MMRTRCB1", u64 total, u64 capacity,
+  //   8-byte magic "MMRTRCB2", u64 total, u64 capacity,
   //   min(total, capacity) x { u64 t_ns, u64 seq, u32 a, u32 b, u8 kind }
   // Returns false if any write(2) fails.
   bool dump_binary_fd(int fd) const noexcept;
@@ -124,11 +120,11 @@ class FlightRecorder {
 
   // First bytes of every binary dump; a loader rejects a file without them.
   static constexpr char kBinaryMagic[8] = {'M', 'M', 'R', 'T',
-                                           'R', 'C', 'B', '1'};
+                                           'R', 'C', 'B', '2'};
 
  private:
   mutable std::mutex mutex_;
-  TraceClock clock_;
+  const TraceClock clock_;
   std::vector<TraceRecord> ring_;
   std::vector<TraceRecord> suspicions_;
   std::uint64_t total_{0};

@@ -95,23 +95,23 @@ AssembledTrace TraceAssembler::assemble() const {
   }
 
   // --- collect causal role maps ---------------------------------------------
-  // Per node: qt = queries we sent (kQueryTxSeq), qr = queries we received,
+  // Per node: qt = queries we sent (kQueryTx), qr = queries we received,
   // rt = responses we sent, rr = responses we received.
   std::map<std::uint32_t, RoleMap> qt, qr, rt, rr;
   for (const auto& [node, stream] : streams) {
     for (const NodeEvent& e : stream) {
       const TraceRecord& r = e.record;
       switch (r.kind) {
-        case TraceKind::kQueryTxSeq:
+        case TraceKind::kQueryTx:
           note(qt[node], r.a, r.b, r.t_ns);
           break;
         case TraceKind::kQueryRx:
           note(qr[node], r.a, r.b, r.t_ns);
           break;
-        case TraceKind::kResponseTxSeq:
+        case TraceKind::kResponseTx:
           note(rt[node], r.a, r.b, r.t_ns);
           break;
-        case TraceKind::kResponseRxSeq:
+        case TraceKind::kResponseRx:
           note(rr[node], r.a, r.b, r.t_ns);
           break;
         default:
@@ -326,12 +326,11 @@ AssembledTrace TraceAssembler::assemble() const {
         if (r.a != victim) continue;
         const std::int64_t t = align(node, r.t_ns);
         if (r.kind == TraceKind::kQueryRx ||
-            r.kind == TraceKind::kResponseRx ||
-            r.kind == TraceKind::kResponseRxSeq) {
+            r.kind == TraceKind::kResponseRx) {
           if (!timeline.last_heard_ns || t > *timeline.last_heard_ns) {
             timeline.last_heard_ns = t;
           }
-        } else if (r.kind == TraceKind::kQueryTxSeq && t >= crash_ns) {
+        } else if (r.kind == TraceKind::kQueryTx && t >= crash_ns) {
           if (!timeline.first_missed_ns || t < *timeline.first_missed_ns) {
             timeline.first_missed_ns = t;
           }
@@ -506,34 +505,6 @@ std::optional<std::vector<TraceRecord>> load_trace_records(
                             }),
                 records.end());
   return records;
-}
-
-std::optional<std::pair<std::uint32_t, std::uint32_t>> parse_trace_filename(
-    std::string_view filename) {
-  // node<i>.g<g>[...], the supervisor's report naming.
-  constexpr std::string_view kPrefix = "node";
-  if (filename.rfind(kPrefix, 0) != 0) return std::nullopt;
-  std::size_t pos = kPrefix.size();
-  const auto digits = [&](std::uint32_t& out_value) {
-    std::uint64_t v = 0;
-    std::size_t len = 0;
-    while (pos < filename.size() && filename[pos] >= '0' &&
-           filename[pos] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(filename[pos] - '0');
-      if (v > std::numeric_limits<std::uint32_t>::max()) return false;
-      ++pos;
-      ++len;
-    }
-    out_value = static_cast<std::uint32_t>(v);
-    return len > 0;
-  };
-  std::uint32_t node = 0;
-  std::uint32_t gen = 0;
-  if (!digits(node)) return std::nullopt;
-  if (filename.compare(pos, 2, ".g") != 0) return std::nullopt;
-  pos += 2;
-  if (!digits(gen)) return std::nullopt;
-  return std::make_pair(node, gen);
 }
 
 // --- run manifest ------------------------------------------------------------

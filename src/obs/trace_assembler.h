@@ -22,14 +22,14 @@
 //
 // Clocks: each node stamps its ring with its own clock. The assembler
 // estimates per-node skew NTP-style from matched query/response pairs —
-// the kQueryTxSeq / kQueryRx / kResponseTxSeq / kResponseRxSeq causal
-// records give (t1, t2, t3, t4) quadruples; the minimum-RTT sample per
-// directed pair yields the midpoint offset estimate, and a min-RTT
-// spanning tree (Prim) anchors every node to the lowest-id reference.
-// Midpoint errors add up along the tree, so the estimate is then relaxed
-// into the difference constraints every matched tx -> rx pair imposes
-// (offset(rx) - offset(tx) <= t_rx - t_tx): on consistent clocks no
-// aligned rx precedes its tx.
+// the round driver's kQueryTx / kQueryRx / kResponseTx / kResponseRx
+// records, matched by (peer, seq), give (t1, t2, t3, t4) quadruples; the
+// minimum-RTT sample per directed pair yields the midpoint offset
+// estimate, and a min-RTT spanning tree (Prim) anchors every node to the
+// lowest-id reference. Midpoint errors add up along the tree, so the
+// estimate is then relaxed into the difference constraints every matched
+// tx -> rx pair imposes (offset(rx) - offset(tx) <= t_rx - t_tx): on
+// consistent clocks no aligned rx precedes its tx.
 // With estimate_skew off (the simulator, where all rings share sim time)
 // alignment is the identity and assembled latencies reproduce
 // metrics::Analysis exactly — the differential test that certifies the
@@ -164,11 +164,6 @@ std::optional<std::vector<TraceRecord>> load_trace_records(
 /// peer does.
 [[nodiscard]] bool first_round_waited_for_wave(
     const std::vector<TraceRecord>& records);
-
-/// Parses node id and incarnation from a dump filename shaped like
-/// `node<i>.g<g>[...]` (the supervisor's report naming).
-std::optional<std::pair<std::uint32_t, std::uint32_t>> parse_trace_filename(
-    std::string_view filename);
 
 // --- run manifest ------------------------------------------------------------
 

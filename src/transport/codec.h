@@ -20,8 +20,9 @@
 // integer. Response payload:
 //   [uvarint seq][u8 flags][uvarint ack_epoch if flags&kHasAck]
 //   [uvarint origin_seq if flags&kHasOrigin]
-// origin_seq is the causal-tracing context (the responder's own round
-// sequence); only the live path sets it, so simulator bytes are unchanged.
+// origin_seq is the responder's own round sequence, recorded as kPeerRound
+// and read by nothing; only the live path sets it, so simulator bytes are
+// unchanged.
 // Decoding is total: malformed input yields nullopt, never UB.
 #pragma once
 

@@ -114,13 +114,8 @@ void RealTimeDetector::transmit() {
   for (const core::Outgoing& q : outgoing_) {
     const WireMessage& msg = *q.query;
     const auto& query = std::get<core::QueryMessage>(msg);
-    const auto bytes = wire_size(query);
     (query.is_delta() ? delta_queries_sent_ : full_queries_sent_)->add(1);
-    query_bytes_sent_->add(bytes);
-    // Stamped before the send: a peer on the same clock may stamp its rx
-    // before send() even returns.
-    trace(obs::TraceKind::kQueryTx, q.to.value,
-          static_cast<std::uint32_t>(bytes));
+    query_bytes_sent_->add(wire_size(query));
     if (!broadcast) transport_.send(q.to, msg);
   }
   if (broadcast) transport_.broadcast(*outgoing_.front().query);
@@ -141,13 +136,10 @@ void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
     if (response.need_full) need_full_sent_->add(1);
     responses_sent_->add(1);
     response_bytes_sent_->add(wire_size(response));
-    trace(obs::TraceKind::kResponseTx, from.value,
-          response.need_full ? 1 : 0);
     transport_.send(from, WireMessage{response});
   } else if (const auto* r = std::get_if<core::ResponseMessage>(&msg)) {
     responses_received_->add(1);
     if (r->need_full) need_full_received_->add(1);
-    trace(obs::TraceKind::kResponseRx, from.value, r->need_full ? 1 : 0);
     std::lock_guard lock(mutex_);
     driver_.handle_response(steady_now(), from, *r);
   }

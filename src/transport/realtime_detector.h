@@ -14,17 +14,18 @@
 // Supervisor's release). The mutex guards the driver only against
 // readers on other threads (suspected(), is_suspected(),
 // rounds_completed()). Only what needs the transport layer stays here: the
-// byte-sized kQueryTx/kResponseTx/kResponseRx stamps, the origin_seq piggyback,
-// and the rt.* registry instruments: full/delta query encodings and codec bytes
-// sent (socket-level egress counts as udp.*), queries and responses received
-// and sent, need_full resync requests sent (a delta named a base we never
-// acknowledged) and received, finished rounds, resend waves (the late wave in
-// the grace included), and the rt.round_rtt_ns histogram (issue to the
-// quorum-completing response, sampled as that response is handled).
+// origin_seq piggyback and the rt.* registry instruments: full/delta query
+// encodings and codec bytes sent (socket-level egress counts as udp.*),
+// queries and responses received and sent, need_full resync requests sent (a
+// delta named a base we never acknowledged) and received, finished rounds,
+// resend waves (the late wave in the grace included), and the rt.round_rtt_ns
+// histogram (issue to the quorum-completing response, sampled as that
+// response is handled).
 //
-// It attaches no SuspicionObserver: the core's kSuspectAdd/kSuspectDrop records
-// in config.recorder, kept whole by the recorder's suspicion section, are the
-// live path's suspicion history.
+// It writes no trace record: config.recorder goes to the driver and its core,
+// which record every protocol step once. It attaches no SuspicionObserver:
+// the core's kSuspectAdd/kSuspectDrop records, kept whole by the recorder's
+// suspicion section, are the live path's suspicion history.
 #pragma once
 
 #include <atomic>
@@ -63,8 +64,8 @@ struct RealTimeConfig {
   /// private one when null. Sharing one registry across the node's whole
   /// stack gives the report writer a single snapshot to embed.
   obs::MetricsRegistry* registry{nullptr};
-  /// Flight recorder for query/response/resend traces, forwarded to the
-  /// core for its round/suspicion records too (may be null).
+  /// Flight recorder handed to the round driver and its core, the ring's
+  /// only writers (may be null).
   obs::FlightRecorder* recorder{nullptr};
 };
 
@@ -101,9 +102,6 @@ class RealTimeDetector final : public core::FailureDetector {
   /// Sends the transmissions the driver planned.
   void transmit();
   void on_datagram(ProcessId from, const WireMessage& msg);
-  void trace(obs::TraceKind kind, std::uint32_t a, std::uint32_t b) const {
-    if (config_.recorder != nullptr) config_.recorder->record(kind, a, b);
-  }
 
   TypedTransport& transport_;
   RealTimeConfig config_;

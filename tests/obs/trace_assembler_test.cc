@@ -1,7 +1,7 @@
 // TraceAssembler unit suite: clock-skew recovery from synthetic rings with
 // injected offsets, causal-order preservation, incarnation merging, the
 // horizon clip, the binary dump loader (including torn fatal-signal
-// dumps), filename parsing and the manifest round-trip.
+// dumps) and the manifest round-trip.
 #include "obs/trace_assembler.h"
 
 #include <gtest/gtest.h>
@@ -33,10 +33,10 @@ class SyntheticCluster {
   void exchange(std::uint32_t a, std::uint32_t b, std::uint32_t seq,
                 std::uint64_t t1, std::uint64_t d_out, std::uint64_t proc,
                 std::uint64_t d_back) {
-    add(a, TraceKind::kQueryTxSeq, b, seq, t1);
+    add(a, TraceKind::kQueryTx, b, seq, t1);
     add(b, TraceKind::kQueryRx, a, seq, t1 + d_out);
-    add(b, TraceKind::kResponseTxSeq, a, seq, t1 + d_out + proc);
-    add(a, TraceKind::kResponseRxSeq, b, seq, t1 + d_out + proc + d_back);
+    add(b, TraceKind::kResponseTx, a, seq, t1 + d_out + proc);
+    add(a, TraceKind::kResponseRx, b, seq, t1 + d_out + proc + d_back);
   }
 
   void add(std::uint32_t node, TraceKind kind, std::uint32_t a,
@@ -164,12 +164,12 @@ TEST(TraceAssembler, SlowDriftStaysWithinToleranceAndCausallyOrdered) {
     // Node 1's clock gains 50 ppm: its stamps carry a drift that grows with
     // true time, applied by hand to its two legs of each quadruple.
     const auto drift = static_cast<std::int64_t>((t - kBase) / 20'000);
-    cluster.add(0, TraceKind::kQueryTxSeq, 1, s, t);
+    cluster.add(0, TraceKind::kQueryTx, 1, s, t);
     cluster.add(1, TraceKind::kQueryRx, 0, s,
                 t + 400'000 + static_cast<std::uint64_t>(drift));
-    cluster.add(1, TraceKind::kResponseTxSeq, 0, s,
+    cluster.add(1, TraceKind::kResponseTx, 0, s,
                 t + 420'000 + static_cast<std::uint64_t>(drift));
-    cluster.add(0, TraceKind::kResponseRxSeq, 1, s, t + 820'000);
+    cluster.add(0, TraceKind::kResponseRx, 1, s, t + 820'000);
   }
   const AssembledTrace trace = cluster.assembler().assemble();
   ASSERT_EQ(trace.skew.size(), 2u);
@@ -183,10 +183,10 @@ TEST(TraceAssembler, ResentExchangesAreExcludedFromSkewMatching) {
   SyntheticCluster cluster({0, 0});
   cluster.exchange(0, 1, 1, kBase, 400'000, 50'000, 400'000);
   cluster.exchange(0, 1, 2, kBase + 10'000'000, 400'000, 50'000, 400'000);
-  // Round 2's query was retransmitted: a second kQueryTxSeq with the same
+  // Round 2's query was retransmitted: a second kQueryTx with the same
   // (peer, seq) disqualifies the whole quadruple — which of the two sends
   // the rx answered is unknowable.
-  cluster.add(0, TraceKind::kQueryTxSeq, 1, 2, kBase + 11'000'000);
+  cluster.add(0, TraceKind::kQueryTx, 1, 2, kBase + 11'000'000);
   const AssembledTrace trace = cluster.assembler().assemble();
   EXPECT_EQ(trace.matched_pairs, 1u);
 }
@@ -345,7 +345,7 @@ TEST(TraceLoader, BinaryDumpRoundTripsAndNeedsItsMagic) {
   TempDir dir;
   FlightRecorder recorder(16, TraceClock{&fixed_clock, nullptr});
   recorder.record(TraceKind::kRoundOpen, 1);
-  recorder.record(TraceKind::kQueryTxSeq, 2, 1);
+  recorder.record(TraceKind::kQueryTx, 2, 1);
   recorder.record(TraceKind::kQuorum, 1, 5);
   recorder.record(TraceKind::kPeerRound, 3, 9);
 
@@ -358,10 +358,33 @@ TEST(TraceLoader, BinaryDumpRoundTripsAndNeedsItsMagic) {
   {
     std::ofstream out(dir.path("text.trace"));
     out << "123456789 #0 round_open a=1 b=0\n"
-           "123456789 #1 query_tx_seq a=2 b=1\n";
+           "123456789 #1 query_tx a=2 b=1\n";
   }
   EXPECT_FALSE(load_trace_records(dir.path("text.trace")).has_value());
   EXPECT_FALSE(load_trace_records(dir.path("missing.trace")).has_value());
+}
+
+TEST(TraceLoader, RejectsADumpOfTheOlderLayout) {
+  // MMRTRCB1 dumps numbered the kinds differently (18 of them) and carried
+  // other operands under the exchange kinds: misread, they would look like
+  // valid records, so the loader refuses the whole file.
+  TempDir dir;
+  FlightRecorder recorder(16, TraceClock{&fixed_clock, nullptr});
+  recorder.record(TraceKind::kRoundOpen, 1);
+  recorder.record(TraceKind::kQueryTx, 2, 1);
+  ASSERT_TRUE(recorder.dump_binary_to_file(dir.path("dump.trace")));
+  std::ifstream in(dir.path("dump.trace"), std::ios::binary);
+  std::string data((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_EQ(data.substr(0, 8), "MMRTRCB2");
+  data.replace(0, 8, "MMRTRCB1");
+  {
+    std::ofstream out(dir.path("old.trace"), std::ios::binary);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  }
+  EXPECT_TRUE(load_trace_records(dir.path("dump.trace")).has_value());
+  EXPECT_FALSE(load_trace_records(dir.path("old.trace")).has_value());
 }
 
 TEST(TraceLoader, BinaryLoaderDropsTornRecordsAndTruncatedTails) {
@@ -394,20 +417,6 @@ TEST(TraceLoader, BinaryLoaderDropsTornRecordsAndTruncatedTails) {
   const auto corrupt = load_trace_records(dir.path("corrupt.trace"));
   ASSERT_TRUE(corrupt.has_value());
   EXPECT_EQ(corrupt->size(), 5u);
-}
-
-TEST(TraceLoader, ParseTraceFilename) {
-  const auto a = parse_trace_filename("node3.g2.bin.trace");
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->first, 3u);
-  EXPECT_EQ(a->second, 2u);
-  const auto b = parse_trace_filename("node12.g0.bin");
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->first, 12u);
-  EXPECT_EQ(b->second, 0u);
-  EXPECT_FALSE(parse_trace_filename("foo.trace").has_value());
-  EXPECT_FALSE(parse_trace_filename("node.g1.trace").has_value());
-  EXPECT_FALSE(parse_trace_filename("node1g2.trace").has_value());
 }
 
 TEST(TraceManifestIo, RoundTrips) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -169,7 +170,8 @@ TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
   // skew is zero: assembled without skew estimation, a matched rx stamped
   // before its tx can only mean a tx stamp taken after its send(). Eight
   // nodes give every query fan-out seven sends for a fast peer thread
-  // to overtake.
+  // to overtake. Each exchange step leaves exactly one record, so every
+  // ring's exchange kinds count what the node's registry counts.
   constexpr std::uint32_t kN = 8;
   TypedHub h(kN);
   std::vector<std::unique_ptr<obs::FlightRecorder>> rings;
@@ -188,6 +190,26 @@ TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
     });
   }));
   for (auto& n : nodes) n->stop();
+
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_LE(rings[i]->recorded(), rings[i]->capacity()) << "node " << i;
+    std::map<obs::TraceKind, std::uint64_t> records;
+    for (const obs::TraceRecord& r : rings[i]->snapshot()) ++records[r.kind];
+    const obs::RegistrySnapshot rt = nodes[i]->metrics().snapshot();
+    EXPECT_EQ(records[obs::TraceKind::kQueryTx],
+              rt.counter_value("rt.full_queries_sent") +
+                  rt.counter_value("rt.delta_queries_sent"))
+        << "node " << i;
+    EXPECT_EQ(records[obs::TraceKind::kQueryRx],
+              rt.counter_value("rt.queries_received"))
+        << "node " << i;
+    EXPECT_EQ(records[obs::TraceKind::kResponseTx],
+              rt.counter_value("rt.responses_sent"))
+        << "node " << i;
+    EXPECT_EQ(records[obs::TraceKind::kResponseRx],
+              rt.counter_value("rt.responses_received"))
+        << "node " << i;
+  }
 
   obs::AssemblerOptions options;
   options.n = kN;
