@@ -390,8 +390,10 @@ int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
 }
 #endif  // MMRFD_HAVE_FORK
 
+/// `spike` is the sweep's --spike, recorded in every row: it changes the
+/// fixed-seed columns, so check_bench keys rows by it.
 [[nodiscard]] bool write_json(const std::vector<ScaleResult>& results,
-                              const std::string& path) {
+                              bool spike, const std::string& path) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "exp_scale: cannot open " << path << " for writing\n";
@@ -408,7 +410,9 @@ int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
        << ", \"delta\": " << (r.delta ? "true" : "false")
        << ", \"engine\": \"" << (r.shards > 0 ? "sharded" : "serial")
        << "\", \"shards\": " << r.shards
-       << ", \"horizon_s\": " << r.horizon_s << ", \"wall_s\": " << r.wall_s
+       << ", \"horizon_s\": " << r.horizon_s
+       << ", \"spike\": " << (spike ? "true" : "false")
+       << ", \"wall_s\": " << r.wall_s
        << ", \"events_fired\": " << r.events_fired
        << ", \"events_per_sec\": " << r.events_per_sec
        << ", \"messages_sent\": " << r.messages_sent
@@ -605,5 +609,5 @@ int main(int argc, char** argv) {
   } else {
     table.print(std::cout);
   }
-  return write_json(results, args.get("out")) ? 0 : 1;
+  return write_json(results, spike, args.get("out")) ? 0 : 1;
 }

@@ -63,13 +63,14 @@ core::QueryMessage query_with(const benchmark::State& state) {
 }
 
 // Args: {entries, shape}; shape 0 = random ids and tags, 1 = protocol-shaped.
+// 0 entries is the query that omits its counts (has-entries bit clear).
 const std::vector<std::vector<std::int64_t>> kShapes = {{0, 16, 128, 1024},
                                                         {0, 1}};
 
 void BM_EncodeQuery(benchmark::State& state) {
   const auto q = query_with(state);
   for (auto _ : state) {
-    auto bytes = encode_envelope(ProcessId{1}, q);
+    auto bytes = encode_message(q);
     benchmark::DoNotOptimize(bytes);
   }
   state.SetBytesProcessed(state.iterations() *
@@ -79,9 +80,9 @@ BENCHMARK(BM_EncodeQuery)->ArgsProduct(kShapes);
 
 void BM_DecodeQuery(benchmark::State& state) {
   const auto q = query_with(state);
-  const auto bytes = encode_envelope(ProcessId{1}, q);
+  const auto bytes = encode_message(q);
   for (auto _ : state) {
-    auto out = decode_envelope(bytes);
+    auto out = decode_message(bytes);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(state.iterations() *
@@ -101,14 +102,32 @@ void BM_WireSizeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_WireSizeQuery)->ArgsProduct(kShapes);
 
+/// A live response: the echoed seq, an ack and the responder's own round.
+core::ResponseMessage live_response() {
+  core::ResponseMessage r;
+  r.seq = 4321;
+  r.ack_epoch = 900;
+  r.origin_seq = 4320;
+  return r;
+}
+
 void BM_EncodeResponse(benchmark::State& state) {
-  const core::ResponseMessage r{42};
+  const core::ResponseMessage r = live_response();
   for (auto _ : state) {
-    auto bytes = encode_envelope(ProcessId{1}, r);
+    auto bytes = encode_message(r);
     benchmark::DoNotOptimize(bytes);
   }
 }
 BENCHMARK(BM_EncodeResponse);
+
+void BM_DecodeResponse(benchmark::State& state) {
+  const auto bytes = encode_message(live_response());
+  for (auto _ : state) {
+    auto out = decode_message(bytes);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_DecodeResponse);
 
 // One report snapshot as mmrfd-node's main thread takes it every
 // --flush-ms: the registry snapshot, the report's build and encode, and one

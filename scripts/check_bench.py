@@ -31,9 +31,10 @@ configuration key and flags metric movements outside a tolerance band:
                           wave; a count whose baseline is 0, so any fresh
                           nonzero value is flagged)
 
-The key includes the engine/shards columns exp_scale emits and the
-simulated horizon, so a serial and a sharded run of the same (n, f, seed),
-or a 15 s and a 20 s run, never get compared to each other.
+The key includes the engine/shards columns exp_scale emits, the simulated
+horizon and whether the run injected the delay spike, so a serial and a
+sharded run of the same (n, f, seed), a 15 s and a 20 s run, or a run with
+and one without the spike never get compared to each other.
 
 Timing bands are warn-only by default: bench hardware — CI runners above
 all — is far too noisy to gate merges on, so the output is a trend signal
@@ -45,6 +46,13 @@ exit 1 when any fresh row has a nonzero
 
   * trace_causal_violations — matched tx -> rx pairs the assembled trace
                               puts in the wrong order
+  * malformed               — exp_live: datagrams the codec refused
+                              (codec.malformed: undecodable bytes, or a
+                              source address that names no member)
+  * truncated               — exp_live: datagrams larger than the receive
+                              slot (udp.truncated)
+  * recv_errors             — exp_live: failed socket receives
+                              (udp.recv_errors)
 
 or when an exp_live row reads strong_completeness true while one of its
 crash_breakdowns entries reads a nonzero
@@ -89,7 +97,8 @@ METRICS = {
 }
 # Counts compared as counts: from a baseline of 0, any rise is flagged.
 COUNTS = ("first_round_waves",)
-KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards", "horizon_s")
+KEY_FIELDS = ("n", "f", "seed", "delta", "engine", "shards", "horizon_s",
+              "spike")
 # exp_scale columns that a fixed seed determines: they must match exactly.
 EXACT = (
     "events_fired",
@@ -102,7 +111,8 @@ EXACT = (
     "detection_max_s",
 )
 # Columns that must read 0 in every fresh row.
-MUST_BE_ZERO = ("trace_causal_violations",)
+MUST_BE_ZERO = ("trace_causal_violations", "malformed", "truncated",
+                "recv_errors")
 
 
 def load(path):

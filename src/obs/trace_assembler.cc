@@ -434,6 +434,8 @@ AssembledTrace TraceAssembler::assemble() const {
 // --- dump loading ------------------------------------------------------------
 
 bool first_round_waited_for_wave(const std::vector<TraceRecord>& records) {
+  // A ring whose oldest record is not seq 0 wrapped past the first round.
+  if (records.empty() || records.front().seq != 0) return false;
   for (const TraceRecord& r : records) {
     if (r.kind == TraceKind::kRoundClose) return false;
     if (r.kind == TraceKind::kResendWave) return true;

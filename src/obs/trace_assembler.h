@@ -158,10 +158,11 @@ class TraceAssembler {
 std::optional<std::vector<TraceRecord>> load_trace_records(
     const std::string& path);
 
-/// True when one node's ring (seq-ordered) holds a kResendWave before its
-/// first kRoundClose: that incarnation's first round, if the ring still
-/// holds it, waited for a wave, as one whose first query went to an unbound
-/// peer does.
+/// True when one node's ring (seq-ordered) starts at seq 0 and holds a
+/// kResendWave before its first kRoundClose: that incarnation's first round
+/// waited for a wave, as one whose first query went to an unbound peer
+/// does. A ring that wrapped (or lost its first record) no longer holds the
+/// first round, so it answers false.
 [[nodiscard]] bool first_round_waited_for_wave(
     const std::vector<TraceRecord>& records);
 

@@ -6,19 +6,19 @@
 namespace mmrfd::transport {
 
 namespace {
-constexpr std::uint8_t kTypeQuery = 1;
-constexpr std::uint8_t kTypeResponse = 2;
+// The flags byte's top bit is the message type.
+constexpr std::uint8_t kTypeResponse = 0x80;
 
-// Query payload flags.
-constexpr std::uint8_t kQueryDelta = 1;     // == QueryMessage::kDeltaFlag
-constexpr std::uint8_t kQueryHasEpoch = 2;  // epoch field present (nonzero)
+// Query flags.
+constexpr std::uint8_t kQueryDelta = 1;       // == QueryMessage::kDeltaFlag
+constexpr std::uint8_t kQueryHasEpoch = 2;    // epoch field present (nonzero)
+constexpr std::uint8_t kQueryHasEntries = 4;  // counts and entries present
 
-// Response payload flags.
+// Response flags.
 constexpr std::uint8_t kRespNeedFull = 1;
 constexpr std::uint8_t kRespHasAck = 2;    // ack_epoch field present (nonzero)
 constexpr std::uint8_t kRespHasOrigin = 4;  // origin_seq field present (nonzero)
 
-constexpr std::size_t kEnvelopeHeader = 4 + 1;  // sender + type
 constexpr std::size_t kMaxVarint = uvarint_size(~std::uint64_t{0});
 constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
@@ -98,13 +98,15 @@ std::optional<std::uint64_t> Decoder::uvarint() {
 }
 
 void encode(Encoder& e, const core::QueryMessage& m) {
-  e.uvarint(m.seq);
   std::uint8_t flags = 0;
   if (m.is_delta()) flags |= kQueryDelta;
   if (m.epoch != 0) flags |= kQueryHasEpoch;
+  if (!m.entries.empty()) flags |= kQueryHasEntries;
   e.u8(flags);
+  e.uvarint(m.seq);
   if (m.epoch != 0) e.uvarint(m.epoch);
   if (m.is_delta()) e.uvarint(m.base_epoch);
+  if (m.entries.empty()) return;
   e.uvarint(m.suspected_count);
   e.uvarint(m.entries.size());
   for_each_gap(m, [&e](std::uint32_t gap, Tag tag) {
@@ -114,22 +116,25 @@ void encode(Encoder& e, const core::QueryMessage& m) {
 }
 
 void encode(Encoder& e, const core::ResponseMessage& m) {
-  e.uvarint(m.seq);
-  std::uint8_t flags = 0;
+  std::uint8_t flags = kTypeResponse;
   if (m.need_full) flags |= kRespNeedFull;
   if (m.ack_epoch != 0) flags |= kRespHasAck;
   if (m.origin_seq != 0) flags |= kRespHasOrigin;
   e.u8(flags);
+  e.uvarint(m.seq);
   if (m.ack_epoch != 0) e.uvarint(m.ack_epoch);
   if (m.origin_seq != 0) e.uvarint(m.origin_seq);
 }
 
 std::optional<core::QueryMessage> decode_query(Decoder& d) {
   core::QueryMessage m;
-  const auto seq = d.uvarint();
   const auto flags = d.u8();
-  if (!seq || !flags) return std::nullopt;
-  if ((*flags & ~(kQueryDelta | kQueryHasEpoch)) != 0) return std::nullopt;
+  const auto seq = d.uvarint();
+  if (!flags || !seq) return std::nullopt;
+  // The type bit is clear, as is every bit no query flag names.
+  if ((*flags & ~(kQueryDelta | kQueryHasEpoch | kQueryHasEntries)) != 0) {
+    return std::nullopt;
+  }
   // A delta promises the receiver an epoch to ack; every real sender tracks
   // epochs in delta mode (epoch >= base_epoch > 0), so delta-without-epoch
   // only arises from corrupted flag bytes. Reject rather than hand the core
@@ -149,9 +154,11 @@ std::optional<core::QueryMessage> decode_query(Decoder& d) {
     if (!base) return std::nullopt;
     m.base_epoch = *base;
   }
+  if ((*flags & kQueryHasEntries) == 0) return m;
   const auto split = d.uvarint();
   const auto total = d.uvarint();
   if (!split || !total) return std::nullopt;
+  if (*total == 0) return std::nullopt;  // canonical: flag <=> entries
   if (*split > *total || *split > kMaxU32) return std::nullopt;  // lying split
   // Every entry takes at least 2 bytes: a count the rest of the datagram
   // cannot hold is a lying prefix, rejected before it can drive reserve().
@@ -171,10 +178,13 @@ std::optional<core::QueryMessage> decode_query(Decoder& d) {
 }
 
 std::optional<core::ResponseMessage> decode_response(Decoder& d) {
-  const auto seq = d.uvarint();
   const auto flags = d.u8();
-  if (!seq || !flags) return std::nullopt;
-  if ((*flags & ~(kRespNeedFull | kRespHasAck | kRespHasOrigin)) != 0) {
+  const auto seq = d.uvarint();
+  if (!flags || !seq) return std::nullopt;
+  // The type bit is set; every other bit is a response flag.
+  if ((*flags & kTypeResponse) == 0 ||
+      (*flags & ~(kTypeResponse | kRespNeedFull | kRespHasAck |
+                  kRespHasOrigin)) != 0) {
     return std::nullopt;
   }
   core::ResponseMessage m;
@@ -194,9 +204,10 @@ std::optional<core::ResponseMessage> decode_response(Decoder& d) {
 }
 
 std::size_t wire_size(const core::QueryMessage& m) {
-  std::size_t size = kEnvelopeHeader + uvarint_size(m.seq) + 1;  // + flags
+  std::size_t size = 1 + uvarint_size(m.seq);  // flags + seq
   if (m.epoch != 0) size += uvarint_size(m.epoch);
   if (m.is_delta()) size += uvarint_size(m.base_epoch);
+  if (m.entries.empty()) return size;
   size += uvarint_size(m.suspected_count) + uvarint_size(m.entries.size());
   for_each_gap(m, [&size](std::uint32_t gap, Tag tag) {
     size += uvarint_size(gap) + uvarint_size(tag);
@@ -205,50 +216,41 @@ std::size_t wire_size(const core::QueryMessage& m) {
 }
 
 std::size_t wire_size(const core::ResponseMessage& m) {
-  return kEnvelopeHeader + uvarint_size(m.seq) + 1 +
+  return 1 + uvarint_size(m.seq) +  // flags + seq
          (m.ack_epoch != 0 ? uvarint_size(m.ack_epoch) : 0) +
          (m.origin_seq != 0 ? uvarint_size(m.origin_seq) : 0);
 }
 
 std::size_t max_query_wire_size(std::uint32_t n) {
   const std::uint64_t entries = 2 * std::uint64_t{n};
-  return kEnvelopeHeader + 3 * kMaxVarint + 1 +  // seq, epochs, flags
-         2 * uvarint_size(entries) +             // suspected_count, total
+  return 1 + 3 * kMaxVarint +         // flags, seq, epochs
+         2 * uvarint_size(entries) +  // suspected_count, total
          entries * (uvarint_size(kMaxU32) + kMaxVarint);
 }
 
-std::vector<std::uint8_t> encode_envelope(ProcessId sender,
-                                          const WireMessage& m) {
-  Encoder e;
-  e.reserve(std::visit([](const auto& msg) { return wire_size(msg); }, m));
-  e.u32(sender.value);
-  if (const auto* q = std::get_if<core::QueryMessage>(&m)) {
-    e.u8(kTypeQuery);
-    encode(e, *q);
-  } else {
-    e.u8(kTypeResponse);
-    encode(e, std::get<core::ResponseMessage>(m));
-  }
-  return e.take();
+std::vector<std::uint8_t> encode_message(const WireMessage& m) {
+  return std::visit(
+      [](const auto& msg) {
+        Encoder e;
+        e.reserve(wire_size(msg));
+        encode(e, msg);
+        return e.take();
+      },
+      m);
 }
 
-std::optional<DecodedEnvelope> decode_envelope(
+std::optional<WireMessage> decode_message(
     std::span<const std::uint8_t> datagram) {
+  if (datagram.empty()) return std::nullopt;
   Decoder d(datagram);
-  const auto sender = d.u32();
-  const auto type = d.u8();
-  if (!sender || !type) return std::nullopt;
-  if (*type == kTypeQuery) {
+  if ((datagram.front() & kTypeResponse) == 0) {
     auto q = decode_query(d);
     if (!q || !d.exhausted()) return std::nullopt;
-    return DecodedEnvelope{ProcessId{*sender}, std::move(*q)};
+    return WireMessage{std::move(*q)};
   }
-  if (*type == kTypeResponse) {
-    auto r = decode_response(d);
-    if (!r || !d.exhausted()) return std::nullopt;
-    return DecodedEnvelope{ProcessId{*sender}, *r};
-  }
-  return std::nullopt;
+  const auto r = decode_response(d);
+  if (!r || !d.exhausted()) return std::nullopt;
+  return WireMessage{*r};
 }
 
 }  // namespace mmrfd::transport

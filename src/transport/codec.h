@@ -2,14 +2,19 @@
 //
 // Used by the real transports (UDP / in-memory) and by the
 // simulator's size hook to account bytes on the wire for every protocol
-// message. Every datagram is an envelope
-//   [u32 sender][u8 type][payload...]
-// (u32 little-endian). Every payload integer is a LEB128 varint: 7 value
-// bits per byte, the high bit marking continuation. Query payload:
-//   [uvarint seq][u8 flags][uvarint epoch if flags&kHasEpoch]
-//   [uvarint base_epoch if flags&kDelta][uvarint suspected_count]
-//   [uvarint total][total x (uvarint id_gap, uvarint tag)]
-// Entries [0, suspected_count) are suspicions, the rest mistakes. Each id
+// message. Every datagram is one message and nothing else: the transport
+// names its sender (UdpTransport from the source port, InMemoryHub from the
+// sending endpoint), so no byte of it repeats the address. A message starts
+// with its flags byte, whose top bit is the type (clear: query, set:
+// response); every integer after it is a LEB128 varint: 7 value bits per
+// byte, the high bit marking continuation. Query:
+//   [u8 flags][uvarint seq][uvarint epoch if flags&kHasEpoch]
+//   [uvarint base_epoch if flags&kDelta]
+//   [uvarint suspected_count][uvarint total]
+//   [total x (uvarint id_gap, uvarint tag)]  (these three if flags&kHasEntries)
+// A query with no entries leaves kHasEntries clear and omits both counts; a
+// set kHasEntries with total 0 is not canonical and is rejected. Entries
+// [0, suspected_count) are suspicions, the rest mistakes. Each id
 // travels as its gap from the previous id of its section, mod 2^32; the
 // first suspicion and the first mistake are coded against 0. Ids come from
 // the membership {0, ..., n-1} and the cores send sorted sets, so a gap
@@ -17,8 +22,8 @@
 // any entry order still round-trips exactly.
 // A delta query (flags & kDelta) lists only entries changed since
 // base_epoch; the stable remainder of the sets travels as that one interned
-// integer. Response payload:
-//   [uvarint seq][u8 flags][uvarint ack_epoch if flags&kHasAck]
+// integer. Response:
+//   [u8 flags][uvarint seq][uvarint ack_epoch if flags&kHasAck]
 //   [uvarint origin_seq if flags&kHasOrigin]
 // origin_seq is the responder's own round sequence, recorded as kPeerRound
 // and read by nothing; only the live path sets it, so simulator bytes are
@@ -83,12 +88,14 @@ class Decoder {
 
 // --- query-response protocol messages ---------------------------------------
 
+/// Each writes or reads one whole message, flags byte first; the decoders
+/// refuse a flags byte of the other type and leave trailing bytes unread.
 void encode(Encoder& e, const core::QueryMessage& m);
 void encode(Encoder& e, const core::ResponseMessage& m);
 [[nodiscard]] std::optional<core::QueryMessage> decode_query(Decoder& d);
 [[nodiscard]] std::optional<core::ResponseMessage> decode_response(Decoder& d);
 
-/// Exact wire size (envelope included), the simulator's size_fn: one
+/// Exact size of the message's datagram, the simulator's size_fn: one
 /// allocation-free pass over the entries.
 [[nodiscard]] std::size_t wire_size(const core::QueryMessage& m);
 [[nodiscard]] std::size_t wire_size(const core::ResponseMessage& m);
@@ -105,17 +112,15 @@ void encode(Encoder& e, const core::ResponseMessage& m);
 /// datagram buffers from it.
 [[nodiscard]] std::size_t max_query_wire_size(std::uint32_t n);
 
-// --- envelopes ---------------------------------------------------------------
+// --- datagrams --------------------------------------------------------------
 
 using WireMessage = std::variant<core::QueryMessage, core::ResponseMessage>;
 
-[[nodiscard]] std::vector<std::uint8_t> encode_envelope(ProcessId sender,
-                                                        const WireMessage& m);
-struct DecodedEnvelope {
-  ProcessId sender;
-  WireMessage message;
-};
-[[nodiscard]] std::optional<DecodedEnvelope> decode_envelope(
+/// One datagram: the message's bytes, wire_size(m) of them.
+[[nodiscard]] std::vector<std::uint8_t> encode_message(const WireMessage& m);
+/// The message a whole datagram holds; nullopt unless every byte belongs to
+/// one well-formed message.
+[[nodiscard]] std::optional<WireMessage> decode_message(
     std::span<const std::uint8_t> datagram);
 
 }  // namespace mmrfd::transport

@@ -4,15 +4,22 @@
 // counts into the node's one obs::MetricsRegistry under its own prefix:
 //
 //   RealTimeDetector            protocol driver                      rt.*
-//        │ WireMessage (typed), a direct call
-//   TypedTransport              codec: envelope encode/decode        codec.*
-//        │ datagrams (bytes), through DatagramTransport
+//        │ (sender, WireMessage), a direct call
+//   TypedTransport              codec: message encode/decode         codec.*
+//        │ (sender, bytes), through DatagramTransport
 //   [FaultyTransport]           optional: injected channel faults    fault.*
-//        │ datagrams (bytes), through DatagramTransport
+//        │ (sender, bytes), through DatagramTransport
 //   UdpTransport / InMemoryHub  sockets / in-process queues          udp.*
 //
 // DatagramTransport below is the stack's one interface: it is where tests
 // swap sockets for InMemoryHub queues and insert FaultyTransport.
+//
+// A datagram carries only its message. The bottom layer names the sender
+// from where the datagram came (UdpTransport: the source port, peer i
+// sending from base_port + i; InMemoryHub: the sending endpoint), so no
+// byte on the wire repeats the address and no corrupted byte can blame a
+// datagram on another peer. An address the transport cannot map comes up
+// as an id >= n, which TypedTransport drops as malformed.
 //
 // No layer owns a thread. The node's one protocol thread (RealTimeDetector)
 // calls poll(), which runs the receive path down the stack and hands each
@@ -36,11 +43,12 @@ namespace mmrfd::transport {
 
 class DatagramTransport {
  public:
-  /// Receive callback: the raw datagram bytes. Invoked inside poll(), on
-  /// the thread that called it; the payload is only valid for the duration
-  /// of the call.
-  using DatagramHandler =
-      std::function<void(std::span<const std::uint8_t> datagram)>;
+  /// Receive callback: the sender the transport names (an id >= n when it
+  /// cannot map the datagram's address to a peer) and the raw datagram
+  /// bytes. Invoked inside poll(), on the thread that called it; the
+  /// payload is only valid for the duration of the call.
+  using DatagramHandler = std::function<void(
+      ProcessId from, std::span<const std::uint8_t> datagram)>;
 
   virtual ~DatagramTransport() = default;
 

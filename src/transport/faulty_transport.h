@@ -16,8 +16,10 @@
 //
 // All decisions come from one seeded RNG under a mutex: a fixed seed gives
 // a reproducible fault schedule for a fixed send sequence. Receive is
-// passed through untouched — in a two-sided deployment each side's sender
-// perturbs its own output, which is where real networks damage datagrams.
+// passed through untouched, the sender the inner transport names included
+// — in a two-sided deployment each side's sender perturbs its own output,
+// which is where real networks damage datagrams. Corruption touches only
+// the bytes, never who sent them.
 //
 // Counters (FaultConfig::registry): fault.sent counts send() calls;
 // fault.dropped / fault.duplicated / fault.reordered / fault.corrupted /

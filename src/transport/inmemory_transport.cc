@@ -18,7 +18,7 @@ class InMemoryHub::Endpoint final : public DatagramTransport {
   void stop() override {}
 
   void poll(Duration max_wait) override {
-    std::deque<std::vector<std::uint8_t>> ready;
+    std::deque<Queued> ready;
     {
       std::unique_lock lock(mutex_);
       cv_.wait_for(lock, max_wait, [&] { return !queue_.empty(); });
@@ -26,12 +26,12 @@ class InMemoryHub::Endpoint final : public DatagramTransport {
     }
     // Delivered without the lock: the handler may send() to a peer, and
     // peers keep queueing here meanwhile.
-    for (const auto& datagram : ready) handler_(datagram);
+    for (const auto& [from, datagram] : ready) handler_(from, datagram);
   }
 
   void send(ProcessId to, std::span<const std::uint8_t> datagram) override {
     hub_.endpoints_.at(to.value)->push(
-        std::vector<std::uint8_t>(datagram.begin(), datagram.end()));
+        {self_, std::vector<std::uint8_t>(datagram.begin(), datagram.end())});
   }
 
   [[nodiscard]] ProcessId self() const override { return self_; }
@@ -40,10 +40,16 @@ class InMemoryHub::Endpoint final : public DatagramTransport {
   }
 
  private:
-  void push(std::vector<std::uint8_t> datagram) {
+  /// A datagram and the endpoint that sent it, which is its sender.
+  struct Queued {
+    ProcessId from;
+    std::vector<std::uint8_t> datagram;
+  };
+
+  void push(Queued queued) {
     {
       std::lock_guard lock(mutex_);
-      queue_.push_back(std::move(datagram));
+      queue_.push_back(std::move(queued));
     }
     cv_.notify_one();
   }
@@ -53,7 +59,7 @@ class InMemoryHub::Endpoint final : public DatagramTransport {
   DatagramHandler handler_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<std::vector<std::uint8_t>> queue_;  // guarded by mutex_
+  std::deque<Queued> queue_;  // guarded by mutex_
 };
 
 InMemoryHub::InMemoryHub(std::uint32_t n) {

@@ -1,9 +1,10 @@
 // In-memory transport: n endpoints exchanging raw datagrams through
-// per-receiver queues, each drained by whoever polls its endpoint. The
-// multi-threaded analogue of net::Network — one protocol thread per node,
-// real concurrency between nodes, loopback latency, no loss — used by the
-// transport integration tests; wrap an endpoint in a FaultyTransport for
-// lossy links.
+// per-receiver queues, each drained by whoever polls its endpoint. A queued
+// datagram keeps the id of the endpoint that sent it, which the receiver's
+// handler gets as the sender. The multi-threaded analogue of net::Network —
+// one protocol thread per node, real concurrency between nodes, loopback
+// latency, no loss — used by the transport integration tests; wrap an
+// endpoint in a FaultyTransport for lossy links.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,17 @@
 // TypedTransport — the codec layer: adapts any DatagramTransport (bytes) to
 // the typed messages (WireMessage) RealTimeDetector consumes, so the
 // simulator-verified protocol core runs over exactly the bytes a deployment
-// exchanges. Malformed datagrams are dropped, never surfaced, and counted in
-// the codec.malformed registry counter.
+// exchanges. Each datagram is one encoded message; its sender is the one
+// the datagram layer names. A datagram that does not decode, or whose
+// sender is not a member (an id >= n: an address the datagram layer could
+// not map), is dropped, never surfaced, and counted in the codec.malformed
+// registry counter.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "common/peer_range.h"
@@ -42,9 +46,10 @@ class TypedTransport final {
   /// that called it. Must be set before start().
   void set_handler(Handler handler) {
     handler_ = std::move(handler);
-    datagrams_.set_handler([this](std::span<const std::uint8_t> datagram) {
-      on_datagram(datagram);
-    });
+    datagrams_.set_handler(
+        [this](ProcessId from, std::span<const std::uint8_t> datagram) {
+          on_datagram(from, datagram);
+        });
   }
 
   void start() { datagrams_.start(); }
@@ -55,13 +60,13 @@ class TypedTransport final {
 
   /// Sends to one peer; the handler may call it.
   void send(ProcessId to, const WireMessage& msg) {
-    const auto bytes = encode_envelope(self(), msg);
+    const auto bytes = encode_message(msg);
     datagrams_.send(to, bytes);
   }
 
   /// Sends to every other process; the handler may call it.
   void broadcast(const WireMessage& msg) {
-    const auto bytes = encode_envelope(self(), msg);
+    const auto bytes = encode_message(msg);
     for (ProcessId to : PeerRange::all_but(self(), cluster_size())) {
       datagrams_.send(to, bytes);
     }
@@ -73,13 +78,14 @@ class TypedTransport final {
   }
 
  private:
-  void on_datagram(std::span<const std::uint8_t> datagram) {
-    auto decoded = decode_envelope(datagram);
-    if (!decoded || decoded->sender.value >= cluster_size()) {
+  void on_datagram(ProcessId from, std::span<const std::uint8_t> datagram) {
+    std::optional<WireMessage> message;
+    if (from.value < cluster_size()) message = decode_message(datagram);
+    if (!message) {
       malformed_->add(1);
       return;
     }
-    handler_(decoded->sender, decoded->message);
+    handler_(from, *message);
   }
 
   DatagramTransport& datagrams_;

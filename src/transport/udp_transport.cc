@@ -28,6 +28,20 @@ sockaddr_in peer_address(std::uint16_t base_port, ProcessId id) {
   return addr;
 }
 
+/// peer_address inverted: the peer that sends from `from`. A port outside
+/// [base_port, base_port + n) maps to an id >= n (unsigned, a port below
+/// base_port wraps far above any n), and a source that is not loopback
+/// IPv4 to kNoProcess.
+ProcessId sender_of(const sockaddr_in& from, socklen_t from_len,
+                    std::uint16_t base_port) {
+  if (from_len < sizeof from || from.sin_family != AF_INET ||
+      from.sin_addr.s_addr != htonl(INADDR_LOOPBACK)) {
+    return kNoProcess;
+  }
+  const std::uint32_t port = ntohs(from.sin_port);
+  return ProcessId{port - base_port};
+}
+
 #if defined(__linux__)
 constexpr std::size_t kRecvBatch = 16;
 #else
@@ -148,10 +162,13 @@ std::size_t UdpTransport::drain_ready() {
 #if defined(__linux__)
   mmsghdr msgs[kRecvBatch]{};
   iovec iov[kRecvBatch];
+  sockaddr_in from[kRecvBatch]{};
   for (std::size_t i = 0; i < kRecvBatch; ++i) {
     iov[i] = {recv_buffers_.data() + i * slot, slot};
     msgs[i].msg_hdr.msg_iov = &iov[i];
     msgs[i].msg_hdr.msg_iovlen = 1;
+    msgs[i].msg_hdr.msg_name = &from[i];
+    msgs[i].msg_hdr.msg_namelen = sizeof from[i];
   }
   const int got = ::recvmmsg(fd_, msgs, kRecvBatch, MSG_DONTWAIT, nullptr);
   if (got < 0) {
@@ -168,13 +185,18 @@ std::size_t UdpTransport::drain_ready() {
       truncated_->add(1);
       continue;  // partial datagram: dropped, but counted
     }
-    handler_(std::span<const std::uint8_t>(recv_buffers_.data() + i * slot,
+    handler_(sender_of(from[i], msgs[i].msg_hdr.msg_namelen,
+                       config_.base_port),
+             std::span<const std::uint8_t>(recv_buffers_.data() + i * slot,
                                            len));
   }
   return static_cast<std::size_t>(got);
 #else
-  const auto got = ::recvfrom(fd_, recv_buffers_.data(), slot, MSG_DONTWAIT,
-                              nullptr, nullptr);
+  sockaddr_in from{};
+  socklen_t from_len = sizeof from;
+  const auto got =
+      ::recvfrom(fd_, recv_buffers_.data(), slot, MSG_DONTWAIT,
+                 reinterpret_cast<sockaddr*>(&from), &from_len);
   if (got < 0) {
     if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
       recv_errors_->add(1);
@@ -183,7 +205,8 @@ std::size_t UdpTransport::drain_ready() {
   }
   datagrams_received_->add(1);
   bytes_received_->add(static_cast<std::uint64_t>(got));
-  handler_(std::span<const std::uint8_t>(recv_buffers_.data(),
+  handler_(sender_of(from, from_len, config_.base_port),
+           std::span<const std::uint8_t>(recv_buffers_.data(),
                                          static_cast<std::size_t>(got)));
   return 1;
 #endif

@@ -3,6 +3,12 @@
 // "messaging boilerplate" a real deployment needs — the repository's answer
 // to implementing the paper's exchange over sockets.
 //
+// The sender of a datagram is its source address, which recvmmsg reports
+// per slot: port base_port + i is process i. A datagram from any other
+// address (a port outside [base_port, base_port + n), or not loopback IPv4)
+// reaches the handler with an id >= n, which TypedTransport counts in
+// codec.malformed.
+//
 // Deliberate UDP fit: the protocol tolerates loss of RESPONSEs (a query
 // simply waits for other responders) and QUERYs are re-issued every round,
 // so datagram semantics cost only detection sharpness, never safety. (The
@@ -20,8 +26,9 @@
 // udp.bytes_received, and those larger than the receive slot (MSG_TRUNC,
 // dropped) also in udp.truncated; udp.recv_errors counts receive failures.
 // udp.datagrams_sent / udp.bytes_sent are what sendto() accepted — the
-// ground-truth wire bytes, all framing included. Gauge udp.rcvbuf_bytes is
-// the SO_RCVBUF the kernel actually granted (doubled on Linux).
+// ground-truth wire bytes: UDP payloads, each one encoded message. Gauge
+// udp.rcvbuf_bytes is the SO_RCVBUF the kernel actually granted (doubled on
+// Linux).
 #pragma once
 
 #include <cstdint>

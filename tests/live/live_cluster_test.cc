@@ -775,6 +775,10 @@ TEST(LiveCluster, NoFirstRoundWaitsForAResendWave) {
                               return r.kind == obs::TraceKind::kRoundClose;
                             }))
         << "node " << entry.node << " closed no round";
+    // A wrapped ring no longer holds the first round and answers false.
+    ASSERT_FALSE(records->empty()) << entry.file;
+    EXPECT_EQ(records->front().seq, 0u)
+        << "node " << entry.node << "'s ring wrapped past its first round";
     EXPECT_FALSE(obs::first_round_waited_for_wave(*records))
         << "node " << entry.node << "'s first round waited for a wave";
   }

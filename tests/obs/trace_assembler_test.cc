@@ -1,7 +1,7 @@
 // TraceAssembler unit suite: clock-skew recovery from synthetic rings with
 // injected offsets, causal-order preservation, incarnation merging, the
 // horizon clip, the binary dump loader (including torn fatal-signal
-// dumps) and the manifest round-trip.
+// dumps), the first-round wave check and the manifest round-trip.
 #include "obs/trace_assembler.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -417,6 +418,34 @@ TEST(TraceLoader, BinaryLoaderDropsTornRecordsAndTruncatedTails) {
   const auto corrupt = load_trace_records(dir.path("corrupt.trace"));
   ASSERT_TRUE(corrupt.has_value());
   EXPECT_EQ(corrupt->size(), 5u);
+}
+
+TEST(FirstRoundWave, OnlyARingThatHoldsItsFirstRoundAnswers) {
+  const auto ring = [](std::size_t capacity,
+                       std::initializer_list<TraceKind> kinds) {
+    FlightRecorder recorder(capacity, TraceClock{&fixed_clock, nullptr});
+    for (const TraceKind kind : kinds) recorder.record(kind);
+    return recorder.snapshot();
+  };
+  using K = TraceKind;
+  // The first round waits for a wave before it closes.
+  EXPECT_TRUE(first_round_waited_for_wave(
+      ring(16, {K::kRoundOpen, K::kQueryTx, K::kResendWave, K::kQuorum,
+                K::kRoundClose})));
+  // A wave in a later round is not the first round's.
+  EXPECT_FALSE(first_round_waited_for_wave(
+      ring(16, {K::kRoundOpen, K::kQueryTx, K::kQuorum, K::kRoundClose,
+                K::kRoundOpen, K::kResendWave})));
+  // A clean first round, then a second that waits for a wave; the 8-slot
+  // ring wraps past the first, so it keeps seqs 4-11, which hold a wave
+  // before their first round_close. That is not the first round.
+  const auto wrapped =
+      ring(8, {K::kRoundOpen, K::kQueryTx, K::kQuorum, K::kRoundClose,
+               K::kRoundOpen, K::kQueryTx, K::kQueryTx, K::kQueryTx,
+               K::kQueryTx, K::kResendWave, K::kQuorum, K::kRoundClose});
+  ASSERT_EQ(wrapped.front().seq, 4u);
+  EXPECT_FALSE(first_round_waited_for_wave(wrapped));
+  EXPECT_FALSE(first_round_waited_for_wave({}));
 }
 
 TEST(TraceManifestIo, RoundTrips) {

@@ -245,11 +245,13 @@ TEST(MmrCluster, GoldenDeltaWireBytesPinned) {
   // Recapture both constants together if the wire format changes on purpose.
   // Recaptured with the give-up-policy schedule change (fewer queries to
   // settled-suspected peers after the crash window — see the golden-digest
-  // comments above), again with the grace split, and with the LEB128
-  // format (varint headers and entries, id gaps), which took them from
-  // 283,514 and 212,009 bytes.
-  EXPECT_EQ(full_bytes, 101833u);
-  EXPECT_EQ(delta_bytes, 100448u);
+  // comments above), again with the grace split, with the LEB128 format
+  // (varint headers and entries, id gaps), which took them from 283,514
+  // and 212,009 bytes, and with datagrams that carry only the message (no
+  // sender or type bytes, no counts in a query without entries), which
+  // took them from 101,833 and 100,448 bytes.
+  EXPECT_EQ(full_bytes, 46328u);
+  EXPECT_EQ(delta_bytes, 36961u);
   EXPECT_LT(delta_bytes, full_bytes);
 }
 
@@ -263,8 +265,7 @@ TEST(MmrCluster, SizeHookCountsTheEncodedBytesOfEverySend) {
     std::uint64_t mismatches = 0;
     const auto stats = golden_wire_run(delta, [&](const MmrMessage& m) {
       const std::size_t size = message_wire_size(m);
-      // The envelope's sender is fixed-width: any id gives the same size.
-      if (transport::encode_envelope(ProcessId{0}, m).size() != size) {
+      if (transport::encode_message(m).size() != size) {
         ++mismatches;
       }
       ++checked;

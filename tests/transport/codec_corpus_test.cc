@@ -19,10 +19,10 @@
 namespace mmrfd::transport {
 namespace {
 
-/// A small corpus of well-formed envelopes covering every encoder branch:
+/// A small corpus of well-formed datagrams covering every encoder branch:
 /// full and delta queries, empty and populated entry lists, single- and
-/// multi-byte varints, responses with and without acks, need_full set and
-/// clear.
+/// multi-byte varints, responses with and without acks and origin
+/// sequences, need_full set and clear.
 std::vector<std::vector<std::uint8_t>> corpus() {
   std::vector<std::vector<std::uint8_t>> out;
 
@@ -30,7 +30,7 @@ std::vector<std::vector<std::uint8_t>> corpus() {
   full.seq = 7;
   full.entries = {{ProcessId{1}, 10}, {ProcessId{2}, 20}, {ProcessId{3}, 5}};
   full.suspected_count = 2;
-  out.push_back(encode_envelope(ProcessId{0}, WireMessage{full}));
+  out.push_back(encode_message(full));
 
   core::QueryMessage delta;
   delta.seq = 12345678901234ull;
@@ -39,11 +39,19 @@ std::vector<std::vector<std::uint8_t>> corpus() {
   delta.set_delta(true);
   delta.entries = {{ProcessId{9}, 42}};
   delta.suspected_count = 0;
-  out.push_back(encode_envelope(ProcessId{63}, WireMessage{delta}));
+  out.push_back(encode_message(delta));
 
   core::QueryMessage empty;
   empty.seq = 1;
-  out.push_back(encode_envelope(ProcessId{5}, WireMessage{empty}));
+  out.push_back(encode_message(empty));
+
+  // The steady-state delta: no entries, so no counts on the wire.
+  core::QueryMessage steady;
+  steady.seq = 130;
+  steady.epoch = 40;
+  steady.base_epoch = 40;
+  steady.set_delta(true);
+  out.push_back(encode_message(steady));
 
   // Multi-byte varints in every field: 2-10 byte seq, epochs and tags, and
   // id gaps of 2-5 bytes, including one that wraps mod 2^32.
@@ -58,25 +66,32 @@ std::vector<std::vector<std::uint8_t>> corpus() {
                   {ProcessId{40000}, std::uint64_t{1} << 35},
                   {ProcessId{5}, 0}};
   wide.suspected_count = 3;
-  out.push_back(encode_envelope(ProcessId{999}, WireMessage{wide}));
+  out.push_back(encode_message(wide));
 
   core::ResponseMessage ack;
   ack.seq = 7;
   ack.ack_epoch = 987654;
-  out.push_back(encode_envelope(ProcessId{2}, WireMessage{ack}));
+  out.push_back(encode_message(ack));
 
   core::ResponseMessage needy;
   needy.seq = 8;
   needy.need_full = true;
-  out.push_back(encode_envelope(ProcessId{2}, WireMessage{needy}));
+  out.push_back(encode_message(needy));
+
+  // A live response: an ack and the responder's own round sequence.
+  core::ResponseMessage live;
+  live.seq = 200;
+  live.ack_epoch = 41;
+  live.origin_seq = 199;
+  out.push_back(encode_message(live));
 
   return out;
 }
 
 /// Structural invariants any *accepted* datagram must satisfy — the
 /// properties the detector core relies on without re-checking.
-void check_accepted(const DecodedEnvelope& env) {
-  if (const auto* q = std::get_if<core::QueryMessage>(&env.message)) {
+void check_accepted(const WireMessage& message) {
+  if (const auto* q = std::get_if<core::QueryMessage>(&message)) {
     ASSERT_LE(q->suspected_count, q->entries.size());
     if (q->is_delta()) {
       // A delta promises a base; the epoch flag is canonical.
@@ -91,9 +106,9 @@ TEST(CodecCorpus, EveryStrictPrefixIsRejected) {
   // is part of acceptance).
   for (const auto& datagram : corpus()) {
     for (std::size_t len = 0; len < datagram.size(); ++len) {
-      const auto env = decode_envelope(
+      const auto message = decode_message(
           std::span<const std::uint8_t>(datagram.data(), len));
-      EXPECT_FALSE(env.has_value()) << "prefix of length " << len;
+      EXPECT_FALSE(message.has_value()) << "prefix of length " << len;
     }
   }
 }
@@ -101,12 +116,12 @@ TEST(CodecCorpus, EveryStrictPrefixIsRejected) {
 TEST(CodecCorpus, TrailingGarbageIsRejected) {
   for (auto datagram : corpus()) {
     datagram.push_back(0);
-    EXPECT_FALSE(decode_envelope(datagram).has_value());
+    EXPECT_FALSE(decode_message(datagram).has_value());
   }
 }
 
 TEST(CodecCorpus, BitFlippedCorpusNeverTripsTheDecoder) {
-  // 20k mutated datagrams: 1-8 random byte XORs against a valid envelope.
+  // 20k mutated datagrams: 1-8 random byte XORs against a valid datagram.
   // Some decode (a flipped tag byte is indistinguishable from a different
   // valid message) — those must still satisfy the structural invariants.
   Xoshiro256 rng(0xC0DEC);
@@ -120,10 +135,10 @@ TEST(CodecCorpus, BitFlippedCorpusNeverTripsTheDecoder) {
       datagram[draw % datagram.size()] ^=
           static_cast<std::uint8_t>((draw >> 32) | 1);
     }
-    const auto env = decode_envelope(datagram);
-    if (env) {
+    const auto message = decode_message(datagram);
+    if (message) {
       ++accepted;
-      check_accepted(*env);
+      check_accepted(*message);
     }
   }
   // The corpus is tiny relative to the format space, but flips that only
@@ -136,8 +151,8 @@ TEST(CodecCorpus, RandomGarbageNeverTripsTheDecoder) {
   for (int iter = 0; iter < 20000; ++iter) {
     std::vector<std::uint8_t> garbage(rng.next_below(128));
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next());
-    const auto env = decode_envelope(garbage);
-    if (env) check_accepted(*env);
+    const auto message = decode_message(garbage);
+    if (message) check_accepted(*message);
   }
 }
 
@@ -148,8 +163,8 @@ TEST(CodecCorpus, LyingEntryCountIsRejectedWithoutAllocating) {
   // totals would ask for 64 GiB and more than max_size().
   const auto query = [](std::uint64_t total, std::size_t entry_bytes) {
     Encoder e;
+    e.u8(4);       // flags: query with entries
     e.uvarint(1);  // seq
-    e.u8(0);       // flags
     e.uvarint(0);  // suspected_count
     e.uvarint(total);
     for (std::size_t i = 0; i < entry_bytes; ++i) e.u8(1);
@@ -185,14 +200,15 @@ TEST(CodecCorpus, OversizedVarintIsRejected) {
   EXPECT_FALSE(d2.uvarint().has_value());
 }
 
-TEST(CodecCorpus, ValidEnvelopesRoundTrip) {
+TEST(CodecCorpus, ValidDatagramsRoundTrip) {
   for (const auto& datagram : corpus()) {
-    const auto env = decode_envelope(datagram);
-    ASSERT_TRUE(env.has_value());
+    const auto message = decode_message(datagram);
+    ASSERT_TRUE(message.has_value());
     // Canonical re-encode: decode(encode(decode(x))) == decode(x) and the
     // bytes match — the corpus is minimally encoded.
-    const auto re = encode_envelope(env->sender, env->message);
-    EXPECT_EQ(re, datagram);
+    EXPECT_EQ(encode_message(*message), datagram);
+    EXPECT_EQ(std::visit([](const auto& m) { return wire_size(m); }, *message),
+              datagram.size());
   }
 }
 

@@ -4,9 +4,9 @@
 // knobs off, deterministic fault schedules per seed, duplicate/drop
 // accounting, the one-slot holdback reorder (delivery still lossless), and
 // corruption/truncation that always emits a *different* or *shorter*
-// datagram — never a crash, never a stealth drop at shutdown. The last case
-// runs the whole detector stack over links that drop a quarter of all
-// datagrams.
+// datagram — never a crash, never a stealth drop at shutdown — and never
+// one the receiver takes for another peer's. The last case runs the whole
+// detector stack over links that drop a quarter of all datagrams.
 #include "transport/faulty_transport.h"
 
 #include <gtest/gtest.h>
@@ -43,7 +43,8 @@ bool eventually(Cond cond, std::chrono::milliseconds budget = 10000ms) {
 class Sink {
  public:
   void attach(DatagramTransport& t) {
-    t.set_handler([this](std::span<const std::uint8_t> d) {
+    t.set_handler([this](ProcessId from, std::span<const std::uint8_t> d) {
+      senders_.push_back(from);
       received_.emplace_back(d.begin(), d.end());
     });
   }
@@ -51,16 +52,21 @@ class Sink {
       const {
     return received_;
   }
+  /// The sender the transport named for each received datagram.
+  [[nodiscard]] const std::vector<ProcessId>& senders() const {
+    return senders_;
+  }
   [[nodiscard]] std::size_t count() const { return received_.size(); }
 
  private:
   std::vector<std::vector<std::uint8_t>> received_;
+  std::vector<ProcessId> senders_;
 };
 
 /// The faulty side of these tests only sends, but InMemoryHub asserts (in
 /// debug builds) that every started endpoint has a receive handler.
 void start_send_only(DatagramTransport& t) {
-  t.set_handler([](std::span<const std::uint8_t>) {});
+  t.set_handler([](ProcessId, std::span<const std::uint8_t>) {});
   t.start();
 }
 
@@ -88,6 +94,7 @@ TEST(FaultyTransport, AllKnobsOffIsByteExactPassthrough) {
   const auto& got = sink.received();
   for (std::uint32_t i = 0; i < 50; ++i) {
     EXPECT_EQ(got[i], payload(i)) << i;
+    EXPECT_EQ(sink.senders()[i], ProcessId{0}) << i;
   }
   const obs::RegistrySnapshot s = metrics.snapshot();
   EXPECT_EQ(s.counter_value("fault.sent"), 50u);
@@ -254,6 +261,55 @@ TEST(FaultyTransport, CorruptionChangesBytesButNeverLength) {
   // An even number of flips on the same byte can cancel out — rare, not
   // impossible; the overwhelming majority must differ.
   EXPECT_GT(changed, kSends * 9 / 10);
+  faulty.stop();
+}
+
+TEST(FaultyTransport, CorruptionNeverDeliversADatagramAsAnotherPeers) {
+  // Corruption flips bytes, never the sender: the receiving transport names
+  // it (here the sending endpoint, on UDP the source port), so each of
+  // p1's damaged datagrams is dropped as malformed or delivered as p1's,
+  // whatever ids its bytes mention.
+  constexpr std::uint32_t kN = 4;
+  InMemoryHub hub(kN);
+  obs::MetricsRegistry metrics;
+  FaultConfig cfg;
+  cfg.corrupt_rate = 1.0;
+  cfg.seed = 11;
+  cfg.registry = &metrics;
+  FaultyTransport faulty(hub.endpoint(ProcessId{1}), cfg);
+  start_send_only(faulty);
+  TypedTransport rx(hub.endpoint(ProcessId{0}), &metrics);
+  std::vector<ProcessId> senders;
+  rx.set_handler(
+      [&](ProcessId from, const WireMessage&) { senders.push_back(from); });
+  rx.start();
+  constexpr std::uint32_t kSends = 2000;
+  for (std::uint32_t i = 1; i <= kSends; ++i) {
+    WireMessage m;
+    if (i % 2 == 0) {
+      core::QueryMessage q;
+      q.seq = i;
+      q.epoch = i;
+      q.push_suspected({ProcessId{i % kN}, i});
+      q.push_mistake({ProcessId{(i + 1) % kN}, i});
+      m = q;
+    } else {
+      core::ResponseMessage r;
+      r.seq = i;
+      r.ack_epoch = i;
+      m = r;
+    }
+    faulty.send(ProcessId{0}, encode_message(m));
+  }
+  rx.poll(Duration::zero());
+  EXPECT_EQ(metrics.counter("fault.corrupted").value(), kSends);
+  const std::uint64_t malformed = metrics.counter("codec.malformed").value();
+  // Flips that land in value bytes still decode; the rest do not.
+  EXPECT_GT(senders.size(), 0u);
+  EXPECT_GT(malformed, 0u);
+  EXPECT_EQ(senders.size() + malformed, kSends);
+  EXPECT_EQ(std::count(senders.begin(), senders.end(), ProcessId{1}),
+            static_cast<std::ptrdiff_t>(senders.size()));
   faulty.stop();
 }
 

@@ -3,13 +3,18 @@
 // cases poll them on the test thread; the detector cases use generous
 // wall-clock budgets and liveness-style assertions (eventually-suspects /
 // eventually-clean) to stay robust on loaded CI machines.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -81,7 +86,10 @@ TEST(InMemoryTransport, BroadcastReachesAllOthers) {
   TypedHub h(4);
   int got = 0;
   for (std::uint32_t i = 0; i < 4; ++i) {
-    h.at(i).set_handler([&](ProcessId, const WireMessage&) { ++got; });
+    h.at(i).set_handler([&](ProcessId from, const WireMessage&) {
+      EXPECT_EQ(from, ProcessId{2});  // the hub names the sending endpoint
+      ++got;
+    });
     h.at(i).start();
   }
   h.at(2).broadcast(core::ResponseMessage{1});
@@ -98,13 +106,69 @@ TEST(TypedTransport, MalformedDatagramsCountedAndDropped) {
   typed.start();
   const std::vector<std::uint8_t> junk{1, 2, 3};
   hub.endpoint(ProcessId{0})
-      .set_handler([](std::span<const std::uint8_t>) {});
+      .set_handler([](ProcessId, std::span<const std::uint8_t>) {});
   hub.endpoint(ProcessId{0}).start();
   hub.endpoint(ProcessId{0}).send(ProcessId{1}, junk);
   typed.poll(Duration::zero());
   EXPECT_EQ(metrics.counter("codec.malformed").value(), 1u);
   EXPECT_EQ(got, 0);
   typed.stop();
+}
+
+TEST(UdpTransport, DatagramFromAPortOutsideTheClusterIsCountedMalformed) {
+  // Process i sends from base_port + i, and that port is all that names a
+  // datagram's sender. Well-formed messages from a socket bound just below
+  // the cluster's ports, one just above them, and an unbound (ephemeral
+  // port) socket name no member: each is dropped and counted malformed,
+  // while the same message from p0 is delivered as p0's.
+  constexpr std::uint16_t kBase = 39230;
+  obs::MetricsRegistry metrics;
+  UdpTransport t0({ProcessId{0}, 2, kBase});
+  UdpTransport t1({ProcessId{1}, 2, kBase, 0, &metrics});
+  TypedTransport typed0(t0);
+  TypedTransport typed1(t1, &metrics);
+  std::vector<ProcessId> senders;
+  typed0.set_handler([](ProcessId, const WireMessage&) {});
+  typed1.set_handler(
+      [&](ProcessId from, const WireMessage&) { senders.push_back(from); });
+  try {
+    typed0.start();
+    typed1.start();
+  } catch (const std::system_error& e) {
+    GTEST_SKIP() << "UDP loopback unavailable: " << e.what();
+  }
+  const auto bytes = encode_message(core::ResponseMessage{7});
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(kBase + 1);
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  for (const std::uint16_t port : {kBase - 1, kBase + 2, 0}) {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    ASSERT_GE(fd, 0);
+    if (port != 0) {
+      sockaddr_in local = to;
+      local.sin_port = htons(port);
+      if (::bind(fd, reinterpret_cast<const sockaddr*>(&local),
+                 sizeof local) != 0) {
+        ::close(fd);
+        GTEST_SKIP() << "port " << port << " is in use";
+      }
+    }
+    EXPECT_EQ(::sendto(fd, bytes.data(), bytes.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&to), sizeof to),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fd);
+  }
+  typed0.send(ProcessId{1}, core::ResponseMessage{7});
+  const obs::Counter& malformed = metrics.counter("codec.malformed");
+  EXPECT_TRUE(eventually([&] {
+    typed1.poll(from_millis(50));
+    return metrics.counter("udp.datagrams_received").value() == 4;
+  }));
+  EXPECT_EQ(malformed.value(), 3u);
+  EXPECT_EQ(senders, std::vector<ProcessId>{ProcessId{0}});
+  typed0.stop();
+  typed1.stop();
 }
 
 TEST(RealTimeDetector, InMemoryClusterRunsRoundsAndStaysClean) {
@@ -259,9 +323,10 @@ TEST(UdpTransport, PollDeliversEveryReadyDatagramOnTheCallingThread) {
   std::vector<std::uint8_t> got;
   std::size_t off_thread = 0;
   const auto caller = std::this_thread::get_id();
-  tx.set_handler([](std::span<const std::uint8_t>) {});
-  rx.set_handler([&](std::span<const std::uint8_t> d) {
+  tx.set_handler([](ProcessId, std::span<const std::uint8_t>) {});
+  rx.set_handler([&](ProcessId from, std::span<const std::uint8_t> d) {
     if (std::this_thread::get_id() != caller) ++off_thread;
+    EXPECT_EQ(from, ProcessId{0});  // named from the source port
     got.push_back(d.empty() ? 0 : d[0]);
   });
   try {
