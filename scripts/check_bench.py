@@ -34,7 +34,10 @@ configuration key and flags metric movements outside a tolerance band:
 The key includes the engine/shards columns exp_scale emits, the simulated
 horizon and whether the run injected the delay spike, so a serial and a
 sharded run of the same (n, f, seed), a 15 s and a 20 s run, or a run with
-and one without the spike never get compared to each other.
+and one without the spike never get compared to each other. The two
+artifacts' rows must hold the same key fields: where they differ, no row
+can match and nothing would be compared, so the script names the fields
+and exits 1.
 
 Timing bands are warn-only by default: bench hardware — CI runners above
 all — is far too noisy to gate merges on, so the output is a trend signal
@@ -61,6 +64,12 @@ crash_breakdowns entries reads a nonzero
                               suspecting the victim for good, though the
                               nodes' reports show every survivor did (a
                               ring that wrapped past the suspect_add)
+
+or, where every entry reads 0 undetected, when the observer-weighted mean
+of the entries' latency_mean_ms differs from detection_mean_s x 1000 by
+more than a relative 1e-5 (the artifact's 6-digit rounding): the rings and
+the kill stamps read one host clock, so the trace's latencies are
+metrics::Analysis's own,
 
 and, in exp_scale artifacts, when a matched row differs at all in one of
 the fixed-seed columns (EXACT below). A simulated run is a pure function of
@@ -113,6 +122,9 @@ EXACT = (
 # Columns that must read 0 in every fresh row.
 MUST_BE_ZERO = ("trace_causal_violations", "malformed", "truncated",
                 "recv_errors")
+# exp_live prints 6 significant digits: two such roundings of one mean stay
+# within this relative distance.
+BREAKDOWN_RTOL = 1e-5
 
 
 def load(path):
@@ -134,6 +146,40 @@ def row_key(row):
 
 def fmt_key(key):
     return " ".join(f"{k}={v}" for k, v in key)
+
+
+def key_fields(rows):
+    return {k for r in rows for k in KEY_FIELDS if k in r}
+
+
+def breakdown_violations(row, key):
+    """Prints and counts the violations of a row's crash_breakdowns: an
+    observer the trace missed, or, with none missed, a latency mean off
+    metrics::Analysis's. Applies only where the reports read strong
+    completeness."""
+    if row.get("strong_completeness") is not True:
+        return 0
+    breakdowns = row.get("crash_breakdowns", [])
+    violations = 0
+    for crash in breakdowns:
+        if crash.get("undetected", 0) != 0:
+            violations += 1
+            print(f"[VIOLATION] {fmt_key(key)} crash_breakdowns "
+                  f"victim {crash.get('victim')}: undetected "
+                  f"{crash['undetected']} (the reports read strong "
+                  "completeness)")
+    observers = sum(crash.get("observers", 0) for crash in breakdowns)
+    if violations or observers == 0:
+        return violations
+    traced = sum(float(crash["latency_mean_ms"]) * crash["observers"]
+                 for crash in breakdowns) / observers
+    analysis = float(row["detection_mean_s"]) * 1000
+    if abs(traced - analysis) > BREAKDOWN_RTOL * abs(analysis):
+        violations += 1
+        print(f"[VIOLATION] {fmt_key(key)} crash_breakdowns: latency mean "
+              f"{traced:.6g} ms, detection_mean_s {analysis:.6g} ms (the "
+              "trace must agree with metrics::Analysis)")
+    return violations
 
 
 def main():
@@ -163,6 +209,13 @@ def main():
     compared = 0
     unmatched = 0
     violations = 0
+    base_fields = key_fields(baseline_rows)
+    fresh_fields = key_fields(fresh_rows)
+    if base_fields != fresh_fields:
+        violations += 1
+        print("[VIOLATION] key fields differ, so no row can match: only the "
+              f"baseline's rows hold {sorted(base_fields - fresh_fields)}, "
+              f"only the fresh rows hold {sorted(fresh_fields - base_fields)}")
     for row in fresh_rows:
         key = row_key(row)
         for column in MUST_BE_ZERO:
@@ -170,14 +223,7 @@ def main():
                 violations += 1
                 print(f"[VIOLATION] {fmt_key(key)} {column}: {row[column]} "
                       "(must be 0)")
-        if row.get("strong_completeness") is True:
-            for crash in row.get("crash_breakdowns", []):
-                if crash.get("undetected", 0) != 0:
-                    violations += 1
-                    print(f"[VIOLATION] {fmt_key(key)} crash_breakdowns "
-                          f"victim {crash.get('victim')}: undetected "
-                          f"{crash['undetected']} (the reports read strong "
-                          "completeness)")
+        violations += breakdown_violations(row, key)
         base = baseline.get(key)
         if base is None:
             unmatched += 1
@@ -225,8 +271,8 @@ def main():
     if regressions and not args.strict:
         print("check_bench: warn-only mode — not failing on timing bands")
     if violations:
-        print(f"check_bench: {violations} violation(s) of a must-be-zero, "
-              "crash-breakdown or fixed-seed column")
+        print(f"check_bench: {violations} violation(s) of the key fields or "
+              "of a must-be-zero, crash-breakdown or fixed-seed column")
     return 1 if violations or (regressions and args.strict) else 0
 
 

@@ -133,7 +133,7 @@ int node_main(int argc, const char* const* argv) {
   }
   // Event stamps count from the run's origin: the release's, or this
   // process's start without a control socket.
-  std::uint64_t origin_ns = wall_clock_ns();
+  std::uint64_t origin_ns = obs::wall_clock_ns();
 
   for (const int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE}) {
     std::signal(sig, on_fatal_signal);
@@ -247,7 +247,7 @@ int node_main(int argc, const char* const* argv) {
     r.delta = rcfg.detector.delta_queries;
     r.pacing_ns = static_cast<std::uint64_t>(rcfg.pacing.count());
     r.origin_ns = origin_ns;
-    const std::uint64_t now = wall_clock_ns();
+    const std::uint64_t now = obs::wall_clock_ns();
     r.snapshot_ns = now > origin_ns ? now - origin_ns : 0;
     r.rounds = detector.rounds_completed();
     r.metrics = registry.snapshot();

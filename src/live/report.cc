@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <utility>
 
 #include "transport/codec.h"
@@ -351,13 +350,6 @@ bool ReportWriter::write(const NodeReport& r) {
   len_[slot] = buf_.size();
   written_ = seq;
   return true;
-}
-
-std::uint64_t wall_clock_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
 }
 
 std::optional<NodeReport> read_report_file(const std::string& path) {

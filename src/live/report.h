@@ -122,9 +122,4 @@ class ReportWriter {
 [[nodiscard]] std::optional<NodeReport> read_report_file(
     const std::string& path);
 
-/// Current wall clock as UNIX nanoseconds — THE clock of the live
-/// subsystem. Node event stamps and the supervisor's crash stamps must be
-/// subtracted from each other, so both sides use this one helper.
-[[nodiscard]] std::uint64_t wall_clock_ns();
-
 }  // namespace mmrfd::live

@@ -21,6 +21,7 @@
 #include "live/control.h"
 #include "metrics/analysis.h"
 #include "metrics/event_log.h"
+#include "obs/flight_recorder.h"
 #include "sim/simulation.h"
 
 namespace mmrfd::live {
@@ -264,7 +265,7 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
   // origin is stamped here, and the kill plan, the kill stamps, the node
   // reports and the horizon all count from it. A node that died meanwhile
   // fails its send (no SIGPIPE) and is reaped as an unexpected exit.
-  origin_ns_ = wall_clock_ns();
+  origin_ns_ = obs::wall_clock_ns();
   const auto started = std::chrono::steady_clock::now();
   for (const Proc& p : procs) control::send_release(p.control, origin_ns_);
 
@@ -350,7 +351,7 @@ LiveRunResult Supervisor::run(const std::vector<CrashEvent>& schedule,
         pc.crash_index = result.crashes.size();
         result.crashes.push_back(
             {pc.event.victim, Duration{static_cast<std::int64_t>(
-                                  wall_clock_ns() - origin_ns_)},
+                                  obs::wall_clock_ns() - origin_ns_)},
              false});
       }
       if (pc.killed && !pc.restarted && pc.event.restart_at &&
@@ -453,8 +454,6 @@ void Supervisor::assemble_traces(const std::vector<Proc>& procs,
   obs::TraceManifest manifest;
   manifest.n = config_.n;
   manifest.origin_ns = origin_ns_;
-  manifest.pacing_ns = static_cast<std::uint64_t>(config_.pacing.count());
-  manifest.resend_ns = static_cast<std::uint64_t>(config_.resend.count());
   manifest.horizon_ns = result.horizon.count();
   for (const LiveCrash& c : result.crashes) {
     manifest.crashes.push_back({c.victim.value, c.at.count(), c.restarted});

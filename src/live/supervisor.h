@@ -79,9 +79,10 @@ struct SupervisorConfig {
   /// Cross-node causal tracing: after the shutdown, list every ring dump the
   /// nodes wrote as they stopped (or died by a fatal signal) in a
   /// trace_manifest.txt beside them, with the run's origin and horizon, and
-  /// assemble the cluster-wide timeline up to the horizon, with skew-aligned
-  /// detection-latency attribution, into LiveRunResult::trace. Every node
-  /// writes its ring at the stop; this sets its size and reads the dumps.
+  /// assemble the cluster-wide timeline up to the horizon, every ring
+  /// aligned by the origin alone (one host clock), with detection-latency
+  /// attribution, into LiveRunResult::trace. Every node writes its ring at
+  /// the stop; this sets its size and reads the dumps.
   bool trace{false};
   std::uint32_t trace_capacity{16384};  ///< per-node ring size when tracing
 };
@@ -139,8 +140,8 @@ struct LiveRunResult {
 
   /// Assembled cross-node causal timeline (SupervisorConfig::trace only):
   /// per-crash detection latencies attributed to round-pacing, resend-wait
-  /// and wire time, with per-node clock-skew estimates. Also written to
-  /// <report_dir>/trace_assembled.json.
+  /// and wire time; each observer's latency equals metrics::Analysis's.
+  /// Also written to <report_dir>/trace_assembled.json.
   std::optional<obs::AssembledTrace> trace;
 };
 

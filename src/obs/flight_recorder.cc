@@ -7,18 +7,17 @@
 #include <chrono>
 
 namespace mmrfd::obs {
-namespace {
 
-std::uint64_t wall_now_ns(const void*) {
+std::uint64_t wall_clock_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
 }
 
-}  // namespace
-
-TraceClock wall_trace_clock() { return TraceClock{&wall_now_ns, nullptr}; }
+TraceClock wall_trace_clock() {
+  return TraceClock{[](const void*) { return wall_clock_ns(); }, nullptr};
+}
 
 std::string_view trace_kind_name(TraceKind kind) {
   switch (kind) {

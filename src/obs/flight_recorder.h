@@ -32,7 +32,13 @@ struct TraceClock {
   std::uint64_t now() const { return now_ns ? now_ns(ctx) : 0; }
 };
 
-// UNIX-epoch nanoseconds from the system clock — the live-path default.
+// UNIX-epoch nanoseconds from the system clock: the one clock of the live
+// path. Ring records (through wall_trace_clock), the Supervisor's origin and
+// kill stamps and a node's report stamps all read it, so they subtract from
+// each other directly.
+[[nodiscard]] std::uint64_t wall_clock_ns();
+
+// wall_clock_ns() as a TraceClock — the live-path default.
 TraceClock wall_trace_clock();
 
 // One record per protocol step, written only by core::DetectorCore (rounds,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -20,8 +19,8 @@ struct NodeEvent {
 };
 
 // (peer, seq) -> first stamp + occurrence count, per causal role. Keys hit
-// more than once (resent queries, duplicated responses) are excluded from
-// skew matching: only clean first-try exchanges make trustworthy samples.
+// more than once (resent queries, duplicated responses) link nothing: which
+// copy an rx answered is unknowable.
 struct RoleSample {
   std::uint64_t t{0};
   std::uint32_t count{0};
@@ -43,22 +42,6 @@ const RoleSample* once(const RoleMap& map, std::uint64_t key) {
   if (it == map.end() || it->second.count != 1) return nullptr;
   return &it->second;
 }
-
-// a + b, or nullopt where int64 would overflow: stamps come from dump
-// files, and a corrupt one can hold any value.
-std::optional<std::int64_t> checked_add(std::int64_t a, std::int64_t b) {
-  using Limits = std::numeric_limits<std::int64_t>;
-  if (b > 0 ? a > Limits::max() - b : a < Limits::min() - b) {
-    return std::nullopt;
-  }
-  return a + b;
-}
-
-struct PairEstimate {
-  std::int64_t offset{0};  // clock(to) - clock(from), midpoint estimate
-  std::uint64_t rtt{std::numeric_limits<std::uint64_t>::max()};
-  std::size_t samples{0};
-};
 
 }  // namespace
 
@@ -120,97 +103,7 @@ AssembledTrace TraceAssembler::assemble() const {
     }
   }
 
-  // --- match quadruples, estimate per-pair offsets --------------------------
-  // For A's round s queried at B: t1 = A tx, t2 = B rx, t3 = B response tx,
-  // t4 = A response rx. offset(B - A) = ((t2-t1) + (t3-t4)) / 2,
-  // rtt = (t4-t1) - (t3-t2). Min-RTT sample per directed pair wins.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, PairEstimate> pairs;
-  std::map<std::uint32_t, std::size_t> node_samples;
-  for (const auto& [a, a_qt] : qt) {
-    for (const auto& [key, tx] : a_qt) {
-      if (tx.count != 1) continue;
-      const auto b = static_cast<std::uint32_t>(key >> 32);
-      const auto b_it_qr = qr.find(b);
-      const auto b_it_rt = rt.find(b);
-      const auto a_it_rr = rr.find(a);
-      if (b_it_qr == qr.end() || b_it_rt == rt.end() || a_it_rr == rr.end()) {
-        continue;
-      }
-      const std::uint64_t seq = key & 0xffffffffu;
-      const RoleSample* t2 = once(b_it_qr->second, role_key(a, seq));
-      const RoleSample* t3 = once(b_it_rt->second, role_key(a, seq));
-      const RoleSample* t4 = once(a_it_rr->second, role_key(b, seq));
-      if (t2 == nullptr || t3 == nullptr || t4 == nullptr) continue;
-      const auto t1s = static_cast<std::int64_t>(tx.t);
-      const auto t2s = static_cast<std::int64_t>(t2->t);
-      const auto t3s = static_cast<std::int64_t>(t3->t);
-      const auto t4s = static_cast<std::int64_t>(t4->t);
-      const std::int64_t rtt = (t4s - t1s) - (t3s - t2s);
-      if (t4s < t1s || t3s < t2s || rtt < 0) continue;  // inconsistent
-      const std::int64_t offset = ((t2s - t1s) + (t3s - t4s)) / 2;
-      ++out.matched_pairs;
-      ++node_samples[a];
-      ++node_samples[b];
-      auto& est = pairs[{a, b}];
-      ++est.samples;
-      if (static_cast<std::uint64_t>(rtt) < est.rtt) {
-        est.rtt = static_cast<std::uint64_t>(rtt);
-        est.offset = offset;
-      }
-    }
-  }
-
-  // --- anchor offsets via a min-RTT spanning tree (Prim) --------------------
-  std::map<std::uint32_t, std::int64_t> offset;
-  std::map<std::uint32_t, std::uint64_t> tree_rtt;
-  if (!streams.empty()) {
-    const std::uint32_t reference = streams.begin()->first;
-    offset[reference] = 0;
-    tree_rtt[reference] = 0;
-    if (!options_.estimate_skew) {
-      // One shared clock frame (the simulator): identity alignment.
-      for (const auto& [node, stream] : streams) {
-        offset[node] = 0;
-        tree_rtt[node] = 0;
-      }
-    } else {
-      while (true) {
-        std::uint64_t best_rtt = std::numeric_limits<std::uint64_t>::max();
-        std::uint32_t best_node = 0;
-        std::int64_t best_offset = 0;
-        bool found = false;
-        for (const auto& [edge, est] : pairs) {
-          const auto [u, v] = edge;
-          // Edge usable in either direction: u settled extends to v, or v
-          // settled extends to u (negated estimate).
-          if (offset.contains(u) && !offset.contains(v) &&
-              streams.contains(v) && est.rtt < best_rtt) {
-            best_rtt = est.rtt;
-            best_node = v;
-            best_offset = offset.at(u) + est.offset;
-            found = true;
-          } else if (offset.contains(v) && !offset.contains(u) &&
-                     streams.contains(u) && est.rtt < best_rtt) {
-            best_rtt = est.rtt;
-            best_node = u;
-            best_offset = offset.at(v) - est.offset;
-            found = true;
-          }
-        }
-        if (!found) break;
-        offset[best_node] = best_offset;
-        tree_rtt[best_node] = best_rtt;
-      }
-    }
-  }
-  // --- matched tx -> rx pairs: the causal order alignment must keep --------
-  struct Link {
-    std::uint32_t from{0};
-    std::uint32_t to{0};
-    std::uint64_t tx{0};
-    std::uint64_t rx{0};
-  };
-  std::vector<Link> links;
+  // --- matched tx -> rx links: no rx may be stamped before its tx -----------
   const auto link = [&](const std::map<std::uint32_t, RoleMap>& txs,
                         const std::map<std::uint32_t, RoleMap>& rxs) {
     for (const auto& [a, a_tx] : txs) {
@@ -220,7 +113,8 @@ AssembledTrace TraceAssembler::assemble() const {
         const auto seq = static_cast<std::uint32_t>(key);
         if (const auto it = rxs.find(b); it != rxs.end()) {
           if (const RoleSample* rx = once(it->second, role_key(a, seq))) {
-            links.push_back({a, b, tx.t, rx->t});
+            ++out.matched_pairs;
+            if (rx->t < tx.t) ++out.causal_violations;
           }
         }
       }
@@ -229,81 +123,19 @@ AssembledTrace TraceAssembler::assemble() const {
   link(qt, qr);  // queries
   link(rt, rr);  // responses
 
-  for (const auto& [node, stream] : streams) {
-    offset.try_emplace(node, 0);  // unreachable: best effort, own clock
-  }
-  if (options_.estimate_skew && !streams.empty()) {
-    // Midpoint errors add up along the spanning tree, and a few µs of path
-    // error can exceed a fast exchange's one-way delay and invert it. Each
-    // matched pair bounds offset(rx) - offset(tx) <= t_rx - t_tx; relax the
-    // estimate into those difference constraints (Bellman-Ford seeded with
-    // the estimate, so a consistent estimate is left untouched). Stamps
-    // from consistent clocks always satisfy them, so this settles within
-    // n passes; constraints that keep relaxing (inconsistent clocks) leave
-    // the plain estimate in place.
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::int64_t> bound;
-    for (const Link& l : links) {
-      const auto gap = static_cast<std::int64_t>(l.rx - l.tx);  // wraps
-      const auto [it, fresh] = bound.try_emplace({l.from, l.to}, gap);
-      if (!fresh) it->second = std::min(it->second, gap);
-    }
-    std::map<std::uint32_t, std::int64_t> relaxed;  // nodes with a bound
-    for (const auto& [edge, gap] : bound) {
-      relaxed.emplace(edge.first, offset.at(edge.first));
-      relaxed.emplace(edge.second, offset.at(edge.second));
-    }
-    bool changed = true;
-    for (std::size_t pass = 0; changed && pass <= relaxed.size(); ++pass) {
-      changed = false;
-      for (const auto& [edge, gap] : bound) {
-        const auto limit = checked_add(relaxed.at(edge.first), gap);
-        if (limit && *limit < relaxed.at(edge.second)) {
-          relaxed[edge.second] = *limit;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) {
-      // Offsets are relative to the reference node: keep it at 0.
-      const auto ref = relaxed.find(streams.begin()->first);
-      const std::int64_t anchor = ref != relaxed.end() ? ref->second : 0;
-      for (const auto& [node, value] : relaxed) offset[node] = value - anchor;
-    }
-  }
-  for (const auto& [node, stream] : streams) {
-    SkewEstimate s;
-    s.node = node;
-    s.offset_ns = offset.at(node);
-    if (const auto it = tree_rtt.find(node); it != tree_rtt.end()) {
-      s.min_rtt_ns = it->second;
-    } else {
-      s.reachable = false;
-    }
-    if (const auto it = node_samples.find(node); it != node_samples.end()) {
-      s.samples = it->second;
-    }
-    out.skew.push_back(s);
-  }
-
-  const std::int64_t origin = static_cast<std::int64_t>(options_.origin_ns);
-  const auto align = [&](std::uint32_t node, std::uint64_t t) {
-    return static_cast<std::int64_t>(t) - origin - offset.at(node);
+  // Unsigned, so a corrupt stamp cannot overflow the difference.
+  const auto align = [&](std::uint64_t t) {
+    return static_cast<std::int64_t>(t - options_.origin_ns);
   };
 
-  // --- causal sanity: alignment must never invert a matched tx -> rx pair ---
-  for (const Link& l : links) {
-    if (align(l.to, l.rx) < align(l.from, l.tx)) ++out.causal_violations;
-  }
-
   // --- the run ends at the horizon ------------------------------------------
-  // Every exchange above informs the clocks; what the trace tells of the
-  // run stops at the horizon, as in metrics::Analysis: a record aligned
-  // after it is dropped, one at exactly the horizon counts.
+  // What the trace tells of the run stops at the horizon, as in
+  // metrics::Analysis: a record after it is dropped, one at exactly the
+  // horizon counts.
   for (auto& [node, stream] : streams) {
     if (options_.horizon_ns) {
-      const std::uint32_t id = node;
       std::erase_if(stream, [&](const NodeEvent& e) {
-        return align(id, e.record.t_ns) > *options_.horizon_ns;
+        return align(e.record.t_ns) > *options_.horizon_ns;
       });
     }
     out.records += stream.size();
@@ -324,7 +156,7 @@ AssembledTrace TraceAssembler::assemble() const {
       for (const NodeEvent& e : stream) {
         const TraceRecord& r = e.record;
         if (r.a != victim) continue;
-        const std::int64_t t = align(node, r.t_ns);
+        const std::int64_t t = align(r.t_ns);
         if (r.kind == TraceKind::kQueryRx ||
             r.kind == TraceKind::kResponseRx) {
           if (!timeline.last_heard_ns || t > *timeline.last_heard_ns) {
@@ -354,7 +186,7 @@ AssembledTrace TraceAssembler::assemble() const {
       }
       ObserverBreakdown ob;
       ob.observer = node;
-      ob.detect_ns = align(node, stream[suspect_idx].record.t_ns);
+      ob.detect_ns = align(stream[suspect_idx].record.t_ns);
       ob.latency_ns = ob.detect_ns - crash_ns;
       // The detecting round: last kRoundOpen (same incarnation) before the
       // suspicion record.
@@ -375,7 +207,7 @@ AssembledTrace TraceAssembler::assemble() const {
         continue;
       }
       ob.round_seq = stream[open_idx].record.a;
-      const std::int64_t t_open = align(node, stream[open_idx].record.t_ns);
+      const std::int64_t t_open = align(stream[open_idx].record.t_ns);
       std::optional<std::int64_t> t_quorum;
       std::optional<std::int64_t> t_last_wave;
       // Only the waves before the quorum held the round open; the late wave
@@ -385,9 +217,9 @@ AssembledTrace TraceAssembler::assemble() const {
         const TraceRecord& r = stream[i].record;
         if (r.kind == TraceKind::kResendWave) {
           ++ob.resend_waves;
-          t_last_wave = align(node, r.t_ns);
+          t_last_wave = align(r.t_ns);
         } else if (r.kind == TraceKind::kQuorum && r.a == ob.round_seq) {
-          t_quorum = align(node, r.t_ns);
+          t_quorum = align(r.t_ns);
         }
       }
       // Exactly-summing split (see header). base..tq is the in-round span;
@@ -419,7 +251,7 @@ AssembledTrace TraceAssembler::assemble() const {
   if (options_.keep_timeline) {
     for (const auto& [node, stream] : streams) {
       for (const NodeEvent& e : stream) {
-        out.timeline.push_back(TimelineEvent{align(node, e.record.t_ns), node,
+        out.timeline.push_back(TimelineEvent{align(e.record.t_ns), node,
                                              e.incarnation, e.record});
       }
     }
@@ -517,8 +349,6 @@ bool write_manifest(const std::string& path, const TraceManifest& manifest) {
   out << "mmrfd-trace-manifest v1\n";
   out << "n " << manifest.n << '\n';
   out << "origin_ns " << manifest.origin_ns << '\n';
-  out << "pacing_ns " << manifest.pacing_ns << '\n';
-  out << "resend_ns " << manifest.resend_ns << '\n';
   if (manifest.horizon_ns) out << "horizon_ns " << *manifest.horizon_ns << '\n';
   for (const auto& c : manifest.crashes) {
     out << "crash " << c.victim << ' ' << c.at_ns << ' '
@@ -548,10 +378,6 @@ std::optional<TraceManifest> load_manifest(const std::string& path) {
       ls >> m.n;
     } else if (tag == "origin_ns") {
       ls >> m.origin_ns;
-    } else if (tag == "pacing_ns") {
-      ls >> m.pacing_ns;
-    } else if (tag == "resend_ns") {
-      ls >> m.resend_ns;
     } else if (tag == "horizon_ns") {
       if (std::int64_t h = 0; ls >> h) m.horizon_ns = h;
     } else if (tag == "crash") {
@@ -572,7 +398,6 @@ std::optional<TraceManifest> load_manifest(const std::string& path) {
 }
 
 std::optional<AssembledTrace> assemble_from_dir(const std::string& dir,
-                                                bool estimate_skew,
                                                 bool keep_timeline) {
   const auto manifest =
       load_manifest(dir + "/" + std::string(kTraceManifestName));
@@ -581,7 +406,6 @@ std::optional<AssembledTrace> assemble_from_dir(const std::string& dir,
   options.n = manifest->n;
   options.origin_ns = manifest->origin_ns;
   options.horizon_ns = manifest->horizon_ns;
-  options.estimate_skew = estimate_skew;
   options.keep_timeline = keep_timeline;
   TraceAssembler assembler(options);
   for (const auto& entry : manifest->traces) {
@@ -618,16 +442,6 @@ std::string to_json(const AssembledTrace& trace) {
   out << "  \"records\": " << trace.records << ",\n";
   out << "  \"matched_pairs\": " << trace.matched_pairs << ",\n";
   out << "  \"causal_violations\": " << trace.causal_violations << ",\n";
-  out << "  \"skew\": [\n";
-  for (std::size_t i = 0; i < trace.skew.size(); ++i) {
-    const SkewEstimate& s = trace.skew[i];
-    out << "    {\"node\": " << s.node << ", \"offset_ns\": " << s.offset_ns
-        << ", \"min_rtt_ns\": " << s.min_rtt_ns
-        << ", \"samples\": " << s.samples
-        << ", \"reachable\": " << (s.reachable ? "true" : "false") << "}"
-        << (i + 1 < trace.skew.size() ? "," : "") << '\n';
-  }
-  out << "  ],\n";
   out << "  \"crashes\": [\n";
   for (std::size_t i = 0; i < trace.crashes.size(); ++i) {
     const CrashTimeline& c = trace.crashes[i];
@@ -678,26 +492,10 @@ double ms(std::int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 }  // namespace
 
-void write_skew(std::ostream& out, const AssembledTrace& trace) {
-  if (trace.skew.empty()) return;
-  out << "clock skew (vs node " << trace.skew.front().node << "):\n";
-  for (const SkewEstimate& s : trace.skew) {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "  node %-4u offset %+10.3f us  min-rtt %8.3f us  "
-                  "samples %zu%s\n",
-                  s.node, static_cast<double>(s.offset_ns) / 1e3,
-                  static_cast<double>(s.min_rtt_ns) / 1e3, s.samples,
-                  s.reachable ? "" : "  (UNREACHABLE — offset unknown)");
-    out << line;
-  }
-}
-
 void write_text(std::ostream& out, const AssembledTrace& trace) {
   out << "assembled " << trace.records << " records, "
-      << trace.matched_pairs << " matched query/response pairs, "
+      << trace.matched_pairs << " matched tx/rx links, "
       << trace.causal_violations << " causal violations\n";
-  write_skew(out, trace);
   for (const CrashTimeline& c : trace.crashes) {
     out << "crash of node " << c.victim << " at " << ms(c.crash_ns)
         << " ms:\n";

@@ -20,20 +20,12 @@
 //   wire         — last (re)transmission until the quorum instant: actual
 //                  message propagation and response assembly.
 //
-// Clocks: each node stamps its ring with its own clock. The assembler
-// estimates per-node skew NTP-style from matched query/response pairs —
-// the round driver's kQueryTx / kQueryRx / kResponseTx / kResponseRx
-// records, matched by (peer, seq), give (t1, t2, t3, t4) quadruples; the
-// minimum-RTT sample per directed pair yields the midpoint offset
-// estimate, and a min-RTT spanning tree (Prim) anchors every node to the
-// lowest-id reference. Midpoint errors add up along the tree, so the
-// estimate is then relaxed into the difference constraints every matched
-// tx -> rx pair imposes (offset(rx) - offset(tx) <= t_rx - t_tx): on
-// consistent clocks no aligned rx precedes its tx.
-// With estimate_skew off (the simulator, where all rings share sim time)
-// alignment is the identity and assembled latencies reproduce
-// metrics::Analysis exactly — the differential test that certifies the
-// assembler before it is trusted on live UDP dumps.
+// One clock: the live transport is loopback-only, so every ring a node
+// writes and every kill stamp the Supervisor takes read the same host
+// CLOCK_REALTIME, and simulator rings all read sim time. There is no skew
+// to estimate: alignment subtracts the run's origin and nothing else, so
+// assembled latencies reproduce metrics::Analysis exactly, in simulation
+// (the differential test that certifies the assembler) and on live dumps.
 #pragma once
 
 #include <cstdint>
@@ -59,29 +51,16 @@ struct TraceNodeInput {
 struct AssemblerOptions {
   /// Cluster size (0 = infer as max node id + 1).
   std::uint32_t n{0};
-  /// Estimate per-node clock skew from matched query/response pairs.
-  /// Off = all rings share one clock frame (the simulator's ground truth).
-  bool estimate_skew{true};
-  /// Subtracted from every record stamp before alignment, translating
-  /// wall-clock rings into the supervisor's origin-relative frame (the
-  /// frame crash times are stamped in). 0 for simulator rings.
+  /// Subtracted from every record stamp, translating wall-clock rings into
+  /// the supervisor's origin-relative frame (the frame crash times are
+  /// stamped in): the whole alignment. 0 for simulator rings.
   std::uint64_t origin_ns{0};
-  /// The run's end, origin-relative. Records aligned after it are dropped
-  /// after the skew estimate, as metrics::Analysis drops transitions after
-  /// its horizon (one at exactly the horizon counts). Unset = keep all.
+  /// The run's end, origin-relative. Records aligned after it are dropped,
+  /// as metrics::Analysis drops transitions after its horizon (one at
+  /// exactly the horizon counts). Unset = keep all.
   std::optional<std::int64_t> horizon_ns;
   /// Keep the merged, aligned record stream in the result (timeline CLI).
   bool keep_timeline{false};
-};
-
-/// Estimated clock offset of one node relative to the reference node
-/// (lowest node id present): aligned_t = local_t - offset_ns.
-struct SkewEstimate {
-  std::uint32_t node{0};
-  std::int64_t offset_ns{0};
-  std::uint64_t min_rtt_ns{0};  ///< RTT of the spanning-tree edge used
-  std::size_t samples{0};       ///< matched quadruples involving this node
-  bool reachable{true};         ///< false = no matched path to reference
 };
 
 /// One observer's detection of one crash, with the latency attribution.
@@ -125,13 +104,15 @@ struct TimelineEvent {
 };
 
 struct AssembledTrace {
-  std::vector<SkewEstimate> skew;
   std::vector<CrashTimeline> crashes;
   std::vector<TimelineEvent> timeline;  ///< empty unless keep_timeline
   std::size_t records{0};
-  std::size_t matched_pairs{0};  ///< quadruples used for skew estimation
-  /// Matched tx->rx pairs whose aligned order is inverted — 0 means the
-  /// alignment never reordered causally-linked records.
+  /// tx -> rx links: a kQueryTx and the peer's kQueryRx, or a kResponseTx
+  /// and the peer's kResponseRx, matched by (peer, seq) where each side
+  /// occurs once in the dumps.
+  std::size_t matched_pairs{0};
+  /// Links whose rx is stamped before its tx. Every tx is stamped before
+  /// its send, on the one clock, so anything but 0 breaks that rule.
   std::size_t causal_violations{0};
 };
 
@@ -173,8 +154,6 @@ std::optional<std::vector<TraceRecord>> load_trace_records(
 struct TraceManifest {
   std::uint32_t n{0};
   std::uint64_t origin_ns{0};
-  std::uint64_t pacing_ns{0};
-  std::uint64_t resend_ns{0};
   /// The run's horizon, origin-relative (AssemblerOptions::horizon_ns).
   std::optional<std::int64_t> horizon_ns;
   struct Crash {
@@ -199,20 +178,15 @@ std::optional<TraceManifest> load_manifest(const std::string& path);
 /// Loads `<dir>/trace_manifest.txt` plus every dump it lists and runs the
 /// assembler. nullopt = missing/unreadable manifest.
 std::optional<AssembledTrace> assemble_from_dir(const std::string& dir,
-                                                bool estimate_skew = true,
                                                 bool keep_timeline = false);
 
 // --- emitters ----------------------------------------------------------------
 
-/// Whole-result JSON document (skew, crashes, attribution; timeline
+/// Whole-result JSON document (counts, crashes, attribution; timeline
 /// included when present).
 std::string to_json(const AssembledTrace& trace);
 
-/// Per-node clock-skew table (offsets and spanning-tree RTTs in µs); prints
-/// nothing when skew was not estimated.
-void write_skew(std::ostream& out, const AssembledTrace& trace);
-
-/// Human-readable per-crash breakdown tables, after the skew table.
+/// Human-readable per-crash breakdown tables, after the counts.
 void write_text(std::ostream& out, const AssembledTrace& trace);
 
 /// Chronological merged event listing (requires keep_timeline).

@@ -33,6 +33,9 @@
 #include "common/rng.h"
 #include "live/report.h"
 #include "live/supervisor.h"
+#include "metrics/analysis.h"
+#include "metrics/event_log.h"
+#include "sim/simulation.h"
 
 namespace mmrfd::live {
 namespace {
@@ -672,9 +675,10 @@ TEST(LiveCluster, StopAndFatalSignalWriteOneBinaryTrace) {
 TEST(LiveCluster, SupervisorHarvestsAndAssemblesTraces) {
   // End-to-end tracing over real processes: every surviving node writes its
   // ring as it stops on the Supervisor's SIGTERM, and the Supervisor writes
-  // the manifest and assembles the cluster-wide timeline up to the horizon,
-  // whose per-observer latency attribution must sum exactly even on wall
-  // clocks with estimated skew.
+  // the manifest and assembles the cluster-wide timeline up to the horizon.
+  // The rings and the kill stamps read one host clock, so the assembled
+  // latencies are metrics::Analysis's over the nodes' reports, exactly, and
+  // each observer's attribution sums to its latency.
   SupervisorConfig cfg;
   cfg.n = 6;
   cfg.f = 2;
@@ -719,6 +723,7 @@ TEST(LiveCluster, SupervisorHarvestsAndAssemblesTraces) {
   ASSERT_TRUE(result.trace.has_value());
   EXPECT_GT(result.trace->records, 0u);
   EXPECT_GT(result.trace->matched_pairs, 0u);
+  EXPECT_EQ(result.trace->causal_violations, 0u);
   ASSERT_EQ(result.trace->crashes.size(), 1u);
   const obs::CrashTimeline& ct = result.trace->crashes[0];
   EXPECT_EQ(ct.victim, 5u);
@@ -731,9 +736,53 @@ TEST(LiveCluster, SupervisorHarvestsAndAssemblesTraces) {
   if (ct.undetected == 0) {
     EXPECT_TRUE(ct.stable_ns.has_value());
   }
+
+  // The oracle: the reports' suspicion histories and the kill stamps, merged
+  // into one EventLog as Supervisor::aggregate merges them, read by
+  // metrics::Analysis at the horizon. Its detecting (observer, victim) pairs
+  // and the assembled ones must be the same pairs, each with the same
+  // latency to the nanosecond.
+  sim::Simulation clock_source;  // never advanced; EventLog only needs a ref
+  metrics::EventLog log(clock_source);
+  std::vector<metrics::SuspicionEvent> events;
+  for (const LiveNodeOutcome& node : result.nodes) {
+    for (const NodeReport& r : node.reports) {
+      for (const ReportEvent& ev : r.events) {
+        events.push_back(metrics::SuspicionEvent{
+            Duration{static_cast<std::int64_t>(ev.when_ns)}, node.id,
+            ProcessId{ev.subject},
+            static_cast<metrics::SuspicionEventKind>(ev.kind), ev.tag});
+      }
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const metrics::SuspicionEvent& a,
+                      const metrics::SuspicionEvent& b) {
+                     return a.when < b.when;
+                   });
+  for (const metrics::SuspicionEvent& ev : events) log.append(ev);
+  for (const LiveCrash& c : result.crashes) {
+    log.record_crash_at(c.victim, c.at);
+  }
+  const metrics::Analysis analysis(log, cfg.n, horizon);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::int64_t> expected;
+  for (const metrics::Detection& d : analysis.detections()) {
+    if (const auto latency = d.latency()) {
+      expected[{d.observer.value, d.subject.value}] = latency->count();
+    }
+  }
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::int64_t> assembled;
+  for (const obs::CrashTimeline& c : result.trace->crashes) {
+    for (const obs::ObserverBreakdown& ob : c.observers) {
+      assembled[{ob.observer, c.victim}] = ob.latency_ns;
+    }
+  }
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(assembled, expected);
+
   // The rings run on past the horizon until each node stops; the assembled
   // run does not.
-  const auto timeline = obs::assemble_from_dir(cfg.report_dir, true, true);
+  const auto timeline = obs::assemble_from_dir(cfg.report_dir, true);
   ASSERT_TRUE(timeline.has_value());
   EXPECT_EQ(timeline->timeline.size(), result.trace->records);
   for (const obs::TimelineEvent& e : timeline->timeline) {

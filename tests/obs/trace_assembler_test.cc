@@ -1,7 +1,7 @@
-// TraceAssembler unit suite: clock-skew recovery from synthetic rings with
-// injected offsets, causal-order preservation, incarnation merging, the
-// horizon clip, the binary dump loader (including torn fatal-signal
-// dumps), the first-round wave check and the manifest round-trip.
+// TraceAssembler unit suite: the once-only tx -> rx links and their causal
+// check, incarnation merging, the latency split, the horizon clip, the
+// binary dump loader (including torn fatal-signal dumps), the first-round
+// wave check and the manifest round-trip.
 #include "obs/trace_assembler.h"
 
 #include <gtest/gtest.h>
@@ -16,20 +16,17 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "obs/flight_recorder.h"
 
 namespace mmrfd::obs {
 namespace {
 
-// Builds per-node synthetic rings for a cluster where node i's clock reads
-// true_time + offset[i]. Each exchange(a, b, seq, t1, d_out, proc, d_back)
-// plants the full causal quadruple: A's query tx, B's rx, B's response tx,
-// A's response rx — all stamped through the nodes' skewed clocks.
+// Builds per-node synthetic rings on one clock. Each exchange(a, b, seq,
+// t1, d_out, proc, d_back) plants the whole causal chain: A's query tx, B's
+// rx, B's response tx, A's response rx.
 class SyntheticCluster {
  public:
-  explicit SyntheticCluster(std::vector<std::int64_t> offsets)
-      : offsets_(std::move(offsets)), seqs_(offsets_.size(), 0) {}
+  explicit SyntheticCluster(std::uint32_t n) : seqs_(n, 0) {}
 
   void exchange(std::uint32_t a, std::uint32_t b, std::uint32_t seq,
                 std::uint64_t t1, std::uint64_t d_out, std::uint64_t proc,
@@ -41,10 +38,9 @@ class SyntheticCluster {
   }
 
   void add(std::uint32_t node, TraceKind kind, std::uint32_t a,
-           std::uint32_t b, std::uint64_t true_t) {
+           std::uint32_t b, std::uint64_t t) {
     TraceRecord r;
-    r.t_ns = static_cast<std::uint64_t>(static_cast<std::int64_t>(true_t) +
-                                        offsets_[node]);
+    r.t_ns = t;
     r.seq = seqs_[node]++;
     r.a = a;
     r.b = b;
@@ -52,12 +48,10 @@ class SyntheticCluster {
     records_[node].push_back(r);
   }
 
-  [[nodiscard]] TraceAssembler assembler(bool estimate_skew = true,
-                                         AssemblerOptions options = {}) const {
-    options.n = static_cast<std::uint32_t>(offsets_.size());
-    options.estimate_skew = estimate_skew;
+  [[nodiscard]] TraceAssembler assembler(AssemblerOptions options = {}) const {
+    options.n = static_cast<std::uint32_t>(seqs_.size());
     TraceAssembler out(options);
-    for (std::uint32_t i = 0; i < offsets_.size(); ++i) {
+    for (std::uint32_t i = 0; i < seqs_.size(); ++i) {
       auto it = records_.find(i);
       out.add_node(TraceNodeInput{
           i, 0,
@@ -67,129 +61,39 @@ class SyntheticCluster {
   }
 
  private:
-  std::vector<std::int64_t> offsets_;
   std::vector<std::uint64_t> seqs_;
   std::map<std::uint32_t, std::vector<TraceRecord>> records_;
 };
 
-constexpr std::uint64_t kBase = 1'000'000'000;  // keep skewed stamps positive
+constexpr std::uint64_t kBase = 1'000'000'000;
 
-TEST(TraceAssembler, RecoversInjectedOffsetsExactlyUnderSymmetricDelays) {
-  // Symmetric one-way delays make the NTP midpoint estimate exact: the
-  // recovered offsets must match the injected ones to the nanosecond.
-  const std::vector<std::int64_t> offsets = {0, 5'000'000, -3'000'000};
-  SyntheticCluster cluster(offsets);
-  for (std::uint32_t s = 1; s <= 4; ++s) {
-    const std::uint64_t t = kBase + s * 10'000'000ull;
-    cluster.exchange(0, 1, s, t, 400'000, 50'000, 400'000);
-    cluster.exchange(0, 2, s, t + 1000, 300'000, 50'000, 300'000);
-    cluster.exchange(1, 2, s, t + 2000, 500'000, 50'000, 500'000);
-  }
-  const AssembledTrace trace = cluster.assembler().assemble();
-  ASSERT_EQ(trace.skew.size(), 3u);
-  EXPECT_EQ(trace.matched_pairs, 12u);
-  EXPECT_EQ(trace.causal_violations, 0u);
-  for (const SkewEstimate& s : trace.skew) {
-    EXPECT_TRUE(s.reachable) << "node " << s.node;
-    EXPECT_EQ(s.offset_ns, offsets[s.node]) << "node " << s.node;
-  }
-}
-
-TEST(TraceAssembler, RecoversOffsetsWithinJitterUnderAsymmetricDelays) {
-  // Asymmetric per-sample jitter bounds the midpoint error by half the
-  // asymmetry; the min-RTT sample keeps the estimate inside that band, and
-  // alignment must never reorder a matched tx -> rx pair (the error stays
-  // far below the one-way delay floor).
-  const std::vector<std::int64_t> offsets = {-2'000'000, 0, 7'000'000,
-                                             -500'000};
-  constexpr std::uint64_t kFloor = 500'000;   // one-way delay floor (ns)
-  constexpr std::uint64_t kJitter = 200'000;  // worst per-leg extra delay
-  SyntheticCluster cluster(offsets);
-  Xoshiro256 rng(42);
-  for (std::uint32_t s = 1; s <= 32; ++s) {
-    const std::uint64_t t = kBase + s * 5'000'000ull;
-    for (std::uint32_t a = 0; a < 4; ++a) {
-      for (std::uint32_t b = 0; b < 4; ++b) {
-        if (a == b) continue;
-        const auto jit = [&] {
-          return static_cast<std::uint64_t>(rng.next_double() *
-                                            static_cast<double>(kJitter));
-        };
-        cluster.exchange(a, b, s, t + a * 1000 + b, kFloor + jit(), 20'000,
-                         kFloor + jit());
-      }
-    }
-  }
-  const AssembledTrace trace = cluster.assembler().assemble();
-  ASSERT_EQ(trace.skew.size(), 4u);
-  EXPECT_EQ(trace.causal_violations, 0u);
-  for (const SkewEstimate& s : trace.skew) {
-    EXPECT_TRUE(s.reachable);
-    // Estimates are relative to the reference (lowest-id) node's clock.
-    EXPECT_NEAR(static_cast<double>(s.offset_ns),
-                static_cast<double>(offsets[s.node] - offsets[0]),
-                static_cast<double>(kJitter) / 2.0)
-        << "node " << s.node;
-  }
-}
-
-TEST(TraceAssembler, SkewEstimateNeverInvertsAFastExchange) {
-  // One clock, asymmetric delays: 0->1 and 1->2 queries take 10 us and
-  // their responses 2 us, so each midpoint reads +4 us, and the min-RTT
-  // tree 0-1-2 puts node 2 at +8 us. The slower 0<->2 exchange (25 us RTT,
-  // off the tree) delivers its query in 5 us, so the plain tree estimate
-  // would align that rx 3 us before its tx. Alignment must pull node 2
-  // back inside the pair's bound and leave the consistent nodes alone.
-  SyntheticCluster cluster({0, 0, 0});
-  for (std::uint32_t s = 1; s <= 4; ++s) {
-    const std::uint64_t t = kBase + s * 10'000'000ull;
-    cluster.exchange(0, 1, s, t, 10'000, 1'000, 2'000);
-    cluster.exchange(1, 2, s, t + 100'000, 10'000, 1'000, 2'000);
-    cluster.exchange(0, 2, s, t + 200'000, 5'000, 1'000, 20'000);
-  }
-  const AssembledTrace trace = cluster.assembler().assemble();
-  ASSERT_EQ(trace.skew.size(), 3u);
-  EXPECT_EQ(trace.causal_violations, 0u);
-  EXPECT_EQ(trace.skew[0].offset_ns, 0);
-  EXPECT_EQ(trace.skew[1].offset_ns, 4'000);
-  EXPECT_EQ(trace.skew[2].offset_ns, 5'000);
-}
-
-TEST(TraceAssembler, SlowDriftStaysWithinToleranceAndCausallyOrdered) {
-  // A 50 ppm relative drift over a 2 s window moves the true offset by
-  // 100 us end to end; the single recovered offset must land inside the
-  // swept range and alignment must still respect every matched pair.
-  SyntheticCluster cluster({0, 0});
-  for (std::uint32_t s = 1; s <= 40; ++s) {
-    const std::uint64_t t = kBase + s * 50'000'000ull;
-    // Node 1's clock gains 50 ppm: its stamps carry a drift that grows with
-    // true time, applied by hand to its two legs of each quadruple.
-    const auto drift = static_cast<std::int64_t>((t - kBase) / 20'000);
-    cluster.add(0, TraceKind::kQueryTx, 1, s, t);
-    cluster.add(1, TraceKind::kQueryRx, 0, s,
-                t + 400'000 + static_cast<std::uint64_t>(drift));
-    cluster.add(1, TraceKind::kResponseTx, 0, s,
-                t + 420'000 + static_cast<std::uint64_t>(drift));
-    cluster.add(0, TraceKind::kResponseRx, 1, s, t + 820'000);
-  }
-  const AssembledTrace trace = cluster.assembler().assemble();
-  ASSERT_EQ(trace.skew.size(), 2u);
-  EXPECT_EQ(trace.causal_violations, 0u);
-  const std::int64_t recovered = trace.skew[1].offset_ns;
-  EXPECT_GE(recovered, 0);
-  EXPECT_LE(recovered, 100'000);  // within the swept drift range
-}
-
-TEST(TraceAssembler, ResentExchangesAreExcludedFromSkewMatching) {
-  SyntheticCluster cluster({0, 0});
+TEST(TraceAssembler, ResentExchangesAreNotLinked) {
+  SyntheticCluster cluster(2);
   cluster.exchange(0, 1, 1, kBase, 400'000, 50'000, 400'000);
   cluster.exchange(0, 1, 2, kBase + 10'000'000, 400'000, 50'000, 400'000);
-  // Round 2's query was retransmitted: a second kQueryTx with the same
-  // (peer, seq) disqualifies the whole quadruple — which of the two sends
-  // the rx answered is unknowable.
+  // Round 2's query was retransmitted after its rx: a second kQueryTx with
+  // the same (peer, seq) links neither send, since which of the two the rx
+  // answered is unknowable. So the rx stamped before the resend is no
+  // violation. Round 2's response and both of round 1's steps still link.
   cluster.add(0, TraceKind::kQueryTx, 1, 2, kBase + 11'000'000);
   const AssembledTrace trace = cluster.assembler().assemble();
-  EXPECT_EQ(trace.matched_pairs, 1u);
+  EXPECT_EQ(trace.matched_pairs, 3u);
+  EXPECT_EQ(trace.causal_violations, 0u);
+}
+
+TEST(TraceAssembler, AnRxStampedBeforeItsTxIsACausalViolation) {
+  // Every tx is stamped before its send, on the one host clock, so no rx
+  // may read an earlier stamp than its tx. Round 2's response breaks that
+  // by 1 us; every other link holds.
+  SyntheticCluster cluster(2);
+  cluster.exchange(0, 1, 1, kBase, 400'000, 50'000, 400'000);
+  cluster.add(0, TraceKind::kQueryTx, 1, 2, kBase + 10'000'000);
+  cluster.add(1, TraceKind::kQueryRx, 0, 2, kBase + 10'400'000);
+  cluster.add(1, TraceKind::kResponseTx, 0, 2, kBase + 10'450'000);
+  cluster.add(0, TraceKind::kResponseRx, 1, 2, kBase + 10'449'000);
+  const AssembledTrace trace = cluster.assembler().assemble();
+  EXPECT_EQ(trace.matched_pairs, 4u);
+  EXPECT_EQ(trace.causal_violations, 1u);
 }
 
 TEST(TraceAssembler, IncarnationsMergeInOrderNotBySeq) {
@@ -200,7 +104,6 @@ TEST(TraceAssembler, IncarnationsMergeInOrderNotBySeq) {
   // seq alone would invert that.
   AssemblerOptions options;
   options.n = 2;
-  options.estimate_skew = false;
   TraceAssembler assembler(options);
   TraceRecord add;
   add.t_ns = kBase;
@@ -225,13 +128,13 @@ TEST(TraceAssembler, BreakdownComponentsSumToLatencyExactly) {
   // Full detecting-round shape: round open after the crash, one resend
   // wave, quorum, then the suspicion. pacing + resend_wait + wire must
   // reproduce the latency to the nanosecond.
-  SyntheticCluster cluster({0, 0});
+  SyntheticCluster cluster(2);
   const std::int64_t crash = static_cast<std::int64_t>(kBase);
   cluster.add(0, TraceKind::kRoundOpen, 7, 0, kBase + 40'000'000);
   cluster.add(0, TraceKind::kResendWave, 1, 1, kBase + 90'000'000);
   cluster.add(0, TraceKind::kQuorum, 7, 3, kBase + 95'000'000);
   cluster.add(0, TraceKind::kSuspectAdd, 1, 0, kBase + 96'000'000);
-  TraceAssembler assembler = cluster.assembler(false);
+  TraceAssembler assembler = cluster.assembler();
   assembler.add_crash(1, crash);
   const AssembledTrace trace = assembler.assemble();
   ASSERT_EQ(trace.crashes.size(), 1u);
@@ -252,13 +155,13 @@ TEST(TraceAssembler, LateWaveAfterTheQuorumIsPacingNotResendWait) {
   // late wave the driver fires halfway through the grace re-sends to the
   // victim. That wave did not hold the round open, so resend_wait stays 0
   // and wire still runs from the round's open to its quorum.
-  SyntheticCluster cluster({0, 0});
+  SyntheticCluster cluster(2);
   const std::int64_t crash = static_cast<std::int64_t>(kBase);
   cluster.add(0, TraceKind::kRoundOpen, 7, 0, kBase + 40'000'000);
   cluster.add(0, TraceKind::kQuorum, 7, 3, kBase + 41'000'000);
   cluster.add(0, TraceKind::kResendWave, 1, 1, kBase + 91'000'000);
   cluster.add(0, TraceKind::kSuspectAdd, 1, 0, kBase + 141'000'000);
-  TraceAssembler assembler = cluster.assembler(false);
+  TraceAssembler assembler = cluster.assembler();
   assembler.add_crash(1, crash);
   const AssembledTrace trace = assembler.assemble();
   ASSERT_EQ(trace.crashes.size(), 1u);
@@ -275,13 +178,10 @@ TEST(TraceAssembler, LateWaveAfterTheQuorumIsPacingNotResendWait) {
 
 TEST(TraceAssembler, RecordsAlignedAfterTheHorizonAreDropped) {
   // The run ends at the horizon, as in metrics::Analysis, and the clip reads
-  // aligned stamps. Node 1's clock runs 5 ms ahead and node 2's 3 ms behind
-  // (symmetric exchanges make both offsets exact). Node 0 suspects the
-  // victim, node 3, exactly at the horizon: that counts. Node 1 does 1 ms
-  // before it, which its own clock reads as 4 ms after: that counts too.
-  // Node 2 does only 1 ms after it, which its own clock reads as 2 ms
-  // before: dropped, so node 2 never detected the crash.
-  SyntheticCluster cluster({0, 5'000'000, -3'000'000, 0});
+  // origin-relative stamps. Node 0 suspects the victim, node 3, exactly at
+  // the horizon: that counts. Node 1 does 1 ms before it: that counts too.
+  // Node 2 does 1 ms after it: dropped, so node 2 never detected the crash.
+  SyntheticCluster cluster(4);
   for (std::uint32_t s = 1; s <= 4; ++s) {
     const std::uint64_t t = kBase + s * 10'000'000ull;
     cluster.exchange(0, 1, s, t, 400'000, 50'000, 400'000);
@@ -296,10 +196,11 @@ TEST(TraceAssembler, RecordsAlignedAfterTheHorizonAreDropped) {
   options.origin_ns = kBase;
   options.horizon_ns = kHorizon;
   options.keep_timeline = true;
-  TraceAssembler assembler = cluster.assembler(true, options);
+  TraceAssembler assembler = cluster.assembler(options);
   assembler.add_crash(3, 90'000'000);
   const AssembledTrace trace = assembler.assemble();
-  EXPECT_EQ(trace.matched_pairs, 8u);  // the clocks still read every pair
+  EXPECT_EQ(trace.matched_pairs, 16u);  // a query and a response link each
+  EXPECT_EQ(trace.causal_violations, 0u);
   EXPECT_EQ(trace.records, 4u * 8 + 2);
   EXPECT_EQ(trace.timeline.size(), trace.records);
   for (const TimelineEvent& e : trace.timeline) {
@@ -453,8 +354,6 @@ TEST(TraceManifestIo, RoundTrips) {
   TraceManifest manifest;
   manifest.n = 8;
   manifest.origin_ns = 1'700'000'000'000'000'000ull;
-  manifest.pacing_ns = 100'000'000;
-  manifest.resend_ns = 500'000'000;
   manifest.horizon_ns = 10'000'000'000;
   manifest.crashes.push_back({7, 1'900'000'000, true});
   manifest.crashes.push_back({2, 2'500'000'000, false});
@@ -467,8 +366,6 @@ TEST(TraceManifestIo, RoundTrips) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->n, manifest.n);
   EXPECT_EQ(loaded->origin_ns, manifest.origin_ns);
-  EXPECT_EQ(loaded->pacing_ns, manifest.pacing_ns);
-  EXPECT_EQ(loaded->resend_ns, manifest.resend_ns);
   EXPECT_EQ(loaded->horizon_ns, manifest.horizon_ns);
   ASSERT_EQ(loaded->crashes.size(), 2u);
   EXPECT_EQ(loaded->crashes[0].victim, 7u);
@@ -487,6 +384,13 @@ TEST(TraceManifestIo, RoundTrips) {
   ASSERT_TRUE(unclipped.has_value());
   EXPECT_FALSE(unclipped->horizon_ns.has_value());
 
+  // An older manifest's pacing_ns and resend_ns lines are unknown tags now,
+  // and skipped.
+  { std::ofstream(path, std::ios::app) << "pacing_ns 100\nresend_ns 500\n"; }
+  const auto older = load_manifest(path);
+  ASSERT_TRUE(older.has_value());
+  EXPECT_EQ(older->traces.size(), 2u);
+
   EXPECT_FALSE(load_manifest(dir.path("missing.txt")).has_value());
 }
 
@@ -504,7 +408,7 @@ TEST(TraceAssemblerDir, AssemblesFromManifestAndToleratesMissingDumps) {
   ASSERT_TRUE(write_manifest(dir.path(std::string(kTraceManifestName)),
                              manifest));
 
-  const auto trace = assemble_from_dir(dir.path(""), false);
+  const auto trace = assemble_from_dir(dir.path(""));
   ASSERT_TRUE(trace.has_value());
   EXPECT_EQ(trace->records, 1u);
   ASSERT_EQ(trace->crashes.size(), 1u);

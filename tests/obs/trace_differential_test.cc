@@ -1,10 +1,11 @@
 // Differential certificate for the TraceAssembler: on fixed-seed simulated
 // schedules, detection latencies reconstructed from the per-host flight
 // rings must equal metrics::Analysis — the ground truth every experiment
-// reports — EXACTLY, per (observer, crash). The simulator is the one place
-// both pipelines see the same instants through the same clock, so any
-// disagreement is an assembler bug, not noise. Only after passing this is
-// the assembler trusted to attribute latency on live UDP dumps.
+// reports — EXACTLY, per (observer, crash). Both pipelines read the same
+// instants through the same clock, so any disagreement is an assembler bug,
+// not noise. Live dumps share one host clock the same way, and
+// LiveCluster.SupervisorHarvestsAndAssemblesTraces holds them to the same
+// equality.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -50,7 +51,6 @@ void run_differential(const Scenario& sc) {
 
   obs::AssemblerOptions options;
   options.n = sc.n;
-  options.estimate_skew = false;  // sim rings share the sim clock: identity
   obs::TraceAssembler assembler(options);
   for (std::uint32_t i = 0; i < sc.n; ++i) {
     obs::FlightRecorder* rec = cluster.trace(ProcessId{i});
@@ -137,39 +137,6 @@ TEST(TraceDifferential, MatchesAnalysisAcrossSeedsAndSizes) {
                  << "n=" << sc.n << " f=" << sc.f << " seed=" << sc.seed
                  << " crashes=" << sc.crashes << " delta=" << sc.delta);
     run_differential(sc);
-  }
-}
-
-TEST(TraceDifferential, SkewEstimationOnSharedClockStaysNearIdentity) {
-  // Sanity for the estimator itself: run it ON over sim rings (true offsets
-  // all zero). Whatever it estimates must stay tiny next to the pacing
-  // period, and must not create causal inversions.
-  MmrClusterConfig cfg;
-  cfg.n = 8;
-  cfg.f = 2;
-  cfg.seed = 13;
-  cfg.pacing = from_millis(100);
-  cfg.mean_delay = from_millis(1);
-  cfg.trace_capacity = 1u << 16;
-  MmrCluster cluster(cfg);
-  cluster.start();
-  cluster.run_for(from_seconds(20));
-
-  obs::AssemblerOptions options;
-  options.n = 8;
-  options.estimate_skew = true;
-  obs::TraceAssembler assembler(options);
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    assembler.add_node(
-        obs::TraceNodeInput{i, 0, cluster.trace(ProcessId{i})->snapshot()});
-  }
-  const obs::AssembledTrace trace = assembler.assemble();
-  EXPECT_EQ(trace.causal_violations, 0u);
-  for (const obs::SkewEstimate& s : trace.skew) {
-    EXPECT_TRUE(s.reachable) << "node " << s.node;
-    // The midpoint error is bounded by the delay asymmetry of the min-RTT
-    // sample — far under the 100 ms pacing period on a ~1 ms-delay network.
-    EXPECT_LT(std::abs(s.offset_ns), 10'000'000) << "node " << s.node;
   }
 }
 

@@ -230,12 +230,11 @@ TEST(RealTimeDetector, InMemoryClusterDetectsStoppedNode) {
 }
 
 TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
-  // Every node stamps its flight ring from the one host clock, so the true
-  // skew is zero: assembled without skew estimation, a matched rx stamped
-  // before its tx can only mean a tx stamp taken after its send(). Eight
-  // nodes give every query fan-out seven sends for a fast peer thread
-  // to overtake. Each exchange step leaves exactly one record, so every
-  // ring's exchange kinds count what the node's registry counts.
+  // Every node stamps its flight ring from the one host clock, so a matched
+  // rx stamped before its tx can only mean a tx stamp taken after its
+  // send(). Eight nodes give every query fan-out seven sends for a fast
+  // peer thread to overtake. Each exchange step leaves exactly one record,
+  // so every ring's exchange kinds count what the node's registry counts.
   constexpr std::uint32_t kN = 8;
   TypedHub h(kN);
   std::vector<std::unique_ptr<obs::FlightRecorder>> rings;
@@ -277,7 +276,6 @@ TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
 
   obs::AssemblerOptions options;
   options.n = kN;
-  options.estimate_skew = false;
   obs::TraceAssembler assembler(options);
   for (std::uint32_t i = 0; i < kN; ++i) {
     assembler.add_node({i, 0, rings[i]->snapshot()});

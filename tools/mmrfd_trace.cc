@@ -3,19 +3,19 @@
 // Operates on a report directory left behind by a traced supervisor run
 // (live::SupervisorConfig::trace): one binary `<report>.trace` flight-ring
 // dump per node incarnation, written as it stopped, plus
-// trace_manifest.txt, whose horizon ends the assembled run. Subcommands:
+// trace_manifest.txt, whose origin aligns every ring and whose horizon
+// ends the assembled run. Subcommands:
 //
-//   assemble  <dir>   assembly summary: record/pair counts, causal-violation
-//                     count, per-node clock-skew estimates (--json: the full
-//                     assembled document, same shape the supervisor writes
-//                     to trace_assembled.json)
+//   assemble  <dir>   assembly summary: record, matched-link and
+//                     causal-violation counts (--json: the full assembled
+//                     document, same shape the supervisor writes to
+//                     trace_assembled.json)
 //   breakdown <dir>   per-crash detection tables: every observer's latency
 //                     split into round-pacing / resend-wait / wire, with
 //                     the pacing's post-quorum grace on its own
-//   timeline  <dir>   the merged, skew-aligned, chronological event stream
+//   timeline  <dir>   the merged, origin-aligned, chronological event stream
 //
-// --no-skew skips clock-skew estimation (all rings assumed to share one
-// clock frame); --out=FILE writes to a file instead of stdout.
+// --out=FILE writes to a file instead of stdout.
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -35,13 +35,12 @@ void write_summary(std::ostream& out, const AssembledTrace& trace) {
       << "causal violations:" << (trace.causal_violations == 0 ? " " : " !")
       << trace.causal_violations << "\n"
       << "crashes:          " << trace.crashes.size() << "\n";
-  mmrfd::obs::write_skew(out, trace);
 }
 
 int usage() {
   std::cerr
       << "usage: mmrfd-trace <assemble|breakdown|timeline> <report_dir>\n"
-         "                   [--json] [--no-skew] [--out=FILE]\n";
+         "                   [--json] [--out=FILE]\n";
   return 2;
 }
 
@@ -58,18 +57,14 @@ int main(int argc, char** argv) {
 
   mmrfd::ArgParser args("mmrfd-trace " + command);
   args.flag("json", "false", "emit the full assembled document as JSON")
-      .flag("no-skew", "false",
-            "skip clock-skew estimation (rings share one clock)")
       .flag("out", "", "write output to this file instead of stdout");
   std::vector<const char*> rest;
   rest.push_back(argv[0]);
   for (int i = 3; i < argc; ++i) rest.push_back(argv[i]);
   if (!args.parse(static_cast<int>(rest.size()), rest.data())) return 2;
 
-  const bool estimate_skew = !args.get_bool("no-skew");
-  const bool keep_timeline = command == "timeline";
   const auto trace =
-      mmrfd::obs::assemble_from_dir(dir, estimate_skew, keep_timeline);
+      mmrfd::obs::assemble_from_dir(dir, command == "timeline");
   if (!trace) {
     std::cerr << "mmrfd-trace: cannot assemble " << dir << " (missing "
               << mmrfd::obs::kTraceManifestName << "?)\n";
