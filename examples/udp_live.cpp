@@ -1,8 +1,8 @@
 // udp_live — the detector over real UDP sockets on loopback, in real time.
 //
-// Five detector instances run inside this one binary (each with its own
-// socket and protocol thread — architecturally identical to five separate
-// daemons).
+// Five detector instances run inside this one binary, each straight over
+// its own socket with its own protocol thread — architecturally identical
+// to five separate daemons.
 // After a second of steady state we crash-stop p4 and watch the survivors
 // converge on suspecting it, each at its first unanswered query round.
 //
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "transport/realtime_detector.h"
-#include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
 using namespace mmrfd;
@@ -25,20 +24,17 @@ int main() {
   constexpr std::uint16_t kBasePort = 39400;
 
   std::vector<std::unique_ptr<transport::UdpTransport>> sockets;
-  std::vector<std::unique_ptr<transport::TypedTransport>> transports;
   std::vector<std::unique_ptr<transport::RealTimeDetector>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
     sockets.push_back(std::make_unique<transport::UdpTransport>(
         transport::UdpConfig{ProcessId{i}, kN, kBasePort}));
-    transports.push_back(
-        std::make_unique<transport::TypedTransport>(*sockets[i]));
     transport::RealTimeConfig cfg;
     cfg.detector.self = ProcessId{i};
     cfg.detector.n = kN;
     cfg.detector.f = 1;
     cfg.pacing = from_millis(50);
-    nodes.push_back(std::make_unique<transport::RealTimeDetector>(
-        *transports[i], cfg));
+    nodes.push_back(
+        std::make_unique<transport::RealTimeDetector>(*sockets[i], cfg));
   }
 
   try {

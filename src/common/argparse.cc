@@ -1,10 +1,30 @@
 #include "common/argparse.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace mmrfd {
+
+namespace {
+
+/// The value of flag `name` as a T, if all of `value` is one.
+template <typename T>
+T parse_whole(const std::string& name, const std::string& value,
+              const char* what) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [stop, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || stop != end) {
+    throw std::invalid_argument("--" + name + ": '" + value + "' is not " +
+                                what);
+  }
+  return out;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -61,11 +81,16 @@ std::string ArgParser::get(const std::string& name) const {
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  return parse_whole<std::int64_t>(name, get(name), "a 64-bit integer");
+}
+
+std::uint64_t ArgParser::get_uint(const std::string& name) const {
+  return parse_whole<std::uint64_t>(name, get(name),
+                                    "an unsigned 64-bit integer");
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return parse_whole<double>(name, get(name), "a number");
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

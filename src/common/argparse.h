@@ -23,7 +23,11 @@ class ArgParser {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// The numeric getters throw std::invalid_argument, naming the flag,
+  /// unless the whole value parses as the type (decimal, no sign on the
+  /// unsigned one) and fits it.
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 

@@ -14,7 +14,9 @@
 #include <ctime>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/argparse.h"
@@ -24,7 +26,6 @@
 #include "obs/metrics_registry.h"
 #include "transport/faulty_transport.h"
 #include "transport/realtime_detector.h"
-#include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
 namespace mmrfd::live {
@@ -52,6 +53,18 @@ void on_fatal_signal(int sig) {
   ::raise(sig);
 }
 
+/// Flag `name` as a T: std::invalid_argument unless its value parses whole
+/// and fits T, so no value wraps on its way in.
+template <typename T>
+T get_as(const ArgParser& args, const std::string& name) {
+  const std::int64_t v = args.get_int(name);
+  if (!std::in_range<T>(v)) {
+    throw std::invalid_argument("--" + name + ": " + std::to_string(v) +
+                                " is out of range");
+  }
+  return static_cast<T>(v);
+}
+
 }  // namespace
 
 int node_main(int argc, const char* const* argv) {
@@ -66,7 +79,6 @@ int node_main(int argc, const char* const* argv) {
       .flag("resend-ms", "500",
             "re-issue a quorum-short query to silent peers at this interval")
       .flag("delta", "true", "delta-encode queries")
-      .flag("rcvbuf", "0", "socket buffer bytes (0 = auto-scale with n)")
       .flag("report", "", "binary NodeReport path (empty = no reports)")
       .flag("flush-ms", "200", "report snapshot interval (ms)")
       .flag("control-fd", "-1",
@@ -78,11 +90,7 @@ int node_main(int argc, const char* const* argv) {
       .flag("giveup", "8",
             "crashed-peer give-up: probe peers suspected this many "
             "consecutive rounds at 1/K rate (0 = query everyone)")
-      .flag("resync", "64",
-            "self-stabilization resync interval in rounds (0 = off)")
       .flag("fault-drop", "0", "adversarial channel: outgoing drop rate")
-      .flag("fault-dup", "0", "adversarial channel: duplicate rate")
-      .flag("fault-reorder", "0", "adversarial channel: reorder rate")
       .flag("fault-corrupt", "0", "adversarial channel: byte-flip rate")
       .flag("fault-truncate", "0", "adversarial channel: truncation rate")
       .flag("fault-seed", "1", "adversarial channel RNG seed")
@@ -91,17 +99,40 @@ int node_main(int argc, const char* const* argv) {
             "<report>.trace when the node stops)");
   if (!args.parse(argc, argv)) return 2;
 
-  const auto n = static_cast<std::uint32_t>(args.get_int("n"));
-  const auto self = static_cast<std::uint32_t>(args.get_int("self"));
-  const auto f = static_cast<std::uint32_t>(args.get_int("f"));
+  // Every number is read here, before the node binds or installs anything:
+  // one that does not parse whole, or does not fit the type it is kept in,
+  // is a bad argument (std::invalid_argument, naming the flag).
+  std::uint32_t n = 0, self = 0, f = 0, giveup = 0;
+  std::int64_t resend_ms = 0, pacing_ms = 0, flush_ms = 0, base_port = 0,
+               trace_cap = 0, run_s = 0;
+  int control_fd = -1;
+  transport::FaultConfig fault_cfg;
+  try {
+    n = get_as<std::uint32_t>(args, "n");
+    self = get_as<std::uint32_t>(args, "self");
+    f = get_as<std::uint32_t>(args, "f");
+    resend_ms = args.get_int("resend-ms");
+    pacing_ms = args.get_int("pacing-ms");
+    flush_ms = args.get_int("flush-ms");
+    base_port = args.get_int("base-port");
+    trace_cap = args.get_int("trace-cap");
+    control_fd = get_as<int>(args, "control-fd");
+    run_s = args.get_int("run-s");
+    giveup = get_as<std::uint32_t>(args, "giveup");
+    fault_cfg.drop_rate = args.get_double("fault-drop");
+    fault_cfg.corrupt_rate = args.get_double("fault-corrupt");
+    fault_cfg.truncate_rate = args.get_double("fault-truncate");
+    // A Supervisor derives each node's seed over the whole uint64 range.
+    fault_cfg.seed = args.get_uint("fault-seed");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "mmrfd-node: " << e.what() << "\n";
+    return 2;
+  }
   // No resend waves would let one lost datagram wedge a round; a zero
   // interval would fire them back to back, and a zero pause (hence a zero
   // grace) would issue rounds back to back. A zero flush interval would
   // write snapshots back to back.
-  const auto resend_ms = args.get_int("resend-ms");
-  const auto pacing_ms = args.get_int("pacing-ms");
   const std::string report_path = args.get("report");
-  const auto flush_ms = args.get_int("flush-ms");
   if (n < 2 || self >= n || f >= n || resend_ms <= 0 || pacing_ms < 1 ||
       (!report_path.empty() && flush_ms < 1)) {
     std::cerr << "mmrfd-node: need n >= 2, self < n, f < n, resend-ms > 0, "
@@ -113,8 +144,6 @@ int node_main(int argc, const char* const* argv) {
   }
   // Node i binds base-port + i, so the whole range must be a valid port
   // range; a crash dump of a ring above kMaxCapacity would not load.
-  const auto base_port = args.get_int("base-port");
-  const auto trace_cap = args.get_int("trace-cap");
   if (base_port < 1 || base_port + n - 1 > 65535 || trace_cap < 0 ||
       static_cast<std::uint64_t>(trace_cap) >
           obs::FlightRecorder::kMaxCapacity) {
@@ -124,7 +153,6 @@ int node_main(int argc, const char* const* argv) {
               << base_port << " trace-cap=" << trace_cap << ")\n";
     return 2;
   }
-  const auto control_fd = static_cast<int>(args.get_int("control-fd"));
   if (control_fd < -1 ||
       (control_fd >= 0 && ::fcntl(control_fd, F_GETFD) < 0)) {
     std::cerr << "mmrfd-node: --control-fd " << control_fd
@@ -160,48 +188,34 @@ int node_main(int argc, const char* const* argv) {
   ucfg.self = ProcessId{self};
   ucfg.n = n;
   ucfg.base_port = static_cast<std::uint16_t>(base_port);
-  ucfg.socket_buffer_bytes =
-      static_cast<std::uint32_t>(args.get_int("rcvbuf"));
   ucfg.registry = &registry;
   transport::UdpTransport udp(ucfg);
 
   // Adversarial channel: inserted at the very bottom of the stack, so that
   // corrupted/truncated datagrams reach the codec like a real damaged
   // packet would.
-  transport::FaultConfig fault_cfg;
-  fault_cfg.drop_rate = args.get_double("fault-drop");
-  fault_cfg.duplicate_rate = args.get_double("fault-dup");
-  fault_cfg.reorder_rate = args.get_double("fault-reorder");
-  fault_cfg.corrupt_rate = args.get_double("fault-corrupt");
-  fault_cfg.truncate_rate = args.get_double("fault-truncate");
-  fault_cfg.seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
   fault_cfg.registry = &registry;
-  const bool faulty =
-      fault_cfg.drop_rate > 0.0 || fault_cfg.duplicate_rate > 0.0 ||
-      fault_cfg.reorder_rate > 0.0 || fault_cfg.corrupt_rate > 0.0 ||
-      fault_cfg.truncate_rate > 0.0;
+  const bool faulty = fault_cfg.drop_rate > 0.0 ||
+                      fault_cfg.corrupt_rate > 0.0 ||
+                      fault_cfg.truncate_rate > 0.0;
   std::optional<transport::FaultyTransport> faulty_layer;
   transport::DatagramTransport* datagrams = &udp;
   if (faulty) {
     faulty_layer.emplace(udp, fault_cfg);
     datagrams = &*faulty_layer;
   }
-  transport::TypedTransport typed(*datagrams, &registry);
 
   transport::RealTimeConfig rcfg;
   rcfg.detector.self = ProcessId{self};
   rcfg.detector.n = n;
   rcfg.detector.f = f;
   rcfg.detector.delta_queries = args.get_bool("delta");
-  rcfg.detector.giveup_rounds =
-      static_cast<std::uint32_t>(args.get_int("giveup"));
-  rcfg.detector.resync_interval =
-      static_cast<std::uint32_t>(args.get_int("resync"));
+  rcfg.detector.giveup_rounds = giveup;
   rcfg.pacing = from_millis(static_cast<double>(pacing_ms));
   rcfg.resend = from_millis(static_cast<double>(resend_ms));
   rcfg.registry = &registry;
   rcfg.recorder = &recorder;
-  transport::RealTimeDetector detector(typed, rcfg);
+  transport::RealTimeDetector detector(*datagrams, rcfg);
 
   // The main thread takes SIGTERM and SIGINT from a signalfd in the loop
   // below. Blocked before the protocol thread starts, so it inherits the
@@ -232,7 +246,7 @@ int node_main(int argc, const char* const* argv) {
   // Bound before anyone is told this node is up; a bind failure (a port in
   // use) exits here, which a Supervisor sees as its control socket closing.
   try {
-    typed.start();
+    datagrams->start();
   } catch (const std::exception& e) {
     std::cerr << "mmrfd-node " << self << ": start failed: " << e.what()
               << "\n";
@@ -271,7 +285,7 @@ int node_main(int argc, const char* const* argv) {
   // without a control socket, else at the release.
   using Clock = std::chrono::steady_clock;
   constexpr auto kNever = Clock::time_point::max();
-  const auto run_for = std::chrono::seconds(args.get_int("run-s"));
+  const auto run_for = std::chrono::seconds(run_s);
   const auto flush_every = std::chrono::milliseconds(flush_ms);
   auto end = kNever;
   auto next_flush = kNever;

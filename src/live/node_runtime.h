@@ -1,6 +1,6 @@
 // The per-process detector daemon behind the mmrfd-node binary: one
-// DetectorCore over UdpTransport (optionally through FaultyTransport),
-// paced by wall clock, periodically snapshotting a live::NodeReport and
+// RealTimeDetector straight over UdpTransport (optionally through
+// FaultyTransport), paced by wall clock, periodically snapshotting a live::NodeReport and
 // flushing a final one on SIGTERM/SIGINT, when --run-s elapses, or when its
 // Supervisor is gone. With --report it then writes its flight ring once, in
 // the binary dump layout, to <report>.trace (the fatal-signal handler
@@ -21,7 +21,8 @@ namespace mmrfd::live {
 
 /// Entry point of the mmrfd-node binary. Returns the process exit code:
 /// 0 clean shutdown (a closed control socket included), 1 runtime failure
-/// (e.g. port already bound), 2 bad arguments. While the node runs,
+/// (e.g. port already bound), 2 bad arguments (a number that does not parse
+/// whole included). While the node runs,
 /// SIGTERM and SIGINT are blocked and read from a signalfd on the calling
 /// thread; the caller's signal mask is restored before returning.
 /// Installs fatal-signal handlers that dump the flight ring.

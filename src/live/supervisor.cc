@@ -148,23 +148,17 @@ void Supervisor::spawn(Proc& p) {
       "--pacing-ms=" +
           std::to_string(config_.pacing.count() / 1'000'000),
       "--delta=" + std::string(config_.delta ? "true" : "false"),
-      "--rcvbuf=" + std::to_string(config_.rcvbuf),
       "--report=" + report,
       "--flush-ms=" + std::to_string(config_.flush.count() / 1'000'000),
       "--resend-ms=" + std::to_string(config_.resend.count() / 1'000'000),
       "--giveup=" + std::to_string(config_.giveup_rounds),
-      "--resync=" + std::to_string(config_.resync_interval),
   };
   if (config_.trace) {
     argstrs.push_back("--trace-cap=" + std::to_string(config_.trace_capacity));
   }
-  if (config_.fault_drop > 0.0 || config_.fault_dup > 0.0 ||
-      config_.fault_reorder > 0.0 || config_.fault_corrupt > 0.0 ||
+  if (config_.fault_drop > 0.0 || config_.fault_corrupt > 0.0 ||
       config_.fault_truncate > 0.0) {
     argstrs.push_back("--fault-drop=" + std::to_string(config_.fault_drop));
-    argstrs.push_back("--fault-dup=" + std::to_string(config_.fault_dup));
-    argstrs.push_back("--fault-reorder=" +
-                      std::to_string(config_.fault_reorder));
     argstrs.push_back("--fault-corrupt=" +
                       std::to_string(config_.fault_corrupt));
     argstrs.push_back("--fault-truncate=" +
@@ -452,11 +446,10 @@ void Supervisor::assemble_traces(const std::vector<Proc>& procs,
                                  LiveRunResult& result) const {
   namespace fs = std::filesystem;
   obs::TraceManifest manifest;
-  manifest.n = config_.n;
   manifest.origin_ns = origin_ns_;
   manifest.horizon_ns = result.horizon.count();
   for (const LiveCrash& c : result.crashes) {
-    manifest.crashes.push_back({c.victim.value, c.at.count(), c.restarted});
+    manifest.crashes.push_back({c.victim.value, c.at.count()});
   }
   std::error_code ec;
   for (const Proc& p : procs) {

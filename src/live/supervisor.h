@@ -52,7 +52,6 @@ struct SupervisorConfig {
   Duration pacing{from_millis(100)};
   Duration resend{from_millis(500)};  ///< quorum-short query re-issue interval
   bool delta{true};
-  std::uint32_t rcvbuf{0};          ///< per-node socket buffer (0 = auto)
   Duration flush{from_millis(200)}; ///< node report snapshot interval
   /// Cluster time-series sampling interval: every `telemetry`, the current
   /// per-node report files are read back and one JSONL line per decodable
@@ -64,14 +63,11 @@ struct SupervisorConfig {
 
   /// Crashed-peer give-up policy (DetectorConfig::giveup_rounds).
   std::uint32_t giveup_rounds{8};
-  /// Self-stabilization resync interval (DetectorConfig::resync_interval).
-  std::uint32_t resync_interval{64};
 
   // Adversarial-channel knobs, forwarded to every node's FaultyTransport
-  // (all zero = no fault layer in the stack at all).
+  // (all zero = no fault layer in the stack at all). Each node incarnation
+  // gets its own seed derived from fault_seed mod 2^64, so any value works.
   double fault_drop{0.0};
-  double fault_dup{0.0};
-  double fault_reorder{0.0};
   double fault_corrupt{0.0};
   double fault_truncate{0.0};
   std::uint64_t fault_seed{1};

@@ -1,37 +1,9 @@
 #include "obs/metrics_registry.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 namespace mmrfd::obs {
 namespace {
-
-// Instrument names are dotted ASCII identifiers, but the JSON emitter must
-// not produce invalid output even for a hostile name.
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 template <typename Snapshot>
 const Snapshot* find_by_name(const std::vector<Snapshot>& sorted,
@@ -140,69 +112,6 @@ void RegistrySnapshot::merge(const RegistrySnapshot& other) {
                  }
                  a.buckets = std::move(merged);
                });
-}
-
-std::string RegistrySnapshot::to_text() const {
-  std::ostringstream out;
-  for (const CounterSnapshot& c : counters) {
-    out << c.name << ' ' << c.value << '\n';
-  }
-  for (const GaugeSnapshot& g : gauges) {
-    out << g.name << ' ' << g.value << '\n';
-  }
-  for (const HistogramSnapshot& h : histograms) {
-    out << h.name << " count=" << h.count << " sum=" << h.sum
-        << " p50=" << h.percentile(0.50) << " p99=" << h.percentile(0.99)
-        << '\n';
-  }
-  return out.str();
-}
-
-std::string RegistrySnapshot::to_json() const {
-  std::string out;
-  out += "{\"counters\":{";
-  bool first = true;
-  for (const CounterSnapshot& c : counters) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, c.name);
-    out.push_back(':');
-    out += std::to_string(c.value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const GaugeSnapshot& g : gauges) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, g.name);
-    out.push_back(':');
-    out += std::to_string(g.value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const HistogramSnapshot& h : histograms) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, h.name);
-    out += ":{\"count\":";
-    out += std::to_string(h.count);
-    out += ",\"sum\":";
-    out += std::to_string(h.sum);
-    out += ",\"buckets\":[";
-    bool first_bucket = true;
-    for (const auto& [index, bucket_count] : h.buckets) {
-      if (!first_bucket) out.push_back(',');
-      first_bucket = false;
-      out.push_back('[');
-      out += std::to_string(index);
-      out.push_back(',');
-      out += std::to_string(bucket_count);
-      out += "]";
-    }
-    out += "]}";
-  }
-  out += "}}";
-  return out;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

@@ -172,12 +172,6 @@ struct RegistrySnapshot {
   // per-node instantaneous values, e.g. receive-buffer bytes).
   void merge(const RegistrySnapshot& other);
 
-  // One `name value` line per instrument; histograms add count/sum/p50/p99.
-  std::string to_text() const;
-  // Stable single-line JSON object: {"counters":{...},"gauges":{...},
-  // "histograms":{name:{"count":c,"sum":s,"buckets":[[i,c],...]}}}.
-  std::string to_json() const;
-
   friend bool operator==(const RegistrySnapshot&,
                          const RegistrySnapshot&) = default;
 };

@@ -347,12 +347,10 @@ bool write_manifest(const std::string& path, const TraceManifest& manifest) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << "mmrfd-trace-manifest v1\n";
-  out << "n " << manifest.n << '\n';
   out << "origin_ns " << manifest.origin_ns << '\n';
   if (manifest.horizon_ns) out << "horizon_ns " << *manifest.horizon_ns << '\n';
   for (const auto& c : manifest.crashes) {
-    out << "crash " << c.victim << ' ' << c.at_ns << ' '
-        << (c.restarted ? 1 : 0) << '\n';
+    out << "crash " << c.victim << ' ' << c.at_ns << '\n';
   }
   for (const auto& t : manifest.traces) {
     out << "trace " << t.node << ' ' << t.incarnation << ' ' << t.file
@@ -374,19 +372,13 @@ std::optional<TraceManifest> load_manifest(const std::string& path) {
     std::istringstream ls(line);
     std::string tag;
     if (!(ls >> tag)) continue;
-    if (tag == "n") {
-      ls >> m.n;
-    } else if (tag == "origin_ns") {
+    if (tag == "origin_ns") {
       ls >> m.origin_ns;
     } else if (tag == "horizon_ns") {
       if (std::int64_t h = 0; ls >> h) m.horizon_ns = h;
     } else if (tag == "crash") {
       TraceManifest::Crash c;
-      int restarted = 0;
-      if (ls >> c.victim >> c.at_ns >> restarted) {
-        c.restarted = restarted != 0;
-        m.crashes.push_back(c);
-      }
+      if (ls >> c.victim >> c.at_ns) m.crashes.push_back(c);
     } else if (tag == "trace") {
       TraceManifest::Entry e;
       if (ls >> e.node >> e.incarnation >> e.file) {
@@ -403,7 +395,6 @@ std::optional<AssembledTrace> assemble_from_dir(const std::string& dir,
       load_manifest(dir + "/" + std::string(kTraceManifestName));
   if (!manifest) return std::nullopt;
   AssemblerOptions options;
-  options.n = manifest->n;
   options.origin_ns = manifest->origin_ns;
   options.horizon_ns = manifest->horizon_ns;
   options.keep_timeline = keep_timeline;

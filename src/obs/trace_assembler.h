@@ -49,8 +49,6 @@ struct TraceNodeInput {
 };
 
 struct AssemblerOptions {
-  /// Cluster size (0 = infer as max node id + 1).
-  std::uint32_t n{0};
   /// Subtracted from every record stamp, translating wall-clock rings into
   /// the supervisor's origin-relative frame (the frame crash times are
   /// stamped in): the whole alignment. 0 for simulator rings.
@@ -152,14 +150,12 @@ std::optional<std::vector<TraceRecord>> load_trace_records(
 /// What the supervisor writes next to the dumps so offline assembly knows
 /// the run's shape. Plain line-oriented text ("mmrfd-trace-manifest v1").
 struct TraceManifest {
-  std::uint32_t n{0};
   std::uint64_t origin_ns{0};
   /// The run's horizon, origin-relative (AssemblerOptions::horizon_ns).
   std::optional<std::int64_t> horizon_ns;
   struct Crash {
     std::uint32_t victim{0};
     std::int64_t at_ns{0};
-    bool restarted{false};
   };
   std::vector<Crash> crashes;
   struct Entry {
@@ -173,6 +169,9 @@ struct TraceManifest {
 inline constexpr std::string_view kTraceManifestName = "trace_manifest.txt";
 
 bool write_manifest(const std::string& path, const TraceManifest& manifest);
+/// Skips lines it does not know and fields past those it reads, so older
+/// v1 manifests load too (their n, pacing_ns and resend_ns lines, and a
+/// third field on a crash line, once a restart bit).
 std::optional<TraceManifest> load_manifest(const std::string& path);
 
 /// Loads `<dir>/trace_manifest.txt` plus every dump it lists and runs the

@@ -1,8 +1,8 @@
 // Compact binary wire codec.
 //
-// Used by the real transports (UDP / in-memory) and by the
-// simulator's size hook to account bytes on the wire for every protocol
-// message. Every datagram is one message and nothing else: the transport
+// Used by the live path's one codec hop (RealTimeDetector, over UDP or
+// in-memory datagrams) and by the simulator's size hook to account bytes
+// on the wire for every protocol message. Every datagram is one message and nothing else: the transport
 // names its sender (UdpTransport from the source port, InMemoryHub from the
 // sending endpoint), so no byte of it repeats the address. A message starts
 // with its flags byte, whose top bit is the type (clear: query, set:

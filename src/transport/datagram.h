@@ -1,25 +1,24 @@
 // Byte-level transport abstraction.
 //
-// The transport stack is layered like a production system's; each layer
-// counts into the node's one obs::MetricsRegistry under its own prefix:
+// The transport stack has two layers under the detector; each counts into
+// the node's one obs::MetricsRegistry under its own prefix:
 //
-//   RealTimeDetector            protocol driver                      rt.*
-//        │ (sender, WireMessage), a direct call
-//   TypedTransport              codec: message encode/decode         codec.*
+//   RealTimeDetector            protocol driver and codec     rt.*, codec.*
 //        │ (sender, bytes), through DatagramTransport
 //   [FaultyTransport]           optional: injected channel faults    fault.*
 //        │ (sender, bytes), through DatagramTransport
 //   UdpTransport / InMemoryHub  sockets / in-process queues          udp.*
 //
 // DatagramTransport below is the stack's one interface: it is where tests
-// swap sockets for InMemoryHub queues and insert FaultyTransport.
+// swap sockets for InMemoryHub queues and insert FaultyTransport or a
+// recording decorator.
 //
 // A datagram carries only its message. The bottom layer names the sender
 // from where the datagram came (UdpTransport: the source port, peer i
 // sending from base_port + i; InMemoryHub: the sending endpoint), so no
 // byte on the wire repeats the address and no corrupted byte can blame a
 // datagram on another peer. An address the transport cannot map comes up
-// as an id >= n, which TypedTransport drops as malformed.
+// as an id >= n, which RealTimeDetector drops as malformed.
 //
 // No layer owns a thread. The node's one protocol thread (RealTimeDetector)
 // calls poll(), which runs the receive path down the stack and hands each
@@ -64,9 +63,6 @@ class DatagramTransport {
   /// Sends one datagram to a peer; the handler may call it. Best-effort:
   /// may drop.
   virtual void send(ProcessId to, std::span<const std::uint8_t> datagram) = 0;
-
-  [[nodiscard]] virtual ProcessId self() const = 0;
-  [[nodiscard]] virtual std::uint32_t cluster_size() const = 0;
 };
 
 }  // namespace mmrfd::transport

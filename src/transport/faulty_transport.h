@@ -1,8 +1,8 @@
 // FaultyTransport — an adversarial-channel decorator for any
 // DatagramTransport: the live-path sibling of net::Network's fault knobs.
 //
-// Inserted anywhere in the byte-level stack (below TypedTransport to feed
-// the codec malformed bytes, or to drop what the round driver's waves must
+// Inserted anywhere in the byte-level stack (under RealTimeDetector to feed
+// its codec malformed bytes, or to drop what the round driver's waves must
 // re-send), it perturbs outgoing datagrams:
 //
 //   * drop        — the datagram never hits the wire;
@@ -62,11 +62,6 @@ class FaultyTransport final : public DatagramTransport {
   void stop() override;
   void poll(Duration max_wait) override { inner_.poll(max_wait); }
   void send(ProcessId to, std::span<const std::uint8_t> datagram) override;
-
-  [[nodiscard]] ProcessId self() const override { return inner_.self(); }
-  [[nodiscard]] std::uint32_t cluster_size() const override {
-    return inner_.cluster_size();
-  }
 
  private:
   /// Applies corruption/truncation to a private copy and emits it.

@@ -34,11 +34,6 @@ class InMemoryHub::Endpoint final : public DatagramTransport {
         {self_, std::vector<std::uint8_t>(datagram.begin(), datagram.end())});
   }
 
-  [[nodiscard]] ProcessId self() const override { return self_; }
-  [[nodiscard]] std::uint32_t cluster_size() const override {
-    return hub_.size();
-  }
-
  private:
   /// A datagram and the endpoint that sent it, which is its sender.
   struct Queued {

@@ -3,8 +3,9 @@
 // datagram keeps the id of the endpoint that sent it, which the receiver's
 // handler gets as the sender. The multi-threaded analogue of net::Network —
 // one protocol thread per node, real concurrency between nodes, loopback
-// latency, no loss — used by the transport integration tests; wrap an
-// endpoint in a FaultyTransport for lossy links.
+// latency, no loss — used by the transport integration tests, which build a
+// RealTimeDetector straight over an endpoint; wrap one in a FaultyTransport
+// for lossy links.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,6 @@ class InMemoryHub {
 
   /// The datagram endpoint for process `id`; owned by the hub.
   [[nodiscard]] DatagramTransport& endpoint(ProcessId id);
-
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(endpoints_.size());
-  }
 
  private:
   class Endpoint;

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/peer_range.h"
 #include "common/rng.h"
+#include "transport/codec.h"
 
 namespace mmrfd::transport {
 
@@ -34,14 +37,15 @@ core::RoundDriverConfig driver_config(const RealTimeConfig& config,
 
 }  // namespace
 
-RealTimeDetector::RealTimeDetector(TypedTransport& transport,
+RealTimeDetector::RealTimeDetector(DatagramTransport& transport,
                                    const RealTimeConfig& config)
     : transport_(transport),
       config_(config),
       driver_(config.detector, driver_config(config, *registry_)) {
-  transport_.set_handler([this](ProcessId from, const WireMessage& msg) {
-    on_datagram(from, msg);
-  });
+  transport_.set_handler(
+      [this](ProcessId from, std::span<const std::uint8_t> datagram) {
+        on_datagram(from, datagram);
+      });
 }
 
 RealTimeDetector::~RealTimeDetector() { stop(); }
@@ -101,29 +105,37 @@ void RealTimeDetector::run() {
 }
 
 void RealTimeDetector::transmit() {
-  if (outgoing_.empty()) return;
-  // Every peer shares one payload (reference mode, first round, mass
-  // resync, or one delta base for all): broadcast() serializes it once,
-  // per-peer send() per call. Peers on different bases never share one.
-  const bool broadcast =
-      outgoing_.size() == driver_.core().known().size() &&
-      std::all_of(outgoing_.begin(), outgoing_.end(),
-                  [&](const core::Outgoing& q) {
-                    return q.query == outgoing_.front().query;
-                  });
+  // The driver builds each distinct query of a fan-out once (the full
+  // encoding, one delta per acknowledged base) and every recipient shares
+  // its pointer, so a payload is encoded at its first recipient and the
+  // rest get the same bytes.
+  std::vector<std::pair<const WireMessage*, std::vector<std::uint8_t>>>
+      encoded;
   for (const core::Outgoing& q : outgoing_) {
-    const WireMessage& msg = *q.query;
-    const auto& query = std::get<core::QueryMessage>(msg);
+    auto it = std::find_if(encoded.begin(), encoded.end(), [&](const auto& e) {
+      return e.first == q.query.get();
+    });
+    if (it == encoded.end()) {
+      it = encoded.emplace(encoded.end(), q.query.get(),
+                           encode_message(*q.query));
+    }
+    const auto& query = std::get<core::QueryMessage>(*q.query);
     (query.is_delta() ? delta_queries_sent_ : full_queries_sent_)->add(1);
-    query_bytes_sent_->add(wire_size(query));
-    if (!broadcast) transport_.send(q.to, msg);
+    query_bytes_sent_->add(it->second.size());
+    transport_.send(q.to, it->second);
   }
-  if (broadcast) transport_.broadcast(*outgoing_.front().query);
   outgoing_.clear();
 }
 
-void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
-  if (const auto* q = std::get_if<core::QueryMessage>(&msg)) {
+void RealTimeDetector::on_datagram(ProcessId from,
+                                   std::span<const std::uint8_t> datagram) {
+  std::optional<WireMessage> msg;
+  if (from.value < config_.detector.n) msg = decode_message(datagram);
+  if (!msg) {
+    malformed_->add(1);
+    return;
+  }
+  if (const auto* q = std::get_if<core::QueryMessage>(&*msg)) {
     queries_received_->add(1);
     core::ResponseMessage response;
     {
@@ -135,13 +147,15 @@ void RealTimeDetector::on_datagram(ProcessId from, const WireMessage& msg) {
     }
     if (response.need_full) need_full_sent_->add(1);
     responses_sent_->add(1);
-    response_bytes_sent_->add(wire_size(response));
-    transport_.send(from, WireMessage{response});
-  } else if (const auto* r = std::get_if<core::ResponseMessage>(&msg)) {
+    const auto bytes = encode_message(WireMessage{response});
+    response_bytes_sent_->add(bytes.size());
+    transport_.send(from, bytes);
+  } else {
+    const auto& r = std::get<core::ResponseMessage>(*msg);
     responses_received_->add(1);
-    if (r->need_full) need_full_received_->add(1);
+    if (r.need_full) need_full_received_->add(1);
     std::lock_guard lock(mutex_);
-    driver_.handle_response(steady_now(), from, *r);
+    driver_.handle_response(steady_now(), from, r);
   }
 }
 

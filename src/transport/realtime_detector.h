@@ -1,6 +1,7 @@
 // RealTimeDetector — the adapter that binds a DetectorCore's RoundDriver to a
-// TypedTransport over UDP or in-memory datagrams: the exact state machine
-// verified under simulation, bound to sockets and one protocol thread.
+// DatagramTransport (UdpTransport, FaultyTransport or an InMemoryHub
+// endpoint): the exact state machine verified under simulation, bound to
+// sockets and one protocol thread.
 //
 // The thread runs the paper's two tasks as one loop, as the simulator does: it
 // fires the driver's deadline and sends what the driver planned (T1), then
@@ -13,14 +14,23 @@
 // starts the detector once its peers are up (mmrfd-node waits for its
 // Supervisor's release). The mutex guards the driver only against
 // readers on other threads (suspected(), is_suspected(),
-// rounds_completed()). Only what needs the transport layer stays here: the
-// origin_seq piggyback and the rt.* registry instruments: full/delta query
-// encodings and codec bytes sent (socket-level egress counts as udp.*),
-// queries and responses received and sent, need_full resync requests sent (a
-// delta named a base we never acknowledged) and received, finished rounds,
-// resend waves (the late wave in the grace included), and the rt.round_rtt_ns
-// histogram (issue to the quorum-completing response, sampled as that
-// response is handled).
+// rounds_completed()).
+//
+// It is the node's one codec hop. A fan-out encodes each distinct payload
+// the driver planned once, at its first recipient, and sends those bytes to
+// every peer that shares it, in the driver's peer order; each response is
+// encoded once. Every received datagram is decoded here: one that does not
+// decode, or whose sender is not a member (an id >= n: an address the
+// datagram layer could not map), is dropped unanswered and counted in
+// codec.malformed.
+//
+// Only what needs the transport layer stays here: the origin_seq piggyback
+// and the rt.* registry instruments: full/delta query encodings and codec
+// bytes sent (socket-level egress counts as udp.*), queries and responses
+// received and sent, need_full resync requests sent (a delta named a base we
+// never acknowledged) and received, finished rounds, resend waves (the late
+// wave in the grace included), and the rt.round_rtt_ns histogram (issue to
+// the quorum-completing response, sampled as that response is handled).
 //
 // It writes no trace record: config.recorder goes to the driver and its core,
 // which record every protocol step once. It attaches no SuspicionObserver:
@@ -32,6 +42,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -39,7 +50,7 @@
 #include "core/round_driver.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
-#include "transport/typed_transport.h"
+#include "transport/datagram.h"
 
 namespace mmrfd::transport {
 
@@ -60,8 +71,8 @@ struct RealTimeConfig {
   /// query to the silent peers not yet suspected. Must be positive: zero
   /// would fire the waves back to back.
   Duration resend{from_millis(500)};
-  /// Shared metrics registry for the rt.* instruments; the detector owns a
-  /// private one when null. Sharing one registry across the node's whole
+  /// Shared metrics registry for the rt.* and codec.* instruments; the
+  /// detector owns a private one when null. Sharing one registry across the node's whole
   /// stack gives the report writer a single snapshot to embed.
   obs::MetricsRegistry* registry{nullptr};
   /// Flight recorder handed to the round driver and its core, the ring's
@@ -71,9 +82,10 @@ struct RealTimeConfig {
 
 class RealTimeDetector final : public core::FailureDetector {
  public:
-  /// Throws std::invalid_argument unless config.resend is positive (the
-  /// round driver's check), and for whatever DetectorCore rejects.
-  RealTimeDetector(TypedTransport& transport, const RealTimeConfig& config);
+  /// Installs the transport's datagram handler. Throws
+  /// std::invalid_argument unless config.resend is positive (the round
+  /// driver's check), and for whatever DetectorCore rejects.
+  RealTimeDetector(DatagramTransport& transport, const RealTimeConfig& config);
   ~RealTimeDetector() override;
 
   RealTimeDetector(const RealTimeDetector&) = delete;
@@ -91,19 +103,20 @@ class RealTimeDetector final : public core::FailureDetector {
   /// Rounds completed so far (monotone; for liveness checks in tests).
   [[nodiscard]] std::uint64_t rounds_completed() const;
 
-  /// The registry backing the rt.* instruments (config.registry or the
-  /// private fallback).
+  /// The registry backing the rt.* and codec.* instruments
+  /// (config.registry or the private fallback).
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return *registry_;
   }
 
  private:
   void run();
-  /// Sends the transmissions the driver planned.
+  /// Encodes and sends the transmissions the driver planned.
   void transmit();
-  void on_datagram(ProcessId from, const WireMessage& msg);
+  /// Decodes one datagram and handles the query or response it holds.
+  void on_datagram(ProcessId from, std::span<const std::uint8_t> datagram);
 
-  TypedTransport& transport_;
+  DatagramTransport& transport_;
   RealTimeConfig config_;
 
   // Instruments are registry-backed relaxed atomics, not mutex-guarded
@@ -128,6 +141,7 @@ class RealTimeDetector final : public core::FailureDetector {
   obs::Counter* query_bytes_sent_{&registry_->counter("rt.query_bytes_sent")};
   obs::Counter* response_bytes_sent_{
       &registry_->counter("rt.response_bytes_sent")};
+  obs::Counter* malformed_{&registry_->counter("codec.malformed")};
 
   /// Guards driver_: the protocol thread, its only writer, changes it under
   /// the lock and may read it without; other threads read its core under

@@ -82,18 +82,16 @@ void UdpTransport::start() {
   if (fd_ < 0) {
     throw std::system_error(errno, std::generic_category(), "socket");
   }
-  // Size the socket buffers BEFORE traffic can arrive. The auto rule covers
-  // a whole cluster's fan-in landing while the protocol thread is busy or
+  // Size the socket buffers BEFORE traffic can arrive, to cover a whole
+  // cluster's fan-in landing while the protocol thread is busy or
   // descheduled: n peers can each have a full query plus a response in
   // flight to us within one pacing period, with slack for retransmissions.
   // The kernel clamps to net.core.{r,w}mem_max silently; the rcvbuf gauge
-  // records what was actually granted.
+  // records what was actually granted. The clamp keeps the request an int.
   const std::size_t slot = slot_size(config_.n);
-  const std::size_t auto_bytes = std::clamp<std::size_t>(
+  const int request = static_cast<int>(std::clamp<std::size_t>(
       4 * static_cast<std::size_t>(config_.n) * slot, std::size_t{256 * 1024},
-      std::size_t{8 * 1024 * 1024});
-  const int request = static_cast<int>(
-      config_.socket_buffer_bytes ? config_.socket_buffer_bytes : auto_bytes);
+      std::size_t{8 * 1024 * 1024}));
   (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &request, sizeof request);
   (void)::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &request, sizeof request);
   int granted = 0;

@@ -6,7 +6,7 @@
 // The sender of a datagram is its source address, which recvmmsg reports
 // per slot: port base_port + i is process i. A datagram from any other
 // address (a port outside [base_port, base_port + n), or not loopback IPv4)
-// reaches the handler with an id >= n, which TypedTransport counts in
+// reaches the handler with an id >= n, which RealTimeDetector counts in
 // codec.malformed.
 //
 // Deliberate UDP fit: the protocol tolerates loss of RESPONSEs (a query
@@ -18,8 +18,9 @@
 //
 // Scale hardening (the live-cluster subsystem runs 128+ of these per
 // machine): poll() waits in ppoll and drains in batches via recvmmsg where
-// available, SO_RCVBUF/SO_SNDBUF are sized to survive an n-process query
-// fan-in landing within one pacing period, and nothing is dropped silently.
+// available, SO_RCVBUF/SO_SNDBUF are sized from n to survive an n-process
+// query fan-in landing within one pacing period, and nothing is dropped
+// silently.
 //
 // Wire-level accounting, in the obs registry (UdpConfig::registry): every
 // datagram the kernel hands us counts once in udp.datagrams_received /
@@ -45,11 +46,6 @@ struct UdpConfig {
   ProcessId self{0};
   std::uint32_t n{0};
   std::uint16_t base_port{39000};
-  /// Requested socket buffer size; 0 = auto (scales with n, so a whole
-  /// round's fan-in of full queries fits while the protocol thread is busy
-  /// or descheduled). The kernel may clamp; udp.rcvbuf_bytes holds the
-  /// grant.
-  std::uint32_t socket_buffer_bytes{0};
   /// Shared metrics registry for the udp.* instruments; the transport owns
   /// a private one when null.
   obs::MetricsRegistry* registry{nullptr};
@@ -72,11 +68,6 @@ class UdpTransport final : public DatagramTransport {
     handler_ = std::move(handler);
   }
   void send(ProcessId to, std::span<const std::uint8_t> datagram) override;
-
-  [[nodiscard]] ProcessId self() const override { return config_.self; }
-  [[nodiscard]] std::uint32_t cluster_size() const override {
-    return config_.n;
-  }
 
  private:
   /// Drains one poll-ready batch; returns the number of datagrams handled.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace mmrfd {
 namespace {
 
@@ -63,6 +66,44 @@ TEST(ArgParser, HelpReturnsFalse) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--help"};
   EXPECT_FALSE(p.parse(2, argv));
+}
+
+TEST(ArgParser, NumbersMustParseWhole) {
+  // "12abc" is not 12, and a value past the type is no value: each throws
+  // std::invalid_argument naming the flag.
+  auto p = make_parser();
+  const char* argv[] = {"prog", "--n=12abc", "--rate=1.5x"};
+  ASSERT_TRUE(p.parse(3, argv));
+  try {
+    (void)p.get_int("n");
+    ADD_FAILURE() << "12abc parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)p.get_uint("n"), std::invalid_argument);
+  EXPECT_THROW((void)p.get_double("rate"), std::invalid_argument);
+  for (const char* bad : {"--n=", "--n=x", "--n=99999999999999999999",
+                          "--n= 5", "--n=5 "}) {
+    auto q = make_parser();
+    const char* one[] = {"prog", bad};
+    ASSERT_TRUE(q.parse(2, one));
+    EXPECT_THROW((void)q.get_int("n"), std::invalid_argument) << bad;
+  }
+}
+
+TEST(ArgParser, UnsignedReadsTheWholeUint64Range) {
+  auto p = make_parser();
+  const char* argv[] = {"prog", "--n=18446744073709551615"};
+  ASSERT_TRUE(p.parse(2, argv));
+  EXPECT_EQ(p.get_uint("n"), 18446744073709551615ull);
+  EXPECT_THROW((void)p.get_int("n"), std::invalid_argument);
+  for (const char* bad : {"--n=-1", "--n=18446744073709551616"}) {
+    auto q = make_parser();
+    const char* one[] = {"prog", bad};
+    ASSERT_TRUE(q.parse(2, one));
+    EXPECT_THROW((void)q.get_uint("n"), std::invalid_argument) << bad;
+  }
 }
 
 TEST(ArgParser, UnregisteredGetThrows) {

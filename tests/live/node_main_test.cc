@@ -101,6 +101,19 @@ TEST(NodeMain, RejectsBasePortsOutsideThePortRange) {
   }
 }
 
+TEST(NodeMain, RejectsNumbersThatDoNotParseOrFit) {
+  // Each value must parse whole and fit the type the node keeps it in:
+  // "10x" is not 10, and n = 2^32 + 2 is not 2.
+  for (const char* bad :
+       {"--n=x", "--pacing-ms=10x", "--base-port=99999999999999999999",
+        "--fault-drop=0.5%", "--fault-seed=-1", "--n=4294967298",
+        "--giveup=-1", "--control-fd=4294967297"}) {
+    EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "1", "--run-s=1", bad}),
+              2)
+        << bad;
+  }
+}
+
 TEST(NodeMain, RejectsAControlFdThatIsNotOpen) {
   int closed[2];
   ASSERT_EQ(::pipe(closed), 0);
@@ -146,6 +159,20 @@ TEST(NodeMain, ExitsWhenItsControlSocketClosesBeforeRelease) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, ends), 0);
   ::close(ends[0]);
   EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "1", "--base-port=44400",
+                 "--control-fd=" + std::to_string(ends[1])}),
+            0);
+  ::close(ends[1]);
+}
+
+TEST(NodeMain, TakesAFaultSeedAnywhereInTheUint64Range) {
+  // A Supervisor derives each node's seed as a uint64, so a seed past
+  // int64 must reach the fault layer. The control socket is closed before
+  // the node starts: it binds, cannot say ready, and returns 0.
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, ends), 0);
+  ::close(ends[0]);
+  EXPECT_EQ(run({"--self", "0", "--n", "3", "--f", "1", "--base-port=44400",
+                 "--fault-drop=0.01", "--fault-seed=18446744073709551615",
                  "--control-fd=" + std::to_string(ends[1])}),
             0);
   ::close(ends[1]);

@@ -204,34 +204,5 @@ TEST(RegistrySnapshot, MergeIntoEmptyIsIdentity) {
   EXPECT_EQ(empty, reg.snapshot());
 }
 
-// --- serialization -----------------------------------------------------------
-
-TEST(RegistrySnapshot, TextAndJsonCarryEveryInstrument) {
-  MetricsRegistry reg;
-  reg.counter("rt.rounds").add(17);
-  reg.gauge("udp.rcvbuf_bytes").set(4096);
-  reg.histogram("rt.round_rtt_ns").observe(1500);
-  const RegistrySnapshot snap = reg.snapshot();
-
-  const std::string text = snap.to_text();
-  EXPECT_NE(text.find("rt.rounds 17"), std::string::npos);
-  EXPECT_NE(text.find("udp.rcvbuf_bytes 4096"), std::string::npos);
-  EXPECT_NE(text.find("rt.round_rtt_ns count=1"), std::string::npos);
-
-  const std::string json = snap.to_json();
-  EXPECT_NE(json.find("\"rt.rounds\":17"), std::string::npos);
-  EXPECT_NE(json.find("\"udp.rcvbuf_bytes\":4096"), std::string::npos);
-  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-}
-
-TEST(RegistrySnapshot, JsonEscapesHostileNames) {
-  MetricsRegistry reg;
-  reg.counter("we\"ird\\name\n").add(1);
-  const std::string json = reg.snapshot().to_json();
-  EXPECT_NE(json.find("we\\\"ird\\\\name\\u000a"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mmrfd::obs

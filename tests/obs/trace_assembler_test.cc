@@ -49,7 +49,6 @@ class SyntheticCluster {
   }
 
   [[nodiscard]] TraceAssembler assembler(AssemblerOptions options = {}) const {
-    options.n = static_cast<std::uint32_t>(seqs_.size());
     TraceAssembler out(options);
     for (std::uint32_t i = 0; i < seqs_.size(); ++i) {
       auto it = records_.find(i);
@@ -102,9 +101,7 @@ TEST(TraceAssembler, IncarnationsMergeInOrderNotBySeq) {
   // 0 first — here g0 suspects the victim and g1 (fresh state) drops the
   // suspicion, so the node's final verdict is "not suspected". Merging by
   // seq alone would invert that.
-  AssemblerOptions options;
-  options.n = 2;
-  TraceAssembler assembler(options);
+  TraceAssembler assembler(AssemblerOptions{});
   TraceRecord add;
   add.t_ns = kBase;
   add.seq = 500;  // deep into incarnation 0's life
@@ -352,11 +349,10 @@ TEST(FirstRoundWave, OnlyARingThatHoldsItsFirstRoundAnswers) {
 TEST(TraceManifestIo, RoundTrips) {
   TempDir dir;
   TraceManifest manifest;
-  manifest.n = 8;
   manifest.origin_ns = 1'700'000'000'000'000'000ull;
   manifest.horizon_ns = 10'000'000'000;
-  manifest.crashes.push_back({7, 1'900'000'000, true});
-  manifest.crashes.push_back({2, 2'500'000'000, false});
+  manifest.crashes.push_back({7, 1'900'000'000});
+  manifest.crashes.push_back({2, 2'500'000'000});
   manifest.traces.push_back({0, 0, "node0.g0.bin.trace"});
   manifest.traces.push_back({7, 1, "node7.g1.bin.trace"});
 
@@ -364,14 +360,13 @@ TEST(TraceManifestIo, RoundTrips) {
   ASSERT_TRUE(write_manifest(path, manifest));
   const auto loaded = load_manifest(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->n, manifest.n);
   EXPECT_EQ(loaded->origin_ns, manifest.origin_ns);
   EXPECT_EQ(loaded->horizon_ns, manifest.horizon_ns);
   ASSERT_EQ(loaded->crashes.size(), 2u);
   EXPECT_EQ(loaded->crashes[0].victim, 7u);
   EXPECT_EQ(loaded->crashes[0].at_ns, 1'900'000'000);
-  EXPECT_TRUE(loaded->crashes[0].restarted);
-  EXPECT_FALSE(loaded->crashes[1].restarted);
+  EXPECT_EQ(loaded->crashes[1].victim, 2u);
+  EXPECT_EQ(loaded->crashes[1].at_ns, 2'500'000'000);
   ASSERT_EQ(loaded->traces.size(), 2u);
   EXPECT_EQ(loaded->traces[1].node, 7u);
   EXPECT_EQ(loaded->traces[1].incarnation, 1u);
@@ -384,12 +379,28 @@ TEST(TraceManifestIo, RoundTrips) {
   ASSERT_TRUE(unclipped.has_value());
   EXPECT_FALSE(unclipped->horizon_ns.has_value());
 
-  // An older manifest's pacing_ns and resend_ns lines are unknown tags now,
-  // and skipped.
-  { std::ofstream(path, std::ios::app) << "pacing_ns 100\nresend_ns 500\n"; }
+  // An older v1 manifest also carries n, pacing_ns and resend_ns lines,
+  // unknown tags now, and a restart bit after each crash's stamp: all
+  // skipped.
+  {
+    std::ofstream(path, std::ios::trunc)
+        << "mmrfd-trace-manifest v1\nn 8\norigin_ns 5\npacing_ns 100\n"
+           "resend_ns 500\nhorizon_ns 9\ncrash 7 1900000000 1\n"
+           "crash 2 2500000000 0\ntrace 7 1 node7.g1.bin.trace\n";
+  }
   const auto older = load_manifest(path);
   ASSERT_TRUE(older.has_value());
-  EXPECT_EQ(older->traces.size(), 2u);
+  EXPECT_EQ(older->origin_ns, 5u);
+  EXPECT_EQ(older->horizon_ns, 9);
+  ASSERT_EQ(older->crashes.size(), 2u);
+  EXPECT_EQ(older->crashes[0].victim, 7u);
+  EXPECT_EQ(older->crashes[0].at_ns, 1'900'000'000);
+  EXPECT_EQ(older->crashes[1].victim, 2u);
+  EXPECT_EQ(older->crashes[1].at_ns, 2'500'000'000);
+  ASSERT_EQ(older->traces.size(), 1u);
+  EXPECT_EQ(older->traces[0].node, 7u);
+  EXPECT_EQ(older->traces[0].incarnation, 1u);
+  EXPECT_EQ(older->traces[0].file, "node7.g1.bin.trace");
 
   EXPECT_FALSE(load_manifest(dir.path("missing.txt")).has_value());
 }
@@ -401,10 +412,9 @@ TEST(TraceAssemblerDir, AssemblesFromManifestAndToleratesMissingDumps) {
   ASSERT_TRUE(recorder.dump_binary_to_file(dir.path("node0.g0.bin.trace")));
 
   TraceManifest manifest;
-  manifest.n = 2;
   manifest.traces.push_back({0, 0, "node0.g0.bin.trace"});
   manifest.traces.push_back({1, 0, "node1.g0.bin.trace"});  // never written
-  manifest.crashes.push_back({1, 1000, false});
+  manifest.crashes.push_back({1, 1000});
   ASSERT_TRUE(write_manifest(dir.path(std::string(kTraceManifestName)),
                              manifest));
 

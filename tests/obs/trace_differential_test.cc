@@ -49,9 +49,7 @@ void run_differential(const Scenario& sc) {
 
   const metrics::Analysis analysis(cluster.log(), sc.n, horizon);
 
-  obs::AssemblerOptions options;
-  options.n = sc.n;
-  obs::TraceAssembler assembler(options);
+  obs::TraceAssembler assembler(obs::AssemblerOptions{});
   for (std::uint32_t i = 0; i < sc.n; ++i) {
     obs::FlightRecorder* rec = cluster.trace(ProcessId{i});
     ASSERT_NE(rec, nullptr);

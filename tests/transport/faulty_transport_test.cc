@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "obs/metrics_registry.h"
+#include "transport/codec.h"
 #include "transport/inmemory_transport.h"
 #include "transport/realtime_detector.h"
-#include "transport/typed_transport.h"
 
 namespace mmrfd::transport {
 namespace {
@@ -267,8 +267,8 @@ TEST(FaultyTransport, CorruptionChangesBytesButNeverLength) {
 TEST(FaultyTransport, CorruptionNeverDeliversADatagramAsAnotherPeers) {
   // Corruption flips bytes, never the sender: the receiving transport names
   // it (here the sending endpoint, on UDP the source port), so each of
-  // p1's damaged datagrams is dropped as malformed or delivered as p1's,
-  // whatever ids its bytes mention.
+  // p1's damaged datagrams fails to decode or decodes as p1's, whatever ids
+  // its bytes mention.
   constexpr std::uint32_t kN = 4;
   InMemoryHub hub(kN);
   obs::MetricsRegistry metrics;
@@ -278,10 +278,16 @@ TEST(FaultyTransport, CorruptionNeverDeliversADatagramAsAnotherPeers) {
   cfg.registry = &metrics;
   FaultyTransport faulty(hub.endpoint(ProcessId{1}), cfg);
   start_send_only(faulty);
-  TypedTransport rx(hub.endpoint(ProcessId{0}), &metrics);
+  DatagramTransport& rx = hub.endpoint(ProcessId{0});
   std::vector<ProcessId> senders;
-  rx.set_handler(
-      [&](ProcessId from, const WireMessage&) { senders.push_back(from); });
+  std::uint64_t malformed = 0;
+  rx.set_handler([&](ProcessId from, std::span<const std::uint8_t> d) {
+    if (decode_message(d).has_value()) {
+      senders.push_back(from);
+    } else {
+      ++malformed;
+    }
+  });
   rx.start();
   constexpr std::uint32_t kSends = 2000;
   for (std::uint32_t i = 1; i <= kSends; ++i) {
@@ -303,7 +309,6 @@ TEST(FaultyTransport, CorruptionNeverDeliversADatagramAsAnotherPeers) {
   }
   rx.poll(Duration::zero());
   EXPECT_EQ(metrics.counter("fault.corrupted").value(), kSends);
-  const std::uint64_t malformed = metrics.counter("codec.malformed").value();
   // Flips that land in value bytes still decode; the rest do not.
   EXPECT_GT(senders.size(), 0u);
   EXPECT_GT(malformed, 0u);
@@ -314,15 +319,15 @@ TEST(FaultyTransport, CorruptionNeverDeliversADatagramAsAnotherPeers) {
 }
 
 TEST(FaultyTransport, FullDetectorStackOverLossyLinks) {
-  // detector -> typed codec -> 25% drop on every node's egress -> in-memory
-  // links. The round driver's waves are the only retransmission: resend
-  // waves while a round is short of quorum keep the rounds turning, the
-  // late wave in the grace saves most silent live peers from suspicion,
-  // self-defence repairs the rest, and a stopped node is detected.
+  // detector (and its codec) -> 25% drop on every node's egress ->
+  // in-memory links. The round driver's waves are the only retransmission:
+  // resend waves while a round is short of quorum keep the rounds turning,
+  // the late wave in the grace saves most silent live peers from
+  // suspicion, self-defence repairs the rest, and a stopped node is
+  // detected.
   constexpr std::uint32_t kN = 3;
   InMemoryHub hub(kN);
   std::vector<std::unique_ptr<FaultyTransport>> faulty;
-  std::vector<std::unique_ptr<TypedTransport>> typed;
   std::vector<std::unique_ptr<RealTimeDetector>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
     FaultConfig fcfg;
@@ -330,7 +335,6 @@ TEST(FaultyTransport, FullDetectorStackOverLossyLinks) {
     fcfg.seed = 100 + i;
     faulty.push_back(
         std::make_unique<FaultyTransport>(hub.endpoint(ProcessId{i}), fcfg));
-    typed.push_back(std::make_unique<TypedTransport>(*faulty[i]));
   }
   for (std::uint32_t i = 0; i < kN; ++i) {
     RealTimeConfig cfg;
@@ -339,7 +343,7 @@ TEST(FaultyTransport, FullDetectorStackOverLossyLinks) {
     cfg.detector.f = 1;
     cfg.pacing = from_millis(20);
     cfg.resend = from_millis(10);
-    nodes.push_back(std::make_unique<RealTimeDetector>(*typed[i], cfg));
+    nodes.push_back(std::make_unique<RealTimeDetector>(*faulty[i], cfg));
   }
   for (auto& n : nodes) n->start();
   // Generous budgets: this runs under parallel test load and sanitizers.

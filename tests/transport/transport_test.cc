@@ -1,7 +1,8 @@
 // Real-transport integration: the simulator-verified core over sockets and
-// one protocol thread per node. Transports own no thread, so the transport
-// cases poll them on the test thread; the detector cases use generous
-// wall-clock budgets and liveness-style assertions (eventually-suspects /
+// one protocol thread per node, each RealTimeDetector straight over its
+// datagram endpoint. Transports own no thread, so the transport cases poll
+// them on the test thread; the detector cases use generous wall-clock
+// budgets and liveness-style assertions (eventually-suspects /
 // eventually-clean) to stay robust on loaded CI machines.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -13,17 +14,20 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace_assembler.h"
+#include "transport/codec.h"
 #include "transport/inmemory_transport.h"
 #include "transport/realtime_detector.h"
-#include "transport/typed_transport.h"
 #include "transport/udp_transport.h"
 
 namespace mmrfd::transport {
@@ -52,88 +56,153 @@ bool eventually(Cond cond, std::chrono::milliseconds budget = 5000ms) {
   return cond();
 }
 
-/// A cluster of typed endpoints over one in-memory hub.
-struct TypedHub {
-  InMemoryHub hub;
-  std::vector<std::unique_ptr<TypedTransport>> typed;
+/// A decorator that records every datagram sent through it, in order, and
+/// hands the handler a datagram from any sender, even one no transport
+/// could name. Read sent() only while no protocol thread sends.
+class RecordingTransport final : public DatagramTransport {
+ public:
+  struct Sent {
+    ProcessId to;
+    std::vector<std::uint8_t> bytes;
+  };
 
-  explicit TypedHub(std::uint32_t n) : hub(n) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      typed.push_back(
-          std::make_unique<TypedTransport>(hub.endpoint(ProcessId{i})));
-    }
+  explicit RecordingTransport(DatagramTransport& inner) : inner_(inner) {}
+
+  void set_handler(DatagramHandler handler) override {
+    handler_ = handler;
+    inner_.set_handler(std::move(handler));
   }
-  TypedTransport& at(std::uint32_t i) { return *typed[i]; }
+  void start() override { inner_.start(); }
+  void stop() override { inner_.stop(); }
+  void poll(Duration max_wait) override { inner_.poll(max_wait); }
+  void send(ProcessId to, std::span<const std::uint8_t> datagram) override {
+    sent_.push_back({to, {datagram.begin(), datagram.end()}});
+    inner_.send(to, datagram);
+  }
+
+  void deliver(ProcessId from, std::span<const std::uint8_t> datagram) {
+    handler_(from, datagram);
+  }
+  [[nodiscard]] const std::vector<Sent>& sent() const { return sent_; }
+
+ private:
+  DatagramTransport& inner_;
+  DatagramHandler handler_;
+  std::vector<Sent> sent_;
 };
 
+void ignore_datagrams(DatagramTransport& t) {
+  t.set_handler([](ProcessId, std::span<const std::uint8_t>) {});
+}
+
 TEST(InMemoryTransport, DeliversPointToPoint) {
-  TypedHub h(2);
+  InMemoryHub hub(2);
   int got = 0;
-  h.at(1).set_handler([&](ProcessId from, const WireMessage& m) {
-    EXPECT_EQ(from, ProcessId{0});
-    EXPECT_TRUE(std::holds_alternative<core::ResponseMessage>(m));
-    ++got;
-  });
-  h.at(0).set_handler([](ProcessId, const WireMessage&) {});
-  h.at(0).start();
-  h.at(1).start();
-  h.at(0).send(ProcessId{1}, core::ResponseMessage{7});
-  h.at(1).poll(Duration::zero());
+  hub.endpoint(ProcessId{1})
+      .set_handler([&](ProcessId from, std::span<const std::uint8_t> d) {
+        EXPECT_EQ(from, ProcessId{0});
+        const auto m = decode_message(d);
+        ASSERT_TRUE(m.has_value());
+        EXPECT_EQ(std::get<core::ResponseMessage>(*m).seq, 7u);
+        ++got;
+      });
+  ignore_datagrams(hub.endpoint(ProcessId{0}));
+  hub.endpoint(ProcessId{0}).start();
+  hub.endpoint(ProcessId{1}).start();
+  hub.endpoint(ProcessId{0})
+      .send(ProcessId{1}, encode_message(core::ResponseMessage{7}));
+  hub.endpoint(ProcessId{1}).poll(Duration::zero());
   EXPECT_EQ(got, 1);
 }
 
-TEST(InMemoryTransport, BroadcastReachesAllOthers) {
-  TypedHub h(4);
+TEST(InMemoryTransport, DeliversToEveryPeer) {
+  constexpr std::uint32_t kN = 4;
+  InMemoryHub hub(kN);
   int got = 0;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    h.at(i).set_handler([&](ProcessId from, const WireMessage&) {
-      EXPECT_EQ(from, ProcessId{2});  // the hub names the sending endpoint
-      ++got;
-    });
-    h.at(i).start();
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    hub.endpoint(ProcessId{i})
+        .set_handler([&](ProcessId from, std::span<const std::uint8_t> d) {
+          EXPECT_EQ(from, ProcessId{2});  // the hub names the sending endpoint
+          EXPECT_TRUE(decode_message(d).has_value());
+          ++got;
+        });
+    hub.endpoint(ProcessId{i}).start();
   }
-  h.at(2).broadcast(core::ResponseMessage{1});
-  for (std::uint32_t i = 0; i < 4; ++i) h.at(i).poll(Duration::zero());
+  const auto bytes = encode_message(core::ResponseMessage{1});
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    if (i != 2) hub.endpoint(ProcessId{2}).send(ProcessId{i}, bytes);
+  }
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    hub.endpoint(ProcessId{i}).poll(Duration::zero());
+  }
   EXPECT_EQ(got, 3);
 }
 
-TEST(TypedTransport, MalformedDatagramsCountedAndDropped) {
-  InMemoryHub hub(2);
+TEST(RealTimeDetector, MalformedDatagramsAreCountedAndDroppedUnanswered) {
+  // Junk bytes from a member, and well-formed messages from a sender the
+  // datagram layer could not name (an id >= n), each count once in
+  // codec.malformed; none reaches the driver or gets a reply. A query from
+  // a member afterwards is answered, so the reply path is live.
+  constexpr std::uint32_t kN = 3;
+  InMemoryHub hub(kN);
+  RecordingTransport node0(hub.endpoint(ProcessId{0}));
   obs::MetricsRegistry metrics;
-  TypedTransport typed(hub.endpoint(ProcessId{1}), &metrics);
-  int got = 0;
-  typed.set_handler([&](ProcessId, const WireMessage&) { ++got; });
-  typed.start();
-  const std::vector<std::uint8_t> junk{1, 2, 3};
-  hub.endpoint(ProcessId{0})
-      .set_handler([](ProcessId, std::span<const std::uint8_t>) {});
-  hub.endpoint(ProcessId{0}).start();
-  hub.endpoint(ProcessId{0}).send(ProcessId{1}, junk);
-  typed.poll(Duration::zero());
-  EXPECT_EQ(metrics.counter("codec.malformed").value(), 1u);
-  EXPECT_EQ(got, 0);
-  typed.stop();
+  obs::FlightRecorder ring(64, obs::wall_trace_clock());
+  RealTimeConfig c = rt_config(0, kN, 1);
+  c.registry = &metrics;
+  c.recorder = &ring;
+  RealTimeDetector detector(node0, c);
+  const obs::Counter& malformed = metrics.counter("codec.malformed");
+  core::QueryMessage query;
+  query.seq = 1;
+  core::ResponseMessage response;
+  response.seq = 1;
+
+  node0.deliver(ProcessId{1}, std::vector<std::uint8_t>{1, 2, 3});
+  EXPECT_EQ(malformed.value(), 1u);
+  node0.deliver(ProcessId{kN}, encode_message(response));
+  EXPECT_EQ(malformed.value(), 2u);
+  node0.deliver(ProcessId{kN}, encode_message(query));
+  EXPECT_EQ(malformed.value(), 3u);
+  EXPECT_TRUE(node0.sent().empty());
+  EXPECT_EQ(ring.recorded(), 0u);  // the driver saw none of them
+  obs::RegistrySnapshot s = metrics.snapshot();
+  EXPECT_EQ(s.counter_value("rt.queries_received"), 0u);
+  EXPECT_EQ(s.counter_value("rt.responses_received"), 0u);
+
+  node0.deliver(ProcessId{1}, encode_message(query));
+  EXPECT_EQ(malformed.value(), 3u);
+  ASSERT_EQ(node0.sent().size(), 1u);
+  EXPECT_EQ(node0.sent()[0].to, ProcessId{1});
+  const auto reply = decode_message(node0.sent()[0].bytes);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(std::get<core::ResponseMessage>(*reply).seq, 1u);
+  s = metrics.snapshot();
+  EXPECT_EQ(s.counter_value("rt.queries_received"), 1u);
+  EXPECT_EQ(s.counter_value("rt.response_bytes_sent"),
+            node0.sent()[0].bytes.size());
 }
 
 TEST(UdpTransport, DatagramFromAPortOutsideTheClusterIsCountedMalformed) {
   // Process i sends from base_port + i, and that port is all that names a
   // datagram's sender. Well-formed messages from a socket bound just below
   // the cluster's ports, one just above them, and an unbound (ephemeral
-  // port) socket name no member: each is dropped and counted malformed,
-  // while the same message from p0 is delivered as p0's.
+  // port) socket name no member: each is dropped and counted malformed by
+  // p1's detector, while the same message from p0 reaches its driver as
+  // p0's. The detector's thread never starts: the test thread polls.
   constexpr std::uint16_t kBase = 39230;
   obs::MetricsRegistry metrics;
+  obs::FlightRecorder ring(64, obs::wall_trace_clock());
   UdpTransport t0({ProcessId{0}, 2, kBase});
-  UdpTransport t1({ProcessId{1}, 2, kBase, 0, &metrics});
-  TypedTransport typed0(t0);
-  TypedTransport typed1(t1, &metrics);
-  std::vector<ProcessId> senders;
-  typed0.set_handler([](ProcessId, const WireMessage&) {});
-  typed1.set_handler(
-      [&](ProcessId from, const WireMessage&) { senders.push_back(from); });
+  UdpTransport t1({ProcessId{1}, 2, kBase, &metrics});
+  RealTimeConfig c = rt_config(1, 2, 1);
+  c.registry = &metrics;
+  c.recorder = &ring;
+  RealTimeDetector p1(t1, c);
+  ignore_datagrams(t0);
   try {
-    typed0.start();
-    typed1.start();
+    t0.start();
+    t1.start();
   } catch (const std::system_error& e) {
     GTEST_SKIP() << "UDP loopback unavailable: " << e.what();
   }
@@ -159,25 +228,30 @@ TEST(UdpTransport, DatagramFromAPortOutsideTheClusterIsCountedMalformed) {
               static_cast<ssize_t>(bytes.size()));
     ::close(fd);
   }
-  typed0.send(ProcessId{1}, core::ResponseMessage{7});
+  t0.send(ProcessId{1}, bytes);
   const obs::Counter& malformed = metrics.counter("codec.malformed");
   EXPECT_TRUE(eventually([&] {
-    typed1.poll(from_millis(50));
+    t1.poll(from_millis(50));
     return metrics.counter("udp.datagrams_received").value() == 4;
   }));
   EXPECT_EQ(malformed.value(), 3u);
+  std::vector<ProcessId> senders;
+  for (const obs::TraceRecord& r : ring.snapshot()) {
+    if (r.kind == obs::TraceKind::kResponseRx) senders.push_back(ProcessId{r.a});
+  }
   EXPECT_EQ(senders, std::vector<ProcessId>{ProcessId{0}});
-  typed0.stop();
-  typed1.stop();
+  EXPECT_EQ(metrics.counter("rt.responses_received").value(), 1u);
+  t0.stop();
+  t1.stop();
 }
 
 TEST(RealTimeDetector, InMemoryClusterRunsRoundsAndStaysClean) {
   constexpr std::uint32_t kN = 4;
-  TypedHub h(kN);
+  InMemoryHub hub(kN);
   std::vector<std::unique_ptr<RealTimeDetector>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
-    nodes.push_back(
-        std::make_unique<RealTimeDetector>(h.at(i), rt_config(i, kN, 1)));
+    nodes.push_back(std::make_unique<RealTimeDetector>(
+        hub.endpoint(ProcessId{i}), rt_config(i, kN, 1)));
   }
   for (auto& n : nodes) n->start();
   // "Eventually clean": under machine load a protocol thread can be
@@ -196,11 +270,11 @@ TEST(RealTimeDetector, InMemoryClusterRunsRoundsAndStaysClean) {
 
 TEST(RealTimeDetector, InMemoryClusterDetectsStoppedNode) {
   constexpr std::uint32_t kN = 4;
-  TypedHub h(kN);
+  InMemoryHub hub(kN);
   std::vector<std::unique_ptr<RealTimeDetector>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
-    nodes.push_back(
-        std::make_unique<RealTimeDetector>(h.at(i), rt_config(i, kN, 1)));
+    nodes.push_back(std::make_unique<RealTimeDetector>(
+        hub.endpoint(ProcessId{i}), rt_config(i, kN, 1)));
   }
   for (auto& n : nodes) n->start();
   ASSERT_TRUE(
@@ -236,7 +310,7 @@ TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
   // peer thread to overtake. Each exchange step leaves exactly one record,
   // so every ring's exchange kinds count what the node's registry counts.
   constexpr std::uint32_t kN = 8;
-  TypedHub h(kN);
+  InMemoryHub hub(kN);
   std::vector<std::unique_ptr<obs::FlightRecorder>> rings;
   std::vector<std::unique_ptr<RealTimeDetector>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
@@ -244,7 +318,8 @@ TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
         std::size_t{1} << 16, obs::wall_trace_clock()));
     RealTimeConfig c = rt_config(i, kN, 2);
     c.recorder = rings.back().get();
-    nodes.push_back(std::make_unique<RealTimeDetector>(h.at(i), c));
+    nodes.push_back(
+        std::make_unique<RealTimeDetector>(hub.endpoint(ProcessId{i}), c));
   }
   for (auto& n : nodes) n->start();
   EXPECT_TRUE(eventually([&] {
@@ -274,9 +349,7 @@ TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
         << "node " << i;
   }
 
-  obs::AssemblerOptions options;
-  options.n = kN;
-  obs::TraceAssembler assembler(options);
+  obs::TraceAssembler assembler(obs::AssemblerOptions{});
   for (std::uint32_t i = 0; i < kN; ++i) {
     assembler.add_node({i, 0, rings[i]->snapshot()});
   }
@@ -286,33 +359,131 @@ TEST(RealTimeDetector, InMemoryClusterTraceHasNoCausalViolations) {
       << "of " << trace.matched_pairs << " matched exchanges";
 }
 
+TEST(RealTimeDetector, FanOutsSendOneEncodingPerPayloadInThePeersOrder) {
+  // Node 0 of an in-memory cluster sends through a recording decorator.
+  // Every node drops its receive watermarks every 3 rounds, so node 0's
+  // next delta to it is answered need_full and its next round mixes the
+  // full encoding with deltas; node 3 stops, and with giveup_rounds = 2
+  // every other round leaves it out. Node 0's ring holds the driver's plan:
+  // a round_open or resend_wave record opens each fan-out, a give_up_skip
+  // just before a round_open names a peer that round skips, and a query_tx
+  // names each planned recipient in send order.
+  constexpr std::uint32_t kN = 4;
+  InMemoryHub hub(kN);
+  RecordingTransport node0(hub.endpoint(ProcessId{0}));
+  obs::FlightRecorder ring(std::size_t{1} << 16, obs::wall_trace_clock());
+  std::vector<std::unique_ptr<RealTimeDetector>> nodes;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    RealTimeConfig c = rt_config(i, kN, 1);
+    c.detector.giveup_rounds = 2;
+    c.detector.resync_interval = 3;
+    if (i == 0) c.recorder = &ring;
+    DatagramTransport& t = i == 0 ? node0 : hub.endpoint(ProcessId{i});
+    nodes.push_back(std::make_unique<RealTimeDetector>(t, c));
+  }
+  for (auto& n : nodes) n->start();
+  ASSERT_TRUE(eventually([&] { return nodes[0]->rounds_completed() >= 5; }));
+  nodes[3]->stop();
+  EXPECT_TRUE(eventually([&] { return nodes[0]->rounds_completed() >= 60; }));
+  for (auto& n : nodes) n->stop();
+  ASSERT_LE(ring.recorded(), ring.capacity());
+
+  struct FanOut {
+    bool issue{false};
+    std::set<std::uint32_t> skipped;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> to_seq;
+  };
+  std::vector<FanOut> plan;
+  std::set<std::uint32_t> skips;
+  for (const obs::TraceRecord& r : ring.snapshot()) {
+    if (r.kind == obs::TraceKind::kGiveUpSkip) skips.insert(r.a);
+    if (r.kind == obs::TraceKind::kRoundOpen) {
+      plan.push_back({true, std::move(skips), {}});
+      skips.clear();
+    }
+    if (r.kind == obs::TraceKind::kResendWave) plan.push_back({});
+    if (r.kind == obs::TraceKind::kQueryTx) {
+      ASSERT_FALSE(plan.empty());
+      plan.back().to_seq.emplace_back(r.a, r.b);
+    }
+  }
+  std::vector<const RecordingTransport::Sent*> queries;
+  for (const RecordingTransport::Sent& d : node0.sent()) {
+    const auto m = decode_message(d.bytes);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(encode_message(*m), d.bytes);
+    if (std::holds_alternative<core::QueryMessage>(*m)) queries.push_back(&d);
+  }
+
+  std::size_t next = 0, mixed = 0, skipping = 0;
+  std::uint64_t bytes = 0, full = 0, delta = 0;
+  for (const FanOut& f : plan) {
+    std::vector<std::uint32_t> planned;
+    for (const auto& [to, seq] : f.to_seq) planned.push_back(to);
+    EXPECT_TRUE(std::is_sorted(planned.begin(), planned.end()));
+    if (f.issue) {
+      // An issue goes to every peer but the skipped, in ascending order.
+      std::vector<std::uint32_t> peers;
+      for (std::uint32_t p = 1; p < kN; ++p) {
+        if (f.skipped.count(p) == 0) peers.push_back(p);
+      }
+      EXPECT_EQ(planned, peers);
+      if (f.skipped.count(3) != 0) ++skipping;
+    }
+    // One payload per base epoch (0: the full encoding), so every recipient
+    // of one base gets the same bytes.
+    std::map<Epoch, const std::vector<std::uint8_t>*> payloads;
+    for (const auto& [to, seq] : f.to_seq) {
+      ASSERT_LT(next, queries.size());
+      const RecordingTransport::Sent& d = *queries[next++];
+      EXPECT_EQ(d.to, ProcessId{to});
+      const auto q = std::get<core::QueryMessage>(*decode_message(d.bytes));
+      EXPECT_EQ(static_cast<std::uint32_t>(q.seq), seq);
+      const Epoch base = q.is_delta() ? q.base_epoch : 0;
+      const auto [it, first] = payloads.emplace(base, &d.bytes);
+      EXPECT_EQ(*it->second, d.bytes) << "to " << to << ", base " << base;
+      ++(q.is_delta() ? delta : full);
+      bytes += d.bytes.size();
+    }
+    if (payloads.count(0) != 0 && payloads.size() > 1) ++mixed;
+  }
+  EXPECT_EQ(next, queries.size()) << "a query the driver never planned";
+  EXPECT_GT(mixed, 0u) << "no fan-out mixed the full encoding and a delta";
+  EXPECT_GT(skipping, 0u) << "no fan-out left the stopped peer out";
+  const obs::RegistrySnapshot rt = nodes[0]->metrics().snapshot();
+  EXPECT_EQ(rt.counter_value("rt.full_queries_sent"), full);
+  EXPECT_EQ(rt.counter_value("rt.delta_queries_sent"), delta);
+  EXPECT_EQ(rt.counter_value("rt.query_bytes_sent"), bytes);
+}
+
 TEST(UdpTransport, LoopbackRoundTrip) {
   UdpTransport t0({ProcessId{0}, 2, 39200});
   UdpTransport t1({ProcessId{1}, 2, 39200});
-  TypedTransport typed0(t0);
-  TypedTransport typed1(t1);
-  int got = 0;
-  typed0.set_handler([](ProcessId, const WireMessage&) {});
-  typed1.set_handler([&](ProcessId from, const WireMessage& m) {
-    EXPECT_EQ(from, ProcessId{0});
-    if (std::holds_alternative<core::QueryMessage>(m)) ++got;
-  });
-  try {
-    typed0.start();
-    typed1.start();
-  } catch (const std::system_error& e) {
-    GTEST_SKIP() << "UDP loopback unavailable: " << e.what();
-  }
   core::QueryMessage q;
   q.seq = 3;
   q.push_suspected({ProcessId{1}, 9});
-  typed0.send(ProcessId{1}, q);
+  int got = 0;
+  ignore_datagrams(t0);
+  t1.set_handler([&](ProcessId from, std::span<const std::uint8_t> d) {
+    EXPECT_EQ(from, ProcessId{0});
+    const auto m = decode_message(d);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(std::get<core::QueryMessage>(*m), q);
+    ++got;
+  });
+  try {
+    t0.start();
+    t1.start();
+  } catch (const std::system_error& e) {
+    GTEST_SKIP() << "UDP loopback unavailable: " << e.what();
+  }
+  t0.send(ProcessId{1}, encode_message(q));
   EXPECT_TRUE(eventually([&] {
-    typed1.poll(from_millis(50));
+    t1.poll(from_millis(50));
     return got == 1;
   }));
-  typed0.stop();
-  typed1.stop();
+  t0.stop();
+  t1.stop();
 }
 
 TEST(UdpTransport, PollDeliversEveryReadyDatagramOnTheCallingThread) {
@@ -359,16 +530,12 @@ TEST(UdpTransport, PollDeliversEveryReadyDatagramOnTheCallingThread) {
 TEST(UdpTransport, FullDetectorClusterOverSockets) {
   constexpr std::uint32_t kN = 3;
   std::vector<std::unique_ptr<UdpTransport>> udp;
-  std::vector<std::unique_ptr<TypedTransport>> typed;
   std::vector<std::unique_ptr<RealTimeDetector>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
     udp.push_back(
         std::make_unique<UdpTransport>(UdpConfig{ProcessId{i}, kN, 39300}));
-    typed.push_back(std::make_unique<TypedTransport>(*udp[i]));
-  }
-  for (std::uint32_t i = 0; i < kN; ++i) {
     nodes.push_back(
-        std::make_unique<RealTimeDetector>(*typed[i], rt_config(i, kN, 1)));
+        std::make_unique<RealTimeDetector>(*udp[i], rt_config(i, kN, 1)));
   }
   try {
     for (auto& n : nodes) n->start();
@@ -399,19 +566,20 @@ TEST(RealTimeDetector, RejectsNonPositiveResend) {
   // A zero interval would fire full-encoding resend waves back to back
   // whenever a round is short of quorum; there is no "off" either, since
   // without waves one lost datagram wedges a live round.
-  TypedHub h(2);
+  InMemoryHub hub(2);
   for (const Duration resend : {Duration::zero(), from_millis(-1)}) {
     RealTimeConfig c = rt_config(0, 2, 1);
     c.resend = resend;
-    EXPECT_THROW(RealTimeDetector(h.at(0), c), std::invalid_argument);
+    EXPECT_THROW(RealTimeDetector(hub.endpoint(ProcessId{0}), c),
+                 std::invalid_argument);
   }
 }
 
 TEST(RealTimeDetector, StopReturnsPromptlyWhileARoundWaitsForItsResend) {
   // Node 0 alone cannot reach its quorum of 2, so its first round waits for
   // the default 500 ms resend wave; stop() must not wait that out.
-  TypedHub h(3);
-  RealTimeDetector node(h.at(0), rt_config(0, 3, 1));
+  InMemoryHub hub(3);
+  RealTimeDetector node(hub.endpoint(ProcessId{0}), rt_config(0, 3, 1));
   node.start();
   std::this_thread::sleep_for(100ms);
   const auto before = std::chrono::steady_clock::now();
@@ -421,9 +589,9 @@ TEST(RealTimeDetector, StopReturnsPromptlyWhileARoundWaitsForItsResend) {
 }
 
 TEST(RealTimeDetector, StopIsIdempotentAndRestartable) {
-  TypedHub h(2);
-  RealTimeDetector a(h.at(0), rt_config(0, 2, 1));
-  RealTimeDetector b(h.at(1), rt_config(1, 2, 1));
+  InMemoryHub hub(2);
+  RealTimeDetector a(hub.endpoint(ProcessId{0}), rt_config(0, 2, 1));
+  RealTimeDetector b(hub.endpoint(ProcessId{1}), rt_config(1, 2, 1));
   a.start();
   b.start();
   EXPECT_TRUE(eventually([&] { return a.rounds_completed() >= 2; }));
