@@ -17,13 +17,22 @@ using metrics::Table;
 
 namespace {
 
-bench::Workload base_workload(const ArgParser& args, std::uint64_t seed) {
+/// The sweep's flags: every cell runs this workload, one knob changed.
+struct Flags {
+  std::uint32_t n{20};
+  std::uint32_t f{5};
+  std::uint64_t seeds{3};
+  std::uint32_t horizon_s{60};
+  bool csv{false};
+};
+
+bench::Workload base_workload(const Flags& flags, std::uint64_t seed) {
   bench::Workload w;
-  w.n = static_cast<std::uint32_t>(args.get_int("n"));
-  w.f = static_cast<std::uint32_t>(args.get_int("f"));
+  w.n = flags.n;
+  w.f = flags.f;
   w.seed = seed;
   w.crashes = 3;
-  w.horizon = from_seconds(static_cast<double>(args.get_int("horizon")));
+  w.horizon = from_seconds(flags.horizon_s);
   w.crash_window_end = w.horizon - from_seconds(20);
   w.preset = net::DelayPreset::kPareto;  // stressful tails
   w.mean_delay = from_millis(20);
@@ -39,10 +48,10 @@ struct Agg {
 };
 
 template <typename Mutator>
-Agg sweep(const ArgParser& args, std::uint64_t seeds, Mutator mutate) {
+Agg sweep(const Flags& flags, Mutator mutate) {
   Agg a;
-  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    auto w = base_workload(args, seed);
+  for (std::uint64_t seed = 1; seed <= flags.seeds; ++seed) {
+    auto w = base_workload(flags, seed);
     mutate(w);
     const auto m = bench::run_mmr(w);
     bench::append_samples(a.latency, m.detection_latencies);
@@ -56,21 +65,21 @@ Agg sweep(const ArgParser& args, std::uint64_t seeds, Mutator mutate) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  Flags flags;
   ArgParser args("E7: protocol ablations (quorum slack, pacing)");
-  args.flag("n", "20", "system size")
-      .flag("f", "5", "fault tolerance")
-      .flag("seeds", "3", "seeds per cell")
-      .flag("horizon", "60", "simulated seconds")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("n", flags.n, "system size")
+      .flag("f", flags.f, "fault tolerance")
+      .flag("seeds", flags.seeds, "seeds per cell")
+      .flag("horizon", flags.horizon_s, "simulated seconds")
+      .flag("csv", flags.csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  const auto seeds = static_cast<std::uint64_t>(args.get_int("seeds"));
   std::cout << "# E7a: winning-quorum slack (wait for n - f + extra)\n\n";
   Table qa({"extra_quorum", "mean_detect_s", "max_detect_s", "false_susp",
             "complete"});
   for (const std::uint32_t extra : {0u, 1u, 2u, 4u}) {
     const auto a =
-        sweep(args, seeds, [&](bench::Workload& w) { w.extra_quorum = extra; });
+        sweep(flags, [&](bench::Workload& w) { w.extra_quorum = extra; });
     qa.add_row({Table::num(std::uint64_t{extra}), Table::num(a.latency.mean()),
                 Table::num(a.latency.max()),
                 Table::num(std::uint64_t{a.false_susp}),
@@ -81,7 +90,7 @@ int main(int argc, char** argv) {
   std::cout << "\n# E7b: pacing Delta\n\n";
   Table pa({"pacing_ms", "mean_detect_s", "false_susp", "msgs_total"});
   for (const int ms : {100, 250, 500, 1000, 2000}) {
-    const auto a = sweep(args, seeds, [&](bench::Workload& w) {
+    const auto a = sweep(flags, [&](bench::Workload& w) {
       w.period = from_millis(ms);
     });
     pa.add_row({Table::num(std::int64_t{ms}), Table::num(a.latency.mean()),

@@ -25,20 +25,23 @@ using namespace mmrfd;
 using metrics::Table;
 
 int main(int argc, char** argv) {
+  std::uint32_t n = 20, f = 5, calm_at = 20, factor = 5000, horizon_s = 80,
+                period_ms = 1000, timeout_ms = 2000;
+  std::uint64_t seeds = 5;
+  bool csv = false;
   ArgParser args("E8: accuracy convergence lag after a network-wide storm");
-  args.flag("n", "20", "system size")
-      .flag("f", "5", "fault tolerance")
-      .flag("seeds", "5", "seeds per detector")
-      .flag("calm_at", "20", "storm end (s)")
-      .flag("factor", "5000", "storm delay multiplier (storm delays must "
+  args.flag("n", n, "system size")
+      .flag("f", f, "fault tolerance")
+      .flag("seeds", seeds, "seeds per detector")
+      .flag("calm_at", calm_at, "storm end (s)")
+      .flag("factor", factor, "storm delay multiplier (storm delays must "
                               "dwarf every timeout for the contrast to show)")
-      .flag("horizon", "80", "simulated seconds")
-      .flag("period", "1000", "Delta / heartbeat period (ms)")
-      .flag("timeout", "2000", "baseline Theta (ms)")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
+      .flag("horizon", horizon_s, "simulated seconds")
+      .flag("period", period_ms, "Delta / heartbeat period (ms)")
+      .flag("timeout", timeout_ms, "baseline Theta (ms)")
+      .flag("csv", csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  const double calm_at = static_cast<double>(args.get_int("calm_at"));
   std::cout << "# E8: time from network calm (t = " << calm_at
             << " s) to last wrongful-suspicion repair\n\n";
 
@@ -49,24 +52,23 @@ int main(int argc, char** argv) {
     SampleSet weak_lags;
     std::size_t clean = 0;
     std::size_t fs_total = 0;
-    const auto seeds = static_cast<std::uint64_t>(args.get_int("seeds"));
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       bench::Workload w;
-      w.n = static_cast<std::uint32_t>(args.get_int("n"));
-      w.f = static_cast<std::uint32_t>(args.get_int("f"));
+      w.n = n;
+      w.f = f;
       w.seed = seed;
       w.crashes = 0;
-      w.horizon = from_seconds(static_cast<double>(args.get_int("horizon")));
+      w.horizon = from_seconds(horizon_s);
       // Randomized delays: under a *constant*-delay storm the async detector
       // sees zero false suspicions (a uniform slowdown just stretches its
       // rounds), which is striking but degenerate for a convergence plot.
       w.preset = net::DelayPreset::kExponential;
-      w.period = from_millis(static_cast<double>(args.get_int("period")));
-      w.timeout = from_millis(static_cast<double>(args.get_int("timeout")));
+      w.period = from_millis(period_ms);
+      w.timeout = from_millis(timeout_ms);
       runtime::SpikeSpec storm;
       storm.start = kTimeZero;
       storm.end = from_seconds(calm_at);
-      storm.factor = static_cast<double>(args.get_int("factor"));
+      storm.factor = factor;
       w.spike = storm;  // affects everyone: affected empty
       const auto m = bench::run_detector(detector, w);
       fs_total += m.false_suspicions;
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
                    Table::num(std::uint64_t{fs_total})});
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

@@ -137,7 +137,18 @@ RunMetrics run_baseline(const Workload& w, MakeConfig make_config,
   return out;
 }
 
-constexpr std::size_t kHeaderBytes = 5;  // sender + type, as in the codec
+// Baseline messages are sized by the codec's rules (transport/codec.h): no
+// envelope (the transport names the sender), each integer a LEB128 varint,
+// a vector prefixed by its varint length.
+std::size_t heartbeat_size(const baselines::HeartbeatMessage& m) {
+  return transport::uvarint_size(m.seq);
+}
+
+std::size_t gossip_size(const baselines::GossipMessage& m) {
+  std::size_t size = transport::uvarint_size(m.counters.size());
+  for (const std::uint64_t c : m.counters) size += transport::uvarint_size(c);
+  return size;
+}
 
 }  // namespace
 
@@ -154,7 +165,7 @@ RunMetrics run_heartbeat(const Workload& w) {
         c.initial_delay = stagger(w.seed, self, w.period);
         return c;
       },
-      [](const baselines::HeartbeatMessage&) { return kHeaderBytes + 8; });
+      heartbeat_size);
 }
 
 RunMetrics run_phi(const Workload& w) {
@@ -171,7 +182,7 @@ RunMetrics run_phi(const Workload& w) {
         c.initial_delay = stagger(w.seed, self, w.period);
         return c;
       },
-      [](const baselines::HeartbeatMessage&) { return kHeaderBytes + 8; });
+      heartbeat_size);
 }
 
 RunMetrics run_adaptive(const Workload& w) {
@@ -187,7 +198,7 @@ RunMetrics run_adaptive(const Workload& w) {
         c.initial_delay = stagger(w.seed, self, w.period);
         return c;
       },
-      [](const baselines::HeartbeatMessage&) { return kHeaderBytes + 8; });
+      heartbeat_size);
 }
 
 RunMetrics run_gossip(const Workload& w) {
@@ -205,9 +216,7 @@ RunMetrics run_gossip(const Workload& w) {
         c.initial_delay = stagger(w.seed, self, w.period);
         return c;
       },
-      [&](const baselines::GossipMessage& m) {
-        return kHeaderBytes + 4 + 8 * m.counters.size();
-      });
+      gossip_size);
 }
 
 RunMetrics run_detector(const std::string& name, const Workload& w) {

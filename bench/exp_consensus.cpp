@@ -70,16 +70,15 @@ Outcome run_one(FdKind kind, const Scenario& sc, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::uint32_t n = 7, f = 3;
+  std::uint64_t seeds = 5;
+  bool csv = false;
   ArgParser args("E6: consensus decision latency per failure detector");
-  args.flag("n", "7", "system size")
-      .flag("f", "3", "fault tolerance (< n/2)")
-      .flag("seeds", "5", "seeds per cell")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
-
-  const auto n = static_cast<std::uint32_t>(args.get_int("n"));
-  const auto f = static_cast<std::uint32_t>(args.get_int("f"));
-  const auto seeds = static_cast<std::uint64_t>(args.get_int("seeds"));
+  args.flag("n", n, "system size")
+      .flag("f", f, "fault tolerance (< n/2)")
+      .flag("seeds", seeds, "seeds per cell")
+      .flag("csv", csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
   std::cout << "# E6: Chandra-Toueg consensus on top of each detector "
             << "(n = " << n << ", f = " << f << ", " << seeds << " seeds)\n\n";
@@ -111,7 +110,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

@@ -18,17 +18,20 @@ using namespace mmrfd;
 using metrics::Table;
 
 int main(int argc, char** argv) {
+  std::uint32_t n = 60, horizon_s = 60, period_ms = 1000, timeout_ms = 2000;
+  std::uint64_t seeds = 3;
+  std::size_t crashes = 5;
+  bool csv = false;
   ArgParser args("E2: detection time vs f (n fixed)");
-  args.flag("n", "60", "system size")
-      .flag("seeds", "3", "seeds per configuration")
-      .flag("crashes", "5", "crashes per run")
-      .flag("horizon", "60", "simulated seconds per run")
-      .flag("period", "1000", "Delta / heartbeat period (ms)")
-      .flag("timeout", "2000", "baseline timeout Theta (ms)")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("n", n, "system size")
+      .flag("seeds", seeds, "seeds per configuration")
+      .flag("crashes", crashes, "crashes per run")
+      .flag("horizon", horizon_s, "simulated seconds per run")
+      .flag("period", period_ms, "Delta / heartbeat period (ms)")
+      .flag("timeout", timeout_ms, "baseline timeout Theta (ms)")
+      .flag("csv", csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  const auto n = static_cast<std::uint32_t>(args.get_int("n"));
   std::cout << "# E2: failure detection time vs f  (n = " << n
             << ", exponential delays)\n\n";
 
@@ -39,18 +42,16 @@ int main(int argc, char** argv) {
     for (const std::string detector : {"mmr", "heartbeat"}) {
       SampleSet latencies;
       std::size_t false_susp = 0;
-      for (std::uint64_t seed = 1;
-           seed <= static_cast<std::uint64_t>(args.get_int("seeds")); ++seed) {
+      for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         bench::Workload w;
         w.n = n;
         w.f = f;
         w.seed = seed;
-        w.crashes =
-            std::min<std::size_t>(static_cast<std::size_t>(args.get_int("crashes")), f);
-        w.horizon = from_seconds(static_cast<double>(args.get_int("horizon")));
+        w.crashes = std::min<std::size_t>(crashes, f);
+        w.horizon = from_seconds(horizon_s);
         w.crash_window_end = w.horizon - from_seconds(20);
-        w.period = from_millis(static_cast<double>(args.get_int("period")));
-        w.timeout = from_millis(static_cast<double>(args.get_int("timeout")));
+        w.period = from_millis(period_ms);
+        w.timeout = from_millis(timeout_ms);
         const auto m = bench::run_detector(detector, w);
         bench::append_samples(latencies, m.detection_latencies);
         false_susp += m.false_suspicions;
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

@@ -21,34 +21,26 @@ using namespace mmrfd;
 using metrics::Table;
 
 int main(int argc, char** argv) {
+  std::vector<std::uint32_t> sizes = {10, 20, 40, 60, 100};
+  std::uint32_t horizon_s = 60, period_ms = 1000, timeout_ms = 2000;
+  std::uint64_t seeds = 3;
+  std::size_t crashes = 5;
+  bool csv = false;
   ArgParser args("E1: detection time vs system size (n)");
-  args.flag("sizes", "10,20,40,60,100", "comma-separated n values")
-      .flag("seeds", "3", "seeds per configuration")
-      .flag("crashes", "5", "crashes per run")
-      .flag("horizon", "60", "simulated seconds per run")
-      .flag("period", "1000", "Delta / heartbeat period (ms)")
-      .flag("timeout", "2000", "baseline timeout Theta (ms)")
-      .flag("csv", "false", "emit CSV instead of an aligned table");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("sizes", sizes, "comma-separated n values")
+      .flag("seeds", seeds, "seeds per configuration")
+      .flag("crashes", crashes, "crashes per run")
+      .flag("horizon", horizon_s, "simulated seconds per run")
+      .flag("period", period_ms, "Delta / heartbeat period (ms)")
+      .flag("timeout", timeout_ms, "baseline timeout Theta (ms)")
+      .flag("csv", csv, "emit CSV instead of an aligned table");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  std::cout << "# E1: failure detection time vs n  (f = n/4, "
-            << args.get_int("crashes") << " crashes, exponential delays, "
-            << args.get_int("seeds") << " seeds)\n\n";
+  std::cout << "# E1: failure detection time vs n  (f = n/4, " << crashes
+            << " crashes, exponential delays, " << seeds << " seeds)\n\n";
 
   Table table({"n", "f", "detector", "mean_s", "p99_s", "max_s",
                "completeness_s", "false_susp"});
-
-  std::vector<std::uint32_t> sizes;
-  {
-    std::string s = args.get("sizes");
-    for (std::size_t pos = 0; pos < s.size();) {
-      const auto comma = s.find(',', pos);
-      sizes.push_back(static_cast<std::uint32_t>(
-          std::stoul(s.substr(pos, comma - pos))));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
 
   for (const std::uint32_t n : sizes) {
     for (const std::string detector : {"mmr", "heartbeat", "phi"}) {
@@ -56,20 +48,18 @@ int main(int argc, char** argv) {
       double worst_completeness = 0.0;
       bool complete = true;
       std::size_t false_susp = 0;
-      for (std::uint64_t seed = 1;
-           seed <= static_cast<std::uint64_t>(args.get_int("seeds")); ++seed) {
+      for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         bench::Workload w;
         w.n = n;
         w.f = (n + 3) / 4;
         w.seed = seed;
         // The model tolerates at most f crashes; a workload exceeding f
         // would (legitimately) stall the quorum.
-        w.crashes = std::min<std::size_t>(
-            static_cast<std::size_t>(args.get_int("crashes")), w.f);
-        w.horizon = from_seconds(static_cast<double>(args.get_int("horizon")));
+        w.crashes = std::min<std::size_t>(crashes, w.f);
+        w.horizon = from_seconds(horizon_s);
         w.crash_window_end = w.horizon - from_seconds(20);
-        w.period = from_millis(static_cast<double>(args.get_int("period")));
-        w.timeout = from_millis(static_cast<double>(args.get_int("timeout")));
+        w.period = from_millis(period_ms);
+        w.timeout = from_millis(timeout_ms);
         const auto m = bench::run_detector(detector, w);
         bench::append_samples(latencies, m.detection_latencies);
         complete = complete && m.strong_completeness;
@@ -89,7 +79,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

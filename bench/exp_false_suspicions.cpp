@@ -36,44 +36,44 @@ std::int64_t series_at(const std::vector<metrics::FalseSuspicionPoint>& s,
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::uint32_t n = 20, f = 5, spike_at = 20, spike_len = 10, factor = 5000,
+                horizon_s = 60, period_ms = 1000, timeout_ms = 2000;
+  std::uint64_t seed = 1;
+  bool csv = false;
   ArgParser args("E3: active false suspicions over time under a delay spike");
-  args.flag("n", "20", "system size")
-      .flag("f", "5", "fault tolerance")
-      .flag("seed", "1", "workload seed")
-      .flag("spike_at", "20", "spike start (s)")
-      .flag("spike_len", "10", "spike duration (s)")
-      .flag("factor", "5000", "delay multiplier during the spike (large "
+  args.flag("n", n, "system size")
+      .flag("f", f, "fault tolerance")
+      .flag("seed", seed, "workload seed")
+      .flag("spike_at", spike_at, "spike start (s)")
+      .flag("spike_len", spike_len, "spike duration (s)")
+      .flag("factor", factor, "delay multiplier during the spike (large "
                               "enough that the node is effectively absent, "
                               "like the paper's moving node)")
-      .flag("horizon", "60", "simulated seconds")
-      .flag("period", "1000", "Delta / heartbeat period (ms)")
-      .flag("timeout", "2000", "baseline timeout Theta (ms)")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
+      .flag("horizon", horizon_s, "simulated seconds")
+      .flag("period", period_ms, "Delta / heartbeat period (ms)")
+      .flag("timeout", timeout_ms, "baseline timeout Theta (ms)")
+      .flag("csv", csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  const double spike_at = static_cast<double>(args.get_int("spike_at"));
-  const double spike_len = static_cast<double>(args.get_int("spike_len"));
-  const auto horizon = static_cast<double>(args.get_int("horizon"));
-
-  std::cout << "# E3: false suspicions over time (p" << args.get_int("n") - 1
-            << "'s links x" << args.get_int("factor") << " slower during ["
-            << spike_at << "s, " << spike_at + spike_len << "s))\n\n";
+  std::cout << "# E3: false suspicions over time (p" << n - 1
+            << "'s links x" << factor << " slower during [" << spike_at
+            << "s, " << spike_at + spike_len << "s))\n\n";
 
   auto make_workload = [&] {
     bench::Workload w;
-    w.n = static_cast<std::uint32_t>(args.get_int("n"));
-    w.f = static_cast<std::uint32_t>(args.get_int("f"));
-    w.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    w.n = n;
+    w.f = f;
+    w.seed = seed;
     w.crashes = 0;
-    w.horizon = from_seconds(horizon);
+    w.horizon = from_seconds(horizon_s);
     w.preset = net::DelayPreset::kConstant;
-    w.period = from_millis(static_cast<double>(args.get_int("period")));
-    w.timeout = from_millis(static_cast<double>(args.get_int("timeout")));
+    w.period = from_millis(period_ms);
+    w.timeout = from_millis(timeout_ms);
     runtime::SpikeSpec spike;
     spike.start = from_seconds(spike_at);
     spike.end = from_seconds(spike_at + spike_len);
-    spike.factor = static_cast<double>(args.get_int("factor"));
-    spike.affected = {ProcessId{w.n - 1}};
+    spike.factor = factor;
+    spike.affected = {ProcessId{n - 1}};
     w.spike = spike;
     return w;
   };
@@ -83,13 +83,13 @@ int main(int argc, char** argv) {
   const auto phi = bench::run_phi(make_workload());
 
   Table table({"t_s", "mmr_active", "heartbeat_active", "phi_active"});
-  for (double t = 0.0; t <= horizon; t += 1.0) {
+  for (double t = 0.0; t <= horizon_s; t += 1.0) {
     table.add_row({Table::num(t, 0),
                    Table::num(series_at(mmr.false_series, from_seconds(t))),
                    Table::num(series_at(hb.false_series, from_seconds(t))),
                    Table::num(series_at(phi.false_series, from_seconds(t)))});
   }
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

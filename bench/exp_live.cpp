@@ -218,80 +218,62 @@ std::size_t first_round_waves(const std::string& report_dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::vector<std::uint32_t> sizes = {8, 32, 64};
+  std::uint64_t seeds = 1;
+  std::uint32_t run_s = 10, period_ms = 100, flush_ms = 200;
+  std::size_t kills = 0;
+  std::uint16_t base_port = 41000;
+  bool restart = false, csv = false, trace = true;
+  std::string mode = "both", node_bin, report_dir, out = "BENCH_live.json";
   ArgParser args(
       "LIVE: multi-process loopback UDP sweep with SIGKILL crash injection");
-  args.flag("sizes", "8,32,64", "comma-separated process counts")
-      .flag("seeds", "1", "seeds per configuration (crash-plan draws)")
-      .flag("run", "10", "wall-clock seconds per configuration")
-      .flag("period", "100", "query pacing Delta (ms)")
-      .flag("crashes", "0", "SIGKILLs per run (0 = f/2, at least 1)")
-      .flag("restart", "false", "restart each victim ~2s after its kill")
-      .flag("mode", "both", "query encoding: delta, full, or both")
-      .flag("base-port", "41000", "first UDP port (configs stride upward)")
-      .flag("node-bin", "", "mmrfd-node path (empty = auto-discover)")
-      .flag("report-dir", "", "node report directory (empty = <out>.reports)")
-      .flag("flush-ms", "200", "node report snapshot interval (ms)")
-      .flag("out", "BENCH_live.json", "JSON output path")
-      .flag("csv", "false", "emit CSV instead of an aligned table")
-      .flag("trace", "true",
+  args.flag("sizes", sizes, "comma-separated process counts")
+      .flag("seeds", seeds, "seeds per configuration (crash-plan draws)")
+      .flag("run", run_s, "wall-clock seconds per configuration")
+      .flag("period", period_ms, "query pacing Delta (ms)")
+      .flag("crashes", kills, "SIGKILLs per run (0 = f/2, at least 1)")
+      .flag("restart", restart, "restart each victim ~2s after its kill")
+      .flag("mode", mode, "query encoding: delta, full, or both")
+      .flag("base-port", base_port, "first UDP port (configs stride upward)")
+      .flag("node-bin", node_bin, "mmrfd-node path (empty = auto-discover)")
+      .flag("report-dir", report_dir,
+            "node report directory (empty = <out>.reports)")
+      .flag("flush-ms", flush_ms, "node report snapshot interval (ms)")
+      .flag("out", out, "JSON output path")
+      .flag("csv", csv, "emit CSV instead of an aligned table")
+      .flag("trace", trace,
             "assemble the flight rings the nodes write as they stop and "
             "attribute detection latency (pacing/resend-wait/wire)");
-  if (!args.parse(argc, argv)) return 0;
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  std::vector<std::uint32_t> sizes;
-  {
-    const std::string s = args.get("sizes");
-    for (std::size_t pos = 0; pos < s.size();) {
-      const auto comma = s.find(',', pos);
-      const std::string tok = s.substr(pos, comma - pos);
-      if (tok.empty() ||
-          tok.find_first_not_of("0123456789") != std::string::npos) {
-        std::cerr << "exp_live: bad --sizes entry '" << tok << "'\n";
-        return 1;
-      }
-      unsigned long value = 0;
-      try {
-        value = std::stoul(tok);
-      } catch (const std::exception&) {  // out-of-range
-        std::cerr << "exp_live: bad --sizes entry '" << tok << "'\n";
-        return 1;
-      }
-      // These are real OS processes: cap where a workstation stops being a
-      // sane host for the experiment (file descriptors, scheduler load).
-      if (value < 2 || value > 512) {
-        std::cerr << "exp_live: --sizes entries must be in [2, 512] (got "
-                  << tok << ")\n";
-        return 1;
-      }
-      sizes.push_back(static_cast<std::uint32_t>(value));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    if (sizes.empty()) {
-      std::cerr << "exp_live: --sizes must name at least one size\n";
-      return 1;
+  // These are real OS processes: cap where a workstation stops being a
+  // sane host for the experiment (file descriptors, scheduler load).
+  if (sizes.empty()) {
+    std::cerr << "exp_live: --sizes must name at least one size\n";
+    return 2;
+  }
+  for (const std::uint32_t n : sizes) {
+    if (n < 2 || n > 512) {
+      std::cerr << "exp_live: --sizes entries must be in [2, 512] (got " << n
+                << ")\n";
+      return 2;
     }
   }
-  const std::string mode = args.get("mode");
   if (mode != "delta" && mode != "full" && mode != "both") {
     std::cerr << "exp_live: --mode must be delta, full or both (got '" << mode
               << "')\n";
-    return 1;
+    return 2;
   }
-  const double run_s = static_cast<double>(args.get_int("run"));
   if (run_s < 2) {
     std::cerr << "exp_live: --run must be >= 2 seconds\n";
-    return 1;
+    return 2;
   }
-  const auto period_ms = static_cast<double>(args.get_int("period"));
   if (period_ms < 1) {
     std::cerr << "exp_live: --period must be >= 1 ms\n";
-    return 1;
+    return 2;
   }
-  const bool restart = args.get_bool("restart");
-  const std::string report_root = args.get("report-dir").empty()
-                                      ? args.get("out") + ".reports"
-                                      : args.get("report-dir");
+  const std::string report_root =
+      report_dir.empty() ? out + ".reports" : report_dir;
 
   std::cout << "# LIVE: real-process loopback sweep  (f = n/4, "
             << (restart ? "crash+restart" : "crash-stop") << ", run "
@@ -299,10 +281,9 @@ int main(int argc, char** argv) {
 
   std::vector<LiveConfig> configs;
   {
-    auto port = static_cast<std::uint32_t>(args.get_int("base-port"));
+    std::uint32_t port = base_port;
     for (const std::uint32_t n : sizes) {
-      for (std::uint64_t seed = 1;
-           seed <= static_cast<std::uint64_t>(args.get_int("seeds")); ++seed) {
+      for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         // Every run gets a fresh port range: nothing to collide with even
         // if a straggler from the previous config lingers for a moment.
         if (mode != "delta") {
@@ -313,7 +294,7 @@ int main(int argc, char** argv) {
           configs.push_back({n, seed, true, static_cast<std::uint16_t>(port)});
           port += n + 32;
         }
-        if (port > 60000) port = static_cast<std::uint32_t>(args.get_int("base-port"));
+        if (port > 60000) port = base_port;
       }
     }
   }
@@ -321,7 +302,7 @@ int main(int argc, char** argv) {
   std::vector<LiveResult> results;
   for (const LiveConfig& c : configs) {
     const std::uint32_t f = (c.n + 3) / 4;
-    auto crashes = static_cast<std::size_t>(args.get_int("crashes"));
+    std::size_t crashes = kills;
     if (crashes == 0) crashes = std::max<std::size_t>(1, f / 2);
     crashes = std::min<std::size_t>(crashes, f);
 
@@ -349,8 +330,8 @@ int main(int argc, char** argv) {
     scfg.base_port = c.base_port;
     scfg.pacing = from_millis(period_ms);
     scfg.delta = c.delta;
-    scfg.flush = from_millis(static_cast<double>(args.get_int("flush-ms")));
-    scfg.trace = args.get_bool("trace");
+    scfg.flush = from_millis(flush_ms);
+    scfg.trace = trace;
     // A ring that wraps before the node writes it at the stop loses the
     // early crashes' suspect_add records, and their breakdowns read every
     // observer undetected. So the ring holds the whole run: per round one
@@ -364,7 +345,7 @@ int main(int argc, char** argv) {
     scfg.trace_capacity = static_cast<std::uint32_t>(std::clamp(
         1.25 * records_per_round * rounds, 16384.0,
         static_cast<double>(obs::FlightRecorder::kMaxCapacity)));
-    scfg.node_binary = args.get("node-bin");
+    scfg.node_binary = node_bin;
     scfg.report_dir = report_root + "/n" + std::to_string(c.n) + "_s" +
                       std::to_string(c.seed) +
                       (c.delta ? "_delta" : "_full");
@@ -484,10 +465,10 @@ int main(int argc, char** argv) {
                    Table::num(std::uint64_t{r.first_round_waves}),
                    Table::num(r.peak_rss_mb)});
   }
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
   }
-  return write_json(results, args.get("out")) ? 0 : 1;
+  return write_json(results, out) ? 0 : 1;
 }

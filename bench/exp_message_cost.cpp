@@ -7,9 +7,13 @@
 // messages and bytes per process per second (failure-free run, equal 1 s
 // cadence for every detector).
 //
+// Every message is sized by the codec's rules: no envelope, varint integers.
 // Expected shape: msgs/proc/s — mmr ~ 2(n-1), heartbeat ~ (n-1), gossip
-// ~ (n-1); bytes/proc/s — mmr close to heartbeat when suspicion sets are
-// empty (13-byte responses, 25-byte queries), gossip grows with 8n payload.
+// ~ (n-1); bytes/msg — with empty suspicion sets an mmr query or response
+// is 2 bytes (a flags byte and the round's seq) and a heartbeat 1 (its seq),
+// so mmr sends about 4x heartbeat's bytes; a gossip message is n + 1 bytes
+// (the vector's length and n one-byte counters), so gossip's bytes/proc/s
+// grows with n^2.
 #include <iostream>
 
 #include "common/argparse.h"
@@ -20,31 +24,21 @@ using namespace mmrfd;
 using metrics::Table;
 
 int main(int argc, char** argv) {
+  std::vector<std::uint32_t> sizes = {10, 20, 40, 60, 100};
+  std::uint32_t horizon_s = 30, period_ms = 1000;
+  bool csv = false;
   ArgParser args("E4: message and byte cost vs n (failure-free)");
-  args.flag("sizes", "10,20,40,60,100", "comma-separated n values")
-      .flag("horizon", "30", "simulated seconds")
-      .flag("period", "1000", "cadence (ms) for every detector")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("sizes", sizes, "comma-separated n values")
+      .flag("horizon", horizon_s, "simulated seconds")
+      .flag("period", period_ms, "cadence (ms) for every detector")
+      .flag("csv", csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  const auto horizon = static_cast<double>(args.get_int("horizon"));
   std::cout << "# E4: message cost per process per second vs n "
             << "(no failures, 1 s cadence)\n\n";
 
   Table table({"n", "detector", "msgs_total", "msgs_per_proc_s",
                "bytes_per_proc_s", "bytes_per_msg"});
-
-  std::vector<std::uint32_t> sizes;
-  {
-    std::string s = args.get("sizes");
-    for (std::size_t pos = 0; pos < s.size();) {
-      const auto comma = s.find(',', pos);
-      sizes.push_back(static_cast<std::uint32_t>(
-          std::stoul(s.substr(pos, comma - pos))));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
 
   for (const std::uint32_t n : sizes) {
     for (const std::string detector : {"mmr", "heartbeat", "gossip"}) {
@@ -53,14 +47,14 @@ int main(int argc, char** argv) {
       w.f = (n + 3) / 4;
       w.seed = 1;
       w.crashes = 0;
-      w.horizon = from_seconds(horizon);
-      w.period = from_millis(static_cast<double>(args.get_int("period")));
+      w.horizon = from_seconds(horizon_s);
+      w.period = from_millis(period_ms);
       w.timeout = 2 * w.period;
       const auto m = bench::run_detector(detector, w);
       const double per_proc_s =
-          static_cast<double>(m.messages_sent) / n / horizon;
+          static_cast<double>(m.messages_sent) / n / horizon_s;
       const double bytes_per_proc_s =
-          static_cast<double>(m.bytes_sent) / n / horizon;
+          static_cast<double>(m.bytes_sent) / n / horizon_s;
       table.add_row(
           {Table::num(std::uint64_t{n}), detector,
            Table::num(m.messages_sent), Table::num(per_proc_s, 1),
@@ -73,7 +67,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

@@ -30,24 +30,26 @@ using namespace mmrfd;
 using metrics::Table;
 
 int main(int argc, char** argv) {
+  std::uint32_t n = 20, f = 5, horizon_s = 60, mean_delay_ms = 20,
+                period_ms = 200, timeout_ms = 600;
+  std::uint64_t seeds = 5;
+  bool csv = false;
   ArgParser args("E5: MP verdicts and accuracy vs delay distribution");
-  args.flag("n", "20", "system size")
-      .flag("f", "5", "fault tolerance")
-      .flag("seeds", "5", "seeds per configuration")
-      .flag("horizon", "60", "simulated seconds")
-      .flag("mean_delay", "20", "mean one-way delay (ms)")
-      .flag("period", "200", "Delta / heartbeat period (ms)")
-      .flag("timeout", "600", "untuned baseline Theta (ms)")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("n", n, "system size")
+      .flag("f", f, "fault tolerance")
+      .flag("seeds", seeds, "seeds per configuration")
+      .flag("horizon", horizon_s, "simulated seconds")
+      .flag("mean_delay", mean_delay_ms, "mean one-way delay (ms)")
+      .flag("period", period_ms, "Delta / heartbeat period (ms)")
+      .flag("timeout", timeout_ms, "untuned baseline Theta (ms)")
+      .flag("csv", csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  const auto seeds = static_cast<std::uint64_t>(args.get_int("seeds"));
   std::cout << "# E5: does MP hold, and what does accuracy cost, per delay "
                "distribution?\n"
-            << "# (n = " << args.get_int("n") << ", f = " << args.get_int("f")
-            << ", mean delay " << args.get_int("mean_delay") << " ms, "
-            << seeds << " seeds; baseline Theta fixed at "
-            << args.get_int("timeout") << " ms)\n\n";
+            << "# (n = " << n << ", f = " << f << ", mean delay "
+            << mean_delay_ms << " ms, " << seeds
+            << " seeds; baseline Theta fixed at " << timeout_ms << " ms)\n\n";
 
   Table table({"delays", "fast_bias", "mp_holds", "mp_perpetual",
                "async_false_susp", "async_stable", "hb_false_susp"});
@@ -64,16 +66,15 @@ int main(int argc, char** argv) {
       std::size_t hb_fs = 0;
       for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         bench::Workload w;
-        w.n = static_cast<std::uint32_t>(args.get_int("n"));
-        w.f = static_cast<std::uint32_t>(args.get_int("f"));
+        w.n = n;
+        w.f = f;
         w.seed = seed;
         w.crashes = 0;
-        w.horizon = from_seconds(static_cast<double>(args.get_int("horizon")));
+        w.horizon = from_seconds(horizon_s);
         w.preset = preset;
-        w.mean_delay =
-            from_millis(static_cast<double>(args.get_int("mean_delay")));
-        w.period = from_millis(static_cast<double>(args.get_int("period")));
-        w.timeout = from_millis(static_cast<double>(args.get_int("timeout")));
+        w.mean_delay = from_millis(mean_delay_ms);
+        w.period = from_millis(period_ms);
+        w.timeout = from_millis(timeout_ms);
         if (bias) {
           w.fast_set = {ProcessId{0}};
           w.fast_factor = 0.05;
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

@@ -143,17 +143,17 @@ OmegaOutcome run_baseline_omega(const Scenario& sc, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::uint32_t n = 12, horizon_s = 30;
+  std::uint64_t seed = 1;
+  bool csv = false;
   ArgParser args("E10: Omega leader stability per detector");
-  args.flag("n", "12", "system size")
-      .flag("horizon", "30", "simulated seconds")
-      .flag("seed", "1", "seed")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("n", n, "system size")
+      .flag("horizon", horizon_s, "simulated seconds")
+      .flag("seed", seed, "seed")
+      .flag("csv", csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  const auto n = static_cast<std::uint32_t>(args.get_int("n"));
-  const auto horizon =
-      from_seconds(static_cast<double>(args.get_int("horizon")));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  const auto horizon = from_seconds(horizon_s);
 
   std::cout << "# E10: Omega (leader = min unsuspected) stability "
             << "(n = " << n << ", poll 100 ms)\n\n";
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

@@ -442,89 +442,65 @@ int run_forked(const std::vector<ScaleConfig>& configs, Duration horizon,
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::vector<std::uint32_t> sizes = {100, 300, 1000};
+  std::uint64_t seeds = 1;
+  std::uint32_t horizon_s = 20, period_ms = 1000, shards = 4;
+  bool spike = true, csv = false;
+  std::string mode = "both", engine = "serial", log_mode = "full",
+              out = "BENCH_scale.json";
+  std::size_t jobs = 1;
   ArgParser args("SCALE: large-n simulator stress sweep (events/sec trajectory)");
-  args.flag("sizes", "100,300,1000", "comma-separated n values")
-      .flag("seeds", "1", "seeds per configuration")
-      .flag("horizon", "20", "simulated seconds per run")
-      .flag("period", "1000", "query pacing Delta (ms)")
-      .flag("spike", "true", "inject a mid-run delay spike on ~1% of nodes")
-      .flag("mode", "both", "query encoding: delta, full, or both")
-      .flag("engine", "serial", "simulation engine: serial, sharded, or both")
-      .flag("shards", "4", "worker shards for the sharded engine")
-      .flag("log", "full", "serial event-log retention: full or rollup")
-      .flag("jobs", "1", "worker processes (one per config) run at a time")
-      .flag("out", "BENCH_scale.json", "JSON output path")
-      .flag("csv", "false", "emit CSV instead of an aligned table");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("sizes", sizes, "comma-separated n values")
+      .flag("seeds", seeds, "seeds per configuration")
+      .flag("horizon", horizon_s, "simulated seconds per run")
+      .flag("period", period_ms, "query pacing Delta (ms)")
+      .flag("spike", spike, "inject a mid-run delay spike on ~1% of nodes")
+      .flag("mode", mode, "query encoding: delta, full, or both")
+      .flag("engine", engine, "simulation engine: serial, sharded, or both")
+      .flag("shards", shards, "worker shards for the sharded engine")
+      .flag("log", log_mode, "serial event-log retention: full or rollup")
+      .flag("jobs", jobs, "worker processes (one per config) run at a time")
+      .flag("out", out, "JSON output path")
+      .flag("csv", csv, "emit CSV instead of an aligned table");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  std::vector<std::uint32_t> sizes;
-  {
-    const std::string s = args.get("sizes");
-    for (std::size_t pos = 0; pos < s.size();) {
-      const auto comma = s.find(',', pos);
-      const std::string tok = s.substr(pos, comma - pos);
-      // Digits only: stoul would accept "-5" by wrapping it to a huge
-      // unsigned value, which the < 2 guard below cannot catch.
-      if (tok.empty() ||
-          tok.find_first_not_of("0123456789") != std::string::npos) {
-        std::cerr << "exp_scale: bad --sizes entry '" << tok << "'\n";
-        return 1;
-      }
-      unsigned long value = 0;
-      try {
-        value = std::stoul(tok);
-      } catch (const std::exception&) {  // out-of-range
-        std::cerr << "exp_scale: bad --sizes entry '" << tok << "'\n";
-        return 1;
-      }
-      // n = 1 would make f = (n+3)/4 >= n, which DetectorCore (correctly)
-      // rejects by throwing; the upper bound keeps a typo'd size from
-      // silently truncating through uint32 and allocating a "cluster" of
-      // billions of hosts.
-      if (value < 2 || value > 1000000) {
-        std::cerr << "exp_scale: --sizes entries must be in [2, 1000000] "
-                     "(got " << tok << ")\n";
-        return 1;
-      }
-      sizes.push_back(static_cast<std::uint32_t>(value));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    if (sizes.empty()) {
-      std::cerr << "exp_scale: --sizes must name at least one size\n";
-      return 1;
+  // n = 1 would make f = (n+3)/4 >= n, which DetectorCore (correctly)
+  // rejects by throwing; the upper bound keeps a typo'd size from
+  // allocating a "cluster" of billions of hosts.
+  if (sizes.empty()) {
+    std::cerr << "exp_scale: --sizes must name at least one size\n";
+    return 2;
+  }
+  for (const std::uint32_t n : sizes) {
+    if (n < 2 || n > 1000000) {
+      std::cerr << "exp_scale: --sizes entries must be in [2, 1000000] "
+                   "(got " << n << ")\n";
+      return 2;
     }
   }
-  const std::string mode = args.get("mode");
   if (mode != "delta" && mode != "full" && mode != "both") {
     std::cerr << "exp_scale: --mode must be delta, full or both (got '"
               << mode << "')\n";
-    return 1;
+    return 2;
   }
-  const std::string engine = args.get("engine");
   if (engine != "serial" && engine != "sharded" && engine != "both") {
     std::cerr << "exp_scale: --engine must be serial, sharded or both (got '"
               << engine << "')\n";
-    return 1;
+    return 2;
   }
-  const int shards_arg = args.get_int("shards");
-  if (shards_arg < 1 || shards_arg > 256) {
+  if (shards < 1 || shards > 256) {
     std::cerr << "exp_scale: --shards must be in [1, 256]\n";
-    return 1;
+    return 2;
   }
-  const auto shards = static_cast<std::uint32_t>(shards_arg);
-  const std::string log_mode = args.get("log");
   if (log_mode != "full" && log_mode != "rollup") {
     std::cerr << "exp_scale: --log must be full or rollup (got '" << log_mode
               << "')\n";
-    return 1;
+    return 2;
   }
-  const int jobs_arg = args.get_int("jobs");
-  if (jobs_arg < 1) {
+  if (jobs < 1) {
     std::cerr << "exp_scale: --jobs must be >= 1\n";
-    return 1;
+    return 2;
   }
-  auto jobs = static_cast<std::size_t>(jobs_arg);
   if (engine != "serial" && jobs > 1) {
     // --jobs forks whole processes and --shards threads each sharded run:
     // multiplied, they oversubscribe the machine and the per-run wall-clock
@@ -544,22 +520,19 @@ int main(int argc, char** argv) {
     std::cerr << "exp_scale: --jobs needs fork(); running in-process\n";
   }
 #endif
-  const auto horizon =
-      from_seconds(static_cast<double>(args.get_int("horizon")));
-  const auto pacing = from_millis(static_cast<double>(args.get_int("period")));
+  const auto horizon = from_seconds(horizon_s);
+  const auto pacing = from_millis(period_ms);
 
   std::cout << "# SCALE: simulator stress sweep  (f = n/4, f/2 crashes, "
-            << (args.get_bool("spike") ? "spike on" : "spike off")
-            << ", horizon " << args.get_int("horizon") << "s, mode " << mode
-            << ")\n\n";
+            << (spike ? "spike on" : "spike off") << ", horizon " << horizon_s
+            << "s, mode " << mode << ")\n\n";
 
   // Build the config list up front (the unit of work for --jobs). Encoding
   // varies fastest so full-vs-delta rows for one (n, seed) sit adjacent.
   std::vector<ScaleConfig> configs;
   const bool rollup = log_mode == "rollup";
   for (const std::uint32_t n : sizes) {
-    for (std::uint64_t seed = 1;
-         seed <= static_cast<std::uint64_t>(args.get_int("seeds")); ++seed) {
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       for (const bool delta : {false, true}) {
         if (delta ? mode == "full" : mode == "delta") continue;
         if (engine != "sharded") configs.push_back({n, seed, delta, 0, rollup});
@@ -571,7 +544,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ScaleResult> results(configs.size());
-  const bool spike = args.get_bool("spike");
 #if MMRFD_HAVE_FORK
   if (const int rc = run_forked(configs, horizon, pacing, spike, jobs, results);
       rc != 0) {
@@ -604,10 +576,10 @@ int main(int argc, char** argv) {
                    Table::num(r.peak_rss_mb)});
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
   }
-  return write_json(results, spike, args.get("out")) ? 0 : 1;
+  return write_json(results, spike, out) ? 0 : 1;
 }

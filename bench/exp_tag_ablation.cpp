@@ -60,42 +60,44 @@ bench::RunMetrics run_simple(const bench::Workload& w) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::uint32_t n = 20, f = 5, storm_len = 15, factor = 2000, horizon_s = 60,
+                period_ms = 500;
+  std::uint64_t seeds = 5;
+  bool csv = false;
   ArgParser args("E9: tagged mistake flooding vs tag-free suspicion");
-  args.flag("n", "20", "system size")
-      .flag("f", "5", "fault tolerance")
-      .flag("seeds", "5", "seeds per cell")
-      .flag("storm_len", "15", "unstable prefix length (s)")
-      .flag("factor", "2000", "storm delay multiplier")
-      .flag("horizon", "60", "simulated seconds")
-      .flag("period", "500", "pacing Delta (ms)")
-      .flag("csv", "false", "emit CSV");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("n", n, "system size")
+      .flag("f", f, "fault tolerance")
+      .flag("seeds", seeds, "seeds per cell")
+      .flag("storm_len", storm_len, "unstable prefix length (s)")
+      .flag("factor", factor, "storm delay multiplier")
+      .flag("horizon", horizon_s, "simulated seconds")
+      .flag("period", period_ms, "pacing Delta (ms)")
+      .flag("csv", csv, "emit CSV");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
-  const double storm_len = static_cast<double>(args.get_int("storm_len"));
   std::cout << "# E9: full (tagged) protocol vs tag-free variant; network "
                "unstable for the first "
             << storm_len << " s\n\n";
 
   Table table({"variant", "false_susp", "runs_clean", "mean_clean_lag_s",
                "max_clean_lag_s"});
-  const auto seeds = static_cast<std::uint64_t>(args.get_int("seeds"));
   for (const bool tagged : {true, false}) {
     std::size_t fs = 0;
     std::size_t clean = 0;
     SampleSet lags;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       bench::Workload w;
-      w.n = static_cast<std::uint32_t>(args.get_int("n"));
-      w.f = static_cast<std::uint32_t>(args.get_int("f"));
+      w.n = n;
+      w.f = f;
       w.seed = seed;
       w.crashes = 0;
-      w.horizon = from_seconds(static_cast<double>(args.get_int("horizon")));
+      w.horizon = from_seconds(horizon_s);
       w.preset = net::DelayPreset::kExponential;
-      w.period = from_millis(static_cast<double>(args.get_int("period")));
+      w.period = from_millis(period_ms);
       runtime::SpikeSpec storm;
       storm.start = kTimeZero;
       storm.end = from_seconds(storm_len);
-      storm.factor = static_cast<double>(args.get_int("factor"));
+      storm.factor = factor;
       w.spike = storm;
       const auto m = tagged ? bench::run_mmr(w) : run_simple(w);
       fs += m.false_suspicions;
@@ -111,7 +113,7 @@ int main(int argc, char** argv) {
                    Table::num(lags.mean()), Table::num(lags.max())});
   }
 
-  if (args.get_bool("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);

@@ -9,6 +9,7 @@
 // --export/--jsonl also writes the raw traces for external analysis.
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "common/argparse.h"
 #include "core/properties.h"
@@ -21,70 +22,68 @@ using namespace mmrfd;
 using metrics::Table;
 
 int main(int argc, char** argv) {
+  std::uint32_t n = 20, f = 5, mean_delay_ms = 2, pacing_ms = 500,
+                horizon_s = 30, spike_len = 5, spike_factor = 100;
+  std::uint64_t seed = 1;
+  std::size_t crash_count = 2;
+  std::string delays = "exponential", export_path, jsonl_path;
+  double pacing_jitter = 0;
+  std::vector<std::uint32_t> fast;
+  std::int64_t spike_at = -1;
   ArgParser args("simulate: run the asynchronous failure detector under a "
                  "configurable workload");
-  args.flag("n", "20", "system size")
-      .flag("f", "5", "max crashes tolerated (quorum = n - f)")
-      .flag("seed", "1", "master seed (runs are pure functions of it)")
-      .flag("crashes", "2", "actual crashes injected (capped at f)")
-      .flag("delays", "exponential",
-            "constant|uniform|exponential|lognormal|pareto")
-      .flag("mean_delay_ms", "2", "mean one-way delay")
-      .flag("pacing_ms", "500", "inter-query pacing Delta")
-      .flag("pacing_jitter", "0", "relative pacing jitter in [0,1)")
-      .flag("fast", "", "comma-separated ids biased fast (MP witnesses)")
-      .flag("horizon", "30", "simulated seconds")
-      .flag("spike_at", "-1", "spike start (s); -1 = no spike")
-      .flag("spike_len", "5", "spike duration (s)")
-      .flag("spike_factor", "100", "spike delay multiplier")
-      .flag("export", "", "write suspicion events CSV to this path")
-      .flag("jsonl", "", "write a JSONL trace to this path");
-  if (!args.parse(argc, argv)) return 0;
+  args.flag("n", n, "system size")
+      .flag("f", f, "max crashes tolerated (quorum = n - f)")
+      .flag("seed", seed, "master seed (runs are pure functions of it)")
+      .flag("crashes", crash_count, "actual crashes injected (capped at f)")
+      .flag("delays", delays, "constant|uniform|exponential|lognormal|pareto")
+      .flag("mean_delay_ms", mean_delay_ms, "mean one-way delay")
+      .flag("pacing_ms", pacing_ms, "inter-query pacing Delta")
+      .flag("pacing_jitter", pacing_jitter, "relative pacing jitter in [0,1)")
+      .flag("fast", fast, "comma-separated ids biased fast (MP witnesses)")
+      .flag("horizon", horizon_s, "simulated seconds")
+      .flag("spike_at", spike_at, "spike start (s); -1 = no spike")
+      .flag("spike_len", spike_len, "spike duration (s)")
+      .flag("spike_factor", spike_factor, "spike delay multiplier")
+      .flag("export", export_path, "write suspicion events CSV to this path")
+      .flag("jsonl", jsonl_path, "write a JSONL trace to this path");
+  if (const auto status = args.parse(argc, argv)) return *status;
 
   runtime::MmrClusterConfig cfg;
-  cfg.n = static_cast<std::uint32_t>(args.get_int("n"));
-  cfg.f = static_cast<std::uint32_t>(args.get_int("f"));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  cfg.pacing = from_millis(static_cast<double>(args.get_int("pacing_ms")));
-  cfg.pacing_jitter = args.get_double("pacing_jitter");
-  cfg.mean_delay =
-      from_millis(static_cast<double>(args.get_int("mean_delay_ms")));
-  cfg.delay_preset = net::parse_preset(args.get("delays"));
-  {
-    const std::string fast = args.get("fast");
-    for (std::size_t pos = 0; pos < fast.size();) {
-      const auto comma = fast.find(',', pos);
-      cfg.fast_set.push_back(ProcessId{static_cast<std::uint32_t>(
-          std::stoul(fast.substr(pos, comma - pos)))});
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
+  try {
+    cfg.delay_preset = net::parse_preset(delays);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "simulate: --delays: " << e.what() << "\n";
+    return 2;
   }
-  if (args.get_int("spike_at") >= 0) {
+  cfg.n = n;
+  cfg.f = f;
+  cfg.seed = seed;
+  cfg.pacing = from_millis(pacing_ms);
+  cfg.pacing_jitter = pacing_jitter;
+  cfg.mean_delay = from_millis(mean_delay_ms);
+  for (const std::uint32_t id : fast) cfg.fast_set.push_back(ProcessId{id});
+  if (spike_at >= 0) {
     runtime::SpikeSpec spike;
-    spike.start = from_seconds(static_cast<double>(args.get_int("spike_at")));
-    spike.end = spike.start +
-                from_seconds(static_cast<double>(args.get_int("spike_len")));
-    spike.factor = static_cast<double>(args.get_int("spike_factor"));
+    spike.start = from_seconds(spike_at);
+    spike.end = spike.start + from_seconds(spike_len);
+    spike.factor = spike_factor;
     cfg.spike = spike;
   }
 
-  const auto horizon =
-      from_seconds(static_cast<double>(args.get_int("horizon")));
+  const auto horizon = from_seconds(horizon_s);
   runtime::MmrCluster cluster(cfg);
   const auto plan = runtime::CrashPlan::uniform(
-      std::min<std::size_t>(static_cast<std::size_t>(args.get_int("crashes")),
-                            cfg.f),
-      cfg.n, horizon / 4, horizon / 2, cfg.seed, cfg.fast_set);
+      std::min<std::size_t>(crash_count, cfg.f), cfg.n, horizon / 4,
+      horizon / 2, cfg.seed, cfg.fast_set);
   cluster.start(plan);
   cluster.run_for(horizon);
 
   // --- report -----------------------------------------------------------
   metrics::Analysis analysis(cluster.log(), cfg.n, horizon);
   std::cout << "workload: n=" << cfg.n << " f=" << cfg.f << " delays="
-            << args.get("delays") << " mean=" << args.get_int("mean_delay_ms")
-            << "ms Delta=" << args.get_int("pacing_ms") << "ms seed="
-            << cfg.seed << "\n\n";
+            << delays << " mean=" << mean_delay_ms << "ms Delta=" << pacing_ms
+            << "ms seed=" << cfg.seed << "\n\n";
 
   Table crashes({"crashed", "at_s", "detected_by", "mean_latency_s",
                  "max_latency_s"});
@@ -129,15 +128,15 @@ int main(int argc, char** argv) {
             << cluster.network().stats().messages_sent << "\n";
 
   // --- optional trace files ---------------------------------------------
-  if (const auto path = args.get("export"); !path.empty()) {
-    std::ofstream out(path);
+  if (!export_path.empty()) {
+    std::ofstream out(export_path);
     metrics::export_events_csv(cluster.log(), out);
-    std::cout << "wrote " << path << "\n";
+    std::cout << "wrote " << export_path << "\n";
   }
-  if (const auto path = args.get("jsonl"); !path.empty()) {
-    std::ofstream out(path);
+  if (!jsonl_path.empty()) {
+    std::ofstream out(jsonl_path);
     metrics::export_jsonl(cluster.log(), &cluster.recorder(), out);
-    std::cout << "wrote " << path << "\n";
+    std::cout << "wrote " << jsonl_path << "\n";
   }
   return 0;
 }

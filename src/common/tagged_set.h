@@ -82,9 +82,9 @@ class ChangeJournal {
   std::vector<ProcessId> ids_;  // ids_[k] changed at epoch base_ + k + 1
 };
 
-/// DeltaState — the per-peer watermark contract of the delta wire encoding,
-/// shared by both protocol cores (DetectorCore and SimpleDetectorCore) so
-/// the soundness-critical rules live in exactly one place:
+/// DeltaState — the per-peer watermark contract of DetectorCore's delta wire
+/// encoding, kept apart so the soundness-critical rules live in exactly one
+/// place (the tag-free SimpleDetectorCore sends bare queries and keeps none):
 ///
 ///   * sender side: `acked(peer)` is the highest of our epochs the peer has
 ///     acknowledged — a response to the current query certifies the peer

@@ -343,7 +343,7 @@ class DetectorCore final : public FailureDetector {
 
   // Delta encoding (maintained in every mode so flipping the flag or
   // inspecting epochs is always valid; record() is O(1)). The watermark
-  // rules live in common::DeltaState, shared with SimpleDetectorCore.
+  // rules live in common::DeltaState.
   DeltaState delta_;
   /// Per-round memo of built queries, keyed by base epoch (0 = full): all
   /// peers that acked the same epoch share one construction.

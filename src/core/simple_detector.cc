@@ -9,9 +9,7 @@
 namespace mmrfd::core {
 
 SimpleDetectorCore::SimpleDetectorCore(const SimpleDetectorConfig& config)
-    : config_(config),
-      suspected_(config.n, false),
-      delta_(config.n, config.delta_journal_capacity) {
+    : config_(config), suspected_(config.n, false) {
   if (config_.n < 1) {
     throw std::invalid_argument("SimpleDetectorConfig: n must be >= 1, got " +
                                 std::to_string(config_.n));
@@ -43,44 +41,17 @@ void SimpleDetectorCore::begin_query() {
   rec_from_.push_back(config_.self);
   responded_[config_.self.value] = true;
   terminated_ = rec_from_.size() >= config_.quorum();
-  delta_.begin_round();
 }
 
 QueryMessage SimpleDetectorCore::full_query() const {
   QueryMessage q;
   q.seq = seq_;
-  q.epoch = config_.delta_queries ? delta_.sent_epoch() : 0;
-  for (std::uint32_t i = 0; i < config_.n; ++i) {
-    if (suspected_[i]) q.entries.push_back({ProcessId{i}, 0});
-  }
-  q.suspected_count = static_cast<std::uint32_t>(q.entries.size());
-  return q;
-}
-
-bool SimpleDetectorCore::full_query_needed(ProcessId peer) const {
-  if (!config_.delta_queries) return true;
-  return delta_.full_needed(peer, suspect_count_);
-}
-
-QueryMessage SimpleDetectorCore::query_for(ProcessId peer) {
-  assert(in_progress_);
-  if (full_query_needed(peer)) return full_query();
-  QueryMessage q;
-  q.seq = seq_;
-  q.epoch = delta_.sent_epoch();
-  q.base_epoch = delta_.acked(peer);
-  q.set_delta(true);
-  for (ProcessId id : delta_.journal().changed_since(q.base_epoch)) {
-    if (suspected_[id.value]) q.entries.push_back({id, 0});
-  }
-  q.suspected_count = static_cast<std::uint32_t>(q.entries.size());
   return q;
 }
 
 bool SimpleDetectorCore::on_response(ProcessId from,
                                      const ResponseMessage& response) {
   if (!in_progress_ || response.seq != seq_) return false;
-  delta_.on_ack(from, response.ack_epoch, response.need_full);
   if (from.value >= config_.n) return false;  // forged live-path sender
   if (responded_[from.value]) return false;
   responded_[from.value] = true;
@@ -109,17 +80,14 @@ bool SimpleDetectorCore::finish_round() {
 
 ResponseMessage SimpleDetectorCore::on_query(ProcessId from,
                                              const QueryMessage& query) {
-  // Direct evidence of life; the piggybacked sets are NOT merged — without
+  // Direct evidence of life; nothing the query carries is merged — without
   // tags, adopting third-party suspicions would poison the detector with
-  // unorderable stale information. The epoch bookkeeping still runs so the
-  // sender's delta watermarks stay sound for any observer of the wire.
-  // A forged live-path sender id >= n indexes nothing (same guard as
-  // on_response).
+  // unorderable stale information. A forged live-path sender id >= n
+  // indexes nothing (same guard as on_response).
   if (from.value < config_.n) set_suspected(from, false);
-  const bool epoch_miss =
-      delta_.epoch_miss(from, query.is_delta(), query.base_epoch);
-  if (!epoch_miss) delta_.note_seen(from, query.epoch);
-  return ResponseMessage{query.seq, query.epoch, epoch_miss};
+  ResponseMessage r;
+  r.seq = query.seq;
+  return r;
 }
 
 std::vector<ProcessId> SimpleDetectorCore::suspected() const {
@@ -138,12 +106,6 @@ void SimpleDetectorCore::set_suspected(ProcessId id, bool suspect) {
   assert(id != config_.self || !suspect);
   if (suspected_[id.value] == suspect) return;
   suspected_[id.value] = suspect;
-  if (suspect) {
-    ++suspect_count_;
-  } else {
-    --suspect_count_;
-  }
-  delta_.record(id);
   if (observer_ != nullptr) {
     if (suspect) {
       observer_->on_suspected(id, 0);

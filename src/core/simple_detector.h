@@ -30,15 +30,6 @@ struct SimpleDetectorConfig {
   std::uint32_t n{0};
   std::uint32_t f{0};
 
-  /// Delta-encode queries (same watermark/epoch machinery as DetectorCore).
-  /// Receivers ignore query contents for state either way — the delta only
-  /// shrinks wire bytes, so the E9 message-cost ablation stays apples to
-  /// apples with the full protocol's delta mode.
-  bool delta_queries{true};
-
-  /// Replay-window capacity; 0 = auto (max(1024, 4 * n)).
-  std::uint32_t delta_journal_capacity{0};
-
   /// Requires n >= 1 && f < n (validated by SimpleDetectorCore), so n - f
   /// needs no lower clamp — same contract as DetectorConfig::quorum().
   [[nodiscard]] std::uint32_t quorum() const { return n - f; }
@@ -53,19 +44,19 @@ class SimpleDetectorCore final : public FailureDetector {
 
   void set_observer(SuspicionObserver* observer) { observer_ = observer; }
 
-  /// Starts a round. The query still carries the suspected set (so peers
-  /// can be measured/observed), but receivers ignore it for state updates —
-  /// there is no way to order stale vs fresh information without tags.
+  /// Starts a round. Its query is a bare {seq}: receivers could not order
+  /// stale vs fresh suspicions without tags, so a query carries none.
   [[nodiscard]] QueryMessage start_query();
 
-  /// Delta path, mirroring DetectorCore: begin the round, then build one
-  /// message per peer. A delta lists only the ids suspected since the
-  /// peer's acknowledged epoch (cleared ids are simply not re-listed —
-  /// receivers never merge this content, so no removal marker is needed).
   void begin_query();
   [[nodiscard]] QueryMessage full_query() const;
-  [[nodiscard]] bool full_query_needed(ProcessId peer) const;
-  [[nodiscard]] QueryMessage query_for(ProcessId peer);
+  // What RoundDriver::payload_for asks of a core: every peer gets the one
+  // bare query, so there is no delta encoding and no epoch to build on.
+  [[nodiscard]] bool full_query_needed(ProcessId) const { return true; }
+  [[nodiscard]] Epoch acked_epoch(ProcessId) const { return 0; }
+  [[nodiscard]] QueryMessage query_for(ProcessId) const {
+    return full_query();
+  }
 
   /// Returns true when the quorum-th distinct response arrives.
   bool on_response(ProcessId from, const ResponseMessage& response);
@@ -90,10 +81,6 @@ class SimpleDetectorCore final : public FailureDetector {
   }
   [[nodiscard]] QuerySeq query_seq() const { return seq_; }
   [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_; }
-  /// Highest of our epochs `peer` has acknowledged (0 = none).
-  [[nodiscard]] Epoch acked_epoch(ProcessId peer) const {
-    return delta_.acked(peer);
-  }
   [[nodiscard]] const SimpleDetectorConfig& config() const { return config_; }
 
  private:
@@ -102,17 +89,12 @@ class SimpleDetectorCore final : public FailureDetector {
   SimpleDetectorConfig config_;
   SuspicionObserver* observer_{nullptr};
   std::vector<bool> suspected_;
-  std::size_t suspect_count_{0};
   QuerySeq seq_{0};
   bool in_progress_{false};
   bool terminated_{false};
   std::vector<ProcessId> rec_from_;  // arrival order
   std::vector<bool> responded_;      // per id: in rec_from_ this round
   std::uint64_t rounds_{0};
-
-  // Delta encoding: the watermark rules live in common::DeltaState,
-  // shared with DetectorCore.
-  DeltaState delta_;
 };
 
 }  // namespace mmrfd::core

@@ -53,87 +53,58 @@ void on_fatal_signal(int sig) {
   ::raise(sig);
 }
 
-/// Flag `name` as a T: std::invalid_argument unless its value parses whole
-/// and fits T, so no value wraps on its way in.
-template <typename T>
-T get_as(const ArgParser& args, const std::string& name) {
-  const std::int64_t v = args.get_int(name);
-  if (!std::in_range<T>(v)) {
-    throw std::invalid_argument("--" + name + ": " + std::to_string(v) +
-                                " is out of range");
-  }
-  return static_cast<T>(v);
-}
-
 }  // namespace
 
 int node_main(int argc, const char* const* argv) {
+  std::uint32_t self = 0, n = 0, f = 0, pacing_ms = 100, resend_ms = 500,
+                flush_ms = 200, run_s = 0, giveup = 8;
+  std::uint16_t base_port = 39000;
+  bool delta = true;
+  std::string report_path;
+  int control_fd = -1;
+  std::size_t trace_cap = 4096;
+  transport::FaultConfig fault_cfg;
   ArgParser args(
       "mmrfd-node: one live failure-detector process on loopback UDP "
       "(spawned in numbers by live::Supervisor / exp_live)");
-  args.flag("self", "0", "this process's id in [0, n)")
-      .flag("n", "0", "cluster size")
-      .flag("f", "0", "max crashes tolerated (quorum = n - f)")
-      .flag("base-port", "39000", "UDP port of node 0 (node i binds +i)")
-      .flag("pacing-ms", "100", "inter-query pacing Delta (ms)")
-      .flag("resend-ms", "500",
+  args.flag("self", self, "this process's id in [0, n)")
+      .flag("n", n, "cluster size")
+      .flag("f", f, "max crashes tolerated (quorum = n - f)")
+      .flag("base-port", base_port, "UDP port of node 0 (node i binds +i)")
+      .flag("pacing-ms", pacing_ms, "inter-query pacing Delta (ms)")
+      .flag("resend-ms", resend_ms,
             "re-issue a quorum-short query to silent peers at this interval")
-      .flag("delta", "true", "delta-encode queries")
-      .flag("report", "", "binary NodeReport path (empty = no reports)")
-      .flag("flush-ms", "200", "report snapshot interval (ms)")
-      .flag("control-fd", "-1",
+      .flag("delta", delta, "delta-encode queries")
+      .flag("report", report_path,
+            "binary NodeReport path (empty = no reports)")
+      .flag("flush-ms", flush_ms, "report snapshot interval (ms)")
+      .flag("control-fd", control_fd,
             "inherited control socket (live/control.h): say ready once "
             "bound, start at the release and take its origin, stop when it "
             "closes (-1 = none: start at once, origin = this process's "
             "start)")
-      .flag("run-s", "0", "exit after this many seconds (0 = until SIGTERM)")
-      .flag("giveup", "8",
+      .flag("run-s", run_s, "exit after this many seconds (0 = until SIGTERM)")
+      .flag("giveup", giveup,
             "crashed-peer give-up: probe peers suspected this many "
             "consecutive rounds at 1/K rate (0 = query everyone)")
-      .flag("fault-drop", "0", "adversarial channel: outgoing drop rate")
-      .flag("fault-corrupt", "0", "adversarial channel: byte-flip rate")
-      .flag("fault-truncate", "0", "adversarial channel: truncation rate")
-      .flag("fault-seed", "1", "adversarial channel RNG seed")
-      .flag("trace-cap", "4096",
+      .flag("fault-drop", fault_cfg.drop_rate,
+            "adversarial channel: outgoing drop rate")
+      .flag("fault-corrupt", fault_cfg.corrupt_rate,
+            "adversarial channel: byte-flip rate")
+      .flag("fault-truncate", fault_cfg.truncate_rate,
+            "adversarial channel: truncation rate")
+      .flag("fault-seed", fault_cfg.seed, "adversarial channel RNG seed")
+      .flag("trace-cap", trace_cap,
             "flight-recorder ring capacity (records; written to "
             "<report>.trace when the node stops)");
-  if (!args.parse(argc, argv)) return 2;
-
-  // Every number is read here, before the node binds or installs anything:
-  // one that does not parse whole, or does not fit the type it is kept in,
-  // is a bad argument (std::invalid_argument, naming the flag).
-  std::uint32_t n = 0, self = 0, f = 0, giveup = 0;
-  std::int64_t resend_ms = 0, pacing_ms = 0, flush_ms = 0, base_port = 0,
-               trace_cap = 0, run_s = 0;
-  int control_fd = -1;
-  transport::FaultConfig fault_cfg;
-  try {
-    n = get_as<std::uint32_t>(args, "n");
-    self = get_as<std::uint32_t>(args, "self");
-    f = get_as<std::uint32_t>(args, "f");
-    resend_ms = args.get_int("resend-ms");
-    pacing_ms = args.get_int("pacing-ms");
-    flush_ms = args.get_int("flush-ms");
-    base_port = args.get_int("base-port");
-    trace_cap = args.get_int("trace-cap");
-    control_fd = get_as<int>(args, "control-fd");
-    run_s = args.get_int("run-s");
-    giveup = get_as<std::uint32_t>(args, "giveup");
-    fault_cfg.drop_rate = args.get_double("fault-drop");
-    fault_cfg.corrupt_rate = args.get_double("fault-corrupt");
-    fault_cfg.truncate_rate = args.get_double("fault-truncate");
-    // A Supervisor derives each node's seed over the whole uint64 range.
-    fault_cfg.seed = args.get_uint("fault-seed");
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "mmrfd-node: " << e.what() << "\n";
-    return 2;
-  }
+  // Every argument is checked here, before the node binds or installs
+  // anything.
+  if (const auto status = args.parse(argc, argv)) return *status;
   // No resend waves would let one lost datagram wedge a round; a zero
   // interval would fire them back to back, and a zero pause (hence a zero
   // grace) would issue rounds back to back. A zero flush interval would
   // write snapshots back to back.
-  const std::string report_path = args.get("report");
-  if (n < 2 || self >= n || f >= n || resend_ms <= 0 || pacing_ms < 1 ||
+  if (n < 2 || self >= n || f >= n || resend_ms < 1 || pacing_ms < 1 ||
       (!report_path.empty() && flush_ms < 1)) {
     std::cerr << "mmrfd-node: need n >= 2, self < n, f < n, resend-ms > 0, "
               << "pacing-ms >= 1, flush-ms >= 1 with --report (got n=" << n
@@ -144,13 +115,12 @@ int node_main(int argc, const char* const* argv) {
   }
   // Node i binds base-port + i, so the whole range must be a valid port
   // range; a crash dump of a ring above kMaxCapacity would not load.
-  if (base_port < 1 || base_port + n - 1 > 65535 || trace_cap < 0 ||
-      static_cast<std::uint64_t>(trace_cap) >
-          obs::FlightRecorder::kMaxCapacity) {
+  if (base_port < 1 || n > 65536u - base_port ||
+      trace_cap > obs::FlightRecorder::kMaxCapacity) {
     std::cerr << "mmrfd-node: need 1 <= base-port, base-port + n - 1 <= "
-              << "65535, 0 <= trace-cap <= "
-              << obs::FlightRecorder::kMaxCapacity << " (got base-port="
-              << base_port << " trace-cap=" << trace_cap << ")\n";
+              << "65535, trace-cap <= " << obs::FlightRecorder::kMaxCapacity
+              << " (got base-port=" << base_port << " trace-cap=" << trace_cap
+              << ")\n";
     return 2;
   }
   if (control_fd < -1 ||
@@ -172,7 +142,7 @@ int node_main(int argc, const char* const* argv) {
   // layers trace into, whose ring goes to <report>.trace once, at the stop
   // (or from the fatal-signal handler).
   obs::MetricsRegistry registry;
-  obs::FlightRecorder recorder(static_cast<std::size_t>(trace_cap));
+  obs::FlightRecorder recorder(trace_cap);
   const std::string trace_path =
       report_path.empty() ? "" : report_path + ".trace";
   if (trace_path.size() < sizeof(g_trace_path)) {
@@ -187,7 +157,7 @@ int node_main(int argc, const char* const* argv) {
   transport::UdpConfig ucfg;
   ucfg.self = ProcessId{self};
   ucfg.n = n;
-  ucfg.base_port = static_cast<std::uint16_t>(base_port);
+  ucfg.base_port = base_port;
   ucfg.registry = &registry;
   transport::UdpTransport udp(ucfg);
 
@@ -209,10 +179,10 @@ int node_main(int argc, const char* const* argv) {
   rcfg.detector.self = ProcessId{self};
   rcfg.detector.n = n;
   rcfg.detector.f = f;
-  rcfg.detector.delta_queries = args.get_bool("delta");
+  rcfg.detector.delta_queries = delta;
   rcfg.detector.giveup_rounds = giveup;
-  rcfg.pacing = from_millis(static_cast<double>(pacing_ms));
-  rcfg.resend = from_millis(static_cast<double>(resend_ms));
+  rcfg.pacing = from_millis(pacing_ms);
+  rcfg.resend = from_millis(resend_ms);
   rcfg.registry = &registry;
   rcfg.recorder = &recorder;
   transport::RealTimeDetector detector(*datagrams, rcfg);

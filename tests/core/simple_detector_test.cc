@@ -129,44 +129,6 @@ TEST(SimpleCluster, CompletenessStillHolds) {
   EXPECT_TRUE(analysis.strong_completeness());
 }
 
-TEST(SimpleDetector, DeltaWatermarksMirrorDetectorCore) {
-  // The tag-free core shares the watermark/epoch machinery: first contact
-  // is full, an acked stable set travels as the base epoch, and changed ids
-  // ride the delta. Receivers ignore content either way, so only the wire
-  // shrinks.
-  SimpleDetectorConfig c;
-  c.self = ProcessId{0};
-  c.n = 4;
-  c.f = 1;
-  SimpleDetectorCore d(c);
-  auto round = [&](std::initializer_list<std::uint32_t> responders) {
-    d.begin_query();
-    for (const std::uint32_t r : responders) {
-      ResponseMessage resp;
-      resp.seq = d.query_seq();
-      resp.ack_epoch = d.query_for(ProcessId{r}).epoch;
-      (void)d.on_response(ProcessId{r}, resp);
-    }
-    ASSERT_TRUE(d.query_terminated());
-    d.finish_round();
-  };
-  d.begin_query();
-  EXPECT_TRUE(d.full_query_needed(ProcessId{1}));
-  EXPECT_FALSE(d.query_for(ProcessId{1}).is_delta());
-  (void)d.on_response(ProcessId{1},
-                      ResponseMessage{d.query_seq(), d.query_for(ProcessId{1}).epoch});
-  (void)d.on_response(ProcessId{2}, ResponseMessage{d.query_seq()});
-  d.finish_round();  // p3 suspected
-  round({1, 2});     // p1 acks the suspicion
-  d.begin_query();
-  ASSERT_FALSE(d.full_query_needed(ProcessId{1}));
-  const auto q = d.query_for(ProcessId{1});
-  EXPECT_TRUE(q.is_delta());
-  EXPECT_TRUE(q.entries.empty());  // stable set interned in base_epoch
-  // Full encoding for the same round still lists the suspicion.
-  EXPECT_EQ(d.full_query().entries.size(), 1u);
-}
-
 TEST(SimpleCluster, CleanUnderStableNetwork) {
   // Perpetual-pattern conditions: constant delays, no crashes -> no
   // suspicion at all (the class-S configuration is sound here).

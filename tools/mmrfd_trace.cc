@@ -37,31 +37,31 @@ void write_summary(std::ostream& out, const AssembledTrace& trace) {
       << "crashes:          " << trace.crashes.size() << "\n";
 }
 
-int usage() {
-  std::cerr
-      << "usage: mmrfd-trace <assemble|breakdown|timeline> <report_dir>\n"
-         "                   [--json] [--out=FILE]\n";
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string command = argv[1];
-  const std::string dir = argv[2];
+  bool json = false;
+  std::string out_path;
+  mmrfd::ArgParser args(
+      "usage: mmrfd-trace <assemble|breakdown|timeline> <report_dir> "
+      "[flags]");
+  args.flag("json", json, "emit the full assembled document as JSON")
+      .flag("out", out_path, "write output to this file instead of stdout");
+  // The subcommand and the directory come first; the flags follow them.
+  const bool positional = argc >= 3 && argv[1][0] != '-' && argv[2][0] != '-';
+  std::vector<const char*> flags = {argv[0]};
+  flags.insert(flags.end(), argv + (positional ? 3 : 1), argv + argc);
+  if (const auto status =
+          args.parse(static_cast<int>(flags.size()), flags.data())) {
+    return *status;
+  }
+  const std::string command = positional ? argv[1] : "";
+  const std::string dir = positional ? argv[2] : "";
   if (command != "assemble" && command != "breakdown" &&
       command != "timeline") {
-    return usage();
+    std::cerr << args.usage();
+    return 2;
   }
-
-  mmrfd::ArgParser args("mmrfd-trace " + command);
-  args.flag("json", "false", "emit the full assembled document as JSON")
-      .flag("out", "", "write output to this file instead of stdout");
-  std::vector<const char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 3; i < argc; ++i) rest.push_back(argv[i]);
-  if (!args.parse(static_cast<int>(rest.size()), rest.data())) return 2;
 
   const auto trace =
       mmrfd::obs::assemble_from_dir(dir, command == "timeline");
@@ -73,16 +73,16 @@ int main(int argc, char** argv) {
 
   std::ofstream file;
   std::ostream* out = &std::cout;
-  if (const std::string path = args.get("out"); !path.empty()) {
-    file.open(path, std::ios::trunc);
+  if (!out_path.empty()) {
+    file.open(out_path, std::ios::trunc);
     if (!file) {
-      std::cerr << "mmrfd-trace: cannot write " << path << "\n";
+      std::cerr << "mmrfd-trace: cannot write " << out_path << "\n";
       return 1;
     }
     out = &file;
   }
 
-  if (args.get_bool("json")) {
+  if (json) {
     *out << mmrfd::obs::to_json(*trace) << "\n";
   } else if (command == "assemble") {
     write_summary(*out, *trace);
