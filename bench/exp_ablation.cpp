@@ -17,6 +17,8 @@ using metrics::Table;
 
 namespace {
 
+constexpr std::uint32_t kCrashes = 3;
+
 /// The sweep's flags: every cell runs this workload, one knob changed.
 struct Flags {
   std::uint32_t n{20};
@@ -31,7 +33,7 @@ bench::Workload base_workload(const Flags& flags, std::uint64_t seed) {
   w.n = flags.n;
   w.f = flags.f;
   w.seed = seed;
-  w.crashes = 3;
+  w.crashes = kCrashes;
   w.horizon = from_seconds(flags.horizon_s);
   w.crash_window_end = w.horizon - from_seconds(20);
   w.preset = net::DelayPreset::kPareto;  // stressful tails
@@ -62,6 +64,14 @@ Agg sweep(const Flags& flags, Mutator mutate) {
   return a;
 }
 
+void print(const Table& table, bool csv) {
+  if (csv) {
+    table.print_csv(std::cout);
+  } else {
+    table.print(std::cout);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,6 +83,12 @@ int main(int argc, char** argv) {
       .flag("horizon", flags.horizon_s, "simulated seconds")
       .flag("csv", flags.csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  if (!bench::check_system("exp_ablation", "--n", flags.n, flags.f)) return 2;
+  if (flags.n < kCrashes) {
+    std::cerr << "exp_ablation: --n must be >= " << kCrashes
+              << " (every run crashes " << kCrashes << ")\n";
+    return 2;
+  }
 
   std::cout << "# E7a: winning-quorum slack (wait for n - f + extra)\n\n";
   Table qa({"extra_quorum", "mean_detect_s", "max_detect_s", "false_susp",
@@ -85,7 +101,7 @@ int main(int argc, char** argv) {
                 Table::num(std::uint64_t{a.false_susp}),
                 a.complete ? "yes" : "NO"});
   }
-  qa.print(std::cout);
+  print(qa, flags.csv);
 
   std::cout << "\n# E7b: pacing Delta\n\n";
   Table pa({"pacing_ms", "mean_detect_s", "false_susp", "msgs_total"});
@@ -96,6 +112,6 @@ int main(int argc, char** argv) {
     pa.add_row({Table::num(std::int64_t{ms}), Table::num(a.latency.mean()),
                 Table::num(std::uint64_t{a.false_susp}), Table::num(a.msgs)});
   }
-  pa.print(std::cout);
+  print(pa, flags.csv);
   return 0;
 }

@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
       .flag("timeout", timeout_ms, "baseline Theta (ms)")
       .flag("csv", csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  if (!bench::check_system("exp_accuracy_convergence", "--n", n, f)) return 2;
 
   std::cout << "# E8: time from network calm (t = " << calm_at
             << " s) to last wrongful-suspicion repair\n\n";

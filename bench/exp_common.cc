@@ -1,5 +1,6 @@
 #include "exp_common.h"
 
+#include <iostream>
 #include <stdexcept>
 #include <variant>
 
@@ -15,13 +16,10 @@ runtime::CrashPlan plan_for(const Workload& w) {
                                      w.crash_window_end, w.seed, w.fast_set);
 }
 
-std::unique_ptr<net::DelayModel> delays_for(const Workload& w,
-                                            bool with_bias) {
+// The baselines' links: the preset plus the spike, without the fast-set
+// bias, which engineers MP for the paper's detector only.
+std::unique_ptr<net::DelayModel> delays_for(const Workload& w) {
   auto model = net::make_preset(w.preset, w.mean_delay);
-  if (with_bias && !w.fast_set.empty()) {
-    model = std::make_unique<net::FastSetDelay>(std::move(model), w.fast_set,
-                                                w.fast_factor);
-  }
   if (w.spike) {
     model = std::make_unique<net::SpikeDelay>(std::move(model),
                                               w.spike->start, w.spike->end,
@@ -121,14 +119,34 @@ RunMetrics run_mmr(const Workload& w) {
 
 namespace {
 
-template <typename DetectorT, typename ConfigT, typename MsgT,
-          typename MakeConfig, typename SizeFn>
-RunMetrics run_baseline(const Workload& w, MakeConfig make_config,
-                        SizeFn size_fn) {
-  runtime::BaselineCluster<DetectorT, ConfigT, MsgT> cluster(
-      w.n, net::Topology::full(w.n), delays_for(w, /*with_bias=*/false),
-      derive_seed(w.seed, "bench.baseline"), make_config);
-  cluster.network().set_size_fn(size_fn);
+// Baseline messages are sized by the codec's rules (transport/codec.h): no
+// envelope (the transport names the sender), each integer a LEB128 varint,
+// a vector prefixed by its varint length.
+std::size_t wire_size(const baselines::HeartbeatMessage& m) {
+  return transport::uvarint_size(m.seq);
+}
+
+std::size_t wire_size(const baselines::GossipMessage& m) {
+  std::size_t size = transport::uvarint_size(m.counters.size());
+  for (const std::uint64_t c : m.counters) size += transport::uvarint_size(c);
+  return size;
+}
+
+template <typename Msg>
+RunMetrics run_baseline(const Workload& w,
+                        const baselines::SuspicionRule& rule) {
+  runtime::BaselineCluster<baselines::BaselineDetector<Msg>> cluster(
+      w.n, net::Topology::full(w.n), delays_for(w),
+      derive_seed(w.seed, "bench.baseline"), [&](ProcessId self) {
+        baselines::HeartbeatConfig c;
+        c.self = self;
+        c.n = w.n;
+        c.period = w.period;
+        c.rule = rule;
+        c.initial_delay = stagger(w.seed, self, w.period);
+        return c;
+      });
+  cluster.network().set_size_fn([](const Msg& m) { return wire_size(m); });
   cluster.start(plan_for(w));
   cluster.run_for(w.horizon);
   RunMetrics out = summarize(cluster.log(), w.n, w.horizon);
@@ -137,99 +155,47 @@ RunMetrics run_baseline(const Workload& w, MakeConfig make_config,
   return out;
 }
 
-// Baseline messages are sized by the codec's rules (transport/codec.h): no
-// envelope (the transport names the sender), each integer a LEB128 varint,
-// a vector prefixed by its varint length.
-std::size_t heartbeat_size(const baselines::HeartbeatMessage& m) {
-  return transport::uvarint_size(m.seq);
-}
-
-std::size_t gossip_size(const baselines::GossipMessage& m) {
-  std::size_t size = transport::uvarint_size(m.counters.size());
-  for (const std::uint64_t c : m.counters) size += transport::uvarint_size(c);
-  return size;
-}
-
 }  // namespace
 
-RunMetrics run_heartbeat(const Workload& w) {
-  return run_baseline<baselines::HeartbeatDetector, baselines::HeartbeatConfig,
-                      baselines::HeartbeatMessage>(
-      w,
-      [&](ProcessId self) {
-        baselines::HeartbeatConfig c;
-        c.self = self;
-        c.n = w.n;
-        c.period = w.period;
-        c.timeout = w.timeout;
-        c.initial_delay = stagger(w.seed, self, w.period);
-        return c;
-      },
-      heartbeat_size);
-}
-
-RunMetrics run_phi(const Workload& w) {
-  return run_baseline<baselines::PhiAccrualDetector,
-                      baselines::PhiAccrualConfig, baselines::HeartbeatMessage>(
-      w,
-      [&](ProcessId self) {
-        baselines::PhiAccrualConfig c;
-        c.self = self;
-        c.n = w.n;
-        c.period = w.period;
-        c.threshold = w.phi_threshold;
-        c.poll = w.period / 10;
-        c.initial_delay = stagger(w.seed, self, w.period);
-        return c;
-      },
-      heartbeat_size);
-}
-
-RunMetrics run_adaptive(const Workload& w) {
-  return run_baseline<baselines::AdaptiveDetector, baselines::AdaptiveConfig,
-                      baselines::HeartbeatMessage>(
-      w,
-      [&](ProcessId self) {
-        baselines::AdaptiveConfig c;
-        c.self = self;
-        c.n = w.n;
-        c.period = w.period;
-        c.safety_margin = w.timeout;  // reinterpreted as alpha
-        c.initial_delay = stagger(w.seed, self, w.period);
-        return c;
-      },
-      heartbeat_size);
-}
-
-RunMetrics run_gossip(const Workload& w) {
-  return run_baseline<baselines::GossipDetector, baselines::GossipConfig,
-                      baselines::GossipMessage>(
-      w,
-      [&](ProcessId self) {
-        baselines::GossipConfig c;
-        c.self = self;
-        c.n = w.n;
-        c.period = w.period;
-        c.timeout = w.timeout;
-        c.fanout = 0;
-        c.seed = w.seed;
-        c.initial_delay = stagger(w.seed, self, w.period);
-        return c;
-      },
-      gossip_size);
-}
-
 RunMetrics run_detector(const std::string& name, const Workload& w) {
+  using baselines::GossipMessage;
+  using baselines::HeartbeatMessage;
   if (name == "mmr") return run_mmr(w);
-  if (name == "heartbeat") return run_heartbeat(w);
-  if (name == "phi") return run_phi(w);
-  if (name == "adaptive") return run_adaptive(w);
-  if (name == "gossip") return run_gossip(w);
+  if (name == "heartbeat") {
+    return run_baseline<HeartbeatMessage>(w, baselines::FixedTimeout{w.timeout});
+  }
+  if (name == "phi") {
+    return run_baseline<HeartbeatMessage>(
+        w, baselines::PhiAccrual{.threshold = w.phi_threshold,
+                                 .poll = w.period / 10});
+  }
+  if (name == "adaptive") {
+    return run_baseline<HeartbeatMessage>(
+        w, baselines::AdaptiveTimeout{.safety_margin = w.timeout});
+  }
+  if (name == "gossip") {
+    return run_baseline<GossipMessage>(w, baselines::FixedTimeout{w.timeout});
+  }
   throw std::invalid_argument("unknown detector: " + name);
 }
 
 void append_samples(SampleSet& into, const SampleSet& from) {
   for (double x : from.samples()) into.add(x);
+}
+
+bool check_system(const char* driver, const char* n_flag, std::uint32_t n,
+                  std::uint32_t f) {
+  if (n < 2) {
+    std::cerr << driver << ": " << n_flag << " must be >= 2 (got " << n
+              << ")\n";
+    return false;
+  }
+  if (f >= n) {
+    std::cerr << driver << ": --f must be < --n (got f=" << f << ", n=" << n
+              << ")\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace mmrfd::bench

@@ -7,10 +7,7 @@
 #include <optional>
 #include <string>
 
-#include "baselines/adaptive.h"
-#include "baselines/gossip.h"
 #include "baselines/heartbeat.h"
-#include "baselines/phi_accrual.h"
 #include "common/stats.h"
 #include "metrics/analysis.h"
 #include "net/delay_model.h"
@@ -87,19 +84,21 @@ RunMetrics summarize_rollup_metrics(const std::vector<metrics::PairRollup>& pair
 
 /// The paper's detector.
 RunMetrics run_mmr(const Workload& w);
-/// Fixed-timeout heartbeat baseline.
-RunMetrics run_heartbeat(const Workload& w);
-/// Phi-accrual baseline.
-RunMetrics run_phi(const Workload& w);
-/// Adaptive-timeout baseline (timeout field = safety margin).
-RunMetrics run_adaptive(const Workload& w);
-/// Gossip-counter baseline.
-RunMetrics run_gossip(const Workload& w);
 
-/// Dispatch by name: "mmr" | "heartbeat" | "phi" | "adaptive" | "gossip".
+/// Dispatch by name: "mmr", or a baseline: "heartbeat" (fixed timeout
+/// Theta = w.timeout), "phi" (phi-accrual at w.phi_threshold), "adaptive"
+/// (w.timeout read as the safety margin alpha) or "gossip" (counter vectors
+/// under the fixed timeout).
 RunMetrics run_detector(const std::string& name, const Workload& w);
 
 /// Merges per-seed SampleSets: convenience for seed-averaged tables.
 void append_samples(SampleSet& into, const SampleSet& from);
+
+/// Checks one system size before the first run: every detector needs
+/// n >= 2 processes, and the model tolerates f < n crashes. Otherwise prints
+/// one stderr line naming the flag at fault (`n_flag` or --f) and returns
+/// false, and the driver exits 2.
+bool check_system(const char* driver, const char* n_flag, std::uint32_t n,
+                  std::uint32_t f);
 
 }  // namespace mmrfd::bench

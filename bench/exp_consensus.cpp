@@ -79,6 +79,16 @@ int main(int argc, char** argv) {
       .flag("seeds", seeds, "seeds per cell")
       .flag("csv", csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  // Every detector needs two processes, and consensus a correct majority.
+  if (n < 2) {
+    std::cerr << "exp_consensus: --n must be >= 2 (got " << n << ")\n";
+    return 2;
+  }
+  if (2ull * f >= n) {
+    std::cerr << "exp_consensus: --f must be < n/2 (got f=" << f
+              << ", n=" << n << ")\n";
+    return 2;
+  }
 
   std::cout << "# E6: Chandra-Toueg consensus on top of each detector "
             << "(n = " << n << ", f = " << f << ", " << seeds << " seeds)\n\n";

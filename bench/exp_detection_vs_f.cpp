@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
       .flag("timeout", timeout_ms, "baseline timeout Theta (ms)")
       .flag("csv", csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  if (!bench::check_system("exp_detection_vs_f", "--n", n, 0)) return 2;
 
   std::cout << "# E2: failure detection time vs f  (n = " << n
             << ", exponential delays)\n\n";
@@ -39,6 +40,7 @@ int main(int argc, char** argv) {
   const std::vector<std::uint32_t> fs = {1, 5, 10, 15, 20, 25, n / 2 - 1};
 
   for (const std::uint32_t f : fs) {
+    if (f >= n) continue;  // the model needs f < n
     for (const std::string detector : {"mmr", "heartbeat"}) {
       SampleSet latencies;
       std::size_t false_susp = 0;

@@ -35,6 +35,11 @@ int main(int argc, char** argv) {
       .flag("timeout", timeout_ms, "baseline timeout Theta (ms)")
       .flag("csv", csv, "emit CSV instead of an aligned table");
   if (const auto status = args.parse(argc, argv)) return *status;
+  for (const std::uint32_t n : sizes) {
+    if (!bench::check_system("exp_detection_vs_n", "--sizes", n, (n + 3) / 4)) {
+      return 2;
+    }
+  }
 
   std::cout << "# E1: failure detection time vs n  (f = n/4, " << crashes
             << " crashes, exponential delays, " << seeds << " seeds)\n\n";

@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
       .flag("timeout", timeout_ms, "baseline timeout Theta (ms)")
       .flag("csv", csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  if (!bench::check_system("exp_false_suspicions", "--n", n, f)) return 2;
 
   std::cout << "# E3: false suspicions over time (p" << n - 1
             << "'s links x" << factor << " slower during [" << spike_at
@@ -79,8 +80,8 @@ int main(int argc, char** argv) {
   };
 
   const auto mmr = bench::run_mmr(make_workload());
-  const auto hb = bench::run_heartbeat(make_workload());
-  const auto phi = bench::run_phi(make_workload());
+  const auto hb = bench::run_detector("heartbeat", make_workload());
+  const auto phi = bench::run_detector("phi", make_workload());
 
   Table table({"t_s", "mmr_active", "heartbeat_active", "phi_active"});
   for (double t = 0.0; t <= horizon_s; t += 1.0) {

@@ -33,6 +33,11 @@ int main(int argc, char** argv) {
       .flag("period", period_ms, "cadence (ms) for every detector")
       .flag("csv", csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  for (const std::uint32_t n : sizes) {
+    if (!bench::check_system("exp_message_cost", "--sizes", n, (n + 3) / 4)) {
+      return 2;
+    }
+  }
 
   std::cout << "# E4: message cost per process per second vs n "
             << "(no failures, 1 s cadence)\n\n";

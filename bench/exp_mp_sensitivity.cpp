@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
       .flag("timeout", timeout_ms, "untuned baseline Theta (ms)")
       .flag("csv", csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  if (!bench::check_system("exp_mp_sensitivity", "--n", n, f)) return 2;
 
   std::cout << "# E5: does MP hold, and what does accuracy cost, per delay "
                "distribution?\n"
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
         if (m.mp && m.mp->holds_perpetually) ++mp_perpetual;
         async_fs += m.false_suspicions;
         if (m.accuracy_stable_at) ++stable_runs;
-        const auto h = bench::run_heartbeat(w);
+        const auto h = bench::run_detector("heartbeat", w);
         hb_fs += h.false_suspicions;
       }
       table.add_row({net::preset_name(preset), bias ? "yes" : "no",

@@ -14,6 +14,7 @@
 // spuriously and re-elect it afterwards (2 extra changes per observer),
 // while the async detector with late-response acceptance mostly keeps it.
 #include <iostream>
+#include <utility>
 
 #include "common/argparse.h"
 #include "core/omega.h"
@@ -73,6 +74,21 @@ struct Scenario {
   bool spike_leader{false};
 };
 
+// The scenario's crashes: its leaders die 5 s apart from t = 5 s. `correct`
+// gets everyone else.
+runtime::CrashPlan leader_crashes(const Scenario& sc, std::uint32_t n,
+                                  std::vector<ProcessId>& correct) {
+  runtime::CrashPlan plan;
+  for (std::uint32_t i = 0; i < n; ++i) correct.push_back(ProcessId{i});
+  double when = 5.0;
+  for (std::uint32_t victim : sc.crash_leaders) {
+    plan.entries.push_back({ProcessId{victim}, from_seconds(when)});
+    when += 5.0;
+    std::erase(correct, ProcessId{victim});
+  }
+  return plan;
+}
+
 OmegaOutcome run_mmr_omega(const Scenario& sc, std::uint64_t seed,
                            std::uint32_t n, Duration horizon) {
   runtime::MmrClusterConfig cfg;
@@ -90,16 +106,8 @@ OmegaOutcome run_mmr_omega(const Scenario& sc, std::uint64_t seed,
     cfg.spike = spike;
   }
   runtime::MmrCluster cluster(cfg);
-  runtime::CrashPlan plan;
   std::vector<ProcessId> correct;
-  for (std::uint32_t i = 0; i < n; ++i) correct.push_back(ProcessId{i});
-  double when = 5.0;
-  for (std::uint32_t victim : sc.crash_leaders) {
-    plan.entries.push_back({ProcessId{victim}, from_seconds(when)});
-    when += 5.0;
-    std::erase(correct, ProcessId{victim});
-  }
-  cluster.start(plan);
+  cluster.start(leader_crashes(sc, n, correct));
   return poll_omega(
       cluster.simulation(), n, correct,
       [&](ProcessId id) -> const core::FailureDetector& {
@@ -108,10 +116,9 @@ OmegaOutcome run_mmr_omega(const Scenario& sc, std::uint64_t seed,
       horizon);
 }
 
-template <typename DetectorT, typename ConfigT>
 OmegaOutcome run_baseline_omega(const Scenario& sc, std::uint64_t seed,
                                 std::uint32_t n, Duration horizon,
-                                std::function<ConfigT(ProcessId)> make_config) {
+                                const baselines::SuspicionRule& rule) {
   auto delays = net::make_preset(net::DelayPreset::kExponential,
                                  from_millis(2));
   if (sc.spike_leader) {
@@ -119,19 +126,18 @@ OmegaOutcome run_baseline_omega(const Scenario& sc, std::uint64_t seed,
         std::move(delays), from_seconds(10), from_seconds(15), 3000.0,
         std::vector<ProcessId>{ProcessId{0}});
   }
-  runtime::BaselineCluster<DetectorT, ConfigT, baselines::HeartbeatMessage>
-      cluster(n, net::Topology::full(n), std::move(delays), seed,
-              make_config);
-  runtime::CrashPlan plan;
+  runtime::BaselineCluster<baselines::HeartbeatDetector> cluster(
+      n, net::Topology::full(n), std::move(delays), seed, [&](ProcessId self) {
+        baselines::HeartbeatConfig c;
+        c.self = self;
+        c.n = n;
+        c.period = from_millis(250);
+        c.rule = rule;
+        c.initial_delay = from_millis(self.value * 3);
+        return c;
+      });
   std::vector<ProcessId> correct;
-  for (std::uint32_t i = 0; i < n; ++i) correct.push_back(ProcessId{i});
-  double when = 5.0;
-  for (std::uint32_t victim : sc.crash_leaders) {
-    plan.entries.push_back({ProcessId{victim}, from_seconds(when)});
-    when += 5.0;
-    std::erase(correct, ProcessId{victim});
-  }
-  cluster.start(plan);
+  cluster.start(leader_crashes(sc, n, correct));
   return poll_omega(
       cluster.simulation(), n, correct,
       [&](ProcessId id) -> const core::FailureDetector& {
@@ -152,6 +158,7 @@ int main(int argc, char** argv) {
       .flag("seed", seed, "seed")
       .flag("csv", csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  if (!bench::check_system("exp_omega", "--n", n, n / 3)) return 2;
 
   const auto horizon = from_seconds(horizon_s);
 
@@ -164,39 +171,18 @@ int main(int argc, char** argv) {
       {"leader-spike", {}, true},
   };
 
+  // The baselines beside the paper's detector: Theta = 4 Delta, and phi at
+  // its default threshold, re-evaluated every Delta / 5.
+  const std::pair<const char*, baselines::SuspicionRule> baseline_rules[] = {
+      {"heartbeat", baselines::FixedTimeout{from_millis(1000)}},
+      {"phi", baselines::PhiAccrual{.threshold = 8.0, .poll = from_millis(50)}},
+  };
+
   Table table({"scenario", "detector", "final_leader", "unanimous",
                "mean_changes", "last_change_s"});
   for (const auto& sc : scenarios) {
-    for (const std::string detector : {"mmr", "heartbeat", "phi"}) {
-      OmegaOutcome out;
-      if (detector == "mmr") {
-        out = run_mmr_omega(sc, seed, n, horizon);
-      } else if (detector == "heartbeat") {
-        out = run_baseline_omega<baselines::HeartbeatDetector,
-                                 baselines::HeartbeatConfig>(
-            sc, seed, n, horizon, [&](ProcessId self) {
-              baselines::HeartbeatConfig c;
-              c.self = self;
-              c.n = n;
-              c.period = from_millis(250);
-              c.timeout = from_millis(1000);
-              c.initial_delay = from_millis(self.value * 3);
-              return c;
-            });
-      } else {
-        out = run_baseline_omega<baselines::PhiAccrualDetector,
-                                 baselines::PhiAccrualConfig>(
-            sc, seed, n, horizon, [&](ProcessId self) {
-              baselines::PhiAccrualConfig c;
-              c.self = self;
-              c.n = n;
-              c.period = from_millis(250);
-              c.threshold = 8.0;
-              c.poll = from_millis(50);
-              c.initial_delay = from_millis(self.value * 3);
-              return c;
-            });
-      }
+    const auto add_row = [&](const std::string& detector,
+                             const OmegaOutcome& out) {
       table.add_row({sc.name, detector,
                      out.final_leader == kNoProcess
                          ? std::string("none")
@@ -204,6 +190,10 @@ int main(int argc, char** argv) {
                      out.unanimous ? "yes" : "NO",
                      Table::num(out.mean_changes_per_proc, 2),
                      Table::num(out.last_change_s, 2)});
+    };
+    add_row("mmr", run_mmr_omega(sc, seed, n, horizon));
+    for (const auto& [detector, rule] : baseline_rules) {
+      add_row(detector, run_baseline_omega(sc, seed, n, horizon, rule));
     }
   }
 

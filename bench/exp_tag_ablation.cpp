@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
       .flag("period", period_ms, "pacing Delta (ms)")
       .flag("csv", csv, "emit CSV");
   if (const auto status = args.parse(argc, argv)) return *status;
+  if (!bench::check_system("exp_tag_ablation", "--n", n, f)) return 2;
 
   std::cout << "# E9: full (tagged) protocol vs tag-free variant; network "
                "unstable for the first "

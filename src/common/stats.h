@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace mmrfd {
@@ -58,31 +57,6 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_{false};
   void ensure_sorted() const;
-};
-
-/// Fixed-width histogram over [lo, hi), with underflow/overflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-
-  /// Multi-line ASCII rendering (one row per non-empty bucket).
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_{0};
-  std::size_t overflow_{0};
-  std::size_t total_{0};
 };
 
 }  // namespace mmrfd

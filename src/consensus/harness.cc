@@ -93,31 +93,23 @@ ConsensusHarness::ConsensusHarness(const HarnessConfig& config)
           build_delays(config_, /*with_fast_set=*/false),
           derive_seed(config_.seed, "harness.hb"));
       for (std::uint32_t i = 0; i < config_.n; ++i) {
+        baselines::HeartbeatConfig hc;
+        hc.self = ProcessId{i};
+        hc.n = config_.n;
+        hc.period = config_.hb_period;
         if (config_.fd == FdKind::kHeartbeat) {
-          baselines::HeartbeatConfig hc;
-          hc.self = ProcessId{i};
-          hc.n = config_.n;
-          hc.period = config_.hb_period;
-          hc.timeout = config_.hb_timeout;
-          hc.initial_delay = Duration(static_cast<Duration::rep>(
-              stagger.next_double() *
-              static_cast<double>(config_.hb_period.count())));
-          hb_detectors_.push_back(std::make_unique<baselines::HeartbeatDetector>(
-              sim_, *hb_net_, hc));
+          hc.rule = baselines::FixedTimeout{config_.hb_timeout};
         } else {
-          baselines::PhiAccrualConfig pc;
-          pc.self = ProcessId{i};
-          pc.n = config_.n;
-          pc.period = config_.hb_period;
-          pc.threshold = config_.phi_threshold;
-          pc.poll = config_.hb_period / 4;
-          pc.initial_delay = Duration(static_cast<Duration::rep>(
-              stagger.next_double() *
-              static_cast<double>(config_.hb_period.count())));
-          phi_detectors_.push_back(
-              std::make_unique<baselines::PhiAccrualDetector>(sim_, *hb_net_,
-                                                              pc));
+          baselines::PhiAccrual phi;
+          phi.threshold = config_.phi_threshold;
+          phi.poll = config_.hb_period / 4;
+          hc.rule = phi;
         }
+        hc.initial_delay = Duration(static_cast<Duration::rep>(
+            stagger.next_double() *
+            static_cast<double>(config_.hb_period.count())));
+        hb_detectors_.push_back(
+            std::make_unique<baselines::HeartbeatDetector>(sim_, *hb_net_, hc));
       }
       break;
     }
@@ -148,9 +140,8 @@ const core::FailureDetector& ConsensusHarness::fd_for(ProcessId id) const {
     case FdKind::kMmr:
       return mmr_hosts_.at(id.value)->detector();
     case FdKind::kHeartbeat:
-      return *hb_detectors_.at(id.value);
     case FdKind::kPhiAccrual:
-      return *phi_detectors_.at(id.value);
+      return *hb_detectors_.at(id.value);
   }
   __builtin_unreachable();
 }
@@ -169,10 +160,8 @@ void ConsensusHarness::crash_everything(ProcessId id) {
       mmr_hosts_[id.value]->crash();
       break;
     case FdKind::kHeartbeat:
-      hb_detectors_[id.value]->crash();
-      break;
     case FdKind::kPhiAccrual:
-      phi_detectors_[id.value]->crash();
+      hb_detectors_[id.value]->crash();
       break;
   }
   procs_[id.value]->crash();
@@ -186,7 +175,6 @@ void ConsensusHarness::start(std::span<const Value> proposals,
   started_ = true;
   for (auto& h : mmr_hosts_) h->start();
   for (auto& d : hb_detectors_) d->start();
-  for (auto& d : phi_detectors_) d->start();
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     procs_[i]->propose(proposals[i]);
   }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "baselines/heartbeat.h"
-#include "baselines/phi_accrual.h"
 #include "consensus/chandra_toueg.h"
 #include "core/failure_detector.h"
 #include "net/delay_model.h"
@@ -95,7 +94,6 @@ class ConsensusHarness {
 
   std::unique_ptr<baselines::HeartbeatNetwork> hb_net_;
   std::vector<std::unique_ptr<baselines::HeartbeatDetector>> hb_detectors_;
-  std::vector<std::unique_ptr<baselines::PhiAccrualDetector>> phi_detectors_;
 
   std::unique_ptr<ConsensusNetwork> cons_net_;
   std::vector<std::unique_ptr<NetworkConsensusTransport>> cons_transports_;

@@ -2,9 +2,9 @@
 // detectors, so experiments can run "same workload, different detector"
 // comparisons with one line of config per detector family.
 //
-// DetectorT must expose: ctor(sim, network, ConfigT, SuspicionObserver*),
-// start(), crash(), and the core::FailureDetector interface — which all of
-// baselines/{heartbeat, phi_accrual, gossip, adaptive} do.
+// DetectorT must expose its Message and Config types, ctor(sim, network,
+// Config, SuspicionObserver*), start(), crash(), and the
+// core::FailureDetector interface — as baselines::BaselineDetector does.
 #pragma once
 
 #include <cassert>
@@ -19,15 +19,16 @@
 
 namespace mmrfd::runtime {
 
-template <typename DetectorT, typename ConfigT, typename MsgT>
+template <typename DetectorT>
 class BaselineCluster {
  public:
-  using Network = net::Network<MsgT>;
+  using Config = typename DetectorT::Config;
+  using Network = net::Network<typename DetectorT::Message>;
 
   /// `make_config` builds the per-process config (self id, stagger, ...).
   BaselineCluster(std::uint32_t n, net::Topology topology,
                   std::unique_ptr<net::DelayModel> delays, std::uint64_t seed,
-                  std::function<ConfigT(ProcessId)> make_config)
+                  std::function<Config(ProcessId)> make_config)
       : net_(sim_, std::move(topology), std::move(delays), seed), log_(sim_) {
     detectors_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {

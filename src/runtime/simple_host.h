@@ -1,10 +1,7 @@
 // SimpleHost — the simulated host of the tag-free SimpleDetectorCore (the
 // perpetual-assumption / class-S variant): the same SimHost adapter as
-// MmrHost, over the ablation core. Constructor signature matches
-// BaselineCluster's expectations, so
-//
-//   runtime::BaselineCluster<SimpleHost, SimpleHostConfig, MmrMessage>
-//
+// MmrHost, over the ablation core. Its types and constructor match
+// BaselineCluster's expectations, so runtime::BaselineCluster<SimpleHost>
 // gives a full cluster of them (see runtime::SimpleCluster alias).
 #pragma once
 
@@ -22,13 +19,15 @@ struct SimpleHostConfig {
 
 class SimpleHost : public SimHost<core::SimpleDetectorCore> {
  public:
+  using Message = MmrMessage;
+  using Config = SimpleHostConfig;
+
   SimpleHost(sim::Simulation& simulation, MmrNetwork& network,
              const SimpleHostConfig& config,
              core::SuspicionObserver* observer = nullptr);
 };
 
 /// A cluster of tag-free detectors (ablation harness for experiment E9).
-using SimpleCluster =
-    BaselineCluster<SimpleHost, SimpleHostConfig, MmrMessage>;
+using SimpleCluster = BaselineCluster<SimpleHost>;
 
 }  // namespace mmrfd::runtime

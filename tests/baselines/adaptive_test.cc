@@ -1,4 +1,4 @@
-#include "baselines/adaptive.h"
+#include "baselines/heartbeat.h"
 
 #include <gtest/gtest.h>
 
@@ -8,51 +8,51 @@
 namespace mmrfd::baselines {
 namespace {
 
-TEST(ArrivalPredictor, DefaultsToPeriodBeforeSamples) {
-  ArrivalPredictor p(8, from_millis(100));
-  EXPECT_FALSE(p.predicted_next().has_value());
+constexpr Duration kPeriod = from_millis(100);
+
+TEST(ArrivalWindow, DefaultsToPeriodBeforeSamples) {
+  ArrivalWindow p(8);
+  EXPECT_FALSE(p.predicted_next(kPeriod).has_value());
   p.observe(from_seconds(1));
-  ASSERT_TRUE(p.predicted_next().has_value());
-  EXPECT_EQ(*p.predicted_next(), from_seconds(1) + from_millis(100));
+  ASSERT_TRUE(p.predicted_next(kPeriod).has_value());
+  EXPECT_EQ(*p.predicted_next(kPeriod), from_seconds(1) + from_millis(100));
 }
 
-TEST(ArrivalPredictor, LearnsMeanInterval) {
-  ArrivalPredictor p(8, from_millis(100));
+TEST(ArrivalWindow, LearnsMeanInterval) {
+  ArrivalWindow p(8);
   // Actual cadence is 250 ms, not the nominal 100 ms.
   for (int i = 0; i <= 8; ++i) p.observe(from_millis(250 * i));
-  ASSERT_TRUE(p.predicted_next().has_value());
-  EXPECT_EQ(*p.predicted_next(), from_millis(250 * 8 + 250));
+  ASSERT_TRUE(p.predicted_next(kPeriod).has_value());
+  EXPECT_EQ(*p.predicted_next(kPeriod), from_millis(250 * 8 + 250));
 }
 
-TEST(ArrivalPredictor, WindowEvictsOldIntervals) {
-  ArrivalPredictor p(2, from_millis(100));
+TEST(ArrivalWindow, WindowEvictsOldIntervals) {
+  ArrivalWindow p(2);
   p.observe(from_millis(0));
   p.observe(from_millis(1000));  // interval 1000
   p.observe(from_millis(1100));  // interval 100
   p.observe(from_millis(1200));  // interval 100 -> window {100, 100}
-  EXPECT_EQ(*p.predicted_next(), from_millis(1300));
+  EXPECT_EQ(*p.predicted_next(kPeriod), from_millis(1300));
 }
 
-using Cluster =
-    runtime::BaselineCluster<AdaptiveDetector, AdaptiveConfig,
-                             HeartbeatMessage>;
+using Cluster = runtime::BaselineCluster<HeartbeatDetector>;
 
 Cluster make_cluster(std::uint32_t n, Duration margin,
                      std::unique_ptr<net::DelayModel> delays,
                      std::uint64_t seed = 1) {
   return Cluster(n, net::Topology::full(n), std::move(delays), seed,
                  [=](ProcessId self) {
-                   AdaptiveConfig c;
+                   HeartbeatConfig c;
                    c.self = self;
                    c.n = n;
-                   c.period = from_millis(100);
-                   c.safety_margin = margin;
+                   c.period = kPeriod;
+                   c.rule = AdaptiveTimeout{.safety_margin = margin};
                    c.initial_delay = from_millis(self.value);
                    return c;
                  });
 }
 
-TEST(AdaptiveDetector, StableClusterStaysClean) {
+TEST(AdaptiveTimeout, StableClusterStaysClean) {
   auto c = make_cluster(4, from_millis(50),
                         std::make_unique<net::ConstantDelay>(from_millis(2)));
   c.start();
@@ -61,7 +61,7 @@ TEST(AdaptiveDetector, StableClusterStaysClean) {
   EXPECT_TRUE(a.false_suspicions().empty());
 }
 
-TEST(AdaptiveDetector, DetectsCrashQuickly) {
+TEST(AdaptiveTimeout, DetectsCrashQuickly) {
   auto c = make_cluster(4, from_millis(50),
                         std::make_unique<net::ConstantDelay>(from_millis(2)));
   runtime::CrashPlan plan;
@@ -76,7 +76,7 @@ TEST(AdaptiveDetector, DetectsCrashQuickly) {
   EXPECT_LT(ss[0].latencies.max(), 0.5);
 }
 
-TEST(AdaptiveDetector, AdaptsToSlowerCadenceThanNominal) {
+TEST(AdaptiveTimeout, AdaptsToSlowerCadenceThanNominal) {
   // Mean delay grows after t=5 s; the adaptive margin keeps pace once the
   // window fills with slow intervals, so late false suspicions stop.
   auto inner = std::make_unique<net::ConstantDelay>(from_millis(2));

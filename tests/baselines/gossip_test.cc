@@ -1,4 +1,4 @@
-#include "baselines/gossip.h"
+#include "baselines/heartbeat.h"
 
 #include <gtest/gtest.h>
 
@@ -8,36 +8,31 @@
 namespace mmrfd::baselines {
 namespace {
 
-using Cluster =
-    runtime::BaselineCluster<GossipDetector, GossipConfig, GossipMessage>;
+using Cluster = runtime::BaselineCluster<GossipDetector>;
 
-Cluster make_cluster(std::uint32_t n, net::Topology topo,
-                     std::uint32_t fanout, Duration timeout,
-                     std::uint64_t seed = 1) {
+Cluster make_cluster(std::uint32_t n, net::Topology topo, Duration timeout) {
   return Cluster(n, std::move(topo),
-                 std::make_unique<net::ConstantDelay>(from_millis(2)), seed,
+                 std::make_unique<net::ConstantDelay>(from_millis(2)), 1,
                  [=](ProcessId self) {
-                   GossipConfig c;
+                   HeartbeatConfig c;
                    c.self = self;
                    c.n = n;
                    c.period = from_millis(100);
-                   c.timeout = timeout;
-                   c.fanout = fanout;
-                   c.seed = seed;
+                   c.rule = FixedTimeout{timeout};
                    c.initial_delay = from_millis(self.value);
                    return c;
                  });
 }
 
 TEST(GossipDetector, StableFullMeshStaysClean) {
-  auto c = make_cluster(5, net::Topology::full(5), 0, from_millis(400));
+  auto c = make_cluster(5, net::Topology::full(5), from_millis(400));
   c.start();
   c.run_for(from_seconds(10));
   EXPECT_TRUE(c.log().events().empty());
 }
 
 TEST(GossipDetector, DetectsCrashOnFullMesh) {
-  auto c = make_cluster(5, net::Topology::full(5), 0, from_millis(400));
+  auto c = make_cluster(5, net::Topology::full(5), from_millis(400));
   runtime::CrashPlan plan;
   plan.entries.push_back({ProcessId{3}, from_seconds(3)});
   c.start(plan);
@@ -49,7 +44,7 @@ TEST(GossipDetector, DetectsCrashOnFullMesh) {
 TEST(GossipDetector, CountersPropagateTransitivelyOnRing) {
   // On a ring, p0 and p2 are not neighbors; p0's counter still reaches p2
   // through p1 — the transitive propagation plain heartbeat lacks.
-  auto c = make_cluster(5, net::Topology::ring(5), 0, from_seconds(1));
+  auto c = make_cluster(5, net::Topology::ring(5), from_seconds(1));
   c.start();
   c.run_for(from_seconds(5));
   EXPECT_GT(c.detector(ProcessId{2}).counters()[0], 30u);
@@ -58,32 +53,12 @@ TEST(GossipDetector, CountersPropagateTransitivelyOnRing) {
 }
 
 TEST(GossipDetector, RingCrashEventuallyDetectedByAll) {
-  auto c = make_cluster(6, net::Topology::ring(6), 0, from_seconds(1));
+  auto c = make_cluster(6, net::Topology::ring(6), from_seconds(1));
   runtime::CrashPlan plan;
   plan.entries.push_back({ProcessId{2}, from_seconds(3)});
   c.start(plan);
   c.run_for(from_seconds(15));
   metrics::Analysis a(c.log(), 6, from_seconds(15));
-  EXPECT_TRUE(a.strong_completeness());
-}
-
-TEST(GossipDetector, FanoutLimitsPerTickSends) {
-  auto c = make_cluster(8, net::Topology::full(8), 2, from_seconds(2), 5);
-  c.start();
-  c.run_for(from_seconds(4));
-  // ~40 ticks per process, 2 sends each: far fewer than full broadcast (7).
-  const auto sent = c.network().stats().messages_sent;
-  EXPECT_GT(sent, 8u * 30u * 2u / 2u);
-  EXPECT_LT(sent, 8u * 45u * 3u);
-}
-
-TEST(GossipDetector, RandomizedFanoutStillDetectsCrash) {
-  auto c = make_cluster(8, net::Topology::full(8), 2, from_millis(1500), 5);
-  runtime::CrashPlan plan;
-  plan.entries.push_back({ProcessId{4}, from_seconds(3)});
-  c.start(plan);
-  c.run_for(from_seconds(20));
-  metrics::Analysis a(c.log(), 8, from_seconds(20));
   EXPECT_TRUE(a.strong_completeness());
 }
 

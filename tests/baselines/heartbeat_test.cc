@@ -8,8 +8,7 @@
 namespace mmrfd::baselines {
 namespace {
 
-using Cluster = runtime::BaselineCluster<HeartbeatDetector, HeartbeatConfig,
-                                         HeartbeatMessage>;
+using Cluster = runtime::BaselineCluster<HeartbeatDetector>;
 
 Cluster make_cluster(std::uint32_t n, Duration period, Duration timeout,
                      std::unique_ptr<net::DelayModel> delays,
@@ -20,7 +19,7 @@ Cluster make_cluster(std::uint32_t n, Duration period, Duration timeout,
                    c.self = self;
                    c.n = n;
                    c.period = period;
-                   c.timeout = timeout;
+                   c.rule = FixedTimeout{timeout};
                    c.initial_delay = from_millis(self.value);  // stagger
                    return c;
                  });
@@ -89,7 +88,7 @@ TEST(HeartbeatDetector, StaleHeartbeatIgnored) {
   cfg.self = ProcessId{0};
   cfg.n = 2;
   cfg.period = from_millis(100);
-  cfg.timeout = from_millis(200);
+  cfg.rule = FixedTimeout{from_millis(200)};
   HeartbeatDetector d(sim, net, cfg);
   d.start();
   // Inject heartbeats by hand via the network from p1's address.

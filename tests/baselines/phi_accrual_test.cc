@@ -1,4 +1,4 @@
-#include "baselines/phi_accrual.h"
+#include "baselines/heartbeat.h"
 
 #include <gtest/gtest.h>
 
@@ -8,73 +8,73 @@
 namespace mmrfd::baselines {
 namespace {
 
-TEST(PhiWindow, PhiZeroWithoutSamples) {
-  PhiWindow w(10, from_millis(10));
-  EXPECT_EQ(w.phi(from_seconds(100)), 0.0);
-  w.observe_arrival(from_seconds(1));
-  EXPECT_EQ(w.phi(from_seconds(100)), 0.0);  // one arrival, no interval yet
+constexpr Duration kFloor = from_millis(10);  // the stddev floor
+
+TEST(ArrivalWindow, PhiZeroWithoutSamples) {
+  ArrivalWindow w(10);
+  EXPECT_EQ(w.phi(from_seconds(100), kFloor), 0.0);
+  w.observe(from_seconds(1));  // one arrival, no interval yet
+  EXPECT_EQ(w.phi(from_seconds(100), kFloor), 0.0);
 }
 
-TEST(PhiWindow, PhiGrowsWithSilence) {
-  PhiWindow w(10, from_millis(10));
-  for (int i = 1; i <= 6; ++i) w.observe_arrival(from_seconds(i));
-  const double phi_early = w.phi(from_seconds(6.5));
-  const double phi_late = w.phi(from_seconds(9.0));
+TEST(ArrivalWindow, PhiGrowsWithSilence) {
+  ArrivalWindow w(10);
+  for (int i = 1; i <= 6; ++i) w.observe(from_seconds(i));
+  const double phi_early = w.phi(from_seconds(6.5), kFloor);
+  const double phi_late = w.phi(from_seconds(9.0), kFloor);
   EXPECT_LT(phi_early, phi_late);
   EXPECT_GT(phi_late, 8.0);  // 2 s overdue on a tight 1 s cadence
 }
 
-TEST(PhiWindow, PhiLowRightAfterArrival) {
-  PhiWindow w(10, from_millis(10));
-  for (int i = 1; i <= 6; ++i) w.observe_arrival(from_seconds(i));
-  EXPECT_LT(w.phi(from_seconds(6.1)), 1.0);
+TEST(ArrivalWindow, PhiLowRightAfterArrival) {
+  ArrivalWindow w(10);
+  for (int i = 1; i <= 6; ++i) w.observe(from_seconds(i));
+  EXPECT_LT(w.phi(from_seconds(6.1), kFloor), 1.0);
 }
 
-TEST(PhiWindow, WindowEvictsOldSamples) {
-  PhiWindow w(4, from_millis(10));
+TEST(ArrivalWindow, WindowEvictsOldSamples) {
+  ArrivalWindow w(4);
   // Jittery start, then rock-steady cadence; after eviction the stddev
   // reflects only the steady samples.
-  w.observe_arrival(from_seconds(0));
-  w.observe_arrival(from_seconds(3));
+  w.observe(from_seconds(0));
+  w.observe(from_seconds(3));
   for (int i = 1; i <= 8; ++i) {
-    w.observe_arrival(from_seconds(3) + from_seconds(i));
+    w.observe(from_seconds(3) + from_seconds(i));
   }
   EXPECT_EQ(w.samples(), 4u);
-  EXPECT_GT(w.phi(from_seconds(11) + from_seconds(3)), 5.0);
+  EXPECT_GT(w.phi(from_seconds(11) + from_seconds(3), kFloor), 5.0);
 }
 
-TEST(PhiWindow, MinStddevGuardsDegenerateWindows) {
+TEST(ArrivalWindow, MinStddevGuardsDegenerateWindows) {
   // Perfectly regular arrivals would give stddev 0 and an instant-suspect
   // cliff; the floor keeps phi finite near the expected arrival.
-  PhiWindow w(8, from_millis(100));
-  for (int i = 1; i <= 8; ++i) w.observe_arrival(from_seconds(i));
-  const double phi = w.phi(from_seconds(9.05));
+  ArrivalWindow w(8);
+  for (int i = 1; i <= 8; ++i) w.observe(from_seconds(i));
+  const double phi = w.phi(from_seconds(9.05), from_millis(100));
   EXPECT_GT(phi, 0.0);
   EXPECT_LT(phi, 3.0);
 }
 
-using Cluster =
-    runtime::BaselineCluster<PhiAccrualDetector, PhiAccrualConfig,
-                             HeartbeatMessage>;
+using Cluster = runtime::BaselineCluster<HeartbeatDetector>;
 
 Cluster make_cluster(std::uint32_t n, double threshold,
                      std::unique_ptr<net::DelayModel> delays,
                      std::uint64_t seed = 1) {
   return Cluster(n, net::Topology::full(n), std::move(delays), seed,
                  [=](ProcessId self) {
-                   PhiAccrualConfig c;
+                   HeartbeatConfig c;
                    c.self = self;
                    c.n = n;
                    c.period = from_millis(100);
-                   c.threshold = threshold;
-                   c.window = 32;
-                   c.poll = from_millis(20);
+                   c.rule = PhiAccrual{.threshold = threshold,
+                                       .window = 32,
+                                       .poll = from_millis(20)};
                    c.initial_delay = from_millis(self.value);
                    return c;
                  });
 }
 
-TEST(PhiAccrualDetector, StableClusterStaysClean) {
+TEST(PhiAccrual, StableClusterStaysClean) {
   auto c = make_cluster(4, 8.0,
                         std::make_unique<net::ConstantDelay>(from_millis(2)));
   c.start();
@@ -83,7 +83,7 @@ TEST(PhiAccrualDetector, StableClusterStaysClean) {
   EXPECT_TRUE(a.false_suspicions().empty());
 }
 
-TEST(PhiAccrualDetector, DetectsCrash) {
+TEST(PhiAccrual, DetectsCrash) {
   auto c = make_cluster(4, 8.0,
                         std::make_unique<net::ConstantDelay>(from_millis(2)));
   runtime::CrashPlan plan;
@@ -98,7 +98,7 @@ TEST(PhiAccrualDetector, DetectsCrash) {
   EXPECT_LT(ss[0].latencies.max(), 5.0);
 }
 
-TEST(PhiAccrualDetector, LowerThresholdDetectsFasterButFalseSuspects) {
+TEST(PhiAccrual, LowerThresholdDetectsFasterButFalseSuspects) {
   auto run = [](double threshold) {
     auto c = make_cluster(
         4, threshold,

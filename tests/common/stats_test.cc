@@ -91,29 +91,5 @@ TEST(SampleSet, AddAfterQueryStillSorted) {
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(5), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.5);
-  h.add(1.6);
-  const auto text = h.render();
-  EXPECT_NE(text.find("2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mmrfd

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Exit statuses of every flag-taking binary's command line: --help exits 0
 and lists the binary's flags; an unknown flag, a value that does not convert
-whole into its flag's type, and a value that fails a semantic check each
-exit 2 with one stderr line naming the flag. Every case ends in the flag
-parser or a semantic check, so no case starts a cluster, a node or a socket.
+whole into its flag's type, and a value that fails a semantic check (a
+system size the model rejects included) each exit 2 with one stderr line
+naming the flag. Every such case ends in the flag parser or a semantic
+check, so it starts no cluster, node or socket. One case runs: a sweep that
+leaves out the points the model rejects (n = 2, ~10 ms).
 
 Usage: python3 tests/scripts/cli_flags_test.py <binary>...
        (each path's file name says which binary it is)
@@ -65,6 +67,21 @@ BAD = [
     ("mmrfd-node", ["--self", "0", "--n", "4294967298", "--f", "1"], "--n"),
     ("mmrfd-node", ["--self", "0", "--n", "3", "--f", "1", "--resend-ms",
                     "0"], "resend-ms"),
+    # Sizes the model rejects (n < 2 or f >= n), which aborted or crashed.
+    ("exp_detection_vs_n", ["--sizes", "1"], "--sizes"),
+    ("exp_message_cost", ["--sizes", "1"], "--sizes"),
+    ("exp_detection_vs_f", ["--n", "1"], "--n"),
+    ("exp_ablation", ["--n", "4", "--f", "4"], "--f"),
+    ("exp_ablation", ["--n", "1", "--f", "0"], "--n"),
+    ("exp_ablation", ["--n", "2", "--f", "1"], "--n"),
+    ("exp_tag_ablation", ["--n", "4", "--f", "4"], "--f"),
+    ("exp_mp_sensitivity", ["--n", "4", "--f", "4"], "--f"),
+    ("exp_accuracy_convergence", ["--n", "4", "--f", "4"], "--f"),
+    ("exp_false_suspicions", ["--n", "4", "--f", "4"], "--f"),
+    ("exp_omega", ["--n", "1"], "--n"),
+    ("exp_omega", ["--n", "0"], "--n"),
+    # Consensus needs f < n/2; NDEBUG compiled the harness's assert out.
+    ("exp_consensus", ["--n", "4", "--f", "2"], "--f"),
 ]
 
 BINARIES = {}
@@ -116,6 +133,15 @@ class CliFlags(unittest.TestCase):
                 self.assertIn(flag, r.stderr)
                 self.assertEqual(len(r.stderr.splitlines()), 1, r.stderr)
                 self.assertNotIn("wrote", r.stdout)
+
+    def test_sweep_leaves_out_points_the_model_rejects(self):
+        # E2's f sweep is fixed; at n = 2 only f = 1 and f = n/2 - 1 = 0 fit.
+        r = run("exp_detection_vs_f", ["--n", "2", "--seeds", "1",
+                                       "--horizon", "30"])
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        rows = [line.split("|")[1].strip() for line in r.stdout.splitlines()
+                if line.startswith("| ") and not line.startswith("| f ")]
+        self.assertEqual(rows, ["1", "1", "0", "0"])
 
 
 if __name__ == "__main__":
